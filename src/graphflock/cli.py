@@ -67,7 +67,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _config_value(action: argparse.Action, key: str, value):
+    """Parse one config entry as the command line parses its flag."""
+    if action.dest == "graph" and isinstance(value, dict):
+        return value  # an already-parsed graph spec
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ParameterError(f"config option {key!r} must be a string or a number, got {value!r}")
+    text = str(value)
+    try:
+        parsed = action.type(text) if action.type else text
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"config option {key!r}: invalid {action.type.__name__} value {value!r}") from exc
+    if action.choices is not None and parsed not in action.choices:
+        raise ParameterError(f"config option {key!r}: {value!r} is not one of {sorted(action.choices)}")
+    return parsed
+
+
+def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if not args.config:
         return
     try:
@@ -77,11 +93,14 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise ParameterError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ParameterError("config file must contain a JSON object")
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[args.command]._actions
+    options = {a.dest: a for a in actions if a.default is not argparse.SUPPRESS}  # all but --help
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in options:
             raise ParameterError(f"config file sets unknown option {key!r}")
-        setattr(args, attr, value)
+        setattr(args, attr, _config_value(options[attr], key, value))
 
 
 def _positive(args) -> None:
@@ -392,8 +411,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     _apply_thread_cap()
     try:
-        args = _build_parser().parse_args(argv)
-        _apply_config_file(args)
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        _apply_config_file(parser, args)
         _positive(args)
         _COMMANDS[args.command](args)
     except ParameterError as exc:

@@ -9,11 +9,15 @@ not needed).  With M the Gram matrix of the terminal alignment functionals
 the noise term is h(t) = (sigma^2/2) log det(I + c(T-t) M), and the
 optimal control is -F(t) x.  Everything below is evaluated per eigenvalue
 nu >= 0 of M, where the F eigenvalue is c*nu / (1 + c(T-t)*nu).
+
+The variance is the equilibrium module's _variance_integral with (x, a) =
+(nu, c(T-.)), averaged uniformly over the eigenvalues of M, or over a
+spectral measure pushed through lam -> lam^2 in the limit.  Values and the
+noise term share one weighted log(1 + c tau nu) sum.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +25,7 @@ import numpy as np
 from .errors import ParameterError
 from .flow import DEFAULT_ODE_STEPS
 from .graphs import Graph
+from .equilibrium import _clamp_time, _variance_integral
 from .spectral import EigenSystem, SpectralMeasure, eigendecompose
 from .strategies import LinearProfile, alignment_functionals, _uniform_grid
 
@@ -57,23 +62,24 @@ def coop_kernel(g: Graph, c: float, T: float, sigma: float) -> CoopKernel:
     return CoopKernel(graph=g, eigen=clipped, c=float(c), T=float(T), sigma=float(sigma))
 
 
-def _check_time(k: CoopKernel, t: float) -> float:
-    if not -1e-12 <= t <= k.T + 1e-12:
-        raise ParameterError(f"t = {t} outside the horizon [0, {k.T}]")
-    return min(max(float(t), 0.0), k.T)
-
-
 def coop_feedback_eigenvalues(k: CoopKernel, t: float) -> np.ndarray:
-    t = _check_time(k, t)
+    t = _clamp_time(t, k.T)
     nu = k.eigen.eigenvalues
     return k.c * nu / (1.0 + k.c * (k.T - t) * nu)
 
 
 def coop_feedback_matrix(k: CoopKernel, t: float) -> np.ndarray:
-    phi = coop_feedback_eigenvalues(k, t)
-    v = k.eigen.eigenvectors
-    f = (v * phi) @ v.T
+    f = k.eigen.reconstruct(coop_feedback_eigenvalues(k, t))
     return 0.5 * (f + f.T)
+
+
+def _noise_term(nu: np.ndarray, weights: np.ndarray, c: float, tau: float, sigma: float) -> float:
+    """(sigma^2/2) * sum_k weights_k log(1 + c tau nu_k)."""
+    return 0.5 * sigma**2 * float(weights @ np.log1p(c * tau * nu))
+
+
+def _planner_variance(nu, weights, c, T, sigma, t, s_steps) -> float:
+    return float(_variance_integral(nu, lambda u: c * (T - u), t, T, DEFAULT_ODE_STEPS, sigma, s_steps, weights))
 
 
 def coop_value(k: CoopKernel, x0: np.ndarray | None = None) -> float:
@@ -81,21 +87,13 @@ def coop_value(k: CoopKernel, x0: np.ndarray | None = None) -> float:
 
         (sigma^2/2) * (1/n) sum_k log(1 + c T nu_k)  [+ x0^T F(0) x0 / (2n)].
     """
-    nu = k.eigen.eigenvalues
-    value = 0.5 * k.sigma**2 * float(np.mean(np.log1p(k.c * k.T * nu)))
+    value = _noise_term(k.eigen.eigenvalues, np.full(k.n, 1.0 / k.n), k.c, k.T, k.sigma)
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (k.n,):
             raise ParameterError(f"x0 must have length {k.n}")
         value += 0.5 * float(x0 @ coop_feedback_matrix(k, 0.0) @ x0) / k.n
     return value
-
-
-def _simpson_weights(m: int, h: float) -> np.ndarray:
-    w = np.ones(m + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
 
 
 def coop_variance(k: CoopKernel, t: float, s_steps: int | None = None) -> float:
@@ -105,31 +103,19 @@ def coop_variance(k: CoopKernel, t: float, s_steps: int | None = None) -> float:
 
     On a transitive graph this is also every single player's variance.
     """
-    t = _check_time(k, t)
-    if t == 0.0:
-        return 0.0
-    if s_steps is None:
-        s_steps = max(16, math.ceil(DEFAULT_ODE_STEPS * t / k.T))
-    m = s_steps + (s_steps % 2)
-    s = np.linspace(0.0, t, m + 1)
-    nu = k.eigen.eigenvalues
-    num = 1.0 + k.c * (k.T - t) * nu
-    denom = 1.0 + k.c * np.outer(nu, k.T - s)
-    integrals = ((num[:, None] / denom) ** 2) @ _simpson_weights(m, t / m)
-    return float(k.sigma**2 * integrals.mean())
+    return _planner_variance(k.eigen.eigenvalues, np.full(k.n, 1.0 / k.n), k.c, k.T, k.sigma, t, s_steps)
 
 
 def coop_h(k: CoopKernel, t: float) -> float:
     """Noise term via the spectrum: (sigma^2/2) sum log(1 + c(T-t) nu)."""
-    t = _check_time(k, t)
-    return 0.5 * k.sigma**2 * float(np.sum(np.log1p(k.c * (k.T - t) * k.eigen.eigenvalues)))
+    t = _clamp_time(t, k.T)
+    return _noise_term(k.eigen.eigenvalues, np.ones(k.n), k.c, k.T - t, k.sigma)
 
 
 def coop_h_logdet(k: CoopKernel, t: float) -> float:
     """Same noise term via a dense log-determinant (independent route)."""
-    t = _check_time(k, t)
-    v = k.eigen.eigenvectors
-    gram = (v * k.eigen.eigenvalues) @ v.T
+    t = _clamp_time(t, k.T)
+    gram = k.eigen.reconstruct()
     sign, logdet = np.linalg.slogdet(np.eye(k.n) + k.c * (k.T - t) * gram)
     if sign <= 0:
         raise ParameterError("cooperative determinant lost positivity")
@@ -151,24 +137,11 @@ def coop_profile(k: CoopKernel, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile
 def coop_value_measure(mu: SpectralMeasure, c: float, T: float, sigma: float) -> float:
     """Per-player cooperative value for a (limit) spectral measure:
     (sigma^2/2) * integral of log(1 + c T lam^2) dmu(lam)."""
-    return 0.5 * sigma**2 * mu.integrate(lambda lam: np.log1p(c * T * lam**2))
+    return _noise_term(mu.nodes**2, mu.weights, c, T, sigma)
 
 
 def coop_variance_measure(
     mu: SpectralMeasure, c: float, T: float, sigma: float, t: float, s_steps: int | None = None
 ) -> float:
     """Cooperative per-player variance for a (limit) spectral measure."""
-    if not -1e-12 <= t <= T + 1e-12:
-        raise ParameterError(f"t = {t} outside the horizon [0, {T}]")
-    t = min(max(float(t), 0.0), T)
-    if t == 0.0:
-        return 0.0
-    if s_steps is None:
-        s_steps = max(16, math.ceil(DEFAULT_ODE_STEPS * t / T))
-    m = s_steps + (s_steps % 2)
-    s = np.linspace(0.0, t, m + 1)
-    nu = mu.nodes**2
-    num = 1.0 + c * (T - t) * nu
-    denom = 1.0 + c * np.outer(nu, T - s)
-    integrals = ((num[:, None] / denom) ** 2) @ _simpson_weights(m, t / m)
-    return float(sigma**2 * (mu.weights @ integrals))
+    return _planner_variance(mu.nodes**2, mu.weights, c, T, sigma, t, s_steps)

@@ -10,6 +10,13 @@ rho(t) = -f'(T-t)*lam / (1 - f(T-t)*lam).  The equilibrium state at time t
 is Gaussian; per eigenvalue the mean coefficient is
 (1 - f(T-t)*lam) / (1 - f(T)*lam) and the covariance eigenvalue is
 sigma^2 * (1 - f(T-t)*lam)^2 * integral_0^t (1 - f(T-s)*lam)^{-2} ds.
+
+Every variance here and in the cooperative module is one integral,
+_variance_integral: sigma^2 * int_0^t ((1 + a(t) x) / (1 + a(s) x))^2 ds per
+node x, averaged over a measure.  The game substitutes (x, a) = (-lam, f(T-.)),
+the planner (nu, c(T-.)).  A finite graph is the discrete measure of its own
+spectrum, so player_variance and game_value_spectral are limit_variance and
+limit_value on the kernel's empirical measure.
 """
 
 from __future__ import annotations
@@ -105,15 +112,45 @@ def build_kernel(
     )
 
 
-def _check_time(k: EquilibriumKernel, t: float) -> float:
-    if not -1e-12 <= t <= k.T + 1e-12:
-        raise ParameterError(f"t = {t} outside the horizon [0, {k.T}]")
-    return min(max(float(t), 0.0), k.T)
+def _clamp_time(t: float, T: float) -> float:
+    if not -1e-12 <= t <= T + 1e-12:
+        raise ParameterError(f"t = {t} outside the horizon [0, {T}]")
+    return min(max(float(t), 0.0), T)
+
+
+def _simpson_weights(m: int, h: float) -> np.ndarray:
+    w = np.ones(m + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (h / 3.0)
+
+
+def _variance_integral(x, a, t, T, steps, sigma, s_steps=None, weights=None):
+    """sigma^2 * int_0^t ((1 + a(t) x) / (1 + a(s) x))^2 ds for each node x,
+    averaged with the weights when given.  Composite Simpson in s with an
+    even step count, by default the share t/T of `steps` (at least 16).
+    """
+    t = _clamp_time(t, T)
+    if t == 0.0:
+        return np.zeros(x.size) if weights is None else 0.0
+    if s_steps is None:
+        s_steps = max(16, math.ceil(steps * t / T))
+    m = s_steps + (s_steps % 2)
+    s = np.linspace(0.0, t, m + 1)
+    sq = ((1.0 + a(t) * x) / (1.0 + np.outer(a(s), x))) ** 2
+    if weights is not None:
+        sq = sq @ weights
+    return sigma**2 * (_simpson_weights(m, t / m) @ sq)
+
+
+def _game_variance(lam, schedule, sigma, t, s_steps, weights=None):
+    T = schedule.T
+    return _variance_integral(-lam, lambda u: schedule.value(T - u), t, T, schedule.steps, sigma, s_steps, weights)
 
 
 def p_eigenvalues(k: EquilibriumKernel, t: float) -> np.ndarray:
     """Eigenvalues of P(t) paired with the columns of k.eigen.eigenvectors."""
-    t = _check_time(k, t)
+    t = _clamp_time(t, k.T)
     lam = k.eigen.eigenvalues
     f = k.schedule.value(k.T - t)
     fp = k.schedule.slope(k.T - t)
@@ -122,9 +159,7 @@ def p_eigenvalues(k: EquilibriumKernel, t: float) -> np.ndarray:
 
 def p_matrix(k: EquilibriumKernel, t: float) -> np.ndarray:
     """Dense equilibrium feedback matrix P(t), assembled in the eigenbasis."""
-    rho = p_eigenvalues(k, t)
-    v = k.eigen.eigenvectors
-    p = (v * rho) @ v.T
+    p = k.eigen.reconstruct(p_eigenvalues(k, t))
     return 0.5 * (p + p.T)
 
 
@@ -140,36 +175,6 @@ def equilibrium_control(k: EquilibriumKernel, i: int, t: float, x: np.ndarray) -
     return float(-(v[i] * rho) @ (v.T @ x))
 
 
-def _even_step_count(k: EquilibriumKernel, t: float, s_steps: int | None) -> int:
-    if s_steps is None:
-        s_steps = max(16, math.ceil(k.schedule.steps * t / k.T))
-    return s_steps + (s_steps % 2)
-
-
-def _simpson_weights(m: int, h: float) -> np.ndarray:
-    w = np.ones(m + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
-
-
-def _covariance_eigenvalues(
-    k: EquilibriumKernel, t: float, s_steps: int | None = None
-) -> np.ndarray:
-    """sigma^2 (1 - f(T-t) lam)^2 * integral_0^t (1 - f(T-s) lam)^{-2} ds,
-    per eigenvalue, with composite Simpson in s."""
-    if t == 0.0:
-        return np.zeros(k.n)
-    lam = k.eigen.eigenvalues
-    m = _even_step_count(k, t, s_steps)
-    s = np.linspace(0.0, t, m + 1)
-    f_s = np.atleast_1d(k.schedule.value(k.T - s))
-    w = _simpson_weights(m, t / m)
-    integrals = ((1.0 - np.outer(lam, f_s)) ** -2) @ w
-    f_t = k.schedule.value(k.T - t)
-    return k.sigma**2 * (1.0 - f_t * lam) ** 2 * integrals
-
-
 def state_law(
     k: EquilibriumKernel,
     t: float,
@@ -182,7 +187,7 @@ def state_law(
     mean equals the population average of x0 (the all-ones direction has
     eigenvalue 0).
     """
-    t = _check_time(k, t)
+    t = _clamp_time(t, k.T)
     v = k.eigen.eigenvectors
     if x0 is None:
         mean = np.zeros(k.n)
@@ -193,8 +198,7 @@ def state_law(
         lam = k.eigen.eigenvalues
         coef = (1.0 - k.schedule.value(k.T - t) * lam) / (1.0 - k.schedule.value(k.T) * lam)
         mean = (v * coef) @ (v.T @ x0)
-    cov_eigs = _covariance_eigenvalues(k, t, s_steps)
-    cov = (v * cov_eigs) @ v.T
+    cov = k.eigen.reconstruct(_game_variance(k.eigen.eigenvalues, k.schedule, k.sigma, t, s_steps))
     return GaussianLaw(mean=mean, covariance=0.5 * (cov + cov.T))
 
 
@@ -204,8 +208,7 @@ def player_variance(k: EquilibriumKernel, t: float, s_steps: int | None = None) 
     On a transitive graph all players share this value; it is the average
     of the covariance eigenvalues.
     """
-    t = _check_time(k, t)
-    return float(_covariance_eigenvalues(k, t, s_steps).mean())
+    return limit_variance(k.measure, k.schedule, k.sigma, t, s_steps)
 
 
 def game_value(k: EquilibriumKernel, x0: np.ndarray | None = None) -> float:
@@ -234,9 +237,7 @@ def game_value_spectral(k: EquilibriumKernel) -> float:
 
         -(sigma^2/2) log( integral of (-lam)/(1 - f(T) lam) dmu(lam) ).
     """
-    f_T = k.schedule.value(k.T)
-    integral = k.measure.integrate(lambda lam: -lam / (1.0 - f_T * lam))
-    return -0.5 * k.sigma**2 * math.log(integral)
+    return limit_value(k.measure, k.schedule, k.sigma)
 
 
 def limit_variance(
@@ -256,21 +257,7 @@ def limit_variance(
         and np.array_equal(schedule.measure.weights, mu.weights)
     ):
         raise ParameterError("schedule was not built from the given measure")
-    T = schedule.T
-    if not -1e-12 <= t <= T + 1e-12:
-        raise ParameterError(f"t = {t} outside the horizon [0, {T}]")
-    t = min(max(float(t), 0.0), T)
-    if t == 0.0:
-        return 0.0
-    if s_steps is None:
-        s_steps = max(16, math.ceil(schedule.steps * t / T))
-    m = s_steps + (s_steps % 2)
-    s = np.linspace(0.0, t, m + 1)
-    lam = mu.nodes
-    num = 1.0 - lam * schedule.value(T - t)
-    denom = 1.0 - np.outer(np.atleast_1d(schedule.value(T - s)), lam)
-    inner = ((num[None, :] / denom) ** 2) @ mu.weights
-    return float(sigma**2 * (_simpson_weights(m, t / m) @ inner))
+    return float(_game_variance(mu.nodes, schedule, sigma, t, s_steps, mu.weights))
 
 
 def limit_value(mu: SpectralMeasure, schedule: FlockingSchedule, sigma: float) -> float:
@@ -286,8 +273,7 @@ def limit_value(mu: SpectralMeasure, schedule: FlockingSchedule, sigma: float) -
 def _f_matrix(k: EquilibriumKernel, i: int, t: float) -> np.ndarray:
     """Player i's quadratic-value matrix P e_i e_i^T P / (Tr(P)/n)."""
     rho = p_eigenvalues(k, t)
-    v = k.eigen.eigenvectors
-    p = (v * rho) @ v.T
+    p = k.eigen.reconstruct(rho)
     tau = rho.sum() / k.n
     return np.outer(p[:, i], p[i, :]) / tau
 
@@ -308,7 +294,7 @@ def riccati_residual(k: EquilibriumKernel, i: int, t: float) -> float:
         raise DomainError("Riccati residual is defined via the transitive construction")
     if not 0 <= i < k.n:
         raise ParameterError(f"invalid player index {i}")
-    t = _check_time(k, t)
+    t = _clamp_time(t, k.T)
     h = k.T / k.schedule.steps
     j = int(round(t / h))
     j = min(max(j, 2), k.schedule.steps - 2)
@@ -318,8 +304,7 @@ def riccati_residual(k: EquilibriumKernel, i: int, t: float) -> float:
     f_dot = (stencil[0] - 8.0 * stencil[1] + 8.0 * stencil[2] - stencil[3]) / (12.0 * h)
 
     rho = p_eigenvalues(k, t0)
-    v = k.eigen.eigenvectors
-    p = (v * rho) @ v.T
+    p = k.eigen.reconstruct(rho)
     tau = rho.sum() / k.n
     f_i = np.outer(p[:, i], p[i, :]) / tau
     p_hat = p * (np.diag(p) / tau)[None, :]  # sum_j F^j e_j e_j^T
@@ -333,9 +318,7 @@ def riccati_terminal_residual(k: EquilibriumKernel, i: int) -> float:
     if not 0 <= i < k.n:
         raise ParameterError(f"invalid player index {i}")
     f_T = _f_matrix(k, i, k.T)
-    lam = k.eigen.eigenvalues
-    v = k.eigen.eigenvectors
-    laplacian = (v * lam) @ v.T
+    laplacian = k.eigen.reconstruct()
     boundary = k.c * np.outer(laplacian[:, i], laplacian[i, :])
     return float(np.abs(f_T - boundary).max())
 
@@ -350,7 +333,7 @@ def covariance_bound(k: EquilibriumKernel, u: int, v: int, t: float) -> float:
     for vertex in (u, v):
         if not 0 <= vertex < k.n:
             raise ParameterError(f"invalid vertex {vertex}")
-    t = _check_time(k, t)
+    t = _clamp_time(t, k.T)
     dist = graph_distances(k.graph, u)[v]
     if math.isinf(dist):
         return 0.0

@@ -42,7 +42,7 @@ def q_eval(mu: SpectralMeasure, x: float) -> tuple[float, float]:
     """
     if x < 0:
         raise ParameterError(f"q_eval needs x >= 0, got {x}")
-    q, qp = _q_pair(mu, float(x))
+    q, qp = map(float, _q_pair(mu, float(x)))
     if not (1.0 - BOUND_TOL <= q <= 1.0 + x + BOUND_TOL):
         raise NumericError(f"Q({x}) = {q} escapes its envelope [1, 1 + x]")
     if not (0.0 < qp <= 1.0 + BOUND_TOL):
@@ -50,16 +50,13 @@ def q_eval(mu: SpectralMeasure, x: float) -> tuple[float, float]:
     return q, qp
 
 
-def _q_pair(mu: SpectralMeasure, x: float) -> tuple[float, float]:
+def _q_pair(mu: SpectralMeasure, x):
+    """(Q(x), Q'(x)) for a scalar x, or row-wise for a column of x values.
+    A scalar keeps each reduction a 1-D dot: solve_f's RK4 loop is hot."""
     lam, w = mu.nodes, mu.weights
     resolvent = 1.0 - x * lam
-    q = float(np.exp(w @ np.log(resolvent)))
-    qp = q * float(w @ (-lam / resolvent))
-    return q, qp
-
-
-def _q_prime(mu: SpectralMeasure, x: float) -> float:
-    return _q_pair(mu, x)[1]
+    q = np.exp(np.log(resolvent) @ w)
+    return q, q * ((-lam / resolvent) @ w)
 
 
 @dataclass
@@ -91,11 +88,8 @@ class FlockingSchedule:
     def slope(self, t):
         """f'(t) recovered exactly from the ODE as c * Q'(f(t))."""
         f = np.atleast_1d(self.value(t))
-        lam, w = self.measure.nodes, self.measure.weights
-        resolvent = 1.0 - f[:, None] * lam[None, :]
-        qp = np.exp(np.log(resolvent) @ w) * ((-lam / resolvent) @ w)
-        out = self.c * qp
-        return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+        out = self.c * _q_pair(self.measure, f[:, None])[1]
+        return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def solve_f(
@@ -118,10 +112,10 @@ def solve_f(
     f_values[0] = 0.0
     f = 0.0
     for k in range(steps):
-        k1 = c * _q_prime(mu, f)
-        k2 = c * _q_prime(mu, f + 0.5 * h * k1)
-        k3 = c * _q_prime(mu, f + 0.5 * h * k2)
-        k4 = c * _q_prime(mu, f + h * k3)
+        k1 = c * _q_pair(mu, f)[1]
+        k2 = c * _q_pair(mu, f + 0.5 * h * k1)[1]
+        k3 = c * _q_pair(mu, f + 0.5 * h * k2)[1]
+        k4 = c * _q_pair(mu, f + h * k3)[1]
         f += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         f_values[k + 1] = f
     schedule = FlockingSchedule(c=float(c), T=float(T), grid=grid, f_values=f_values, measure=mu)

@@ -103,11 +103,11 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
     if 0 in record_index:
         states[record_index[0]] = x.copy()
     noise_scale = sigma * np.sqrt(cfg.dt)
-    feedback = [prof.at(j * cfg.dt) for j in range(steps)]
     with np.errstate(over="ignore", invalid="ignore"):  # explosions are detected below
         for j in range(steps):
             increments = _step_generator(cfg.seed, j).standard_normal((cfg.n_paths, n))
-            x = x - cfg.dt * (x @ feedback[j].T) + noise_scale * increments
+            # One feedback matrix at a time: memory stays O(n^2), not steps * n^2.
+            x = x - cfg.dt * (x @ prof.at(j * cfg.dt).T) + noise_scale * increments
             if not np.isfinite(x).all():
                 bad_path = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
                 raise NumericError(f"state exploded at step {j + 1}, path {bad_path}")

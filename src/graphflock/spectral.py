@@ -72,9 +72,10 @@ class EigenSystem:
     def n(self) -> int:
         return self.eigenvalues.size
 
-    def reconstruct(self) -> np.ndarray:
+    def reconstruct(self, values: np.ndarray | None = None) -> np.ndarray:
+        """V diag(values) V^T; the system's own eigenvalues by default."""
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
+        return (v * (self.eigenvalues if values is None else values)) @ v.T
 
 
 def eigendecompose(m: np.ndarray) -> EigenSystem:
@@ -269,10 +270,13 @@ def _torus_rule(d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     c_nodes, c_weights = _cosine_rule()
     nodes, weights = c_nodes, c_weights
-    for _ in range(d - 1):
+    for axes in range(2, d + 1):
         raw_nodes = (nodes[:, None] + c_nodes[None, :]).ravel()
         raw_weights = (weights[:, None] * c_weights[None, :]).ravel()
         nodes, weights = _gauss_rule_from_atoms(raw_nodes, raw_weights, COMPRESSED_RULE_NODES)
+        # Compare on lam = sum/axes - 1 in [-2, 0]: the raw cosine sums reach
+        # +axes, where log1p(-x * node) is undefined.
+        _check_compression(nodes / axes - 1.0, weights, raw_nodes / axes - 1.0, raw_weights, f"torus stage {axes}")
     lam = nodes / d - 1.0
     return np.clip(lam, -2.0, 0.0), weights
 

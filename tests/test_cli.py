@@ -168,6 +168,22 @@ class TestConfigAndErrors:
         assert rows[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert config_line(out)["c"] == 2.0
 
+    def test_config_values_parse_like_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"c": "1"}))
+        code, out, err = run(capsys, "value", "--measure", "dirac", "--config", str(cfg))
+        assert code == 0, err
+        _, flag_out, _ = run(capsys, "value", "--measure", "dirac", "--c", "1")
+        assert json.loads(out) == json.loads(flag_out)
+
+    def test_config_value_of_wrong_type_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"steps": 150.5}))
+        code, _, err = run(capsys, "value", "--measure", "dirac", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error[config]:")
+        assert "\n" not in err.strip()
+
     def test_malformed_graph_exits_1(self, capsys):
         code, _, err = run(capsys, "spectrum", "--graph", "moebius:4")
         assert code == 1

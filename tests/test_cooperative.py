@@ -18,7 +18,7 @@ from graphflock.cooperative import (
 from graphflock.equilibrium import build_kernel, game_value, player_variance
 from graphflock.errors import ParameterError
 from graphflock.graphs import complete, cycle, edge_list_graph, torus
-from graphflock.spectral import limit_measure
+from graphflock.spectral import empirical_measure, limit_measure
 from graphflock.strategies import alignment_functionals, profile_costs
 
 
@@ -155,10 +155,15 @@ class TestMeasureVariants:
 
     def test_variance_measure_matches_finite_graph(self):
         mu = limit_measure("cycle_limit")
+        own = empirical_measure(cycle(400))
         k = coop_kernel(cycle(400), 1.0, 1.0, 1.0)
         for t in (0.4, 1.0):
             assert coop_variance_measure(mu, 1.0, 1.0, 1.0, t) == pytest.approx(
                 coop_variance(k, t), abs=1e-3
+            )
+            # The kernel is the push-forward of its own spectrum through lam^2.
+            assert coop_variance_measure(own, 1.0, 1.0, 1.0, t) == pytest.approx(
+                coop_variance(k, t), abs=1e-13
             )
 
     def test_variance_measure_zero_at_zero(self):

@@ -211,6 +211,14 @@ class TestPlayerVariance:
         law = state_law(k, 0.9)
         assert player_variance(k, 0.9) == pytest.approx(np.diag(law.covariance).mean(), abs=1e-12)
 
+    @pytest.mark.parametrize("g", [cycle(50), complete(30), torus(4, 2)])
+    def test_is_limit_variance_of_own_measure(self, g):
+        k = kernel(g, c=1.5, sigma=1.3, steps=500)
+        for t in (0.0, 0.3, 1.0):
+            expected = limit_variance(k.measure, k.schedule, k.sigma, t)
+            assert player_variance(k, t) == pytest.approx(expected, abs=1e-14)
+            assert np.diag(state_law(k, t).covariance).mean() == pytest.approx(expected, abs=1e-12)
+
     def test_simpson_refinement(self):
         k = kernel(cycle(6), steps=2000)
         coarse = player_variance(k, 0.8, s_steps=1000)

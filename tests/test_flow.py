@@ -146,8 +146,11 @@ class TestSolveF:
     def test_slope_matches_ode(self):
         mu = FAMILY["torus_2"]
         s = solve_f(mu, c=1.0, T=1.0, steps=200)
-        for t in (0.0, 0.4, 1.0):
+        ts = np.array([0.0, 0.4, 1.0])
+        for t in ts:
             assert s.slope(t) == pytest.approx(1.0 * q_eval(mu, s.value(t))[1], abs=1e-12)
+        expected = [1.0 * q_eval(mu, f)[1] for f in s.value(ts)]
+        assert np.allclose(s.slope(ts), expected, rtol=0.0, atol=1e-12)
 
     def test_out_of_range_evaluation(self):
         s = solve_f(FAMILY["dirac"], c=1.0, T=1.0, steps=200)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,18 @@ class TestDeterminism:
         full = simulate(g, prof, 1.0, SimConfig(64, 0.01, 7, (0.25, 1.0)))
         only_end = simulate(g, prof, 1.0, SimConfig(64, 0.01, 7, (1.0,)))
         assert np.array_equal(full.states[1.0], only_end.states[1.0])
+
+    def test_feedback_is_not_stored_per_step(self):
+        # 500 dense 200 x 200 feedback matrices would take 153 MB.
+        g = cycle(200)
+        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0))
+        tracemalloc.start()
+        try:
+            simulate(g, prof, 1.0, SimConfig(n_paths=10, dt=1 / 500))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_seed_changes_draws(self):
         g = cycle(5)

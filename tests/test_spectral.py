@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphflock import spectral
 from graphflock.errors import DomainError, NumericError, ParameterError
 from graphflock.graphs import complete, cycle, edge_list_graph, random_regular, torus
 from graphflock.spectral import (
@@ -182,6 +183,19 @@ class TestLimitMeasures:
             direct = wt @ np.log1p(-x * lam)
             compressed = integrate(mu, lambda v: np.log1p(-x * v))
             assert abs(direct - compressed) < 1e-12
+
+    def test_corrupted_compression_stage_raises(self, monkeypatch):
+        gauss_rule = spectral._gauss_rule_from_atoms
+
+        def shifted(values, weights, n_nodes):
+            nodes, rule_weights = gauss_rule(values, weights, n_nodes)
+            nodes = nodes.copy()
+            nodes[n_nodes // 2] += 0.05
+            return nodes, rule_weights
+
+        monkeypatch.setattr(spectral, "_gauss_rule_from_atoms", shifted)
+        with pytest.raises(NumericError, match="compressed"):
+            limit_measure("torus_limit", d=3)
 
     def test_kesten_mckay_support(self):
         mu = limit_measure("kesten_mckay", d=3)
