@@ -321,7 +321,7 @@ def _cmd_fig3(args) -> None:
     mu = spectral.limit_measure("cycle_limit")
     schedule = flow.solve_f(mu, 1.0, 1.0, args.steps)
     competitive = [equilibrium.limit_variance(mu, schedule, 1.0, t) for t in ts]
-    cooperative_curve = [cooperative.coop_variance_measure(mu, 1.0, 1.0, 1.0, t) for t in ts]
+    cooperative_curve = [cooperative.coop_variance_measure(mu, 1.0, 1.0, 1.0, t, steps=args.steps) for t in ts]
     config = {"command": "fig3", "T": 1.0, "sigma": 1.0, "c": 1.0, "steps": args.steps}
     _emit_csv(args, ["t", "competitive", "cooperative"], zip(ts, competitive, cooperative_curve), config)
 
@@ -387,7 +387,7 @@ def _cmd_coop(args) -> None:
     from . import cooperative, graphs
 
     g = graphs.build_graph(_parse_graph_spec(args))
-    kernel = cooperative.coop_kernel(g, args.c, args.T, args.sigma)
+    kernel = cooperative.coop_kernel(g, args.c, args.T, args.sigma, args.steps)
     ts = _t_grid(args)
     rows = [(t, cooperative.coop_variance(kernel, t)) for t in ts]
     config = _resolved_config(args, "coop", value=cooperative.coop_value(kernel))

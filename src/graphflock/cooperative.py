@@ -39,13 +39,14 @@ class CoopKernel:
     c: float
     T: float
     sigma: float
+    steps: int  # sets coop_variance's default Simpson step count
 
     @property
     def n(self) -> int:
         return self.graph.n
 
 
-def coop_kernel(g: Graph, c: float, T: float, sigma: float) -> CoopKernel:
+def coop_kernel(g: Graph, c: float, T: float, sigma: float, steps: int = DEFAULT_ODE_STEPS) -> CoopKernel:
     """Build the cooperative kernel.
 
     Isolated vertices are handled by substituting the identity row for the
@@ -59,7 +60,7 @@ def coop_kernel(g: Graph, c: float, T: float, sigma: float) -> CoopKernel:
     gram = functionals.T @ functionals
     es = eigendecompose(0.5 * (gram + gram.T))
     clipped = EigenSystem(np.clip(es.eigenvalues, 0.0, None), es.eigenvectors)
-    return CoopKernel(graph=g, eigen=clipped, c=float(c), T=float(T), sigma=float(sigma))
+    return CoopKernel(graph=g, eigen=clipped, c=float(c), T=float(T), sigma=float(sigma), steps=steps)
 
 
 def coop_feedback_eigenvalues(k: CoopKernel, t: float) -> np.ndarray:
@@ -78,8 +79,8 @@ def _noise_term(nu: np.ndarray, weights: np.ndarray, c: float, tau: float, sigma
     return 0.5 * sigma**2 * float(weights @ np.log1p(c * tau * nu))
 
 
-def _planner_variance(nu, weights, c, T, sigma, t, s_steps) -> float:
-    return float(_variance_integral(nu, lambda u: c * (T - u), t, T, DEFAULT_ODE_STEPS, sigma, s_steps, weights))
+def _planner_variance(nu, weights, c, T, sigma, t, steps, s_steps) -> float:
+    return float(_variance_integral(nu, lambda u: c * (T - u), t, T, steps, sigma, s_steps, weights))
 
 
 def coop_value(k: CoopKernel, x0: np.ndarray | None = None) -> float:
@@ -103,7 +104,7 @@ def coop_variance(k: CoopKernel, t: float, s_steps: int | None = None) -> float:
 
     On a transitive graph this is also every single player's variance.
     """
-    return _planner_variance(k.eigen.eigenvalues, np.full(k.n, 1.0 / k.n), k.c, k.T, k.sigma, t, s_steps)
+    return _planner_variance(k.eigen.eigenvalues, np.full(k.n, 1.0 / k.n), k.c, k.T, k.sigma, t, k.steps, s_steps)
 
 
 def coop_h(k: CoopKernel, t: float) -> float:
@@ -141,7 +142,15 @@ def coop_value_measure(mu: SpectralMeasure, c: float, T: float, sigma: float) ->
 
 
 def coop_variance_measure(
-    mu: SpectralMeasure, c: float, T: float, sigma: float, t: float, s_steps: int | None = None
+    mu: SpectralMeasure,
+    c: float,
+    T: float,
+    sigma: float,
+    t: float,
+    s_steps: int | None = None,
+    steps: int = DEFAULT_ODE_STEPS,
 ) -> float:
-    """Cooperative per-player variance for a (limit) spectral measure."""
-    return _planner_variance(mu.nodes**2, mu.weights, c, T, sigma, t, s_steps)
+    """Cooperative per-player variance for a (limit) spectral measure.
+
+    Without s_steps, the Simpson step count is the share t/T of steps."""
+    return _planner_variance(mu.nodes**2, mu.weights, c, T, sigma, t, steps, s_steps)

@@ -8,14 +8,18 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GenerationError, ParameterError
 
-#: Number of pairing-model attempts before random_regular gives up.
+#: Number of pairing-model attempts before random_regular repairs the last one.
 PAIRING_RETRY_CAP = 1000
+
+#: Number of rejected double-edge switches before that repair gives up.
+SWITCH_RETRY_CAP = 100_000
 
 #: Default size limit for the brute-force automorphism search.
 DEFAULT_TRANSITIVITY_MAX_N = 12
@@ -188,8 +192,11 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     """Uniform-ish random d-regular graph via the pairing (configuration)
     model with full rejection of self-loops and multi-edges.
 
-    Raises GenerationError if no simple pairing is found within
-    PAIRING_RETRY_CAP attempts.
+    A simple pairing has probability about exp((1 - d^2)/4), so for larger
+    d all PAIRING_RETRY_CAP attempts can fail.  The last pairing is then
+    repaired by degree-preserving double-edge switches drawn from the same
+    generator (_switch_to_simple).  Raises GenerationError if there is no
+    pairing to repair or the repair gets stuck.
     """
     if n < 1:
         raise ParameterError(f"random_regular needs n >= 1, got {n}")
@@ -203,6 +210,8 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise ParameterError("random_regular needs a seed")
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     stubs = np.repeat(np.arange(n), d)
+    params = {"n": n, "d": d, "seed": int(seed)}
+    u = v = None
     for _ in range(PAIRING_RETRY_CAP):
         perm = gen.permutation(stubs)
         u, v = perm[0::2], perm[1::2]
@@ -212,14 +221,68 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         keys = lo.astype(np.int64) * n + hi
         if np.unique(keys).size != keys.size:
             continue
-        adj = np.zeros((n, n), dtype=np.int8)
-        adj[u, v] = 1
-        adj[v, u] = 1
-        return _make(adj, "random_regular", {"n": n, "d": d, "seed": int(seed)})
-    raise GenerationError(
-        f"pairing model failed to produce a simple {d}-regular graph on {n} "
-        f"vertices within {PAIRING_RETRY_CAP} attempts"
-    )
+        return _make(_pairs_adjacency(n, u, v), "random_regular", params)
+    if u is None:
+        raise GenerationError(
+            f"pairing model failed to produce a simple {d}-regular graph on {n} "
+            f"vertices within {PAIRING_RETRY_CAP} attempts"
+        )
+    u, v = _switch_to_simple(u, v, gen)
+    return _make(_pairs_adjacency(n, u, v), "random_regular", params)
+
+
+def _pairs_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    adj = np.zeros((n, n), dtype=np.int8)
+    adj[u, v] = 1
+    adj[v, u] = 1
+    return adj
+
+
+def _switch_to_simple(u: np.ndarray, v: np.ndarray, gen: np.random.Generator):
+    """Remove the loops and multi-edges of the pairing (u[e], v[e]) by
+    double-edge switches, which keep every degree.
+
+    Each attempt picks a bad edge (a, b) (a loop, or one copy of a repeated
+    edge) and a uniform edge (x, y), oriented at random, and replaces them
+    by (a, x) and (b, y).  It is accepted only when neither new edge is a
+    loop or already present, so every accepted switch removes at least one
+    bad edge and never adds one.
+    """
+    u, v = u.tolist(), v.tolist()
+    m = len(u)
+
+    def key(a, b):
+        return (a, b) if a < b else (b, a)
+
+    counts = Counter(map(key, u, v))
+
+    def bad_edges():
+        return [e for e in range(m) if u[e] == v[e] or counts[key(u[e], v[e])] > 1]
+
+    bad = bad_edges()
+    rejected = 0
+    while bad:
+        if rejected >= SWITCH_RETRY_CAP:
+            raise GenerationError(
+                f"double-edge switches failed to make the pairing simple after "
+                f"{SWITCH_RETRY_CAP} rejected switches ({len(bad)} bad edges left)"
+            )
+        e1 = bad[int(gen.integers(len(bad)))]
+        e2 = int(gen.integers(m))
+        a, b = u[e1], v[e1]
+        x, y = (u[e2], v[e2]) if gen.integers(2) else (v[e2], u[e2])
+        new1, new2 = key(a, x), key(b, y)
+        if e1 == e2 or a == x or b == y or new1 == new2 or new1 in counts or new2 in counts:
+            rejected += 1
+            continue
+        for k in (key(a, b), key(x, y)):
+            counts[k] -= 1
+            if counts[k] == 0:
+                del counts[k]
+        counts[new1] = counts[new2] = 1
+        u[e1], v[e1], u[e2], v[e2] = a, x, b, y
+        bad = bad_edges()
+    return np.array(u), np.array(v)
 
 
 def edge_list_graph(edges, n: int | None = None, one_based: bool = True) -> Graph:

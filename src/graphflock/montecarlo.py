@@ -106,8 +106,14 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
     with np.errstate(over="ignore", invalid="ignore"):  # explosions are detected below
         for j in range(steps):
             increments = _step_generator(cfg.seed, j).standard_normal((cfg.n_paths, n))
-            # One feedback matrix at a time: memory stays O(n^2), not steps * n^2.
-            x = x - cfg.dt * (x @ prof.at(j * cfg.dt).T) + noise_scale * increments
+            t = j * cfg.dt
+            if prof.rate is not None:
+                # K = k I: the product x @ K^T is exactly k * x.
+                drift = prof.rate(t) * x
+            else:
+                # One feedback matrix at a time: memory stays O(n^2), not steps * n^2.
+                drift = x @ prof.at(t).T
+            x = x - cfg.dt * drift + noise_scale * increments
             if not np.isfinite(x).all():
                 bad_path = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
                 raise NumericError(f"state exploded at step {j + 1}, path {bad_path}")

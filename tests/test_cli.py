@@ -76,6 +76,15 @@ class TestBasicCommands:
         assert np.all(np.diff(rows[:, 1]) > 0)
         assert config_line(out)["value"] > 0
 
+    def test_coop_follows_steps(self, capsys):
+        argv = ("coop", "--graph", "cycle:10", "--t-grid", "0:1:3")
+        _, coarse, _ = run(capsys, *argv, "--steps", "100")
+        _, fine, _ = run(capsys, *argv, "--steps", "2000")
+        _, coarse_rows = parse_csv(coarse)
+        _, fine_rows = parse_csv(fine)
+        assert not np.array_equal(coarse_rows, fine_rows)
+        assert np.allclose(coarse_rows, fine_rows, atol=1e-8)
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "spec.csv"
         code, out, _ = run(capsys, "spectrum", "--graph", "cycle:4", "--out", str(out_path))

@@ -78,6 +78,23 @@ class TestConstructors:
         again = random_regular(10, 3, seed=1)
         assert np.array_equal(g.adjacency, again.adjacency)
 
+    def test_random_regular_unchanged_where_pairing_succeeds(self):
+        g = random_regular(12, 3, seed=2)
+        edges = [tuple(map(int, e)) for e in np.argwhere(np.triu(g.adjacency))]
+        assert edges == [
+            (0, 6), (0, 8), (0, 9), (1, 4), (1, 7), (1, 8), (2, 4), (2, 7), (2, 11),
+            (3, 5), (3, 9), (3, 10), (4, 5), (5, 8), (6, 10), (6, 11), (7, 11), (9, 10),
+        ]
+
+    @pytest.mark.parametrize("d", [8, 10, 20])
+    def test_random_regular_high_degree(self, d):
+        # A simple pairing is too rare here; the last one is repaired by switches.
+        g = random_regular(200, d, seed=3)
+        assert (g.degrees == d).all()
+        assert np.trace(g.adjacency) == 0
+        assert np.array_equal(g.adjacency, random_regular(200, d, seed=3).adjacency)
+        assert not np.array_equal(g.adjacency, random_regular(200, d, seed=4).adjacency)
+
     def test_random_regular_retry_cap(self, monkeypatch):
         monkeypatch.setattr(graphs, "PAIRING_RETRY_CAP", 0)
         with pytest.raises(GenerationError, match="0 attempts"):

@@ -49,6 +49,17 @@ class TestDeterminism:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
+    @pytest.mark.parametrize("make", [lambda g: mf_profile(g, 1.0, 1.0, 100), lambda g: zero_profile(g, 1.0, 100)])
+    def test_scalar_profile_matches_dense_step(self, make):
+        # k * x must reproduce x @ (k I)^T bit for bit.
+        g = cycle(5)
+        prof = make(g)
+        cfg = SimConfig(n_paths=64, dt=0.01, seed=7, record_times=(0.5, 1.0))
+        scalar = simulate(g, prof, 1.0, cfg)
+        dense = simulate(g, custom_profile(g, 1.0, prof.at, 100), 1.0, cfg)
+        for t in scalar.times:
+            assert np.array_equal(scalar.states[t], dense.states[t])
+
     def test_seed_changes_draws(self):
         g = cycle(5)
         prof = mf_profile(g, 1.0, 1.0, steps=100)

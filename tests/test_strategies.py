@@ -6,8 +6,11 @@ from scipy.integrate import quad
 
 from graphflock.equilibrium import build_kernel, game_value, p_matrix
 from graphflock.errors import NumericError, ParameterError
-from graphflock.graphs import complete, cycle, edge_list_graph, torus
+from graphflock.graphs import complete, cycle, edge_list_graph, erdos_renyi, torus
 from graphflock.strategies import (
+    LinearProfile,
+    _alignment_row,
+    alignment_functionals,
     best_response,
     cost_under_profile,
     custom_profile,
@@ -44,6 +47,60 @@ class TestProfiles:
         prof = mf_profile(cycle(4), 1.0, 1.0, steps=100)
         with pytest.raises(ParameterError):
             cost_under_profile(cycle(5), prof, 0, sigma=1.0, c=1.0)
+
+
+class TestAlignmentFunctionals:
+    def test_matches_row_loop(self):
+        g = edge_list_graph([(1, 2), (2, 3), (1, 3), (3, 4)], n=6)  # vertices 5, 6 isolated
+        reference = np.eye(g.n)
+        for i in range(g.n):
+            if g.degrees[i] > 0:
+                reference[i] -= g.adjacency[i] / g.degrees[i]
+        functionals = alignment_functionals(g)
+        assert np.array_equal(functionals, reference)
+        for i in range(g.n):
+            assert np.array_equal(_alignment_row(g, i), reference[i])
+
+
+REDUCTION_GRAPHS = {
+    "complete10": lambda: complete(10),
+    "cycle20": lambda: cycle(20),
+    "torus4x2": lambda: torus(4, 2),
+    "er50": lambda: erdos_renyi(50, 0.3, seed=7),
+    "isolated": lambda: edge_list_graph([(1, 2)], n=3),
+}
+
+
+class TestScalarReduction:
+    """Scalar profiles (K = k I) are solved in 2x2 / scalar form; the dense
+    path on the same matrices is the reference."""
+
+    @pytest.mark.parametrize("kind", ["mean_field", "zero"])
+    @pytest.mark.parametrize("with_x0", [False, True], ids=["x0=0", "x0"])
+    @pytest.mark.parametrize("graph", sorted(REDUCTION_GRAPHS))
+    def test_matches_dense(self, graph, with_x0, kind):
+        g = REDUCTION_GRAPHS[graph]()
+        c, T, sigma, steps = 1.3, 1.0, 0.8, 200
+        prof = mf_profile(g, c, T, steps) if kind == "mean_field" else zero_profile(g, T, steps)
+        assert prof.rate is not None
+        dense = custom_profile(g, T, prof.at, steps)
+        x0 = np.random.default_rng(5).normal(size=g.n) if with_x0 else None
+        assert np.abs(profile_costs(g, prof, sigma, c, x0) - profile_costs(g, dense, sigma, c, x0)).max() <= 1e-12
+        values = [p["best_response_value"] for p in nash_audit(g, prof, c, sigma, x0)["players"]]
+        for i in range(g.n):
+            fast, ref = best_response(g, prof, i, c, sigma, x0), best_response(g, dense, i, c, sigma, x0)
+            assert abs(fast.value - ref.value) <= 1e-12
+            assert abs(values[i] - ref.value) <= 1e-12
+            assert np.abs(fast.feedback - ref.feedback).max() <= 1e-12
+
+    def test_audit_builds_no_stage_matrices(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense stage matrices built for a scalar profile")
+
+        monkeypatch.setattr(LinearProfile, "stage_matrices", refuse)
+        g = erdos_renyi(50, 0.3, seed=7)
+        report = nash_audit(g, mf_profile(g, 1.0, 1.0, steps=100), c=1.0, sigma=1.0)
+        assert report["all_satisfied"]
 
 
 class TestCostUnderProfile:
