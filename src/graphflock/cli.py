@@ -31,39 +31,60 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+#: Every option and its argparse keywords.  A subcommand accepts only the
+#: options it reads (_COMMANDS_SPEC); for the rest its namespace keeps these
+#: defaults, which the resolved configuration still records.
+_OPTIONS = {
+    "--graph": dict(help="graph spec KIND:ARGS, e.g. complete:300 or torus:3,2"),
+    "--measure": dict(help="limit measure KIND[:ARGS], e.g. dirac, cycle, torus:2, kesten_mckay:3"),
+    "--c": dict(type=float, default=1.0),
+    "--T": dict(type=float, default=1.0),
+    "--sigma": dict(type=float, default=1.0),
+    "--steps": dict(type=int, default=2000),
+    "--paths": dict(type=int, default=10000),
+    "--dt": dict(type=float, default=None),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(default=None, help="output file (stdout when omitted)"),
+    "--t": dict(type=float, default=None),
+    "--t-grid": dict(dest="t_grid", default=None, help="START:STOP:COUNT"),
+    "--config": dict(default=None, help="JSON file whose entries override flags"),
+    "--profile": dict(choices=("mean_field", "equilibrium", "zero"), default="mean_field"),
+    "--record-times": dict(dest="record_times", default=None, help="comma-separated times"),
+    "--dump-samples": dict(dest="dump_samples", default=None, help="raw sample CSV path"),
+}
+
+_GRAPH = ("--graph", "--seed")
+_SOURCE = ("--graph", "--measure", "--seed")
+_GAME = ("--c", "--T", "--sigma", "--steps")
+_TIMES = ("--t", "--t-grid")
+
+#: Subcommand -> (help, the options it reads besides --out and --config).
+_COMMANDS_SPEC = {
+    "spectrum": ("eigenvalues of the graph Laplacian as CSV", _GRAPH),
+    "solve-f": ("flocking schedule f(t) as CSV", _SOURCE + ("--c", "--T", "--steps")),
+    "variance-curve": ("player variance over time (finite graph or limit measure)", _SOURCE + _GAME + _TIMES),
+    "value": ("average equilibrium value as JSON", _SOURCE + _GAME),
+    "fig1": ("dense vs cycle variance families for c in {0.5, 1, 2, 5}", ("--steps",)),
+    "fig2": ("torus variance for d in {1, 2, 4} plus the dense limit", ("--steps",)),
+    "fig3": ("competitive vs cooperative variance on the cycle limit", ("--steps",)),
+    "nash-audit": ("per-player deviation audit as JSON", _GRAPH + _GAME + ("--profile",)),
+    "simulate": (
+        "Monte Carlo ensemble summary as JSON",
+        _GRAPH + _GAME + ("--profile", "--paths", "--dt", "--record-times", "--dump-samples"),
+    ),
+    "coop": ("cooperative variance curve as CSV", _GRAPH + _GAME + _TIMES),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="graphflock", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "spectrum": "eigenvalues of the graph Laplacian as CSV",
-        "solve-f": "flocking schedule f(t) as CSV",
-        "variance-curve": "player variance over time (finite graph or limit measure)",
-        "value": "average equilibrium value as JSON",
-        "fig1": "dense vs cycle variance families for c in {0.5, 1, 2, 5}",
-        "fig2": "torus variance for d in {1, 2, 4} plus the dense limit",
-        "fig3": "competitive vs cooperative variance on the cycle limit",
-        "nash-audit": "per-player deviation audit as JSON",
-        "simulate": "Monte Carlo ensemble summary as JSON",
-        "coop": "cooperative variance curve as CSV",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, flags) in _COMMANDS_SPEC.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--graph", help="graph spec KIND:ARGS, e.g. complete:300 or torus:3,2")
-        p.add_argument("--measure", help="limit measure KIND[:ARGS], e.g. dirac, cycle, torus:2, kesten_mckay:3")
-        p.add_argument("--c", type=float, default=1.0)
-        p.add_argument("--T", type=float, default=1.0)
-        p.add_argument("--sigma", type=float, default=1.0)
-        p.add_argument("--steps", type=int, default=2000)
-        p.add_argument("--paths", type=int, default=10000)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output file (stdout when omitted)")
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--t-grid", dest="t_grid", default=None, help="START:STOP:COUNT")
-        p.add_argument("--config", default=None, help="JSON file whose entries override flags")
-        p.add_argument("--profile", choices=("mean_field", "equilibrium", "zero"), default="mean_field")
-        p.add_argument("--record-times", dest="record_times", default=None, help="comma-separated times")
-        p.add_argument("--dump-samples", dest="dump_samples", default=None, help="raw sample CSV path")
+        accepted = (*flags, "--out", "--config")
+        for flag in accepted:
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(**{kw.get("dest", f[2:]): kw.get("default") for f, kw in _OPTIONS.items() if f not in accepted})
     return parser
 
 
@@ -99,7 +120,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         if attr not in options:
-            raise ParameterError(f"config file sets unknown option {key!r}")
+            raise ParameterError(f"config file sets option {key!r}, which {args.command} does not take")
         setattr(args, attr, _config_value(options[attr], key, value))
 
 

@@ -58,8 +58,8 @@ def coop_kernel(g: Graph, c: float, T: float, sigma: float, steps: int = DEFAULT
         raise ParameterError(f"c, T, sigma must be positive, got {c}, {T}, {sigma}")
     functionals = alignment_functionals(g)
     gram = functionals.T @ functionals
-    es = eigendecompose(0.5 * (gram + gram.T))
-    clipped = EigenSystem(np.clip(es.eigenvalues, 0.0, None), es.eigenvectors)
+    gram = 0.5 * (gram + gram.T)
+    clipped = EigenSystem(np.clip(eigendecompose(gram).eigenvalues, 0.0, None), gram)
     return CoopKernel(graph=g, eigen=clipped, c=float(c), T=float(T), sigma=float(sigma), steps=steps)
 
 

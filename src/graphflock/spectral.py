@@ -6,10 +6,18 @@ Large-graph limits of interest (point mass at -1, the cycle limit, the
 d-dimensional torus limit, the Kesten-McKay law of random regular graphs)
 are represented the same way: as a node/weight quadrature rule against
 which smooth integrands can be integrated to ~1e-8 or better.
+
+Every equilibrium quantity is an integral against the spectrum, so an
+EigenSystem holds its eigenvalues from the start and computes the
+eigenvectors (a full eigh) only when a caller first reads them.  Graphs
+built by graphs.cycle, graphs.torus and graphs.complete get their
+Laplacian spectrum in closed form, without any eigensolver; every other
+graph goes through eigvalsh.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,20 +65,37 @@ def laplacian(g: Graph) -> np.ndarray:
     return g.adjacency / g.degrees[:, None] - np.eye(g.n)
 
 
-@dataclass(frozen=True)
 class EigenSystem:
-    """Sorted spectrum and orthonormal eigenbasis of a symmetric matrix.
+    """Sorted spectrum of a symmetric matrix, with its orthonormal eigenbasis
+    computed on first use.
 
     eigenvalues is ascending; column j of eigenvectors pairs with
-    eigenvalues[j].
+    eigenvalues[j].  The first read of eigenvectors runs a full eigh on the
+    source matrix (or on what the source function returns), checks that its
+    eigenvalues agree with the stored ones to EIGENVALUE_CLAMP_TOL times
+    max(1, spectral radius), caches the vectors and drops the source.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    def __init__(self, eigenvalues: np.ndarray, source):
+        self.eigenvalues = eigenvalues
+        self._source = source  # the matrix, or a function building it
+        self._vectors = None
 
     @property
     def n(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if self._vectors is None:
+            m = self._source() if callable(self._source) else self._source
+            vals, vecs = _solve(np.linalg.eigh, m)
+            gap = float(np.abs(vals - self.eigenvalues).max(initial=0.0))
+            scale = max(1.0, float(np.abs(self.eigenvalues).max(initial=0.0)))
+            if gap > EIGENVALUE_CLAMP_TOL * scale:
+                raise NumericError(f"eigh spectrum differs from the stored eigenvalues by {gap:.3e}")
+            self._vectors, self._source = vecs, None
+        return self._vectors
 
     def reconstruct(self, values: np.ndarray | None = None) -> np.ndarray:
         """V diag(values) V^T; the system's own eigenvalues by default."""
@@ -78,29 +103,93 @@ class EigenSystem:
         return (v * (self.eigenvalues if values is None else values)) @ v.T
 
 
+def _solve(solver, m: np.ndarray):
+    try:
+        return solver(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
+
+
 def eigendecompose(m: np.ndarray) -> EigenSystem:
-    """Full symmetric eigendecomposition with an explicit symmetry gate."""
+    """Symmetric eigendecomposition with an explicit symmetry gate.
+
+    Only the eigenvalues are computed here (eigvalsh); the eigenvectors
+    follow on first use.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     if float(np.abs(m - m.T).max(initial=0.0)) > SYMMETRY_TOL * scale:
         raise DomainError("matrix is not symmetric; eigendecompose refuses to proceed")
-    try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
-    return EigenSystem(eigenvalues=vals, eigenvectors=vecs)
+    return EigenSystem(_solve(np.linalg.eigvalsh, m), m)
+
+
+def _int_param(g: Graph, key: str) -> int | None:
+    value = g.params.get(key)
+    return value if isinstance(value, (int, np.integer)) else None
+
+
+def _is_torus(g: Graph, side: int, d: int) -> bool:
+    """Whether g is exactly torus(side, d), with vertex sum_i coord_i side^i:
+    every degree is 2d and every vertex is adjacent to its successor along
+    each axis (side >= 3 makes those 2d neighbours distinct)."""
+    if not (g.degrees == 2 * d).all():
+        return False
+    idx = np.arange(g.n)
+    for axis in range(d):
+        stride = side**axis
+        coord = (idx // stride) % side
+        if not g.adjacency[idx, idx + stride * ((coord + 1) % side - coord)].all():
+            return False
+    return True
+
+
+def _closed_form_spectrum(g: Graph) -> np.ndarray | None:
+    """Unsorted Laplacian spectrum of a graph built by cycle, torus or
+    complete; None for any other graph.
+
+    The construction record is trusted only when n, the degrees and the
+    lattice edges confirm it.  complete(n): 0 once and -n/(n-1) n-1 times.
+    torus(side, d): the mean over axes of cos(2 pi k_i/side), minus 1;
+    cycle(n) is torus(n, 1).
+    """
+    n = g.n
+    if g.construction == "complete" and _int_param(g, "n") == n >= 2 and (g.degrees == n - 1).all():
+        vals = np.full(n, -n / (n - 1))
+        vals[0] = 0.0
+        return vals
+    if g.construction == "cycle":
+        side, d = _int_param(g, "n") or 0, 1
+    elif g.construction == "torus":
+        side, d = _int_param(g, "side") or 0, _int_param(g, "d") or 0
+    else:
+        return None
+    if not (side >= 3 and d >= 1 and side**d == n and _is_torus(g, side, d)):
+        return None
+    axis = np.cos(2.0 * np.pi * np.arange(side) / side)
+    sums = axis
+    for _ in range(d - 1):
+        sums = (sums[:, None] + axis[None, :]).ravel()
+    return sums / d - 1.0
 
 
 def laplacian_eigensystem(g: Graph) -> EigenSystem:
-    """Eigendecomposition of the graph Laplacian, clamped to [-2, 0].
+    """Eigensystem of the graph Laplacian, clamped to [-2, 0].
 
+    Graphs built by cycle, torus and complete get their spectrum in closed
+    form, every other graph from eigvalsh of the Laplacian; the
+    eigenvectors are computed on first use.
     Eigenvalues outside [-2 - tol, 0 + tol] indicate a broken input and
     raise instead of being clamped.
     """
-    es = eigendecompose(laplacian(g))
-    vals = es.eigenvalues
+    vals = _closed_form_spectrum(g)
+    if vals is None:
+        source = laplacian(g)
+        vals = eigendecompose(source).eigenvalues
+    else:
+        source = functools.partial(laplacian, g)
+        vals = np.sort(vals)
     if vals.min() < -2.0 - EIGENVALUE_CLAMP_TOL or vals.max() > EIGENVALUE_CLAMP_TOL:
         raise NumericError(
             f"Laplacian spectrum escapes [-2, 0] beyond tolerance: "
@@ -109,7 +198,7 @@ def laplacian_eigensystem(g: Graph) -> EigenSystem:
     if vals.max() < -EIGENVALUE_CLAMP_TOL:
         # the all-ones direction is always a zero eigenvector of D^{-1}A - I
         raise NumericError("Laplacian spectrum is missing its zero eigenvalue")
-    return EigenSystem(np.clip(vals, -2.0, 0.0), es.eigenvectors)
+    return EigenSystem(np.clip(vals, -2.0, 0.0), source)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,17 @@
+import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphflock.cli import main
+from graphflock.cli import _build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -221,3 +228,86 @@ class TestConfigAndErrors:
     def test_nonpositive_c_exits_1(self, capsys):
         code, _, err = run(capsys, "value", "--measure", "dirac", "--c", "-1")
         assert code == 1
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("eigenvectors were computed")
+
+
+class TestEigenvalueOnlyCommands:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (command, "--graph", graph, *extra)
+            for graph in ("cycle:12", "torus:4,2", "complete:9")
+            for command, extra in (
+                ("value", ("--steps", "200")),
+                ("variance-curve", ("--steps", "200", "--t-grid", "0:1:3")),
+                ("solve-f", ("--steps", "200")),
+                ("spectrum", ()),
+            )
+        ]
+        + [("value", "--graph", "random_regular:20,3", "--steps", "200")],
+        ids=lambda argv: " ".join(argv[:3]),
+    )
+    @pytest.mark.filterwarnings("ignore:graph transitivity:RuntimeWarning")
+    def test_runs_without_eigh(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(np.linalg, "eigh", _refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out
+
+
+class TestSubcommandOptions:
+    def test_flag_of_another_command_exits_1(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--graph", "cycle:4", "--paths", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error[config]:")
+        assert "\n" not in err.strip()
+
+    def test_config_option_of_another_command_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"paths": 5}))
+        code, out, err = run(capsys, "spectrum", "--graph", "cycle:4", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error[config]:") and "spectrum" in err
+
+    def test_benchmark_commands_parse(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks itself up there
+        spec.loader.exec_module(workloads)
+        parser = _build_parser()
+        for workload in workloads.WORKLOADS:
+            for op in workloads.ops(workload, 1):
+                parser.parse_args([*op.argv, "--out", "artifact"])
+
+
+def _python(code: str, **env) -> str:
+    environ = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), environ.get("PYTHONPATH")]))
+    environ.update(env)
+    proc = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestThreadCap:
+    def test_importing_the_cli_loads_no_numpy(self):
+        out = _python("import sys, graphflock.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+        assert out == "[]"
+
+    def test_lg_threads_set_before_numpy_loads(self):
+        code = (
+            "import os, sys\n"
+            "seen = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "from graphflock.cli import main\n"
+            "assert main(['spectrum', '--graph', 'cycle:4', '--out', os.devnull]) == 0\n"
+            "print(seen)\n"
+        )
+        assert _python(code, LG_THREADS="1") == "['1']"

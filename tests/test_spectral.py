@@ -1,10 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from graphflock import spectral
 from graphflock.errors import DomainError, NumericError, ParameterError
-from graphflock.graphs import complete, cycle, edge_list_graph, random_regular, torus
+from graphflock.graphs import Graph, complete, cycle, edge_list_graph, random_regular, torus
 from graphflock.spectral import (
+    EigenSystem,
     empirical_measure,
     eigendecompose,
     integrate,
@@ -78,15 +82,39 @@ class TestEigendecompose:
             eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_reconstruction_residual(self):
-        for g in (cycle(50), torus(4, 2), random_regular(60, 3, seed=2)):
+        for g in (cycle(50), torus(4, 2), complete(7), random_regular(60, 3, seed=2)):
             es = laplacian_eigensystem(g)
             residual = np.abs(es.reconstruct() - laplacian(g)).max()
             assert residual <= 1e-9
 
     def test_orthonormal_basis(self):
-        es = laplacian_eigensystem(cycle(12))
-        gram = es.eigenvectors.T @ es.eigenvectors
-        assert np.abs(gram - np.eye(12)).max() < 1e-12
+        for g in (cycle(12), torus(3, 2), complete(6), random_regular(20, 3, seed=4)):
+            es = laplacian_eigensystem(g)
+            gram = es.eigenvectors.T @ es.eigenvectors
+            assert np.abs(gram - np.eye(g.n)).max() < 1e-12
+
+    def test_eigendecompose_reconstructs_its_matrix(self):
+        a = np.random.default_rng(3).normal(size=(30, 30))
+        m = a + a.T
+        es = eigendecompose(m)
+        assert np.abs(es.reconstruct() - m).max() <= 1e-12
+        assert np.abs(es.eigenvectors.T @ es.eigenvectors - np.eye(30)).max() < 1e-12
+
+    def test_source_matrix_dropped_once_vectors_exist(self):
+        m = laplacian(random_regular(20, 3, seed=4))
+        source = weakref.ref(m)
+        es = eigendecompose(m)
+        del m
+        gc.collect()
+        assert source() is not None  # kept until the eigenvectors are read
+        es.eigenvectors
+        gc.collect()
+        assert source() is None
+
+    def test_spectrum_disagreeing_with_matrix_raises(self):
+        es = EigenSystem(np.array([0.0, 1.0]), np.zeros((2, 2)))
+        with pytest.raises(NumericError, match="stored eigenvalues"):
+            es.eigenvectors
 
     def test_zero_eigenvector_constant_when_connected(self):
         es = laplacian_eigensystem(cycle(9))
@@ -98,6 +126,35 @@ class TestEigendecompose:
         for g in (cycle(7), torus(3, 2), random_regular(14, 3, seed=1)):
             es = laplacian_eigensystem(g)
             assert abs(es.eigenvalues.sum() + g.n) < 1e-10
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("no eigensolver may run for this graph")
+
+
+class TestClosedFormSpectra:
+    @pytest.mark.parametrize(
+        "build,args",
+        [(cycle, (n,)) for n in (3, 4, 7, 1000, 2000)]
+        + [(torus, sd) for sd in ((3, 1), (4, 2), (5, 3), (32, 2))]
+        + [(complete, (n,)) for n in (2, 3, 600, 2000)],
+        ids=lambda v: v.__name__ if callable(v) else ",".join(map(str, v)),
+    )
+    def test_matches_eigvalsh(self, build, args, monkeypatch):
+        g = build(*args)
+        expected = np.linalg.eigvalsh(laplacian(g))
+        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
+        monkeypatch.setattr(np.linalg, "eigh", _refuse)
+        es = laplacian_eigensystem(g)
+        assert np.all(np.diff(es.eigenvalues) >= 0.0)
+        assert np.abs(es.eigenvalues - expected).max() <= 1e-12
+
+    def test_mislabelled_graph_takes_the_eigensolver(self):
+        # two triangles recorded as a 6-cycle: same n, same degrees
+        triangles = edge_list_graph([(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)])
+        g = Graph(6, triangles.adjacency, triangles.degrees, "cycle", {"n": 6})
+        es = laplacian_eigensystem(g)
+        assert np.allclose(es.eigenvalues, [-1.5] * 4 + [0.0] * 2, atol=1e-12)
 
 
 class TestEmpiricalMeasure:
