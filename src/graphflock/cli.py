@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -126,8 +127,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
 
 def _positive(args) -> None:
     for name in ("c", "T", "sigma"):
-        if getattr(args, name) <= 0:
-            raise ParameterError(f"--{name} must be positive, got {getattr(args, name)}")
+        if not 0.0 < getattr(args, name) < math.inf:
+            raise ParameterError(f"--{name} must be positive and finite, got {getattr(args, name)}")
     if args.steps < 100:
         raise ParameterError(f"--steps must be >= 100, got {args.steps}")
 

@@ -56,7 +56,7 @@ def _q_pair(mu: SpectralMeasure, x):
     lam, w = mu.nodes, mu.weights
     resolvent = 1.0 - x * lam
     q = np.exp(np.log(resolvent) @ w)
-    return q, q * ((-lam / resolvent) @ w)
+    return q, -q * ((lam / resolvent) @ w)
 
 
 @dataclass
@@ -92,6 +92,22 @@ class FlockingSchedule:
         return float(out[0]) if np.ndim(t) == 0 else out
 
 
+def rk4_step(rhs, y, h, stages=(None, None, None)):
+    """One classical RK4 step of y' = rhs(y, s) from y, with step h.
+
+    stages holds rhs's second argument at the start, middle and end of the
+    step (say a profile's coefficient at t, t + h/2 and t + h); a negative
+    h steps backward in time.  y is a float or an array, and a system of
+    several unknowns is one array.
+    """
+    start, mid, end = stages
+    k1 = rhs(y, start)
+    k2 = rhs(y + 0.5 * h * k1, mid)
+    k3 = rhs(y + 0.5 * h * k2, mid)
+    k4 = rhs(y + h * k3, end)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def solve_f(
     mu: SpectralMeasure, c: float, T: float, steps: int = DEFAULT_ODE_STEPS
 ) -> FlockingSchedule:
@@ -102,22 +118,20 @@ def solve_f(
     Taylor lower bound c*t - (c^2 t^2/2 + c^3 t^3/6) * Var(mu); violations
     raise NumericError since they indicate quadrature or step-size failure.
     """
-    if c <= 0 or T <= 0:
-        raise ParameterError(f"solve_f needs c > 0 and T > 0, got c={c}, T={T}")
+    if not (0.0 < c < np.inf and 0.0 < T < np.inf):
+        raise ParameterError(f"solve_f needs finite c > 0 and T > 0, got c={c}, T={T}")
     if steps < MIN_ODE_STEPS:
         raise ParameterError(f"solve_f needs steps >= {MIN_ODE_STEPS}, got {steps}")
     h = T / steps
     grid = np.linspace(0.0, T, steps + 1)
     f_values = np.empty(steps + 1)
-    f_values[0] = 0.0
-    f = 0.0
+    f_values[0] = f = 0.0
+
+    def slope(x, _):
+        return c * _q_pair(mu, x)[1]
+
     for k in range(steps):
-        k1 = c * _q_pair(mu, f)[1]
-        k2 = c * _q_pair(mu, f + 0.5 * h * k1)[1]
-        k3 = c * _q_pair(mu, f + 0.5 * h * k2)[1]
-        k4 = c * _q_pair(mu, f + h * k3)[1]
-        f += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        f_values[k + 1] = f
+        f_values[k + 1] = f = rk4_step(slope, f, h)
     schedule = FlockingSchedule(c=float(c), T=float(T), grid=grid, f_values=f_values, measure=mu)
     _check_schedule(schedule)
     return schedule

@@ -314,19 +314,23 @@ def edge_list_graph(edges, n: int | None = None, one_based: bool = True) -> Grap
 
 def read_edge_list(path) -> Graph:
     """Read the 1-based 'u v' edge-list text format ('#' starts a comment)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read edge list {path}: {exc}") from exc
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParameterError(f"{path}:{lineno}: expected 'u v', got {raw.rstrip()!r}")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise ParameterError(f"{path}:{lineno}: non-integer vertex label") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParameterError(f"{path}:{lineno}: expected 'u v', got {raw.rstrip()!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise ParameterError(f"{path}:{lineno}: non-integer vertex label") from exc
     if not edges:
         raise ParameterError(f"{path}: no edges found")
     if min(min(e) for e in edges) < 1:

@@ -86,13 +86,13 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
         raise ParameterError(f"profile is for {prof.n} players, graph has {g.n}")
     if cfg.n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {cfg.n_paths}")
-    if cfg.dt <= 0:
-        raise ParameterError(f"dt must be positive, got {cfg.dt}")
+    if not 0.0 < cfg.dt < np.inf:
+        raise ParameterError(f"dt must be positive and finite, got {cfg.dt}")
     steps = cfg.steps_for(prof.T)
     record_times = cfg.record_times or (prof.T,)
     record_index: dict[int, float] = {}
     for t in record_times:
-        j = round(t / cfg.dt)
+        j = round(t / cfg.dt) if np.isfinite(t) else -1  # -1: off the grid
         if not 0 <= j <= steps or abs(j * cfg.dt - t) > _TIME_MATCH_TOL * max(1.0, prof.T):
             raise ParameterError(f"record time {t} is not on the simulation grid")
         record_index[j] = float(t)

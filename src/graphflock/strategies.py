@@ -3,19 +3,21 @@
 A LinearProfile assigns every player the feedback control
 alpha_i(t, x) = -(row i of K(t)) . x.  Costs under a profile are computed
 by deterministic moment propagation; best responses against a frozen
-profile reduce to a backward matrix Riccati equation (derivation in the
-comments of best_response).  Together they quantify how far any profile is
-from equilibrium, which is what the Nash and epsilon-Nash audits report.
+profile reduce to a backward matrix Riccati equation (derivation in
+best_response).  Together they quantify how far any profile is from
+equilibrium, which is what the Nash and epsilon-Nash audits report.
 
-Profiles come in two structures.  A scalar profile, K(t) = k(t) I (the
-mean-field and zero profiles), carries its rate k.  Its state covariance
-stays s(t) I, so costs come from a few scalar ODEs (_scalar_costs).
-Player i's Riccati stays in span{l_i, e_i}: it is a 2x2 Riccati whose
-matrix part is the same for every player and whose noise term depends on
-i only through deg(i) (_scalar_riccati).  A whole audit is then one such
-solve, O(steps + n) work.  Every other profile is dense: its n x n
-matrices are evaluated on the half-step grid, cached on the profile, and
-integrated as they stand.
+There is one Riccati solver (_riccati): it writes player i's matrix as
+F = B G B^T in a basis B that holds it, and the profile's structure picks
+B.  A dense profile (equilibrium, cooperative, custom) has B = I.  Its
+n x n matrices are evaluated on the half-step grid and cached on the
+profile, up to STAGE_CACHE_BUDGET bytes.  A scalar profile, K(t) = k(t) I
+(mean-field and zero), carries its rate k and has B = [l_i, e_i], with l_i
+the terminal alignment functional.  Its 2x2 G is the same for every
+player, and only the noise term depends on i, through deg(i): a whole
+audit is one 2x2 solve, O(steps + n) work.  Its state covariance stays
+s(t) I, so its costs come from a few scalar ODEs (_scalar_costs).  Every
+solver steps with flow.rk4_step.
 """
 
 from __future__ import annotations
@@ -27,13 +29,18 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .flow import DEFAULT_ODE_STEPS
+from .flow import DEFAULT_ODE_STEPS, rk4_step
 from .graphs import Graph
 from .equilibrium import EquilibriumKernel, p_matrix
 
 #: Abort threshold for the backward Riccati solve; this game's Riccati is
 #: globally solvable, so exceeding it means a bug or a pathological profile.
 RICCATI_BLOWUP_CAP = 1e8
+
+#: Largest stage cache, in bytes, that a dense profile may build: it holds
+#: (2 steps + 1) n x n float64 matrices.  complete(50) at 2000 steps takes
+#: 80 MB; complete(300) would take 2.9 GB.
+STAGE_CACHE_BUDGET = 512 * 2**20
 
 
 @dataclass
@@ -70,9 +77,17 @@ class LinearProfile:
 
         Cached on the profile: audits solve one Riccati per player against
         the same frozen profile, and re-evaluating the map dominates their
-        runtime otherwise.
+        runtime otherwise.  Raises ParameterError, before evaluating any
+        matrix, when the cache would exceed STAGE_CACHE_BUDGET.
         """
         if self._stage_cache is None:
+            size = (2 * self.steps + 1) * self.n**2 * 8
+            if size > STAGE_CACHE_BUDGET:
+                raise ParameterError(
+                    f"a dense profile on {self.n} players at {self.steps} steps needs "
+                    f"{size / 2**20:.0f} MiB of stage matrices, over the "
+                    f"{STAGE_CACHE_BUDGET / 2**20:.0f} MiB budget; use fewer steps"
+                )
             self._stage_cache = [self.matrix_fn(float(t)) for t in self._half_grid()]
         return self._stage_cache
 
@@ -113,7 +128,7 @@ def equilibrium_profile(k: EquilibriumKernel) -> LinearProfile:
 
 def zero_profile(g: Graph, T: float, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
     """All players apply the zero control (states are Brownian motions)."""
-    return _scalar_profile(g, T, steps, "custom", lambda t: 0.0)
+    return _scalar_profile(g, T, steps, "zero", lambda t: 0.0)
 
 
 def custom_profile(
@@ -175,35 +190,30 @@ def profile_costs(
         raise ParameterError(f"x0 must have length {n}")
     if prof.rate is not None:
         return _scalar_costs(g, prof, sigma, c, None if x0 is None else m)
-    s_mat = np.zeros((n, n))
-    costs = np.zeros(n)
     h = prof.T / prof.steps
     eye = np.eye(n)
     sig2 = sigma**2
     stages = prof.stage_matrices()
+    # One array holds the state: S in rows 0..n-1, m in row n, costs in row n + 1.
+    y = np.zeros((n + 2, n))
+    y[n] = m
 
-    def derivs(m_cur, s_cur, kmat):
+    def derivs(y_cur, kmat):
+        s_cur, m_cur = y_cur[:n], y_cur[n]
         second = s_cur + np.outer(m_cur, m_cur)
-        dm = -kmat @ m_cur
-        ds = -kmat @ s_cur - s_cur @ kmat.T + sig2 * eye
-        dj = 0.5 * np.einsum("ij,jk,ik->i", kmat, second, kmat)
-        return dm, ds, dj
+        out = np.empty_like(y_cur)
+        out[:n] = -kmat @ s_cur - s_cur @ kmat.T + sig2 * eye
+        out[n] = -kmat @ m_cur
+        out[n + 1] = 0.5 * np.einsum("ij,jk,ik->i", kmat, second, kmat)
+        return out
 
     for j in range(prof.steps):
-        k_lo, k_mid, k_hi = stages[2 * j], stages[2 * j + 1], stages[2 * j + 2]
-        dm1, ds1, dj1 = derivs(m, s_mat, k_lo)
-        dm2, ds2, dj2 = derivs(m + 0.5 * h * dm1, s_mat + 0.5 * h * ds1, k_mid)
-        dm3, ds3, dj3 = derivs(m + 0.5 * h * dm2, s_mat + 0.5 * h * ds2, k_mid)
-        dm4, ds4, dj4 = derivs(m + h * dm3, s_mat + h * ds3, k_hi)
-        m = m + (h / 6.0) * (dm1 + 2 * dm2 + 2 * dm3 + dm4)
-        s_mat = s_mat + (h / 6.0) * (ds1 + 2 * ds2 + 2 * ds3 + ds4)
-        s_mat = 0.5 * (s_mat + s_mat.T)
-        costs += (h / 6.0) * (dj1 + 2 * dj2 + 2 * dj3 + dj4)
+        y = rk4_step(derivs, y, h, stages[2 * j : 2 * j + 3])
+        y[:n] = 0.5 * (y[:n] + y[:n].T)
 
     functionals = alignment_functionals(g)
-    second = s_mat + np.outer(m, m)
-    costs += 0.5 * c * np.einsum("ij,jk,ik->i", functionals, second, functionals)
-    return costs
+    second = y[:n] + np.outer(y[n], y[n])
+    return y[n + 1] + 0.5 * c * np.einsum("ij,jk,ik->i", functionals, second, functionals)
 
 
 def _scalar_costs(g: Graph, prof: LinearProfile, sigma: float, c: float, x0: np.ndarray | None) -> np.ndarray:
@@ -218,22 +228,16 @@ def _scalar_costs(g: Graph, prof: LinearProfile, sigma: float, c: float, x0: np.
     h = prof.T / prof.steps
     sig2 = sigma**2
     rates = prof.stage_rates()
-    s, phi, run_s, run_m = 0.0, 1.0, 0.0, 0.0
 
-    def derivs(s_cur, phi_cur, k):
+    def derivs(y, k):
+        s_cur, phi_cur = y[0], y[1]
         half_k2 = 0.5 * k * k
-        return -2.0 * k * s_cur + sig2, -k * phi_cur, half_k2 * s_cur, half_k2 * phi_cur * phi_cur
+        return np.array([-2.0 * k * s_cur + sig2, -k * phi_cur, half_k2 * s_cur, half_k2 * phi_cur * phi_cur])
 
+    y = np.array([0.0, 1.0, 0.0, 0.0])  # s, phi, and the running costs of s and of phi^2
     for j in range(prof.steps):
-        k_lo, k_mid, k_hi = rates[2 * j], rates[2 * j + 1], rates[2 * j + 2]
-        ds1, dp1, dj1, dn1 = derivs(s, phi, k_lo)
-        ds2, dp2, dj2, dn2 = derivs(s + 0.5 * h * ds1, phi + 0.5 * h * dp1, k_mid)
-        ds3, dp3, dj3, dn3 = derivs(s + 0.5 * h * ds2, phi + 0.5 * h * dp2, k_mid)
-        ds4, dp4, dj4, dn4 = derivs(s + h * ds3, phi + h * dp3, k_hi)
-        s += (h / 6.0) * (ds1 + 2 * ds2 + 2 * ds3 + ds4)
-        phi += (h / 6.0) * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
-        run_s += (h / 6.0) * (dj1 + 2 * dj2 + 2 * dj3 + dj4)
-        run_m += (h / 6.0) * (dn1 + 2 * dn2 + 2 * dn3 + dn4)
+        y = rk4_step(derivs, y, h, rates[2 * j : 2 * j + 3])
+    s, phi, run_s, run_m = y
 
     costs = run_s + 0.5 * c * s * (1.0 + _inverse_degrees(g.degrees))
     if x0 is not None:
@@ -284,10 +288,10 @@ def best_response(
         F(T) = c l l^T,   h(T) = 0,
 
     with l player i's terminal alignment functional, and the optimal
-    control is -(e_i^T F(t)) x.  The right-hand side is re-symmetrized
-    every step to suppress drift; the returned value is
-    x0^T F(0) x0 / 2 + h(0).  Against a scalar profile the same system is
-    solved in its 2x2 form (_scalar_riccati).
+    control is -(e_i^T F(t)) x.  The returned value is
+    x0^T F(0) x0 / 2 + h(0).  _riccati solves the system in a basis that
+    holds F: B = I against a dense profile, B = [l, e_i] against a scalar
+    one.
     """
     _check_profile(g, prof)
     if not 0 <= i < g.n:
@@ -298,127 +302,105 @@ def best_response(
         if x0.shape != (n,):
             raise ParameterError(f"x0 must have length {n}")
     ell = _alignment_row(g, i)
-    if prof.rate is not None:
+    e_i = np.zeros(n)
+    e_i[i] = 1.0
+    if prof.rate is None:
+        # B = I: G = F, w = u = e_i, a = l_i, and the coefficient is K itself.
+        gw, g0, integral = _riccati(prof, c, prof.stage_matrices(), e_i, e_i, ell, None)
+        feedback, gram, coords = gw, np.eye(n), x0
+    else:
         inv_deg = float(_inverse_degrees(g.degrees[i]))
-        traj, h_tr, h_11 = _scalar_riccati(prof, c, sigma, inv_deg)
-        g11, g12, g22 = traj.T
-        feedback = np.outer(g11 + g12, ell)
-        feedback[:, i] += g12 + g22
-        value = h_tr + h_11 * inv_deg
-        if x0 is not None:
-            value += _quadratic(traj[0], ell @ x0, x0[i])
-        return BestResponse(value=float(value), grid=prof.grid.copy(), feedback=feedback)
-
-    f_mat = c * np.outer(ell, ell)
-    h_val = 0.0
-    steps = prof.steps
-    dt = prof.T / steps
-    feedback = np.empty((steps + 1, n))
-    feedback[steps] = f_mat[i]
-
-    stages = prof.stage_matrices()
-
-    def rhs(f_cur, kmat):
-        own = np.outer(f_cur[:, i], f_cur[i, :])
-        gmat = kmat.T @ f_cur
-        cross = np.outer(kmat[i, :], f_cur[i, :])
-        df = own + gmat + gmat.T - cross - cross.T
-        dh = -0.5 * sigma**2 * np.trace(f_cur)
-        return df, dh
-
-    for j in range(steps, 0, -1):
-        k_hi, k_mid, k_lo = stages[2 * j], stages[2 * j - 1], stages[2 * j - 2]
-        df1, dh1 = rhs(f_mat, k_hi)
-        df2, dh2 = rhs(f_mat - 0.5 * dt * df1, k_mid)
-        df3, dh3 = rhs(f_mat - 0.5 * dt * df2, k_mid)
-        df4, dh4 = rhs(f_mat - dt * df3, k_lo)
-        f_mat = f_mat - (dt / 6.0) * (df1 + 2 * df2 + 2 * df3 + df4)
-        f_mat = 0.5 * (f_mat + f_mat.T)
-        h_val = h_val - (dt / 6.0) * (dh1 + 2 * dh2 + 2 * dh3 + dh4)
-        if np.abs(f_mat).max() > RICCATI_BLOWUP_CAP:
-            raise NumericError(
-                f"best-response Riccati norm exceeded {RICCATI_BLOWUP_CAP:g} "
-                f"near t = {prof.grid[j - 1]:.6g}"
-            )
-        feedback[j - 1] = f_mat[i]
-
-    value = h_val
-    if x0 is not None:
-        value += 0.5 * float(x0 @ f_mat @ x0)
+        basis = np.column_stack((ell, e_i))
+        gw, g0, integral = _riccati(prof, c, *_scalar_basis(prof, inv_deg))
+        feedback, gram = gw @ basis.T, _scalar_grams(inv_deg)
+        coords = None if x0 is None else x0 @ basis
+    value = _best_values(gram, integral, g0, coords, sigma)[0]
     return BestResponse(value=float(value), grid=prof.grid.copy(), feedback=feedback)
 
 
-def _scalar_riccati(
-    prof: LinearProfile, c: float, sigma: float, inv_deg: float
-) -> tuple[np.ndarray, float, float]:
-    """best_response's Riccati against a scalar profile K(t) = k(t) I.
+def _riccati(
+    prof: LinearProfile, c: float, coeffs: list, w: np.ndarray, u: np.ndarray, a: np.ndarray, rows: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """best_response's Riccati for F = B G B^T, in a basis B that holds F.
 
-    F then stays in span{l, e_i}: F = B G B^T with B = [l, e_i] and a
-    symmetric 2x2 G = [[g11, g12], [g12, g22]].  As l_i = 1, B^T e_i is
-    w = (1, 1), and e_i = B u with u = (0, 1), so with p = g11 + g12 and
-    q = g12 + g22 the system becomes
+    With w = B^T e_i, e_i = B u, l_i = B a, and K^T B = B Kt^T (coeffs
+    holds Kt on the half-step grid), the system becomes
 
-        G' = G w w^T G + 2kG - k (u w^T G + G w u^T), that is
-            g11' = p^2 + 2k g11,
-            g12' = pq + 2k g12 - kp,
-            g22' = q^2 + 2k g22 - 2kq,
-        h' = -(sigma^2/2) Tr F = -(sigma^2/2) ((1 + 1/deg) g11 + 2 g12 + g22),
-        G(T) = [[c, 0], [0, 0]],
+        G' = G w w^T G + Kt^T G + G Kt - Kt^T u w^T G - G w u^T Kt,
+        G(T) = c a a^T,
 
-    with 1/deg read as 0 for an isolated vertex (l = e_i).  G does not
-    depend on the player at all, and h(0) = h_tr + h_11 / deg is linear in
-    1/deg, so one solve serves every player.  The loop is best_response's
-    backward RK4 on the same half-step rates, with h split into its two
-    parts, and RICCATI_BLOWUP_CAP applied to F's entries: F_ii = p + q,
-    F_ij = -p/deg for a neighbor j and g11/deg^2 between two neighbors.
-    inv_deg is the 1/deg they are checked at; the largest 1/deg of the
-    players served gives the largest entries.  The row e_i^T F is
-    p l + q e_i.
+    and h(0) = (sigma^2/2) <B^T B, P> for P, the integral of G over
+    [0, T], which is solved alongside as P' = -G, P(T) = 0.  The solve is
+    backward RK4 on the profile grid; G is re-symmetrized after every step,
+    and the solve stops once an entry of F exceeds RICCATI_BLOWUP_CAP.  Those
+    entries are the entries of R G R^T for the distinct rows R of B, given
+    as rows; rows=None stands for B = I, where F = G.
 
-    Returns G on the grid, shape (steps + 1, 3) with columns (g11, g12,
-    g22), and h_tr and h_11.
+    Returns G w on the grid (row j gives the optimal feedback row
+    e_i^T F = (G w)^T B^T at grid[j]), G(0) and P.
     """
     steps = prof.steps
     dt = prof.T / steps
-    half_sig2 = 0.5 * sigma**2
-    rates = prof.stage_rates()
+    y = np.zeros((2, w.size, w.size))  # G, P
+    y[0] = c * np.outer(a, a)
+    gw = np.empty((steps + 1, w.size))
+    gw[steps] = y[0] @ w
 
-    def rhs(y, k):
-        g11, g12, g22 = y[0], y[1], y[2]
-        p = g11 + g12
-        q = g12 + g22
-        return (
-            p * p + 2 * k * g11,
-            p * q + 2 * k * g12 - k * p,
-            q * q + 2 * k * g22 - 2 * k * q,
-            -half_sig2 * (g11 + 2 * g12 + g22),
-            -half_sig2 * g11,
-        )
+    def rhs(y_cur, kt):
+        g_cur = y_cur[0]
+        row = w @ g_cur
+        half = kt.T @ (g_cur - u[:, None] * row)  # Kt^T G - Kt^T u w^T G
+        out = np.empty_like(y_cur)
+        np.multiply((g_cur @ w)[:, None], row, out=out[0])
+        out[0] += half
+        out[0] += half.T
+        np.negative(g_cur, out=out[1])
+        return out
 
-    y = [float(c), 0.0, 0.0, 0.0, 0.0]  # g11, g12, g22, h_tr, h_11
-    rows = [y[:3]]
     for j in range(steps, 0, -1):
-        k_hi, k_mid, k_lo = rates[2 * j], rates[2 * j - 1], rates[2 * j - 2]
-        d1 = rhs(y, k_hi)
-        d2 = rhs([v - 0.5 * dt * d for v, d in zip(y, d1)], k_mid)
-        d3 = rhs([v - 0.5 * dt * d for v, d in zip(y, d2)], k_mid)
-        d4 = rhs([v - dt * d for v, d in zip(y, d3)], k_lo)
-        y = [v - (dt / 6.0) * (a + 2 * b + 2 * e + f) for v, a, b, e, f in zip(y, d1, d2, d3, d4)]
-        g11, g12, g22 = y[:3]
-        p = g11 + g12
-        if max(abs(p + g12 + g22), abs(p) * inv_deg, abs(g11) * inv_deg * inv_deg) > RICCATI_BLOWUP_CAP:
+        y = rk4_step(rhs, y, -dt, (coeffs[2 * j], coeffs[2 * j - 1], coeffs[2 * j - 2]))
+        g_mat = y[0] = 0.5 * (y[0] + y[0].T)
+        f_entries = g_mat if rows is None else rows @ g_mat @ rows.T
+        if np.abs(f_entries).max() > RICCATI_BLOWUP_CAP:
             raise NumericError(
                 f"best-response Riccati norm exceeded {RICCATI_BLOWUP_CAP:g} "
                 f"near t = {prof.grid[j - 1]:.6g}"
             )
-        rows.append(y[:3])
-    return np.array(rows[::-1]), y[3], y[4]
+        gw[j - 1] = g_mat @ w
+    return gw, y[0], y[1]
 
 
-def _quadratic(g_mat: np.ndarray, a, b):
-    """x0^T F x0 / 2 for F = B G B^T, given a = l . x0 and b = x0_i."""
-    g11, g12, g22 = g_mat
-    return 0.5 * (g11 * a * a + 2.0 * g12 * a * b + g22 * b * b)
+def _scalar_basis(prof: LinearProfile, inv_deg: float) -> tuple:
+    """_riccati's coeffs, w, u, a and rows for a scalar profile.
+
+    In B = [l_i, e_i], Kt = k(t) I_2, w = (1, 1) and a = (1, 0) because
+    l_i has 1 at i, and u = (0, 1).  G then does not depend on the player.
+    F's largest entries are F_ii, from B's row (1, 1), and those at i's
+    neighbors, from their rows (-1/deg, 0); inv_deg is the 1/deg they are
+    checked at, and the largest 1/deg of the players served bounds them all.
+    """
+    eye = np.eye(2)
+    coeffs = [k * eye for k in prof.stage_rates()]
+    return coeffs, np.ones(2), eye[1], eye[0], np.array([[1.0, 1.0], [-inv_deg, 0.0]])
+
+
+def _scalar_grams(inv_deg) -> np.ndarray:
+    """B^T B = [[1 + 1/deg, 1], [1, 1]] for B = [l_i, e_i], per 1/deg given."""
+    grams = np.ones(np.shape(inv_deg) + (2, 2))
+    grams[..., 0, 0] += inv_deg
+    return grams
+
+
+def _best_values(grams: np.ndarray, integral: np.ndarray, g0: np.ndarray, coords, sigma: float) -> np.ndarray:
+    """x0^T F(0) x0 / 2 + h(0) from a _riccati solve, one value per B^T B
+    in grams: h(0) = (sigma^2/2) <B^T B, P> as a flat dot product, and
+    x0^T F(0) x0 = z^T G(0) z for z = B^T x0 (coords: one z per row, or
+    None for x0 = 0)."""
+    values = 0.5 * sigma**2 * (grams.reshape(-1, integral.size) @ integral.ravel())
+    if coords is not None:
+        z = np.atleast_2d(coords)
+        values += 0.5 * np.einsum("pi,ij,pj->p", z, g0, z)
+    return values
 
 
 def deviation_gap(
@@ -464,20 +446,6 @@ def epsilon_bounds(g: Graph, c: float, T: float, sigma: float) -> EpsilonBounds:
     return EpsilonBounds(per_vertex=per_vertex, aggregate=aggregate, avg_degree_diagnostic=diagnostic)
 
 
-def _scalar_best_values(
-    g: Graph, prof: LinearProfile, c: float, sigma: float, x0: np.ndarray | None
-) -> np.ndarray:
-    """Every player's best-response value against a scalar profile, from
-    one 2x2 Riccati solve."""
-    inv_deg = _inverse_degrees(g.degrees)
-    traj, h_tr, h_11 = _scalar_riccati(prof, c, sigma, float(inv_deg.max()))
-    values = h_tr + h_11 * inv_deg
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        values += _quadratic(traj[0], alignment_functionals(g) @ x0, x0)
-    return values
-
-
 def nash_audit(
     g: Graph,
     prof: LinearProfile,
@@ -499,7 +467,11 @@ def nash_audit(
     else:
         bounds = np.zeros(g.n)
     if prof.rate is not None:
-        values = _scalar_best_values(g, prof, c, sigma, x0)
+        # One 2x2 solve serves every player (see _scalar_basis).
+        inv_deg = _inverse_degrees(g.degrees)
+        _, g0, integral = _riccati(prof, c, *_scalar_basis(prof, float(inv_deg.max())))
+        coords = None if x0 is None else np.column_stack((alignment_functionals(g) @ x0, x0))
+        values = _best_values(_scalar_grams(inv_deg), integral, g0, coords, sigma)
     else:
         values = [best_response(g, prof, i, c, sigma, x0).value for i in range(g.n)]
     players = []

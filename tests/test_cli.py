@@ -149,6 +149,12 @@ class TestAuditAndSimulate:
         assert report["all_satisfied"] is True
         assert report["players"][0]["epsilon_bound"] == pytest.approx(0.5 * math.sqrt(1.5))
 
+    def test_nash_audit_zero_is_labelled_zero(self, capsys):
+        code, out, _ = run(capsys, "nash-audit", "--graph", "cycle:6", "--profile", "zero", "--steps", "100")
+        assert code == 0
+        report = json.loads(out)
+        assert report["profile"] == report["config"]["profile"] == "zero"
+
     def test_simulate_summary_and_dump(self, capsys, tmp_path):
         dump = tmp_path / "samples.csv"
         code, out, _ = run(
@@ -228,6 +234,27 @@ class TestConfigAndErrors:
     def test_nonpositive_c_exits_1(self, capsys):
         code, _, err = run(capsys, "value", "--measure", "dirac", "--c", "-1")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "value --graph cycle:10 --c nan",
+            "value --graph complete:30 --T inf",
+            "value --graph cycle:10 --sigma 1e400",
+            "nash-audit --graph cycle:6 --steps 100 --c inf",
+            "simulate --graph cycle:3 --paths 10 --dt nan",
+            "simulate --graph cycle:3 --paths 10 --record-times 0.5,nan",
+            "value --graph edge_list:{tmp}/missing.txt",
+            "value --graph edge_list:{tmp}",
+            "value --graph edge_list:{tmp}/binary.txt",
+        ],
+    )
+    def test_bad_input_exits_1_with_one_line(self, capsys, tmp_path, argv):
+        (tmp_path / "binary.txt").write_bytes(b"\xff\xfe 1 2\n")
+        code, out, err = run(capsys, *argv.format(tmp=tmp_path).split())
+        assert code == 1 and out == ""
+        assert err.startswith("error[config]:")
+        assert len(err.splitlines()) == 1
 
 
 def _refuse(*args, **kwargs):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
+from graphflock import strategies
 from graphflock.equilibrium import build_kernel, game_value, p_matrix
 from graphflock.errors import NumericError, ParameterError
 from graphflock.graphs import complete, cycle, edge_list_graph, erdos_renyi, torus
@@ -101,6 +102,60 @@ class TestScalarReduction:
         g = erdos_renyi(50, 0.3, seed=7)
         report = nash_audit(g, mf_profile(g, 1.0, 1.0, steps=100), c=1.0, sigma=1.0)
         assert report["all_satisfied"]
+
+
+class TestStageCacheBudget:
+    def test_over_budget_raises_before_evaluating(self, monkeypatch):
+        g, steps = cycle(6), 100
+        evaluated = []
+        prof = custom_profile(g, 1.0, lambda t: evaluated.append(t) or np.eye(6), steps=steps)
+        size = (2 * steps + 1) * g.n**2 * 8
+        monkeypatch.setattr(strategies, "STAGE_CACHE_BUDGET", size - 1)
+        with pytest.raises(ParameterError, match="budget"):
+            nash_audit(g, prof, c=1.0, sigma=1.0)
+        assert evaluated == []
+        monkeypatch.setattr(strategies, "STAGE_CACHE_BUDGET", size)
+        assert len(prof.stage_matrices()) == 2 * steps + 1
+
+
+class TestRiccatiReference:
+    """best_response against scipy's solve_ivp on the full n x n system."""
+
+    def test_nonsymmetric_time_varying_profile(self):
+        g = edge_list_graph([(1, 2), (2, 3), (1, 3), (3, 4)], n=5)  # vertex 5 isolated
+        n, c, T, sigma, steps = g.n, 1.3, 1.0, 0.8, 1000
+        rng = np.random.default_rng(11)
+        k0, k1 = 0.5 * rng.normal(size=(2, n, n))
+        assert np.abs(k0 - k0.T).max() > 0.1
+
+        def matrix_fn(t):
+            return k0 + np.sin(3.0 * t) * k1
+
+        prof = custom_profile(g, T, matrix_fn, steps)
+        x0 = rng.normal(size=n)
+        for i in (0, 2, 4):
+            own = np.zeros((n, n))
+            own[i, i] = 1.0
+
+            def rhs(t, y):
+                # Opponents follow K; player i's own row of the drift is its control.
+                f = y[:-1].reshape(n, n)
+                m = matrix_fn(t) - own @ matrix_fn(t)
+                df = f @ own @ f + m.T @ f + f @ m
+                return np.append(df.ravel(), -0.5 * sigma**2 * np.trace(f))
+
+            ell = alignment_functionals(g)[i]
+            checked = np.arange(steps, -1, -250)
+            sol = solve_ivp(
+                rhs, (T, 0.0), np.append(c * np.outer(ell, ell).ravel(), 0.0),
+                method="DOP853", rtol=1e-12, atol=1e-12, t_eval=prof.grid[checked],
+            )
+            assert sol.success
+            br = best_response(g, prof, i, c, sigma, x0)
+            f0, h0 = sol.y[:-1, -1].reshape(n, n), sol.y[-1, -1]
+            assert abs(br.value - (0.5 * x0 @ f0 @ x0 + h0)) <= 1e-9
+            for col, j in enumerate(checked):
+                assert np.abs(br.feedback[j] - sol.y[:-1, col].reshape(n, n)[i]).max() <= 1e-9
 
 
 class TestCostUnderProfile:
