@@ -20,9 +20,12 @@ _FIG_GRID_POINTS = 101
 
 
 def _apply_thread_cap() -> None:
-    # LG_THREADS caps BLAS parallelism; must be set before numpy loads.
-    cap = os.environ.get("LG_THREADS")
-    if cap:
+    # LG_THREADS caps BLAS parallelism (and the Monte Carlo draw pool);
+    # the BLAS variables must be set before numpy loads.
+    if os.environ.get("LG_THREADS"):
+        from .threads import thread_count
+
+        cap = str(thread_count())
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, cap)
 
@@ -140,8 +143,12 @@ def _parse_graph_spec(args) -> dict:
     if isinstance(text, dict):
         return text
     kind, _, rest = text.partition(":")
-    parts = [p for p in rest.replace(",", " ").split()] if rest else []
     kind = {"er": "erdos_renyi", "rr": "random_regular", "edgelist": "edge_list"}.get(kind, kind)
+    if kind == "edge_list":
+        if not rest:
+            raise ParameterError(f"malformed graph spec {text!r}")
+        return {"kind": kind, "path": rest}  # all of it: a path may hold commas and spaces
+    parts = rest.replace(",", " ").split()
     try:
         if kind == "complete" or kind == "cycle":
             return {"kind": kind, "n": int(parts[0])}
@@ -151,8 +158,6 @@ def _parse_graph_spec(args) -> dict:
             return {"kind": kind, "n": int(parts[0]), "p": float(parts[1]), "seed": args.seed}
         if kind == "random_regular":
             return {"kind": kind, "n": int(parts[0]), "d": int(parts[1]), "seed": args.seed}
-        if kind == "edge_list":
-            return {"kind": kind, "path": parts[0]}
     except (IndexError, ValueError) as exc:
         raise ParameterError(f"malformed graph spec {text!r}") from exc
     raise ParameterError(f"unknown graph kind {kind!r}")
@@ -221,26 +226,33 @@ def _resolved_config(args, command: str, **extra) -> dict:
     return config
 
 
+def _write_file(path: str, flag: str, write) -> None:
+    """Open path for writing and pass the file to write; a file that cannot
+    be written is a configuration error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {flag} {path}: {exc.strerror or exc}") from exc
+
+
+def _emit(args, text: str) -> None:
+    if args.out:
+        _write_file(args.out, "--out", lambda fh: fh.write(text))
+    else:
+        sys.stdout.write(text)
+
+
 def _emit_csv(args, header: list[str], rows, config: dict) -> None:
     lines = ["# config: " + json.dumps(config, sort_keys=True)]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, "\n".join(lines) + "\n")
 
 
 def _emit_json(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_spectrum(args) -> None:
@@ -395,13 +407,16 @@ def _cmd_simulate(args) -> None:
         }
     config = _resolved_config(args, "simulate", profile=args.profile, sim=cfg.to_dict())
     if args.dump_samples:
-        with open(args.dump_samples, "w", encoding="utf-8") as fh:
+
+        def dump(fh) -> None:
             fh.write("path,player,t,x\n")
             for t in ensemble.times:
                 block = ensemble.states[t]
                 for path in range(block.shape[0]):
                     for player in range(block.shape[1]):
                         fh.write(f"{path},{player},{_fmt(t)},{_fmt(block[path, player])}\n")
+
+        _write_file(args.dump_samples, "--dump-samples", dump)
     _emit_json(args, {"config": config, "times": summary})
 
 
@@ -431,8 +446,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     try:
+        _apply_thread_cap()
         parser = _build_parser()
         args = parser.parse_args(argv)
         _apply_config_file(parser, args)

@@ -166,6 +166,14 @@ def torus(side: int, d: int) -> Graph:
     return _make(adj, "torus", {"side": side, "d": d}, Transitivity.KNOWN)
 
 
+def philox_key(seed) -> int:
+    """The seed as a Philox key; ParameterError unless it lies in [0, 2**128)."""
+    key = int(seed)
+    if not 0 <= key < 2**128:
+        raise ParameterError(f"seed must be in [0, 2**128), got {key}")
+    return key
+
+
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi graph: each unordered pair is an edge independently with
     probability p.
@@ -179,7 +187,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise ParameterError(f"edge probability must be in [0, 1], got {p}")
     if seed is None:
         raise ParameterError("erdos_renyi needs a seed")
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+    gen = np.random.Generator(np.random.Philox(key=philox_key(seed)))
     rows, cols = np.triu_indices(n, k=1)
     mask = gen.random(rows.size) < p
     adj = np.zeros((n, n), dtype=np.int8)
@@ -208,7 +216,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise ParameterError(f"n*d must be even, got n={n}, d={d}")
     if seed is None:
         raise ParameterError("random_regular needs a seed")
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+    gen = np.random.Generator(np.random.Philox(key=philox_key(seed)))
     stubs = np.repeat(np.arange(n), d)
     params = {"n": n, "d": d, "seed": int(seed)}
     u = v = None

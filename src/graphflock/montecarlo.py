@@ -2,22 +2,37 @@
 
 Paths follow dX_v = alpha_v(t, X) dt + sigma dW_v under any LinearProfile,
 discretized by Euler-Maruyama (the noise is additive, so Milstein would
-coincide).  Gaussian increments come from counter-based Philox streams
-keyed by (seed, step), with the (path, player) layout fixed inside each
-step's block: the same config reproduces bit-identical ensembles
-regardless of how the work is scheduled.
+coincide).  A spectral profile (K(t) = V diag(rho(t)) V^T, the
+equilibrium) is stepped in the eigen-frame y = V^T x, where every step is
+elementwise: y <- (1 - dt rho(t)) y + sigma sqrt(dt) eps.  The increments
+are drawn in that frame (V^T W is again a standard Brownian motion), and
+paths are rotated back to x = V y only at record times.  Scalar profiles
+(K = k I) step x elementwise, dense ones multiply by K(t)^T.
+
+Gaussian increments come from counter-based Philox streams keyed by
+(seed, step), with the (path, player) layout fixed inside each step's
+block.  The blocks of the next steps are drawn ahead on a pool of
+LG_THREADS threads (by default, as many as the process has cores; fewer
+where the ring would exceed DRAW_RING_BUDGET) into a ring of preallocated
+buffers, one per thread plus one, while the calling thread propagates.
+Each block depends on (seed, step) alone, so the same config reproduces
+bit-identical ensembles for any pool size.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .graphs import Graph
+from .graphs import Graph, philox_key
 from .strategies import LinearProfile
+from .threads import thread_count
 
 #: Default number of Euler steps per horizon in acceptance runs.
 DEFAULT_STEPS_PER_HORIZON = 500
@@ -33,6 +48,11 @@ TEST_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 _TIME_MATCH_TOL = 1e-9
+
+#: Largest ring of drawn-ahead increment blocks, in bytes.  The ring holds
+#: one block more than there are draw threads, so where LG_THREADS (or the
+#: core count) would overrun it, fewer threads draw.
+DRAW_RING_BUDGET = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -80,6 +100,13 @@ def _step_generator(seed: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed), counter=step << 128))
 
 
+def draw_threads(block_bytes: int) -> int:
+    """Threads that draw ahead: thread_count(), but at least one and no
+    more than DRAW_RING_BUDGET leaves room for, with one block per thread
+    plus the one being propagated."""
+    return max(1, min(thread_count(), DRAW_RING_BUDGET // block_bytes - 1))
+
+
 def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> PathEnsemble:
     """Euler-Maruyama ensemble of the controlled system under the profile."""
     if prof.n != g.n:
@@ -88,6 +115,7 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
         raise ParameterError(f"n_paths must be >= 1, got {cfg.n_paths}")
     if not 0.0 < cfg.dt < np.inf:
         raise ParameterError(f"dt must be positive and finite, got {cfg.dt}")
+    philox_key(cfg.seed)
     steps = cfg.steps_for(prof.T)
     record_times = cfg.record_times or (prof.T,)
     record_index: dict[int, float] = {}
@@ -97,28 +125,57 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
             raise ParameterError(f"record time {t} is not on the simulation grid")
         record_index[j] = float(t)
 
-    n = g.n
-    x = np.zeros((cfg.n_paths, n))
-    states: dict[float, np.ndarray] = {}
-    if 0 in record_index:
-        states[record_index[0]] = x.copy()
+    # A spectral profile is stepped in the eigen-frame, y = V^T x per path.
+    basis = prof.eigen.eigenvectors if prof.eigen_rates is not None else None
+    shape = (cfg.n_paths, g.n)
+    x = np.zeros(shape)  # y in the eigen-frame
+    drift = np.empty(shape) if basis is None else None
+    ring = [np.empty(shape) for _ in range(draw_threads(x.nbytes) + 1)]
     noise_scale = sigma * np.sqrt(cfg.dt)
-    with np.errstate(over="ignore", invalid="ignore"):  # explosions are detected below
-        for j in range(steps):
-            increments = _step_generator(cfg.seed, j).standard_normal((cfg.n_paths, n))
-            t = j * cfg.dt
-            if prof.rate is not None:
-                # K = k I: the product x @ K^T is exactly k * x.
-                drift = prof.rate(t) * x
-            else:
-                # One feedback matrix at a time: memory stays O(n^2), not steps * n^2.
-                drift = x @ prof.at(t).T
-            x = x - cfg.dt * drift + noise_scale * increments
-            if not np.isfinite(x).all():
-                bad_path = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
-                raise NumericError(f"state exploded at step {j + 1}, path {bad_path}")
-            if j + 1 in record_index:
-                states[record_index[j + 1]] = x.copy()
+    states: dict[float, np.ndarray] = {}
+
+    def record(j: int) -> None:
+        if j in record_index:
+            states[record_index[j]] = x.copy() if basis is None else x @ basis.T
+
+    def prepare(j: int) -> np.ndarray | None:
+        # Runs on the pool.  Step j's draws depend on (seed, j) alone, so any
+        # thread may fill them; in the eigen-frame it also returns the step's
+        # decay factors 1 - dt * rho(t).
+        block = ring[j % len(ring)]
+        _step_generator(cfg.seed, j).standard_normal(out=block)
+        block *= noise_scale
+        return None if basis is None else 1.0 - cfg.dt * prof.eigen_rates(j * cfg.dt)
+
+    record(0)
+    pool = ThreadPoolExecutor(max_workers=len(ring) - 1, thread_name_prefix="graphflock-draws")
+    try:
+        pending = deque(pool.submit(prepare, j) for j in range(min(len(ring), steps)))
+        with np.errstate(over="ignore", invalid="ignore"):  # explosions are detected below
+            for j in range(steps):
+                if basis is not None:
+                    x *= pending.popleft().result()
+                else:
+                    t = j * cfg.dt
+                    if prof.rate is not None:
+                        # K = k I: the product x @ K^T is exactly k * x.
+                        np.multiply(x, prof.rate(t), out=drift)
+                    else:
+                        # One feedback matrix at a time: memory stays O(n^2), not steps * n^2.
+                        drift = x @ prof.at(t).T
+                    drift *= cfg.dt
+                    x -= drift
+                    pending.popleft().result()
+                x += ring[j % len(ring)]
+                if j + len(ring) < steps:
+                    pending.append(pool.submit(prepare, j + len(ring)))
+                # The sum is finite unless an entry is not, or the sum overflows.
+                if not math.isfinite(x.sum()) and not np.isfinite(x).all():
+                    bad_path = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+                    raise NumericError(f"state exploded at step {j + 1}, path {bad_path}")
+                record(j + 1)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
     return PathEnsemble(
         times=tuple(sorted(states)),

@@ -31,7 +31,8 @@ import numpy as np
 from .errors import NumericError, ParameterError
 from .flow import DEFAULT_ODE_STEPS, rk4_step
 from .graphs import Graph
-from .equilibrium import EquilibriumKernel, p_matrix
+from .equilibrium import EquilibriumKernel, p_eigenvalues, p_matrix
+from .spectral import EigenSystem
 
 #: Abort threshold for the backward Riccati solve; this game's Riccati is
 #: globally solvable, so exceeding it means a bug or a pathological profile.
@@ -51,7 +52,9 @@ class LinearProfile:
     (RK4 needs half-step values); the grid fixes the discretization that
     cost and best-response solvers use.  A scalar profile also sets rate,
     with K(t) = rate(t) I; the solvers then use the scalar and never build
-    the dense matrices.
+    the dense matrices.  A spectral profile also sets eigen and
+    eigen_rates, with K(t) = V diag(eigen_rates(t)) V^T for V =
+    eigen.eigenvectors; only Monte Carlo reads that form.
     """
 
     n: int
@@ -60,6 +63,8 @@ class LinearProfile:
     tag: str
     matrix_fn: Callable[[float], np.ndarray]
     rate: Callable[[float], float] | None = None
+    eigen: EigenSystem | None = None
+    eigen_rates: Callable[[float], np.ndarray] | None = None
     _stage_cache: list | None = field(default=None, repr=False)
 
     @property
@@ -116,13 +121,18 @@ def mf_profile(g: Graph, c: float, T: float, steps: int = DEFAULT_ODE_STEPS) -> 
 
 
 def equilibrium_profile(k: EquilibriumKernel) -> LinearProfile:
-    """Profile whose rows are the equilibrium feedback P(t)."""
+    """Profile whose rows are the equilibrium feedback P(t).
+
+    It also carries its spectral form: the kernel's eigensystem and the
+    eigenvalues p_eigenvalues(k, t) of P(t)."""
     return LinearProfile(
         n=k.n,
         T=k.T,
         grid=k.schedule.grid.copy(),
         tag="equilibrium",
         matrix_fn=lambda t: p_matrix(k, t),
+        eigen=k.eigen,
+        eigen_rates=lambda t: p_eigenvalues(k, t),
     )
 
 

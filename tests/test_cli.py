@@ -247,6 +247,13 @@ class TestConfigAndErrors:
             "value --graph edge_list:{tmp}/missing.txt",
             "value --graph edge_list:{tmp}",
             "value --graph edge_list:{tmp}/binary.txt",
+            "simulate --graph cycle:3 --paths 10 --seed -1",
+            "value --graph erdos_renyi:20,0.5 --seed -1",
+            "simulate --graph cycle:3 --paths 10 --seed 340282366920938463463374607431768211456",
+            "value --graph cycle:10 --out {tmp}",
+            "value --graph cycle:10 --out {tmp}/no_such_dir/value.json",
+            "simulate --graph cycle:3 --paths 10 --dump-samples {tmp}",
+            "simulate --graph cycle:3 --paths 10 --dump-samples {tmp}/no_such_dir/samples.csv",
         ],
     )
     def test_bad_input_exits_1_with_one_line(self, capsys, tmp_path, argv):
@@ -254,6 +261,29 @@ class TestConfigAndErrors:
         code, out, err = run(capsys, *argv.format(tmp=tmp_path).split())
         assert code == 1 and out == ""
         assert err.startswith("error[config]:")
+        assert len(err.splitlines()) == 1
+
+    def test_largest_seed_is_accepted(self, capsys):
+        code, _, err = run(capsys, "simulate", "--graph", "cycle:3", "--paths", "10", "--seed", str(2**128 - 1))
+        assert code == 0 and err == ""
+
+    def test_edge_list_path_may_hold_commas_and_spaces(self, capsys, tmp_path):
+        folder = tmp_path / "with space"
+        folder.mkdir()
+        path = folder / "a,b.txt"
+        path.write_text("1 2\n2 3\n3 1\n")
+        code, out, err = run(capsys, "spectrum", "--graph", f"edge_list:{path}")
+        assert code == 0 and err == ""
+        assert config_line(out)["graph"] == {"kind": "edge_list", "path": str(path)}
+        _, rows = parse_csv(out)
+        assert np.allclose(rows[:, 1], [-1.5, -1.5, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+    def test_bad_lg_threads_exits_1(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("LG_THREADS", value)
+        code, out, err = run(capsys, "spectrum", "--graph", "cycle:4")
+        assert code == 1 and out == ""
+        assert err.startswith("error[config]:") and "LG_THREADS" in err
         assert len(err.splitlines()) == 1
 
 

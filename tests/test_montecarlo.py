@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,14 +9,18 @@ import pytest
 
 from graphflock.equilibrium import build_kernel, state_law
 from graphflock.errors import NumericError, ParameterError
-from graphflock.graphs import complete, cycle, edge_list_graph
+from graphflock.graphs import complete, cycle, edge_list_graph, erdos_renyi, torus
+from graphflock import montecarlo
 from graphflock.montecarlo import (
+    DRAW_RING_BUDGET,
     SimConfig,
+    draw_threads,
     empirical_measure_test,
     ensemble_stats,
     simulate,
 )
 from graphflock.strategies import custom_profile, equilibrium_profile, mf_profile, zero_profile
+from graphflock.threads import available_cores, thread_count
 
 
 def single_vertex():
@@ -66,6 +73,113 @@ class TestDeterminism:
         a = simulate(g, prof, 1.0, SimConfig(16, 0.01, 1, (1.0,)))
         b = simulate(g, prof, 1.0, SimConfig(16, 0.01, 2, (1.0,)))
         assert not np.array_equal(a.states[1.0], b.states[1.0])
+
+
+def _digest(e):
+    h = hashlib.sha256()
+    for t in e.times:
+        h.update(np.ascontiguousarray(e.states[t]).tobytes())
+    return h.hexdigest()
+
+
+def _refuse(t):
+    raise AssertionError("the dense feedback matrix was evaluated")
+
+
+class TestDrawPool:
+    @pytest.mark.parametrize("kind", ["equilibrium", "mean_field"])
+    def test_bit_identical_for_any_pool_size(self, monkeypatch, kind):
+        g = cycle(12)
+        k = build_kernel(g, 1.0, 1.0, 1.0, steps=100)
+        prof = equilibrium_profile(k) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0, 100)
+        cfg = SimConfig(n_paths=40, dt=0.01, seed=3, record_times=(0.0, 0.37, 1.0))
+        ensembles = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("LG_THREADS", workers)
+            ensembles.append(simulate(g, prof, 1.0, cfg))
+        for t in cfg.record_times:
+            assert np.array_equal(ensembles[0].at(t), ensembles[1].at(t))
+
+    @pytest.mark.parametrize("kind", ["equilibrium", "mean_field"])
+    def test_oversubscribed_pool_under_fast_switching(self, monkeypatch, kind):
+        # More draw threads than cores, switching every microsecond: a block
+        # overwritten before it is consumed would change the ensemble.
+        g = cycle(10)
+        k = build_kernel(g, 1.0, 1.0, 1.0, steps=100)
+        prof = equilibrium_profile(k) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0, 100)
+        cfg = SimConfig(n_paths=30, dt=0.005, seed=8, record_times=(0.5, 1.0))
+        monkeypatch.setattr(montecarlo, "draw_threads", lambda block_bytes: 1)
+        reference = simulate(g, prof, 1.0, cfg)
+        monkeypatch.setattr(montecarlo, "draw_threads", lambda block_bytes: 2 * available_cores() + 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stressed = simulate(g, prof, 1.0, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _digest(stressed) == _digest(reference)
+
+    def test_scalar_ensembles_match_pinned_digests(self):
+        # Digests of the ensembles drawn before the draws moved to a pool:
+        # the scalar path's values must not change.
+        g = erdos_renyi(12, 0.4, seed=5)
+        cfg = SimConfig(n_paths=48, dt=0.01, seed=9, record_times=(0.0, 0.5, 1.0))
+        mean_field = simulate(g, mf_profile(g, 2.0, 1.0, 100), 0.7, cfg)
+        zero = simulate(g, zero_profile(g, 1.0, 100), 1.3, cfg)
+        assert _digest(mean_field) == "794202845e7e7e9e8e3a3b8b733fe56b5b2b17c76d6cb2b02024e888660fdb90"
+        assert _digest(zero) == "e51ae3adea1cd2dc1a947a24d529991fe23108feb4c9e851102fe1696a0694a7"
+
+    def test_lg_threads_sizes_the_pool(self, monkeypatch):
+        monkeypatch.delenv("LG_THREADS", raising=False)
+        assert thread_count() == available_cores()
+        monkeypatch.setenv("LG_THREADS", "1")
+        assert thread_count() == 1
+        monkeypatch.setenv("LG_THREADS", str(10**9))
+        assert thread_count() == available_cores()
+
+    def test_ring_budget_caps_the_pool(self, monkeypatch):
+        monkeypatch.setenv("LG_THREADS", str(10**9))
+        assert draw_threads(8) == available_cores()
+        assert draw_threads(DRAW_RING_BUDGET // 3) == min(2, available_cores())
+        assert draw_threads(DRAW_RING_BUDGET) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+    def test_bad_lg_threads_raises(self, monkeypatch, value):
+        monkeypatch.setenv("LG_THREADS", value)
+        with pytest.raises(ParameterError, match="LG_THREADS"):
+            thread_count()
+
+
+class TestEigenFrame:
+    @pytest.mark.parametrize("g", [cycle(20), torus(3, 2), complete(10)], ids=["cycle20", "torus3_2", "complete10"])
+    def test_spectral_form_matches_dense_profile(self, g):
+        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=200))
+        for t in (0.0, 0.3, 0.71, 1.0):
+            dense = prof.eigen.reconstruct(prof.eigen_rates(t))
+            assert np.abs(dense - prof.at(t)).max() <= 1e-12
+
+    def test_never_builds_the_feedback_matrix(self):
+        g = cycle(8)
+        prof = dataclasses.replace(equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=100)), matrix_fn=_refuse)
+        ens = simulate(g, prof, 1.0, SimConfig(16, 0.01, 4, (0.5, 1.0)))
+        assert np.isfinite(ens.at(1.0)).all()
+
+    def test_explosion_names_step_and_path(self):
+        g = complete(2)
+        prof = dataclasses.replace(
+            equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=100)),
+            matrix_fn=_refuse,
+            eigen_rates=lambda t: np.full(2, -1e6),
+        )
+        with pytest.raises(NumericError, match=r"step \d+, path \d+"):
+            simulate(g, prof, 1.0, SimConfig(8, 0.01, 0, (1.0,)))
+
+    def test_seed_outside_philox_keys(self):
+        g = cycle(3)
+        prof = zero_profile(g, T=1.0, steps=100)
+        for seed in (-1, 2**128):
+            with pytest.raises(ParameterError, match="seed"):
+                simulate(g, prof, 1.0, SimConfig(10, 0.01, seed, (1.0,)))
 
 
 class TestAgainstAnalyticLaws:
