@@ -289,11 +289,11 @@ def _cmd_variance_curve(args) -> None:
     if args.graph is not None:
         g = graphs.build_graph(_parse_graph_spec(args))
         kernel = equilibrium.build_kernel(g, args.c, args.T, args.sigma, args.steps)
-        rows = [(t, equilibrium.player_variance(kernel, t)) for t in ts]
+        variance = equilibrium.player_variance(kernel, ts)
     else:
         mu, schedule = _schedule_for(args)
-        rows = [(t, equilibrium.limit_variance(mu, schedule, args.sigma, t)) for t in ts]
-    _emit_csv(args, ["t", "variance"], rows, config)
+        variance = equilibrium.limit_variance(mu, schedule, args.sigma, ts)
+    _emit_csv(args, ["t", "variance"], zip(ts, variance), config)
 
 
 def _cmd_value(args) -> None:
@@ -310,24 +310,25 @@ def _cmd_value(args) -> None:
     _emit_json(args, {"config": config, "value": value})
 
 
-def _limit_curve(kind: str, d: int | None, c: float, T: float, sigma: float, steps: int, ts):
-    from . import equilibrium, flow, spectral
+def _limit_curves(pairs, steps: int, ts) -> list:
+    """Variance curve at times ts for each (measure, c) pair, T = sigma = 1:
+    one RK4 loop solves every schedule, one walk gives each curve."""
+    from . import equilibrium, flow
 
-    mu = spectral.limit_measure(kind, d=d)
-    schedule = flow.solve_f(mu, c, T, steps)
-    return [equilibrium.limit_variance(mu, schedule, sigma, t) for t in ts]
+    schedules = flow.solve_f_sweep(pairs, 1.0, steps)
+    return [equilibrium.limit_variance(s.measure, s, 1.0, ts) for s in schedules]
 
 
 def _cmd_fig1(args) -> None:
     import numpy as np
 
+    from . import spectral
+
     ts = np.linspace(0.0, 1.0, _FIG_GRID_POINTS)
     c_values = (0.5, 1.0, 2.0, 5.0)
-    columns, header = [ts], ["t"]
-    for c in c_values:
-        for kind, label in (("dirac_minus_one", "dense"), ("cycle_limit", "cycle")):
-            header.append(f"{label}_c{_fmt(c)}")
-            columns.append(_limit_curve(kind, None, c, 1.0, 1.0, args.steps, ts))
+    families = [(spectral.limit_measure("dirac_minus_one"), "dense"), (spectral.limit_measure("cycle_limit"), "cycle")]
+    header = ["t"] + [f"{label}_c{_fmt(c)}" for c in c_values for _, label in families]
+    columns = [ts] + _limit_curves([(mu, c) for c in c_values for mu, _ in families], args.steps, ts)
     config = {"command": "fig1", "T": 1.0, "sigma": 1.0, "c_values": list(c_values), "steps": args.steps}
     _emit_csv(args, header, zip(*columns), config)
 
@@ -335,13 +336,13 @@ def _cmd_fig1(args) -> None:
 def _cmd_fig2(args) -> None:
     import numpy as np
 
+    from . import spectral
+
     ts = np.linspace(0.0, 1.0, _FIG_GRID_POINTS)
-    columns, header = [ts], ["t"]
-    for d in (1, 2, 4):
-        header.append(f"torus_d{d}")
-        columns.append(_limit_curve("torus_limit", d, 1.0, 1.0, 1.0, args.steps, ts))
-    header.append("dense")
-    columns.append(_limit_curve("dirac_minus_one", None, 1.0, 1.0, 1.0, args.steps, ts))
+    measures = [spectral.limit_measure("torus_limit", d=d) for d in (1, 2, 4)]
+    measures.append(spectral.limit_measure("dirac_minus_one"))
+    header = ["t", "torus_d1", "torus_d2", "torus_d4", "dense"]
+    columns = [ts] + _limit_curves([(mu, 1.0) for mu in measures], args.steps, ts)
     config = {"command": "fig2", "T": 1.0, "sigma": 1.0, "c": 1.0, "d_values": [1, 2, 4], "steps": args.steps}
     _emit_csv(args, header, zip(*columns), config)
 
@@ -354,8 +355,8 @@ def _cmd_fig3(args) -> None:
     ts = np.linspace(0.0, 1.0, _FIG_GRID_POINTS)
     mu = spectral.limit_measure("cycle_limit")
     schedule = flow.solve_f(mu, 1.0, 1.0, args.steps)
-    competitive = [equilibrium.limit_variance(mu, schedule, 1.0, t) for t in ts]
-    cooperative_curve = [cooperative.coop_variance_measure(mu, 1.0, 1.0, 1.0, t, steps=args.steps) for t in ts]
+    competitive = equilibrium.limit_variance(mu, schedule, 1.0, ts)
+    cooperative_curve = cooperative.coop_variance_measure(mu, 1.0, 1.0, 1.0, ts, steps=args.steps)
     config = {"command": "fig3", "T": 1.0, "sigma": 1.0, "c": 1.0, "steps": args.steps}
     _emit_csv(args, ["t", "competitive", "cooperative"], zip(ts, competitive, cooperative_curve), config)
 
@@ -426,9 +427,9 @@ def _cmd_coop(args) -> None:
     g = graphs.build_graph(_parse_graph_spec(args))
     kernel = cooperative.coop_kernel(g, args.c, args.T, args.sigma, args.steps)
     ts = _t_grid(args)
-    rows = [(t, cooperative.coop_variance(kernel, t)) for t in ts]
+    variance = cooperative.coop_variance(kernel, ts)
     config = _resolved_config(args, "coop", value=cooperative.coop_value(kernel))
-    _emit_csv(args, ["t", "variance"], rows, config)
+    _emit_csv(args, ["t", "variance"], zip(ts, variance), config)
 
 
 _COMMANDS = {

@@ -12,12 +12,19 @@ nu >= 0 of M, where the F eigenvalue is c*nu / (1 + c(T-t)*nu).
 
 The variance is the equilibrium module's _variance_integral with (x, a) =
 (nu, c(T-.)), averaged uniformly over the eigenvalues of M, or over a
-spectral measure pushed through lam -> lam^2 in the limit.  Values and the
-noise term share one weighted log(1 + c tau nu) sum.
+spectral measure pushed through lam -> lam^2 in the limit; like the game's,
+a whole variance curve is one walk over its times.  Values and the noise
+term share one weighted log(1 + c tau nu) sum.
+
+On a regular graph without isolated vertices the alignment functionals are
+the rows of -L, so M = L^2 and its eigenvalues are the squares of the
+Laplacian spectrum (closed form for cycle, torus and complete); other
+graphs get them from eigvalsh of the dense Gram matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +33,7 @@ from .errors import ParameterError
 from .flow import DEFAULT_ODE_STEPS
 from .graphs import Graph
 from .equilibrium import _clamp_time, _variance_integral
-from .spectral import EigenSystem, SpectralMeasure, eigendecompose
+from .spectral import EigenSystem, SpectralMeasure, eigendecompose, laplacian_eigensystem
 from .strategies import LinearProfile, alignment_functionals, _uniform_grid
 
 
@@ -52,15 +59,26 @@ def coop_kernel(g: Graph, c: float, T: float, sigma: float, steps: int = DEFAULT
     Isolated vertices are handled by substituting the identity row for the
     missing neighbor average, exactly as in the per-player cost; for
     non-regular graphs M = L^T L is formed directly (L itself need not be
-    symmetric).
+    symmetric).  On a regular graph without isolated vertices M = L^2: its
+    eigenvalues are the squared Laplacian spectrum, and the dense M is built
+    only if the eigenvectors are read.
     """
     if c <= 0 or T <= 0 or sigma <= 0:
         raise ParameterError(f"c, T, sigma must be positive, got {c}, {T}, {sigma}")
+    if g.is_regular and g.min_degree >= 1:
+        nu = np.sort(laplacian_eigensystem(g).eigenvalues ** 2)
+        eigen = EigenSystem(nu, functools.partial(_gram, g))
+    else:
+        gram = _gram(g)
+        eigen = EigenSystem(np.clip(eigendecompose(gram).eigenvalues, 0.0, None), gram)
+    return CoopKernel(graph=g, eigen=eigen, c=float(c), T=float(T), sigma=float(sigma), steps=steps)
+
+
+def _gram(g: Graph) -> np.ndarray:
+    """M = (alignment functionals)^T (alignment functionals), symmetrized."""
     functionals = alignment_functionals(g)
     gram = functionals.T @ functionals
-    gram = 0.5 * (gram + gram.T)
-    clipped = EigenSystem(np.clip(eigendecompose(gram).eigenvalues, 0.0, None), gram)
-    return CoopKernel(graph=g, eigen=clipped, c=float(c), T=float(T), sigma=float(sigma), steps=steps)
+    return 0.5 * (gram + gram.T)
 
 
 def coop_feedback_eigenvalues(k: CoopKernel, t: float) -> np.ndarray:
@@ -79,8 +97,8 @@ def _noise_term(nu: np.ndarray, weights: np.ndarray, c: float, tau: float, sigma
     return 0.5 * sigma**2 * float(weights @ np.log1p(c * tau * nu))
 
 
-def _planner_variance(nu, weights, c, T, sigma, t, steps, s_steps) -> float:
-    return float(_variance_integral(nu, lambda u: c * (T - u), t, T, steps, sigma, s_steps, weights))
+def _planner_variance(nu, weights, c, T, sigma, t, steps, s_steps):
+    return _variance_integral(nu, lambda u: c * (T - u), t, T, steps, sigma, s_steps, weights)
 
 
 def coop_value(k: CoopKernel, x0: np.ndarray | None = None) -> float:
@@ -97,11 +115,12 @@ def coop_value(k: CoopKernel, x0: np.ndarray | None = None) -> float:
     return value
 
 
-def coop_variance(k: CoopKernel, t: float, s_steps: int | None = None) -> float:
+def coop_variance(k: CoopKernel, t, s_steps: int | None = None):
     """Population-average state variance under the planner's control:
 
-        sigma^2 * (1/n) sum_k int_0^t ((1 + c(T-t) nu_k)/(1 + c(T-s) nu_k))^2 ds.
+        sigma^2 * (1/n) sum_k int_0^t ((1 + c(T-t) nu_k)/(1 + c(T-s) nu_k))^2 ds,
 
+    a float for one t, an array for an array of times (one walk for all).
     On a transitive graph this is also every single player's variance.
     """
     return _planner_variance(k.eigen.eigenvalues, np.full(k.n, 1.0 / k.n), k.c, k.T, k.sigma, t, k.steps, s_steps)
@@ -146,11 +165,14 @@ def coop_variance_measure(
     c: float,
     T: float,
     sigma: float,
-    t: float,
+    t,
     s_steps: int | None = None,
     steps: int = DEFAULT_ODE_STEPS,
-) -> float:
-    """Cooperative per-player variance for a (limit) spectral measure.
+):
+    """Cooperative per-player variance for a (limit) spectral measure, at
+    one time t (a float back) or at an array of times (an array back).
 
-    Without s_steps, the Simpson step count is the share t/T of steps."""
+    The curve is one walk over the sorted times: without s_steps the
+    Simpson step count of each stretch between times is its share of
+    steps (for one t, the share t/T); s_steps sets it explicitly."""
     return _planner_variance(mu.nodes**2, mu.weights, c, T, sigma, t, steps, s_steps)

@@ -14,7 +14,11 @@ sigma^2 * (1 - f(T-t)*lam)^2 * integral_0^t (1 - f(T-s)*lam)^{-2} ds.
 Every variance here and in the cooperative module is one integral,
 _variance_integral: sigma^2 * int_0^t ((1 + a(t) x) / (1 + a(s) x))^2 ds per
 node x, averaged over a measure.  The game substitutes (x, a) = (-lam, f(T-.)),
-the planner (nu, c(T-.)).  A finite graph is the discrete measure of its own
+the planner (nu, c(T-.)).  The integrand factors as
+sigma^2 (1 + a(t) x)^2 J_x(t) with J_x(t) = int_0^t (1 + a(s) x)^-2 ds, so a
+whole variance curve is one walk over its sorted times that carries J per
+node from one time to the next (composite Simpson on each stretch), not one
+integral from 0 per point.  A finite graph is the discrete measure of its own
 spectrum, so player_variance and game_value_spectral are limit_variance and
 limit_value on the kernel's empirical measure.
 """
@@ -118,6 +122,12 @@ def _clamp_time(t: float, T: float) -> float:
     return min(max(float(t), 0.0), T)
 
 
+#: Simpson nodes times spectral nodes that the variance walk evaluates at
+#: once; a longer segment is integrated in chunks, so its memory stays O(n)
+#: whatever the step count.
+WALK_CHUNK_ELEMENTS = 1 << 16
+
+
 def _simpson_weights(m: int, h: float) -> np.ndarray:
     w = np.ones(m + 1)
     w[1:-1:2] = 4.0
@@ -127,20 +137,43 @@ def _simpson_weights(m: int, h: float) -> np.ndarray:
 
 def _variance_integral(x, a, t, T, steps, sigma, s_steps=None, weights=None):
     """sigma^2 * int_0^t ((1 + a(t) x) / (1 + a(s) x))^2 ds for each node x,
-    averaged with the weights when given.  Composite Simpson in s with an
-    even step count, by default the share t/T of `steps` (at least 16).
+    averaged with the weights when given, at one time t or at each entry of
+    an array of times (a float, a node vector or an array back, like t).
+
+    The integrand factors as sigma^2 (1 + a(t) x)^2 J_x(t), with
+    J_x(t) = int_0^t (1 + a(s) x)^-2 ds.  One walk over the sorted distinct
+    times builds J per node: each segment between consecutive times gets
+    composite Simpson with an even step count, its share of `steps` (the
+    share t/T for the first segment [0, t]) or s_steps when given, and J
+    carries from one segment to the next.  a is evaluated once on all
+    Simpson nodes; a long segment is summed in chunks of rows, so no
+    steps x n array is ever held.
     """
-    t = _clamp_time(t, T)
-    if t == 0.0:
-        return np.zeros(x.size) if weights is None else 0.0
-    if s_steps is None:
-        s_steps = max(16, math.ceil(steps * t / T))
-    m = s_steps + (s_steps % 2)
-    s = np.linspace(0.0, t, m + 1)
-    sq = ((1.0 + a(t) * x) / (1.0 + np.outer(a(s), x))) ** 2
-    if weights is not None:
-        sq = sq @ weights
-    return sigma**2 * (_simpson_weights(m, t / m) @ sq)
+    times = np.asarray(t, dtype=float)
+    outside = times[~((times >= -1e-12) & (times <= T + 1e-12))]
+    if outside.size:
+        raise ParameterError(f"t = {outside.flat[0]} outside the horizon [0, {T}]")
+    u, inverse = np.unique(np.clip(times, 0.0, T), return_inverse=True)
+    starts = np.concatenate(([0.0], u[:-1]))
+    lengths = u - starts
+    m = np.ceil(steps * lengths / T - 1e-9).astype(int) if s_steps is None else np.full(u.size, s_steps)
+    m = np.where(lengths > 0.0, np.maximum(m + m % 2, 2), 0)
+    a_s = a(np.concatenate([np.linspace(lo, hi, k + 1) for lo, hi, k in zip(starts, u, m)]))
+    a_t = a(u)
+    chunk = max(2, WALK_CHUNK_ELEMENTS // x.size // 2 * 2)
+    J = np.zeros(x.size)
+    out = np.empty(u.size if weights is not None else (u.size, x.size))
+    first = 0  # index in a_s of the segment's first node
+    for k, (mk, length) in enumerate(zip(m, lengths)):
+        for lo in range(0, mk, chunk):
+            hi = min(lo + chunk, mk)
+            g = 1.0 / (1.0 + np.outer(a_s[first + lo : first + hi + 1], x))
+            J += _simpson_weights(hi - lo, length / mk) @ (g * g)
+        first += mk + 1
+        v = (1.0 + a_t[k] * x) ** 2 * J
+        out[k] = v if weights is None else v @ weights
+    out = sigma**2 * out[inverse.reshape(times.shape)]
+    return float(out) if out.ndim == 0 else out
 
 
 def _game_variance(lam, schedule, sigma, t, s_steps, weights=None):
@@ -150,11 +183,15 @@ def _game_variance(lam, schedule, sigma, t, s_steps, weights=None):
 
 def p_eigenvalues(k: EquilibriumKernel, t: float) -> np.ndarray:
     """Eigenvalues of P(t) paired with the columns of k.eigen.eigenvectors."""
-    t = _clamp_time(t, k.T)
+    return _feedback_rates(k, k.T - _clamp_time(t, k.T))[0]
+
+
+def _feedback_rates(k: EquilibriumKernel, tau: float) -> tuple[np.ndarray, float]:
+    """(eigenvalues of P(T - tau), f'(tau)) from one evaluation of f(tau)."""
     lam = k.eigen.eigenvalues
-    f = k.schedule.value(k.T - t)
-    fp = k.schedule.slope(k.T - t)
-    return -fp * lam / (1.0 - f * lam)
+    f = k.schedule.value(tau)
+    fp = k.schedule.rhs(f)
+    return -fp * lam / (1.0 - f * lam), fp
 
 
 def p_matrix(k: EquilibriumKernel, t: float) -> np.ndarray:
@@ -202,8 +239,9 @@ def state_law(
     return GaussianLaw(mean=mean, covariance=0.5 * (cov + cov.T))
 
 
-def player_variance(k: EquilibriumKernel, t: float, s_steps: int | None = None) -> float:
-    """Variance of one player's state at time t (zero initial states).
+def player_variance(k: EquilibriumKernel, t, s_steps: int | None = None):
+    """Variance of one player's state at time t (zero initial states): a
+    float for one t, an array for an array of times (one walk for all).
 
     On a transitive graph all players share this value; it is the average
     of the covariance eigenvalues.
@@ -216,7 +254,7 @@ def game_value(k: EquilibriumKernel, x0: np.ndarray | None = None) -> float:
 
         |P(0) x0|^2 / (2 Tr P(0))  -  (sigma^2/2) log( Tr P(0) / (n f'(T)) ).
     """
-    rho0 = p_eigenvalues(k, 0.0)
+    rho0, fp_T = _feedback_rates(k, k.T)
     trace = float(rho0.sum())
     if trace <= 0.0:
         raise DomainError("Tr P(0) must be positive (graph needs an edge)")
@@ -228,7 +266,6 @@ def game_value(k: EquilibriumKernel, x0: np.ndarray | None = None) -> float:
         v = k.eigen.eigenvectors
         px0 = (v * rho0) @ (v.T @ x0)
         first = float(px0 @ px0) / (2.0 * trace)
-    fp_T = k.schedule.slope(k.T)
     return first - 0.5 * k.sigma**2 * math.log(trace / (k.n * fp_T))
 
 
@@ -244,12 +281,17 @@ def limit_variance(
     mu: SpectralMeasure,
     schedule: FlockingSchedule,
     sigma: float,
-    t: float,
+    t,
     s_steps: int | None = None,
-) -> float:
+):
     """Large-population variance at time t for limit measure mu:
 
         sigma^2 * int_0^t int ((1 - lam f(T-t)) / (1 - lam f(T-s)))^2 dmu ds.
+
+    t is one time (a float back) or an array of times (an array back, the
+    whole curve from one walk of _variance_integral).  Without s_steps the
+    Simpson step count of each stretch between times is its share of the
+    schedule's steps; s_steps sets it explicitly (for one t: on [0, t]).
     """
     if schedule.measure is not mu and not (
         schedule.measure.kind == mu.kind
@@ -257,7 +299,7 @@ def limit_variance(
         and np.array_equal(schedule.measure.weights, mu.weights)
     ):
         raise ParameterError("schedule was not built from the given measure")
-    return float(_game_variance(mu.nodes, schedule, sigma, t, s_steps, mu.weights))
+    return _game_variance(mu.nodes, schedule, sigma, t, s_steps, mu.weights)
 
 
 def limit_value(mu: SpectralMeasure, schedule: FlockingSchedule, sigma: float) -> float:

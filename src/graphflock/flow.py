@@ -42,7 +42,7 @@ def q_eval(mu: SpectralMeasure, x: float) -> tuple[float, float]:
     """
     if x < 0:
         raise ParameterError(f"q_eval needs x >= 0, got {x}")
-    q, qp = map(float, _q_pair(mu, float(x)))
+    q, qp = map(float, _q_pair(mu.nodes, mu.weights, float(x)))
     if not (1.0 - BOUND_TOL <= q <= 1.0 + x + BOUND_TOL):
         raise NumericError(f"Q({x}) = {q} escapes its envelope [1, 1 + x]")
     if not (0.0 < qp <= 1.0 + BOUND_TOL):
@@ -50,13 +50,14 @@ def q_eval(mu: SpectralMeasure, x: float) -> tuple[float, float]:
     return q, qp
 
 
-def _q_pair(mu: SpectralMeasure, x):
-    """(Q(x), Q'(x)) for a scalar x, or row-wise for a column of x values.
-    A scalar keeps each reduction a 1-D dot: solve_f's RK4 loop is hot."""
-    lam, w = mu.nodes, mu.weights
-    resolvent = 1.0 - x * lam
-    q = np.exp(np.log(resolvent) @ w)
-    return q, -q * ((lam / resolvent) @ w)
+def _q_pair(nodes, weights, x):
+    """(Q(x), Q'(x)) for the rule (nodes, weights): a scalar x against one
+    rule, a column of x values against one rule, or one x per row of a
+    stacked (S, N) rule.  Every reduction is a row-wise dot, which on one
+    row is the same BLAS dot as `@`: solve_f's RK4 loop is hot."""
+    resolvent = 1.0 - x * nodes
+    q = np.exp(np.vecdot(np.log(resolvent), weights))
+    return q, -q * np.vecdot(nodes / resolvent, weights)
 
 
 @dataclass
@@ -87,9 +88,13 @@ class FlockingSchedule:
 
     def slope(self, t):
         """f'(t) recovered exactly from the ODE as c * Q'(f(t))."""
-        f = np.atleast_1d(self.value(t))
-        out = self.c * _q_pair(self.measure, f[:, None])[1]
-        return float(out[0]) if np.ndim(t) == 0 else out
+        return self.rhs(self.value(t))
+
+    def rhs(self, f):
+        """The ODE's right-hand side c * Q'(f) at schedule values f: the
+        slope where the schedule takes the value f, with no evaluation of f."""
+        out = self.c * _q_pair(self.measure.nodes, self.measure.weights, np.atleast_1d(f)[:, None])[1]
+        return float(out[0]) if np.ndim(f) == 0 else out
 
 
 def rk4_step(rhs, y, h, stages=(None, None, None)):
@@ -118,23 +123,55 @@ def solve_f(
     Taylor lower bound c*t - (c^2 t^2/2 + c^3 t^3/6) * Var(mu); violations
     raise NumericError since they indicate quadrature or step-size failure.
     """
-    if not (0.0 < c < np.inf and 0.0 < T < np.inf):
-        raise ParameterError(f"solve_f needs finite c > 0 and T > 0, got c={c}, T={T}")
+    (schedule,) = solve_f_sweep([(mu, c)], T, steps)
+    return schedule
+
+
+def solve_f_sweep(pairs, T: float, steps: int = DEFAULT_ODE_STEPS) -> list[FlockingSchedule]:
+    """solve_f for every (mu, c) in pairs on one grid of [0, T], as one RK4
+    loop over the stacked rules.
+
+    Row r of the stacked (S, N) nodes and weights holds pair r's rule,
+    padded with nodes 0 and weights 0, which add exactly nothing to Q.  A
+    row that needs no padding (the widest rule, or any sweep of one) runs
+    the same float operations as a solve of its own, bit for bit; a padded
+    row's dots may group their terms differently, which moves f by a few
+    ulps at most.  Each schedule carries its own measure and is checked as
+    solve_f checks it.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise ParameterError("solve_f_sweep needs at least one (measure, c) pair")
+    c = np.array([float(ci) for _, ci in pairs])
+    if not (np.all((0.0 < c) & (c < np.inf)) and 0.0 < T < np.inf):
+        raise ParameterError(f"solve_f needs finite c > 0 and T > 0, got c={c.tolist()}, T={T}")
     if steps < MIN_ODE_STEPS:
         raise ParameterError(f"solve_f needs steps >= {MIN_ODE_STEPS}, got {steps}")
+    width = max(mu.nodes.size for mu, _ in pairs)
+    nodes, weights = np.zeros((len(pairs), width)), np.zeros((len(pairs), width))
+    for row, (mu, _) in enumerate(pairs):
+        nodes[row, : mu.nodes.size] = mu.nodes
+        weights[row, : mu.weights.size] = mu.weights
+    column = (slice(None), None)  # f[column][r] meets row r of the rule
+    if len(pairs) == 1:  # one unstacked rule keeps f and c scalars: numpy is slow on tiny arrays
+        nodes, weights, c, column = nodes[0], weights[0], c[0], ()
     h = T / steps
     grid = np.linspace(0.0, T, steps + 1)
-    f_values = np.empty(steps + 1)
-    f_values[0] = f = 0.0
+    f_values = np.empty((steps + 1, *np.shape(c)))
+    f_values[0] = f = 0.0 * c
 
     def slope(x, _):
-        return c * _q_pair(mu, x)[1]
+        return c * _q_pair(nodes, weights, x[column])[1]
 
     for k in range(steps):
         f_values[k + 1] = f = rk4_step(slope, f, h)
-    schedule = FlockingSchedule(c=float(c), T=float(T), grid=grid, f_values=f_values, measure=mu)
-    _check_schedule(schedule)
-    return schedule
+    schedules = [
+        FlockingSchedule(c=float(ci), T=float(T), grid=grid, f_values=values, measure=mu)
+        for values, (mu, ci) in zip(f_values.reshape(steps + 1, -1).T.copy(), pairs)
+    ]
+    for schedule in schedules:
+        _check_schedule(schedule)
+    return schedules
 
 
 def _check_schedule(s: FlockingSchedule) -> None:

@@ -314,6 +314,14 @@ class TestEigenvalueOnlyCommands:
         assert code == 0, err
         assert out
 
+    @pytest.mark.parametrize("graph", ["cycle:12", "torus:4,2", "complete:9"])
+    def test_coop_runs_without_eigensolver(self, capsys, monkeypatch, graph):
+        monkeypatch.setattr(np.linalg, "eigh", _refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
+        code, out, err = run(capsys, "coop", "--graph", graph, "--steps", "200", "--t-grid", "0:1:3")
+        assert code == 0, err
+        assert out
+
 
 class TestSubcommandOptions:
     def test_flag_of_another_command_exits_1(self, capsys):

@@ -17,7 +17,7 @@ from graphflock.cooperative import (
 )
 from graphflock.equilibrium import build_kernel, game_value, player_variance
 from graphflock.errors import ParameterError
-from graphflock.graphs import complete, cycle, edge_list_graph, torus
+from graphflock.graphs import complete, cycle, edge_list_graph, erdos_renyi, random_regular, torus
 from graphflock.spectral import empirical_measure, limit_measure
 from graphflock.strategies import alignment_functionals, profile_costs
 
@@ -64,6 +64,25 @@ class TestKernel:
         k = coop_kernel(cycle(4), 1.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
             coop_variance(k, 2.0)
+
+
+class TestSquaredLaplacianSpectrum:
+    @pytest.mark.parametrize(
+        "g", [cycle(12), torus(4, 2), complete(9), random_regular(30, 3, seed=2), random_regular(40, 8, seed=5)],
+        ids=["cycle", "torus", "complete", "rr3", "rr8"],
+    )
+    def test_matches_eigvalsh_of_gram(self, g):
+        k = coop_kernel(g, 1.0, 1.0, 1.0)
+        gram = alignment_functionals(g).T @ alignment_functionals(g)
+        assert np.abs(k.eigen.eigenvalues - np.linalg.eigvalsh(gram)).max() <= 1e-12
+        assert np.abs(k.eigen.reconstruct() - gram).max() <= 1e-12
+
+    def test_irregular_graph_keeps_the_gram_route(self):
+        g = erdos_renyi(30, 0.2, seed=4)
+        assert not g.is_regular
+        gram = alignment_functionals(g).T @ alignment_functionals(g)
+        k = coop_kernel(g, 1.0, 1.0, 1.0)
+        assert np.abs(k.eigen.eigenvalues - np.clip(np.linalg.eigvalsh(gram), 0.0, None)).max() <= 1e-12
 
 
 class TestValue:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from graphflock.cooperative import coop_kernel, coop_variance, coop_variance_measure
 from graphflock.equilibrium import (
     build_kernel,
     covariance_bound,
@@ -20,7 +22,7 @@ from graphflock.equilibrium import (
     state_law,
 )
 from graphflock.errors import DomainError, ParameterError
-from graphflock.flow import cycle_closed_form, solve_f
+from graphflock.flow import FlockingSchedule, cycle_closed_form, solve_f
 from graphflock.graphs import complete, cycle, edge_list_graph, torus, verify_transitive
 from graphflock.spectral import laplacian, limit_measure
 
@@ -226,7 +228,94 @@ class TestPlayerVariance:
         assert abs(coarse - fine) < 1e-10
 
 
+def per_time_rule(variance, ts, steps):
+    """Each t as its own Simpson integral from 0 with max(16, ceil(steps t))
+    steps (T = 1): the rule the time walk replaced."""
+    return np.array([variance(float(t), max(16, math.ceil(steps * t))) for t in ts])
+
+
+class TestVarianceWalk:
+    # At 2000 steps every 0.01 of the grid is a schedule node; at 150 only
+    # 0 and 1 are, and the gap is the per-t rule's own quadrature error.
+    @pytest.mark.parametrize("steps, bound", [(2000, 1e-11), (150, 5e-8)], ids=["on-grid", "off-grid"])
+    @pytest.mark.parametrize("kind", ["cycle_limit", "dirac_minus_one"])
+    def test_agrees_with_per_time_integrals(self, kind, steps, bound):
+        mu, c = limit_measure(kind), 2.0
+        s = solve_f(mu, c, 1.0, steps)
+        ts = np.linspace(0.0, 1.0, 101)
+        game = per_time_rule(lambda t, m: limit_variance(mu, s, 1.0, t, s_steps=m), ts, steps)
+        assert np.abs(limit_variance(mu, s, 1.0, ts) - game).max() <= bound
+        coop = per_time_rule(lambda t, m: coop_variance_measure(mu, c, 1.0, 1.0, t, s_steps=m), ts, steps)
+        walk = coop_variance_measure(mu, c, 1.0, 1.0, ts, steps=steps)
+        assert np.abs(walk - coop).max() <= bound
+        # The planner's J is t / ((1 + c(1-t) nu)(1 + c nu)) in closed form;
+        # on the grid both rules use the same nodes and differ by rounding.
+        nu = mu.nodes[:, None] ** 2
+        exact = mu.weights @ ((1.0 + c * (1.0 - ts) * nu) * ts / (1.0 + c * nu))
+        assert np.abs(walk - exact).max() <= np.abs(coop - exact).max() + 1e-15
+
+    @pytest.mark.parametrize("curve", ["player", "limit", "coop"])
+    def test_order_and_repeats_of_times_do_not_matter(self, curve):
+        k = kernel(cycle(30), steps=400)
+        mu = limit_measure("cycle_limit")
+        variance = {
+            "player": lambda ts: player_variance(k, ts),
+            "limit": lambda ts: limit_variance(mu, solve_f(mu, 1.0, 1.0, 400), 1.0, ts),
+            "coop": lambda ts: coop_variance(coop_kernel(cycle(30), 1.0, 1.0, 1.0, 400), ts),
+        }[curve]
+        ts = np.linspace(0.0, 1.0, 21)
+        rows = variance(ts)
+        assert rows.shape == (21,) and rows[0] == 0.0
+        assert np.array_equal(variance(ts[::-1]), rows[::-1])
+        order = np.random.default_rng(3).permutation(ts.size)
+        assert np.array_equal(variance(ts[order]), rows[order])
+        assert np.array_equal(variance(np.repeat(ts, 3)), np.repeat(rows, 3))
+
+    def test_zero_time_is_exactly_zero(self):
+        k = kernel(cycle(12), steps=200)
+        assert player_variance(k, np.array([0.0, -1e-13, 0.5, 0.0]))[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
+        assert player_variance(k, -1e-13) == 0.0
+        assert np.array_equal(state_law(k, 0.0).covariance, np.zeros((12, 12)))
+
+    def test_times_outside_the_horizon_rejected(self):
+        k = kernel(cycle(12), steps=200)
+        for ts in (np.array([0.5, 1.5]), np.array([-0.1]), np.array([0.2, np.nan])):
+            with pytest.raises(ParameterError):
+                player_variance(k, ts)
+
+    def test_state_law_diagonal_matches_curve(self):
+        k = kernel(torus(3, 2), steps=400)
+        ts = np.linspace(0.0, 1.0, 11)
+        for t, v in zip(ts, player_variance(k, ts)):
+            assert np.diag(state_law(k, t).covariance).mean() == pytest.approx(v, abs=1e-12)
+
+    def test_memory_does_not_grow_with_steps_times_n(self):
+        # One 2001 x 1000 array of integrand values would take 15.3 MiB.
+        g = cycle(1000)
+        k, ck = kernel(g, steps=2000), coop_kernel(g, 1.0, 1.0, 1.0, 2000)
+        tracemalloc.start()
+        try:
+            player_variance(k, 1.0)
+            player_variance(k, np.linspace(0.0, 1.0, 26))
+            coop_variance(ck, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 class TestGameValue:
+    def test_one_schedule_evaluation_per_rate(self, monkeypatch):
+        k = kernel(cycle(8), steps=200)
+        calls = []
+        value = FlockingSchedule.value
+        monkeypatch.setattr(FlockingSchedule, "value", lambda s, t: calls.append(t) or value(s, t))
+        p_eigenvalues(k, 0.3)
+        assert len(calls) == 1
+        calls.clear()
+        game_value(k)
+        assert len(calls) == 1
+
     def test_complete300_near_half_log2(self):
         k = kernel(complete(300), steps=2000)
         assert game_value(k) == pytest.approx(0.5 * math.log(2.0), abs=0.01)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from graphflock.equilibrium import limit_variance
 from graphflock.errors import ParameterError
-from graphflock.flow import _phi, cycle_closed_form, q_eval, solve_f
+from graphflock.flow import _phi, cycle_closed_form, q_eval, solve_f, solve_f_sweep
 from graphflock.graphs import cycle
 from graphflock.spectral import empirical_measure, limit_measure
 
@@ -156,6 +157,49 @@ class TestSolveF:
         s = solve_f(FAMILY["dirac"], c=1.0, T=1.0, steps=200)
         with pytest.raises(ParameterError):
             s.value(1.5)
+
+    def test_rhs_is_slope_at_the_schedule_value(self):
+        s = solve_f(FAMILY["torus_2"], c=1.5, T=1.0, steps=200)
+        ts = np.array([0.0, 0.4, 1.0])
+        assert s.rhs(s.value(0.4)) == s.slope(0.4)
+        assert isinstance(s.rhs(s.value(0.4)), float)
+        assert np.array_equal(s.rhs(s.value(ts)), s.slope(ts))
+
+
+FIG1_SWEEP = [(FAMILY[name], c) for c in (0.5, 1.0, 2.0, 5.0) for name in ("dirac", "cycle_limit")]
+FIG2_SWEEP = [(limit_measure("torus_limit", d=d), 1.0) for d in (1, 2, 4)] + [(FAMILY["dirac"], 1.0)]
+
+
+class TestSolveFSweep:
+    @pytest.mark.parametrize("pairs", [FIG1_SWEEP, FIG2_SWEEP], ids=["fig1", "fig2"])
+    def test_equals_separate_solves(self, pairs):
+        # The 1-node Dirac rows are padded to 64 nodes; zeros change no sum.
+        for (mu, c), s in zip(pairs, solve_f_sweep(pairs, 1.0, 500)):
+            alone = solve_f(mu, c, 1.0, 500)
+            assert s.measure is mu and s.c == c
+            assert np.array_equal(s.f_values, alone.f_values)
+            assert np.array_equal(s.grid, alone.grid)
+            limit_variance(mu, s, 1.0, 0.5)  # the schedule is built from mu
+
+    def test_padded_wide_rows_stay_within_ulps(self):
+        # Rows of 1, 10, 64 and 256 nodes: padding may regroup a row's dot.
+        pairs = [
+            (FAMILY["kesten_mckay_3"], 2.0),
+            (FAMILY["cycle_limit"], 0.7),
+            (FAMILY["empirical_cycle_10"], 3.0),
+            (FAMILY["dirac"], 1.0),
+        ]
+        for (mu, c), s in zip(pairs, solve_f_sweep(pairs, 1.0, 300)):
+            assert np.abs(s.f_values - solve_f(mu, c, 1.0, 300).f_values).max() <= 1e-15
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_c_anywhere_in_the_sweep(self, bad):
+        with pytest.raises(ParameterError):
+            solve_f_sweep([(FAMILY["cycle_limit"], 1.0), (FAMILY["dirac"], bad)], 1.0, 200)
+
+    def test_rejects_empty_sweep(self):
+        with pytest.raises(ParameterError):
+            solve_f_sweep([], 1.0, 200)
 
 
 class TestCycleClosedForm:
