@@ -59,7 +59,8 @@ _OPTIONS = {
 
 _GRAPH = ("--graph", "--seed")
 _SOURCE = ("--graph", "--measure", "--seed")
-_GAME = ("--c", "--T", "--sigma", "--steps")
+_MODEL = ("--c", "--T", "--sigma")
+_GAME = _MODEL + ("--steps",)
 _TIMES = ("--t", "--t-grid")
 
 #: Subcommand -> (help, the options it reads besides --out and --config).
@@ -76,15 +77,15 @@ _COMMANDS_SPEC = {
         "Monte Carlo ensemble summary as JSON",
         _GRAPH + _GAME + ("--profile", "--paths", "--dt", "--record-times", "--dump-samples"),
     ),
-    "coop": ("cooperative variance curve as CSV", _GRAPH + _GAME + _TIMES),
+    "coop": ("cooperative variance curve as CSV", _GRAPH + _MODEL + _TIMES),
 }
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="graphflock", description=__doc__)
+    parser = _Parser(prog="graphflock", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags) in _COMMANDS_SPEC.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         accepted = (*flags, "--out", "--config")
         for flag in accepted:
             p.add_argument(flag, **_OPTIONS[flag])
@@ -148,19 +149,17 @@ def _parse_graph_spec(args) -> dict:
         if not rest:
             raise ParameterError(f"malformed graph spec {text!r}")
         return {"kind": kind, "path": rest}  # all of it: a path may hold commas and spaces
-    parts = rest.replace(",", " ").split()
-    try:
-        if kind == "complete" or kind == "cycle":
-            return {"kind": kind, "n": int(parts[0])}
-        if kind == "torus":
-            return {"kind": kind, "side": int(parts[0]), "d": int(parts[1])}
-        if kind == "erdos_renyi":
-            return {"kind": kind, "n": int(parts[0]), "p": float(parts[1]), "seed": args.seed}
-        if kind == "random_regular":
-            return {"kind": kind, "n": int(parts[0]), "d": int(parts[1]), "seed": args.seed}
-    except (IndexError, ValueError) as exc:
-        raise ParameterError(f"malformed graph spec {text!r}") from exc
-    raise ParameterError(f"unknown graph kind {kind!r}")
+    fields = {"complete": "n", "cycle": "n", "torus": "side d", "erdos_renyi": "n p", "random_regular": "n d"}
+    if kind not in fields:
+        raise ParameterError(f"unknown graph kind {kind!r}")
+    names, parts = fields[kind].split(), rest.replace(",", " ").split()
+    try:  # zip(strict=True) raises ValueError on a missing or surplus argument
+        values = {k: (float if k == "p" else int)(v) for k, v in zip(names, parts, strict=True)}
+    except ValueError as exc:
+        raise ParameterError(f"malformed graph spec {text!r}, expected {kind}:{','.join(names)}") from exc
+    if kind in ("erdos_renyi", "random_regular"):
+        values["seed"] = args.seed
+    return {"kind": kind, **values}
 
 
 def _measure_from_spec(args):
@@ -170,25 +169,16 @@ def _measure_from_spec(args):
     if text is None:
         raise ParameterError("this command needs --measure (or --graph)")
     kind, _, rest = text.partition(":")
-    aliases = {
-        "dirac": "dirac_minus_one",
-        "dirac_minus_one": "dirac_minus_one",
-        "cycle": "cycle_limit",
-        "cycle_limit": "cycle_limit",
-        "torus": "torus_limit",
-        "torus_limit": "torus_limit",
-        "km": "kesten_mckay",
-        "kesten_mckay": "kesten_mckay",
-    }
-    if kind not in aliases:
+    aliases = {"dirac": "dirac_minus_one", "cycle": "cycle_limit", "torus": "torus_limit", "km": "kesten_mckay"}
+    kind = aliases.get(kind, kind)
+    if kind not in ("dirac_minus_one", "cycle_limit", "torus_limit", "kesten_mckay"):
         raise ParameterError(f"unknown measure kind {kind!r}")
-    kind = aliases[kind]
-    d = None
-    if rest:
-        try:
-            d = int(rest)
-        except ValueError as exc:
-            raise ParameterError(f"malformed measure spec {text!r}") from exc
+    if rest and kind in ("dirac_minus_one", "cycle_limit"):
+        raise ParameterError(f"malformed measure spec {text!r}: {kind} takes no argument")
+    try:
+        d = int(rest) if rest else None
+    except ValueError as exc:
+        raise ParameterError(f"malformed measure spec {text!r}") from exc
     return spectral.limit_measure(kind, d=d)
 
 
@@ -200,13 +190,18 @@ def _t_grid(args) -> "np.ndarray":
     spec = args.t_grid or f"0:{args.T}:{_FIG_GRID_POINTS}"
     try:
         start, stop, count = spec.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        ts = np.linspace(float(start), float(stop), int(count))
     except ValueError as exc:
         raise ParameterError(f"malformed t-grid {spec!r}, expected START:STOP:COUNT") from exc
+    if not ts.size:
+        raise ParameterError(f"t-grid {spec!r} needs COUNT >= 1")
+    return ts
 
 
 def _fmt(x) -> str:
-    return format(float(x), ".15g")
+    if not math.isfinite(x := float(x)):
+        raise NumericError("output holds a non-finite number")
+    return format(x, ".15g")
 
 
 def _resolved_config(args, command: str, **extra) -> dict:
@@ -243,8 +238,15 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _dumps(payload: dict, **kwargs) -> str:
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as exc:  # a NaN or an infinity
+        raise NumericError("output holds a non-finite number") from exc
+
+
 def _emit_csv(args, header: list[str], rows, config: dict) -> None:
-    lines = ["# config: " + json.dumps(config, sort_keys=True)]
+    lines = ["# config: " + _dumps(config)]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -252,7 +254,7 @@ def _emit_csv(args, header: list[str], rows, config: dict) -> None:
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args, _dumps(payload, indent=2) + "\n")
 
 
 def _cmd_spectrum(args) -> None:
@@ -356,7 +358,7 @@ def _cmd_fig3(args) -> None:
     mu = spectral.limit_measure("cycle_limit")
     schedule = flow.solve_f(mu, 1.0, 1.0, args.steps)
     competitive = equilibrium.limit_variance(mu, schedule, 1.0, ts)
-    cooperative_curve = cooperative.coop_variance_measure(mu, 1.0, 1.0, 1.0, ts, steps=args.steps)
+    cooperative_curve = cooperative.coop_variance_measure(mu, 1.0, 1.0, 1.0, ts)
     config = {"command": "fig3", "T": 1.0, "sigma": 1.0, "c": 1.0, "steps": args.steps}
     _emit_csv(args, ["t", "competitive", "cooperative"], zip(ts, competitive, cooperative_curve), config)
 
@@ -425,7 +427,7 @@ def _cmd_coop(args) -> None:
     from . import cooperative, graphs
 
     g = graphs.build_graph(_parse_graph_spec(args))
-    kernel = cooperative.coop_kernel(g, args.c, args.T, args.sigma, args.steps)
+    kernel = cooperative.coop_kernel(g, args.c, args.T, args.sigma)
     ts = _t_grid(args)
     variance = cooperative.coop_variance(kernel, ts)
     config = _resolved_config(args, "coop", value=cooperative.coop_value(kernel))

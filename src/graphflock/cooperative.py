@@ -10,11 +10,11 @@ the noise term is h(t) = (sigma^2/2) log det(I + c(T-t) M), and the
 optimal control is -F(t) x.  Everything below is evaluated per eigenvalue
 nu >= 0 of M, where the F eigenvalue is c*nu / (1 + c(T-t)*nu).
 
-The variance is the equilibrium module's _variance_integral with (x, a) =
-(nu, c(T-.)), averaged uniformly over the eigenvalues of M, or over a
-spectral measure pushed through lam -> lam^2 in the limit; like the game's,
-a whole variance curve is one walk over its times.  Values and the noise
-term share one weighted log(1 + c tau nu) sum.
+The variance needs no quadrature: int_0^t (1 + c(T-s) nu)^-2 ds =
+t / ((1 + c(T-t) nu)(1 + cT nu)), so it is sigma^2 t times the integral of
+(1 + c(T-t) nu) / (1 + cT nu) against mu, uniform over the eigenvalues of
+M, or a spectral measure pushed through lam -> lam^2 in the limit.  Values
+and the noise term share one weighted log(1 + c tau nu) sum.
 
 On a regular graph without isolated vertices the alignment functionals are
 the rows of -L, so M = L^2 and its eigenvalues are the squares of the
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ParameterError
 from .flow import DEFAULT_ODE_STEPS
 from .graphs import Graph
-from .equilibrium import _clamp_time, _variance_integral
+from .equilibrium import _clamp_time
 from .spectral import EigenSystem, SpectralMeasure, eigendecompose, laplacian_eigensystem
 from .strategies import LinearProfile, alignment_functionals, _uniform_grid
 
@@ -46,14 +46,13 @@ class CoopKernel:
     c: float
     T: float
     sigma: float
-    steps: int  # sets coop_variance's default Simpson step count
 
     @property
     def n(self) -> int:
         return self.graph.n
 
 
-def coop_kernel(g: Graph, c: float, T: float, sigma: float, steps: int = DEFAULT_ODE_STEPS) -> CoopKernel:
+def coop_kernel(g: Graph, c: float, T: float, sigma: float) -> CoopKernel:
     """Build the cooperative kernel.
 
     Isolated vertices are handled by substituting the identity row for the
@@ -71,7 +70,7 @@ def coop_kernel(g: Graph, c: float, T: float, sigma: float, steps: int = DEFAULT
     else:
         gram = _gram(g)
         eigen = EigenSystem(np.clip(eigendecompose(gram).eigenvalues, 0.0, None), gram)
-    return CoopKernel(graph=g, eigen=eigen, c=float(c), T=float(T), sigma=float(sigma), steps=steps)
+    return CoopKernel(graph=g, eigen=eigen, c=float(c), T=float(T), sigma=float(sigma))
 
 
 def _gram(g: Graph) -> np.ndarray:
@@ -97,8 +96,13 @@ def _noise_term(nu: np.ndarray, weights: np.ndarray, c: float, tau: float, sigma
     return 0.5 * sigma**2 * float(weights @ np.log1p(c * tau * nu))
 
 
-def _planner_variance(nu, weights, c, T, sigma, t, steps, s_steps):
-    return _variance_integral(nu, lambda u: c * (T - u), t, T, steps, sigma, s_steps, weights)
+def _planner_variance(nu, weights, c, T, sigma, t):
+    # sigma^2 t sum_k w_k (1 + c(T-t) nu_k) / (1 + cT nu_k), summed as
+    # sigma^2 t (sum_k a_k + c(T-t) sum_k a_k nu_k) with a_k = w_k / (1 + cT nu_k):
+    # positive terms, so nothing cancels near nu = 0, and O(n) memory for any t.
+    t = _clamp_time(t, T)
+    a = weights / (1.0 + c * T * nu)
+    return sigma**2 * t * (float(a.sum()) + c * (T - t) * float(a @ nu))
 
 
 def coop_value(k: CoopKernel, x0: np.ndarray | None = None) -> float:
@@ -115,15 +119,16 @@ def coop_value(k: CoopKernel, x0: np.ndarray | None = None) -> float:
     return value
 
 
-def coop_variance(k: CoopKernel, t, s_steps: int | None = None):
+def coop_variance(k: CoopKernel, t):
     """Population-average state variance under the planner's control:
 
-        sigma^2 * (1/n) sum_k int_0^t ((1 + c(T-t) nu_k)/(1 + c(T-s) nu_k))^2 ds,
+        sigma^2 * (1/n) sum_k int_0^t ((1 + c(T-t) nu_k)/(1 + c(T-s) nu_k))^2 ds
+      = sigma^2 t * (1/n) sum_k (1 + c(T-t) nu_k) / (1 + cT nu_k),
 
-    a float for one t, an array for an array of times (one walk for all).
-    On a transitive graph this is also every single player's variance.
+    a float for one t, an array for an array of times.  On a transitive
+    graph this is also every single player's variance.
     """
-    return _planner_variance(k.eigen.eigenvalues, np.full(k.n, 1.0 / k.n), k.c, k.T, k.sigma, t, k.steps, s_steps)
+    return _planner_variance(k.eigen.eigenvalues, np.full(k.n, 1.0 / k.n), k.c, k.T, k.sigma, t)
 
 
 def coop_h(k: CoopKernel, t: float) -> float:
@@ -160,19 +165,8 @@ def coop_value_measure(mu: SpectralMeasure, c: float, T: float, sigma: float) ->
     return _noise_term(mu.nodes**2, mu.weights, c, T, sigma)
 
 
-def coop_variance_measure(
-    mu: SpectralMeasure,
-    c: float,
-    T: float,
-    sigma: float,
-    t,
-    s_steps: int | None = None,
-    steps: int = DEFAULT_ODE_STEPS,
-):
-    """Cooperative per-player variance for a (limit) spectral measure, at
-    one time t (a float back) or at an array of times (an array back).
-
-    The curve is one walk over the sorted times: without s_steps the
-    Simpson step count of each stretch between times is its share of
-    steps (for one t, the share t/T); s_steps sets it explicitly."""
-    return _planner_variance(mu.nodes**2, mu.weights, c, T, sigma, t, steps, s_steps)
+def coop_variance_measure(mu: SpectralMeasure, c: float, T: float, sigma: float, t):
+    """Cooperative per-player variance for a (limit) spectral measure,
+    sigma^2 t * integral of (1 + c(T-t) lam^2) / (1 + cT lam^2) dmu(lam), at
+    one time t (a float back) or at an array of times (an array back)."""
+    return _planner_variance(mu.nodes**2, mu.weights, c, T, sigma, t)

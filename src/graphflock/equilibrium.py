@@ -11,16 +11,17 @@ is Gaussian; per eigenvalue the mean coefficient is
 (1 - f(T-t)*lam) / (1 - f(T)*lam) and the covariance eigenvalue is
 sigma^2 * (1 - f(T-t)*lam)^2 * integral_0^t (1 - f(T-s)*lam)^{-2} ds.
 
-Every variance here and in the cooperative module is one integral,
-_variance_integral: sigma^2 * int_0^t ((1 + a(t) x) / (1 + a(s) x))^2 ds per
-node x, averaged over a measure.  The game substitutes (x, a) = (-lam, f(T-.)),
-the planner (nu, c(T-.)).  The integrand factors as
-sigma^2 (1 + a(t) x)^2 J_x(t) with J_x(t) = int_0^t (1 + a(s) x)^-2 ds, so a
-whole variance curve is one walk over its sorted times that carries J per
-node from one time to the next (composite Simpson on each stretch), not one
-integral from 0 per point.  A finite graph is the discrete measure of its own
-spectrum, so player_variance and game_value_spectral are limit_variance and
-limit_value on the kernel's empirical measure.
+Every game variance is one integral, _variance_integral: sigma^2 *
+int_0^t ((1 - lam f(T-t)) / (1 - lam f(T-s)))^2 ds per eigenvalue lam,
+averaged over a measure.  The integrand factors as
+sigma^2 (1 - lam f(T-t))^2 J(t) with J(t) = int_0^t (1 - lam f(T-s))^-2 ds,
+so a whole variance curve is one walk over its sorted times that carries J
+per node from one time to the next (composite Simpson on each stretch), not
+one integral from 0 per point.  This module owns that time walk: the
+planner's variance (cooperative module) has a closed form and needs none.
+A finite graph is the discrete measure of its own spectrum, so
+player_variance and game_value_spectral are limit_variance and limit_value
+on the kernel's empirical measure.
 """
 
 from __future__ import annotations
@@ -116,10 +117,17 @@ def build_kernel(
     )
 
 
-def _clamp_time(t: float, T: float) -> float:
-    if not -1e-12 <= t <= T + 1e-12:
-        raise ParameterError(f"t = {t} outside the horizon [0, {T}]")
-    return min(max(float(t), 0.0), T)
+def _clamp_time(t, T):
+    """t clipped to [0, T], a float or an array like t; NaN or a time more
+    than 1e-12 outside raises ParameterError."""
+    if isinstance(t, float) and -1e-12 <= t <= T + 1e-12:
+        return min(max(float(t), 0.0), T)  # one time: no numpy call on the rate path
+    times = np.asarray(t, dtype=float)
+    outside = times[~((times >= -1e-12) & (times <= T + 1e-12))]
+    if outside.size:
+        raise ParameterError(f"t = {outside.flat[0]} outside the horizon [0, {T}]")
+    times = np.clip(times, 0.0, T)
+    return float(times) if times.ndim == 0 else times
 
 
 #: Simpson nodes times spectral nodes that the variance walk evaluates at
@@ -135,31 +143,30 @@ def _simpson_weights(m: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def _variance_integral(x, a, t, T, steps, sigma, s_steps=None, weights=None):
-    """sigma^2 * int_0^t ((1 + a(t) x) / (1 + a(s) x))^2 ds for each node x,
-    averaged with the weights when given, at one time t or at each entry of
-    an array of times (a float, a node vector or an array back, like t).
+def _variance_integral(lam, schedule, sigma, t, s_steps=None, weights=None):
+    """sigma^2 * int_0^t ((1 - lam f(T-t)) / (1 - lam f(T-s)))^2 ds for each
+    eigenvalue lam, f the schedule; averaged with the weights when given, at
+    one time t or at each entry of an array of times (a float, a node vector
+    or an array back, like t).
 
-    The integrand factors as sigma^2 (1 + a(t) x)^2 J_x(t), with
+    With x = -lam and a(s) = f(T-s) the integrand factors as
+    sigma^2 (1 + a(t) x)^2 J_x(t), with
     J_x(t) = int_0^t (1 + a(s) x)^-2 ds.  One walk over the sorted distinct
     times builds J per node: each segment between consecutive times gets
-    composite Simpson with an even step count, its share of `steps` (the
-    share t/T for the first segment [0, t]) or s_steps when given, and J
-    carries from one segment to the next.  a is evaluated once on all
-    Simpson nodes; a long segment is summed in chunks of rows, so no
+    composite Simpson with an even step count, its share of the schedule's
+    steps (the share t/T for the first segment [0, t]) or s_steps when
+    given, and J carries from one segment to the next.  a is evaluated once
+    on all Simpson nodes; a long segment is summed in chunks of rows, so no
     steps x n array is ever held.
     """
-    times = np.asarray(t, dtype=float)
-    outside = times[~((times >= -1e-12) & (times <= T + 1e-12))]
-    if outside.size:
-        raise ParameterError(f"t = {outside.flat[0]} outside the horizon [0, {T}]")
-    u, inverse = np.unique(np.clip(times, 0.0, T), return_inverse=True)
+    T, steps, x = schedule.T, schedule.steps, -lam
+    u, inverse = np.unique(_clamp_time(t, T), return_inverse=True)
     starts = np.concatenate(([0.0], u[:-1]))
     lengths = u - starts
     m = np.ceil(steps * lengths / T - 1e-9).astype(int) if s_steps is None else np.full(u.size, s_steps)
     m = np.where(lengths > 0.0, np.maximum(m + m % 2, 2), 0)
-    a_s = a(np.concatenate([np.linspace(lo, hi, k + 1) for lo, hi, k in zip(starts, u, m)]))
-    a_t = a(u)
+    a_s = schedule.value(T - np.concatenate([np.linspace(lo, hi, k + 1) for lo, hi, k in zip(starts, u, m)]))
+    a_t = schedule.value(T - u)
     chunk = max(2, WALK_CHUNK_ELEMENTS // x.size // 2 * 2)
     J = np.zeros(x.size)
     out = np.empty(u.size if weights is not None else (u.size, x.size))
@@ -172,13 +179,8 @@ def _variance_integral(x, a, t, T, steps, sigma, s_steps=None, weights=None):
         first += mk + 1
         v = (1.0 + a_t[k] * x) ** 2 * J
         out[k] = v if weights is None else v @ weights
-    out = sigma**2 * out[inverse.reshape(times.shape)]
+    out = sigma**2 * out[inverse.reshape(np.shape(t))]
     return float(out) if out.ndim == 0 else out
-
-
-def _game_variance(lam, schedule, sigma, t, s_steps, weights=None):
-    T = schedule.T
-    return _variance_integral(-lam, lambda u: schedule.value(T - u), t, T, schedule.steps, sigma, s_steps, weights)
 
 
 def p_eigenvalues(k: EquilibriumKernel, t: float) -> np.ndarray:
@@ -235,7 +237,7 @@ def state_law(
         lam = k.eigen.eigenvalues
         coef = (1.0 - k.schedule.value(k.T - t) * lam) / (1.0 - k.schedule.value(k.T) * lam)
         mean = (v * coef) @ (v.T @ x0)
-    cov = k.eigen.reconstruct(_game_variance(k.eigen.eigenvalues, k.schedule, k.sigma, t, s_steps))
+    cov = k.eigen.reconstruct(_variance_integral(k.eigen.eigenvalues, k.schedule, k.sigma, t, s_steps))
     return GaussianLaw(mean=mean, covariance=0.5 * (cov + cov.T))
 
 
@@ -299,7 +301,7 @@ def limit_variance(
         and np.array_equal(schedule.measure.weights, mu.weights)
     ):
         raise ParameterError("schedule was not built from the given measure")
-    return _game_variance(mu.nodes, schedule, sigma, t, s_steps, mu.weights)
+    return _variance_integral(mu.nodes, schedule, sigma, t, s_steps, mu.weights)
 
 
 def limit_value(mu: SpectralMeasure, schedule: FlockingSchedule, sigma: float) -> float:

@@ -187,7 +187,8 @@ def _check_schedule(s: FlockingSchedule) -> None:
     if np.any(np.diff(diffs) > tol):
         raise NumericError("schedule slopes are not nonincreasing (concavity lost)")
     var = s.measure.variance()
-    lower = c * t - (0.5 * c**2 * t**2 + c**3 * t**3 / 6.0) * var
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge c*t makes the bound -inf or NaN: vacuous
+        lower = c * t - (0.5 * (c * t) ** 2 + (c * t) ** 3 / 6.0) * var
     if np.any(f < lower - tol):
         raise NumericError("schedule undercuts its Taylor lower bound")
 

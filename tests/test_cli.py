@@ -33,6 +33,18 @@ def config_line(text):
     return json.loads(first[len("# config: "):])
 
 
+#: Bad-input argv -> the text its one-line message must name.
+_NAMED_IN_MESSAGE = {
+    "fig1 --c 2": "--c",
+    "variance-curve --measure dirac --st 100": "--st",
+    "coop --graph cycle:10 --steps 100": "--steps",
+}
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"output holds {name}")
+
+
 class TestBasicCommands:
     def test_spectrum_cycle4(self, capsys):
         code, out, err = run(capsys, "spectrum", "--graph", "cycle:4")
@@ -82,15 +94,6 @@ class TestBasicCommands:
         assert rows[0, 1] == 0.0
         assert np.all(np.diff(rows[:, 1]) > 0)
         assert config_line(out)["value"] > 0
-
-    def test_coop_follows_steps(self, capsys):
-        argv = ("coop", "--graph", "cycle:10", "--t-grid", "0:1:3")
-        _, coarse, _ = run(capsys, *argv, "--steps", "100")
-        _, fine, _ = run(capsys, *argv, "--steps", "2000")
-        _, coarse_rows = parse_csv(coarse)
-        _, fine_rows = parse_csv(fine)
-        assert not np.array_equal(coarse_rows, fine_rows)
-        assert np.allclose(coarse_rows, fine_rows, atol=1e-8)
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "spec.csv"
@@ -254,6 +257,16 @@ class TestConfigAndErrors:
             "value --graph cycle:10 --out {tmp}/no_such_dir/value.json",
             "simulate --graph cycle:3 --paths 10 --dump-samples {tmp}",
             "simulate --graph cycle:3 --paths 10 --dump-samples {tmp}/no_such_dir/samples.csv",
+            "variance-curve --measure dirac --t-grid 0:1:0",
+            "coop --graph cycle:6 --t-grid 0:1:0",
+            "value --graph cycle:10,7",
+            "value --graph complete:5,9",
+            "nash-audit --graph torus:3,2,5",
+            "value --measure dirac:7",
+            "value --measure cycle:5",
+            "fig1 --c 2",
+            "variance-curve --measure dirac --st 100",
+            "coop --graph cycle:10 --steps 100",
         ],
     )
     def test_bad_input_exits_1_with_one_line(self, capsys, tmp_path, argv):
@@ -261,6 +274,41 @@ class TestConfigAndErrors:
         code, out, err = run(capsys, *argv.format(tmp=tmp_path).split())
         assert code == 1 and out == ""
         assert err.startswith("error[config]:")
+        assert len(err.splitlines()) == 1
+        assert _NAMED_IN_MESSAGE.get(argv, "") in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "value --graph cycle:6 --c 1e200",
+            "value --measure torus:2 --c 1e300",
+            "coop --graph cycle:6 --c 1e300 --t 0.5",
+        ],
+    )
+    def test_extreme_c_gives_finite_output_or_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        if code == 3:
+            assert out == "" and err.startswith("error[numeric]:")
+            assert len(err.splitlines()) == 1
+            return
+        assert code == 0 and err == ""
+        if argv.startswith("value"):
+            payload = json.loads(out, parse_constant=_refuse_constant)
+            assert math.isfinite(payload["value"])
+        else:
+            json.loads(out.splitlines()[0][len("# config: "):], parse_constant=_refuse_constant)
+            _, rows = parse_csv(out)
+            assert np.isfinite(rows).all()
+
+    @pytest.mark.parametrize("argv", ["coop --graph cycle:6 --t 0.5", "value --measure dirac"])
+    def test_non_finite_output_exits_3(self, capsys, monkeypatch, argv):
+        from graphflock import cooperative, equilibrium
+
+        monkeypatch.setattr(cooperative, "coop_variance", lambda k, ts: np.full(len(ts), np.nan))
+        monkeypatch.setattr(equilibrium, "limit_value", lambda *args: math.inf)
+        code, out, err = run(capsys, *argv.split())
+        assert code == 3 and out == ""
+        assert err.startswith("error[numeric]:")
         assert len(err.splitlines()) == 1
 
     def test_largest_seed_is_accepted(self, capsys):
@@ -318,7 +366,7 @@ class TestEigenvalueOnlyCommands:
     def test_coop_runs_without_eigensolver(self, capsys, monkeypatch, graph):
         monkeypatch.setattr(np.linalg, "eigh", _refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
-        code, out, err = run(capsys, "coop", "--graph", graph, "--steps", "200", "--t-grid", "0:1:3")
+        code, out, err = run(capsys, "coop", "--graph", graph, "--t-grid", "0:1:3")
         assert code == 0, err
         assert out
 

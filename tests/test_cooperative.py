@@ -185,5 +185,22 @@ class TestMeasureVariants:
                 coop_variance(k, t), abs=1e-13
             )
 
+    @pytest.mark.parametrize("c", [0.5, 1.0, 5.0, 100.0])
+    @pytest.mark.parametrize("kind", ["cycle_limit", "dirac_minus_one"])
+    def test_variance_measure_matches_gauss_legendre_in_time(self, kind, c):
+        # int (1 + c(T-t) nu)^2 int_0^t (1 + c(T-s) nu)^-2 ds dmu with a
+        # 200-node Gauss-Legendre rule in s, nu = lam^2, T = sigma = 1.
+        mu = limit_measure(kind)
+        nu = mu.nodes**2
+        x, w = np.polynomial.legendre.leggauss(200)
+        ts = np.linspace(0.0, 1.0, 41)
+        expected = []
+        for t in ts:
+            s = 0.5 * t * (x + 1.0)
+            inner = (0.5 * t * w) @ (1.0 + c * np.outer(1.0 - s, nu)) ** -2
+            expected.append(mu.weights @ ((1.0 + c * (1.0 - t) * nu) ** 2 * inner))
+        got = coop_variance_measure(mu, c, 1.0, 1.0, ts)
+        assert np.abs(got - np.array(expected)).max() <= 1e-14
+
     def test_variance_measure_zero_at_zero(self):
         assert coop_variance_measure(limit_measure("cycle_limit"), 1.0, 1.0, 1.0, 0.0) == 0.0

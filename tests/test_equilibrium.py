@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from graphflock.cooperative import coop_kernel, coop_variance, coop_variance_measure
+from graphflock.cooperative import coop_kernel, coop_variance
 from graphflock.equilibrium import (
     build_kernel,
     covariance_bound,
@@ -245,14 +245,6 @@ class TestVarianceWalk:
         ts = np.linspace(0.0, 1.0, 101)
         game = per_time_rule(lambda t, m: limit_variance(mu, s, 1.0, t, s_steps=m), ts, steps)
         assert np.abs(limit_variance(mu, s, 1.0, ts) - game).max() <= bound
-        coop = per_time_rule(lambda t, m: coop_variance_measure(mu, c, 1.0, 1.0, t, s_steps=m), ts, steps)
-        walk = coop_variance_measure(mu, c, 1.0, 1.0, ts, steps=steps)
-        assert np.abs(walk - coop).max() <= bound
-        # The planner's J is t / ((1 + c(1-t) nu)(1 + c nu)) in closed form;
-        # on the grid both rules use the same nodes and differ by rounding.
-        nu = mu.nodes[:, None] ** 2
-        exact = mu.weights @ ((1.0 + c * (1.0 - ts) * nu) * ts / (1.0 + c * nu))
-        assert np.abs(walk - exact).max() <= np.abs(coop - exact).max() + 1e-15
 
     @pytest.mark.parametrize("curve", ["player", "limit", "coop"])
     def test_order_and_repeats_of_times_do_not_matter(self, curve):
@@ -261,7 +253,7 @@ class TestVarianceWalk:
         variance = {
             "player": lambda ts: player_variance(k, ts),
             "limit": lambda ts: limit_variance(mu, solve_f(mu, 1.0, 1.0, 400), 1.0, ts),
-            "coop": lambda ts: coop_variance(coop_kernel(cycle(30), 1.0, 1.0, 1.0, 400), ts),
+            "coop": lambda ts: coop_variance(coop_kernel(cycle(30), 1.0, 1.0, 1.0), ts),
         }[curve]
         ts = np.linspace(0.0, 1.0, 21)
         rows = variance(ts)
@@ -292,7 +284,7 @@ class TestVarianceWalk:
     def test_memory_does_not_grow_with_steps_times_n(self):
         # One 2001 x 1000 array of integrand values would take 15.3 MiB.
         g = cycle(1000)
-        k, ck = kernel(g, steps=2000), coop_kernel(g, 1.0, 1.0, 1.0, 2000)
+        k, ck = kernel(g, steps=2000), coop_kernel(g, 1.0, 1.0, 1.0)
         tracemalloc.start()
         try:
             player_variance(k, 1.0)
