@@ -35,75 +35,91 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-#: Every option and its argparse keywords.  A subcommand accepts only the
-#: options it reads (_COMMANDS_SPEC); for the rest its namespace keeps these
-#: defaults, which the resolved configuration still records.
+def _checked(parse, wanted: str, ok=lambda value: True):
+    """An argparse type: the text parsed by parse, which must succeed and
+    satisfy ok; wanted says what the option takes."""
+
+    def check(text: str):
+        try:
+            if ok(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+
+    return check
+
+
+def _grid(text: str) -> tuple[float, float, int]:
+    start, stop, count = text.split(":")
+    return float(start), float(stop), int(count)
+
+
+def _graph(text):
+    """--graph: KIND:ARGS text, or a JSON object from --config, as its checked dict."""
+    from .graphs import graph_spec
+
+    return graph_spec(text)
+
+
+def _measure(text: str) -> str:
+    """--measure: KIND[:D] text, checked and kept as given."""
+    from .spectral import measure_spec
+
+    measure_spec(text)
+    return text
+
+
+_positive_float = _checked(float, "a positive finite number", lambda x: 0.0 < x < math.inf)
+_t_grid = _checked(_grid, "START:STOP:COUNT with COUNT >= 1", lambda grid: grid[2] >= 1)
+_record_times = _checked(lambda text: tuple(map(float, text.split(","))), "comma-separated times")
+
+#: Every option and its argparse keywords.  Each type is the option's one
+#: check, on the command line and in --config alike, and raises only
+#: ArgumentTypeError (or ParameterError, from a spec grammar).
 _OPTIONS = {
-    "--graph": dict(help="graph spec KIND:ARGS, e.g. complete:300 or torus:3,2"),
-    "--measure": dict(help="limit measure KIND[:ARGS], e.g. dirac, cycle, torus:2, kesten_mckay:3"),
-    "--c": dict(type=float, default=1.0),
-    "--T": dict(type=float, default=1.0),
-    "--sigma": dict(type=float, default=1.0),
-    "--steps": dict(type=int, default=2000),
-    "--paths": dict(type=int, default=10000),
-    "--dt": dict(type=float, default=None),
-    "--seed": dict(type=int, default=0),
+    "--graph": dict(type=_graph, help="graph spec KIND:ARGS, e.g. complete:300 or torus:3,2"),
+    "--measure": dict(type=_measure, help="limit measure KIND[:ARGS], e.g. dirac, cycle, torus:2, kesten_mckay:3"),
+    "--c": dict(type=_positive_float, default=1.0),
+    "--T": dict(type=_positive_float, default=1.0),
+    "--sigma": dict(type=_positive_float, default=1.0),
+    "--steps": dict(type=_checked(int, "an integer >= 100", lambda k: k >= 100), default=2000),
+    "--paths": dict(type=_checked(int, "an integer >= 3", lambda k: k >= 3), default=10000),
+    "--dt": dict(type=_checked(float, "a number"), default=None),
+    "--seed": dict(type=_checked(int, "an integer"), default=0),
     "--out": dict(default=None, help="output file (stdout when omitted)"),
-    "--t": dict(type=float, default=None),
-    "--t-grid": dict(dest="t_grid", default=None, help="START:STOP:COUNT"),
+    "--t": dict(type=_checked(float, "a number"), default=None),
+    "--t-grid": dict(dest="t_grid", type=_t_grid, default=None, help="START:STOP:COUNT"),
     "--config": dict(default=None, help="JSON file whose entries override flags"),
     "--profile": dict(choices=("mean_field", "equilibrium", "zero"), default="mean_field"),
-    "--record-times": dict(dest="record_times", default=None, help="comma-separated times"),
+    "--record-times": dict(dest="record_times", type=_record_times, default=None, help="comma-separated times"),
     "--dump-samples": dict(dest="dump_samples", default=None, help="raw sample CSV path"),
-}
-
-_GRAPH = ("--graph", "--seed")
-_SOURCE = ("--graph", "--measure", "--seed")
-_MODEL = ("--c", "--T", "--sigma")
-_GAME = _MODEL + ("--steps",)
-_TIMES = ("--t", "--t-grid")
-
-#: Subcommand -> (help, the options it reads besides --out and --config).
-_COMMANDS_SPEC = {
-    "spectrum": ("eigenvalues of the graph Laplacian as CSV", _GRAPH),
-    "solve-f": ("flocking schedule f(t) as CSV", _SOURCE + ("--c", "--T", "--steps")),
-    "variance-curve": ("player variance over time (finite graph or limit measure)", _SOURCE + _GAME + _TIMES),
-    "value": ("average equilibrium value as JSON", _SOURCE + _GAME),
-    "fig1": ("dense vs cycle variance families for c in {0.5, 1, 2, 5}", ("--steps",)),
-    "fig2": ("torus variance for d in {1, 2, 4} plus the dense limit", ("--steps",)),
-    "fig3": ("competitive vs cooperative variance on the cycle limit", ("--steps",)),
-    "nash-audit": ("per-player deviation audit as JSON", _GRAPH + _GAME + ("--profile",)),
-    "simulate": (
-        "Monte Carlo ensemble summary as JSON",
-        _GRAPH + _GAME + ("--profile", "--paths", "--dt", "--record-times", "--dump-samples"),
-    ),
-    "coop": ("cooperative variance curve as CSV", _GRAPH + _MODEL + _TIMES),
 }
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="graphflock", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _COMMANDS_SPEC.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        accepted = (*flags, "--out", "--config")
-        for flag in accepted:
+        for flag in (*flags, "--out", "--config"):
             p.add_argument(flag, **_OPTIONS[flag])
-        p.set_defaults(**{kw.get("dest", f[2:]): kw.get("default") for f, kw in _OPTIONS.items() if f not in accepted})
     return parser
 
 
 def _config_value(action: argparse.Action, key: str, value):
-    """Parse one config entry as the command line parses its flag."""
-    if action.dest == "graph" and isinstance(value, dict):
-        return value  # an already-parsed graph spec
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+    """Parse one config entry as the command line parses its flag: a string
+    or a number as its text, a JSON object as a --graph spec."""
+    if isinstance(value, dict) and action.type is _graph:
+        text = value
+    elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ParameterError(f"config option {key!r} must be a string or a number, got {value!r}")
-    text = str(value)
+    else:
+        text = str(value)
     try:
         parsed = action.type(text) if action.type else text
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"config option {key!r}: invalid {action.type.__name__} value {value!r}") from exc
+    except argparse.ArgumentTypeError as exc:
+        raise ParameterError(f"config option {key!r}: {exc}") from exc
     if action.choices is not None and parsed not in action.choices:
         raise ParameterError(f"config option {key!r}: {value!r} is not one of {sorted(action.choices)}")
     return parsed
@@ -129,73 +145,21 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
         setattr(args, attr, _config_value(options[attr], key, value))
 
 
-def _positive(args) -> None:
-    for name in ("c", "T", "sigma"):
-        if not 0.0 < getattr(args, name) < math.inf:
-            raise ParameterError(f"--{name} must be positive and finite, got {getattr(args, name)}")
-    if args.steps < 100:
-        raise ParameterError(f"--steps must be >= 100, got {args.steps}")
+def _graph_spec(args) -> dict:
+    """The --graph spec, with --seed as the seed of a random kind."""
+    from .graphs import graph_spec
 
-
-def _parse_graph_spec(args) -> dict:
-    text = args.graph
-    if text is None:
+    if args.graph is None:
         raise ParameterError("this command needs --graph")
-    if isinstance(text, dict):
-        return text
-    kind, _, rest = text.partition(":")
-    kind = {"er": "erdos_renyi", "rr": "random_regular", "edgelist": "edge_list"}.get(kind, kind)
-    if kind == "edge_list":
-        if not rest:
-            raise ParameterError(f"malformed graph spec {text!r}")
-        return {"kind": kind, "path": rest}  # all of it: a path may hold commas and spaces
-    fields = {"complete": "n", "cycle": "n", "torus": "side d", "erdos_renyi": "n p", "random_regular": "n d"}
-    if kind not in fields:
-        raise ParameterError(f"unknown graph kind {kind!r}")
-    names, parts = fields[kind].split(), rest.replace(",", " ").split()
-    try:  # zip(strict=True) raises ValueError on a missing or surplus argument
-        values = {k: (float if k == "p" else int)(v) for k, v in zip(names, parts, strict=True)}
-    except ValueError as exc:
-        raise ParameterError(f"malformed graph spec {text!r}, expected {kind}:{','.join(names)}") from exc
-    if kind in ("erdos_renyi", "random_regular"):
-        values["seed"] = args.seed
-    return {"kind": kind, **values}
+    return graph_spec(args.graph, seed=args.seed)
 
 
-def _measure_from_spec(args):
-    from . import spectral
-
-    text = args.measure
-    if text is None:
-        raise ParameterError("this command needs --measure (or --graph)")
-    kind, _, rest = text.partition(":")
-    aliases = {"dirac": "dirac_minus_one", "cycle": "cycle_limit", "torus": "torus_limit", "km": "kesten_mckay"}
-    kind = aliases.get(kind, kind)
-    if kind not in ("dirac_minus_one", "cycle_limit", "torus_limit", "kesten_mckay"):
-        raise ParameterError(f"unknown measure kind {kind!r}")
-    if rest and kind in ("dirac_minus_one", "cycle_limit"):
-        raise ParameterError(f"malformed measure spec {text!r}: {kind} takes no argument")
-    try:
-        d = int(rest) if rest else None
-    except ValueError as exc:
-        raise ParameterError(f"malformed measure spec {text!r}") from exc
-    return spectral.limit_measure(kind, d=d)
-
-
-def _t_grid(args) -> "np.ndarray":
+def _times(args) -> "np.ndarray":
     import numpy as np
 
     if args.t is not None:
         return np.array([args.t])
-    spec = args.t_grid or f"0:{args.T}:{_FIG_GRID_POINTS}"
-    try:
-        start, stop, count = spec.split(":")
-        ts = np.linspace(float(start), float(stop), int(count))
-    except ValueError as exc:
-        raise ParameterError(f"malformed t-grid {spec!r}, expected START:STOP:COUNT") from exc
-    if not ts.size:
-        raise ParameterError(f"t-grid {spec!r} needs COUNT >= 1")
-    return ts
+    return np.linspace(*(args.t_grid or (0.0, args.T, _FIG_GRID_POINTS)))
 
 
 def _fmt(x) -> str:
@@ -205,17 +169,10 @@ def _fmt(x) -> str:
 
 
 def _resolved_config(args, command: str, **extra) -> dict:
-    config = {
-        "command": command,
-        "c": args.c,
-        "T": args.T,
-        "sigma": args.sigma,
-        "steps": args.steps,
-        "seed": args.seed,
-    }
-    if args.graph is not None:
-        config["graph"] = _parse_graph_spec(args)
-    if args.measure is not None:
+    config = {"command": command, **{k: v for k, v in vars(args).items() if k in ("c", "T", "sigma", "steps", "seed")}}
+    if getattr(args, "graph", None) is not None:
+        config["graph"] = _graph_spec(args)
+    if getattr(args, "measure", None) is not None:
         config["measure"] = args.measure
     config.update(extra)
     return config
@@ -246,10 +203,7 @@ def _dumps(payload: dict, **kwargs) -> str:
 
 
 def _emit_csv(args, header: list[str], rows, config: dict) -> None:
-    lines = ["# config: " + _dumps(config)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = ["# config: " + _dumps(config), ",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]
     _emit(args, "\n".join(lines) + "\n")
 
 
@@ -260,7 +214,7 @@ def _emit_json(args, payload: dict) -> None:
 def _cmd_spectrum(args) -> None:
     from . import graphs, spectral
 
-    g = graphs.build_graph(_parse_graph_spec(args))
+    g = graphs.build_graph(_graph_spec(args))
     es = spectral.laplacian_eigensystem(g)
     rows = [(i, lam) for i, lam in enumerate(es.eigenvalues)]
     _emit_csv(args, ["index", "eigenvalue"], rows, _resolved_config(args, "spectrum"))
@@ -270,10 +224,11 @@ def _schedule_for(args):
     from . import flow, graphs, spectral
 
     if args.graph is not None:
-        g = graphs.build_graph(_parse_graph_spec(args))
-        mu = spectral.empirical_measure(g)
+        mu = spectral.empirical_measure(graphs.build_graph(_graph_spec(args)))
+    elif args.measure is not None:
+        mu = spectral.limit_measure(*spectral.measure_spec(args.measure))
     else:
-        mu = _measure_from_spec(args)
+        raise ParameterError("this command needs --measure (or --graph)")
     return mu, flow.solve_f(mu, args.c, args.T, args.steps)
 
 
@@ -286,10 +241,10 @@ def _cmd_solve_f(args) -> None:
 def _cmd_variance_curve(args) -> None:
     from . import equilibrium, graphs
 
-    ts = _t_grid(args)
+    ts = _times(args)
     config = _resolved_config(args, "variance-curve")
     if args.graph is not None:
-        g = graphs.build_graph(_parse_graph_spec(args))
+        g = graphs.build_graph(_graph_spec(args))
         kernel = equilibrium.build_kernel(g, args.c, args.T, args.sigma, args.steps)
         variance = equilibrium.player_variance(kernel, ts)
     else:
@@ -303,7 +258,7 @@ def _cmd_value(args) -> None:
 
     config = _resolved_config(args, "value")
     if args.graph is not None:
-        g = graphs.build_graph(_parse_graph_spec(args))
+        g = graphs.build_graph(_graph_spec(args))
         kernel = equilibrium.build_kernel(g, args.c, args.T, args.sigma, args.steps)
         value = equilibrium.game_value(kernel)
     else:
@@ -377,7 +332,7 @@ def _profile_for(args, g):
 def _cmd_nash_audit(args) -> None:
     from . import graphs, strategies
 
-    g = graphs.build_graph(_parse_graph_spec(args))
+    g = graphs.build_graph(_graph_spec(args))
     prof = _profile_for(args, g)
     report = strategies.nash_audit(g, prof, args.c, args.sigma)
     report["config"] = _resolved_config(args, "nash-audit", profile=args.profile)
@@ -387,27 +342,17 @@ def _cmd_nash_audit(args) -> None:
 def _cmd_simulate(args) -> None:
     from . import graphs, montecarlo
 
-    g = graphs.build_graph(_parse_graph_spec(args))
+    g = graphs.build_graph(_graph_spec(args))
     prof = _profile_for(args, g)
     dt = args.dt if args.dt is not None else args.T / montecarlo.DEFAULT_STEPS_PER_HORIZON
-    if args.record_times:
-        try:
-            record = tuple(float(v) for v in args.record_times.split(","))
-        except ValueError as exc:
-            raise ParameterError(f"malformed record times {args.record_times!r}") from exc
-    else:
-        record = (args.T,)
+    record = args.record_times or (args.T,)
     cfg = montecarlo.SimConfig(n_paths=args.paths, dt=dt, seed=args.seed, record_times=record)
     ensemble = montecarlo.simulate(g, prof, args.sigma, cfg)
     summary = {}
     for t in ensemble.times:
         stats = montecarlo.ensemble_stats(ensemble, t)
-        summary[_fmt(t)] = {
-            "mean": [float(v) for v in stats.mean],
-            "mean_se": [float(v) for v in stats.mean_se],
-            "variance": [float(v) for v in stats.variance],
-            "variance_se": [float(v) for v in stats.variance_se],
-        }
+        fields = ("mean", "mean_se", "variance", "variance_se")
+        summary[_fmt(t)] = {k: [float(v) for v in getattr(stats, k)] for k in fields}
     config = _resolved_config(args, "simulate", profile=args.profile, sim=cfg.to_dict())
     if args.dump_samples:
 
@@ -426,25 +371,40 @@ def _cmd_simulate(args) -> None:
 def _cmd_coop(args) -> None:
     from . import cooperative, graphs
 
-    g = graphs.build_graph(_parse_graph_spec(args))
+    g = graphs.build_graph(_graph_spec(args))
     kernel = cooperative.coop_kernel(g, args.c, args.T, args.sigma)
-    ts = _t_grid(args)
+    ts = _times(args)
     variance = cooperative.coop_variance(kernel, ts)
     config = _resolved_config(args, "coop", value=cooperative.coop_value(kernel))
     _emit_csv(args, ["t", "variance"], zip(ts, variance), config)
 
 
+_GRAPH = ("--graph", "--seed")
+_SOURCE = ("--graph", "--measure", "--seed")
+_MODEL = ("--c", "--T", "--sigma")
+_GAME = _MODEL + ("--steps",)
+_TIMES = ("--t", "--t-grid")
+
+#: Subcommand -> (its function, help, the options it reads besides --out and --config).
 _COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "solve-f": _cmd_solve_f,
-    "variance-curve": _cmd_variance_curve,
-    "value": _cmd_value,
-    "fig1": _cmd_fig1,
-    "fig2": _cmd_fig2,
-    "fig3": _cmd_fig3,
-    "nash-audit": _cmd_nash_audit,
-    "simulate": _cmd_simulate,
-    "coop": _cmd_coop,
+    "spectrum": (_cmd_spectrum, "eigenvalues of the graph Laplacian as CSV", _GRAPH),
+    "solve-f": (_cmd_solve_f, "flocking schedule f(t) as CSV", _SOURCE + ("--c", "--T", "--steps")),
+    "variance-curve": (
+        _cmd_variance_curve,
+        "player variance over time (finite graph or limit measure)",
+        _SOURCE + _GAME + _TIMES,
+    ),
+    "value": (_cmd_value, "average equilibrium value as JSON", _SOURCE + _GAME),
+    "fig1": (_cmd_fig1, "dense vs cycle variance families for c in {0.5, 1, 2, 5}", ("--steps",)),
+    "fig2": (_cmd_fig2, "torus variance for d in {1, 2, 4} plus the dense limit", ("--steps",)),
+    "fig3": (_cmd_fig3, "competitive vs cooperative variance on the cycle limit", ("--steps",)),
+    "nash-audit": (_cmd_nash_audit, "per-player deviation audit as JSON", _GRAPH + _GAME + ("--profile",)),
+    "simulate": (
+        _cmd_simulate,
+        "Monte Carlo ensemble summary as JSON",
+        _GRAPH + _GAME + ("--profile", "--paths", "--dt", "--record-times", "--dump-samples"),
+    ),
+    "coop": (_cmd_coop, "cooperative variance curve as CSV", _GRAPH + _MODEL + _TIMES),
 }
 
 
@@ -454,8 +414,7 @@ def main(argv=None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         _apply_config_file(parser, args)
-        _positive(args)
-        _COMMANDS[args.command](args)
+        _COMMANDS[args.command][0](args)
     except ParameterError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 1

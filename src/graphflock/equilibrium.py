@@ -177,7 +177,8 @@ def _variance_integral(lam, schedule, sigma, t, s_steps=None, weights=None):
             g = 1.0 / (1.0 + np.outer(a_s[first + lo : first + hi + 1], x))
             J += _simpson_weights(hi - lo, length / mk) @ (g * g)
         first += mk + 1
-        v = (1.0 + a_t[k] * x) ** 2 * J
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge c overflows to inf or nan, which callers check
+            v = (1.0 + a_t[k] * x) ** 2 * J
         out[k] = v if weights is None else v @ weights
     out = sigma**2 * out[inverse.reshape(np.shape(t))]
     return float(out) if out.ndim == 0 else out
@@ -295,13 +296,17 @@ def limit_variance(
     Simpson step count of each stretch between times is its share of the
     schedule's steps; s_steps sets it explicitly (for one t: on [0, t]).
     """
+    _check_schedule_measure(mu, schedule)
+    return _variance_integral(mu.nodes, schedule, sigma, t, s_steps, mu.weights)
+
+
+def _check_schedule_measure(mu: SpectralMeasure, schedule: FlockingSchedule) -> None:
     if schedule.measure is not mu and not (
         schedule.measure.kind == mu.kind
         and np.array_equal(schedule.measure.nodes, mu.nodes)
         and np.array_equal(schedule.measure.weights, mu.weights)
     ):
         raise ParameterError("schedule was not built from the given measure")
-    return _variance_integral(mu.nodes, schedule, sigma, t, s_steps, mu.weights)
 
 
 def limit_value(mu: SpectralMeasure, schedule: FlockingSchedule, sigma: float) -> float:
@@ -309,6 +314,7 @@ def limit_value(mu: SpectralMeasure, schedule: FlockingSchedule, sigma: float) -
 
         -(sigma^2/2) log( integral of (-lam)/(1 - lam f(T)) dmu(lam) ).
     """
+    _check_schedule_measure(mu, schedule)
     f_T = schedule.value(schedule.T)
     integral = mu.integrate(lambda lam: -lam / (1.0 - lam * f_T))
     return -0.5 * sigma**2 * math.log(integral)

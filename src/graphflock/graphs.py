@@ -90,26 +90,9 @@ class Graph:
     def min_degree(self) -> int:
         return int(self.degrees.min())
 
-    def neighbors(self, v: int) -> np.ndarray:
-        _check_vertex(self, v)
-        return np.flatnonzero(self.adjacency[v])
-
-    def has_isolated_vertices(self) -> bool:
-        return bool((self.degrees == 0).any())
-
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        return not np.isinf(graph_distances(self, 0)).any()
-
     def spec(self) -> dict:
         """JSON-able description of how this graph was constructed."""
         return {"kind": self.construction, **self.params}
-
-
-def _check_vertex(g: Graph, v: int) -> None:
-    if not isinstance(v, (int, np.integer)) or not (0 <= v < g.n):
-        raise ParameterError(f"vertex {v!r} is not a valid index for a graph on {g.n} vertices")
 
 
 def _make(adjacency, construction, params, transitivity=Transitivity.UNKNOWN) -> Graph:
@@ -167,7 +150,10 @@ def torus(side: int, d: int) -> Graph:
 
 
 def philox_key(seed) -> int:
-    """The seed as a Philox key; ParameterError unless it lies in [0, 2**128)."""
+    """The seed as a Philox key; ParameterError unless it is given and lies
+    in [0, 2**128)."""
+    if seed is None:
+        raise ParameterError("a seed is required")
     key = int(seed)
     if not 0 <= key < 2**128:
         raise ParameterError(f"seed must be in [0, 2**128), got {key}")
@@ -185,8 +171,6 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise ParameterError(f"erdos_renyi needs n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"edge probability must be in [0, 1], got {p}")
-    if seed is None:
-        raise ParameterError("erdos_renyi needs a seed")
     gen = np.random.Generator(np.random.Philox(key=philox_key(seed)))
     rows, cols = np.triu_indices(n, k=1)
     mask = gen.random(rows.size) < p
@@ -214,8 +198,6 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise ParameterError(f"degree must be nonnegative, got {d}")
     if (n * d) % 2 != 0:
         raise ParameterError(f"n*d must be even, got n={n}, d={d}")
-    if seed is None:
-        raise ParameterError("random_regular needs a seed")
     gen = np.random.Generator(np.random.Philox(key=philox_key(seed)))
     stubs = np.repeat(np.arange(n), d)
     params = {"n": n, "d": d, "seed": int(seed)}
@@ -346,34 +328,80 @@ def read_edge_list(path) -> Graph:
     return edge_list_graph(edges, one_based=True)
 
 
-_BUILDERS = {
-    "complete": lambda spec: complete(int(spec["n"])),
-    "cycle": lambda spec: cycle(int(spec["n"])),
-    "torus": lambda spec: torus(int(spec["side"]), int(spec["d"])),
-    "erdos_renyi": lambda spec: erdos_renyi(int(spec["n"]), float(spec["p"]), spec["seed"]),
-    "random_regular": lambda spec: random_regular(int(spec["n"]), int(spec["d"]), spec["seed"]),
+#: Graph kind -> its spec forms: (constructor, its parameters; "?" marks
+#: one a spec may leave out).  KIND:ARGS text gives the first form's
+#: parameters without "?" in this order; an edge_list's text is all path.
+_KINDS = {
+    "complete": [(complete, "n")],
+    "cycle": [(cycle, "n")],
+    "torus": [(torus, "side d")],
+    "erdos_renyi": [(erdos_renyi, "n p seed?")],
+    "random_regular": [(random_regular, "n d seed?")],
+    "edge_list": [(read_edge_list, "path"), (edge_list_graph, "edges n?")],
 }
 
 
-def build_graph(spec: dict) -> Graph:
-    """Build a graph from a JSON-style spec: {"kind": ..., params...}.
+def _value(key: str, v):
+    """A spec value parsed as its KIND:ARGS text would be; edges are
+    [u, v] pairs of 1-based vertex labels."""
+    if key == "edges":
+        if not isinstance(v, list) or not all(isinstance(e, list) and len(e) == 2 for e in v):
+            raise ValueError(v)
+        return [[_value("n", a), _value("n", b)] for a, b in v]
+    if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+        raise ValueError(v)
+    return {"p": float, "path": str}.get(key, int)(str(v))
 
-    Supported kinds: complete{n}, cycle{n}, torus{side,d},
-    erdos_renyi{n,p,seed}, random_regular{n,d,seed},
-    edge_list{edges (1-based) | path, n?}.
-    """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ParameterError("graph spec must be a dict with a 'kind' key")
-    kind = spec["kind"]
-    try:
-        if kind == "edge_list":
-            if "path" in spec:
-                return read_edge_list(spec["path"])
-            return edge_list_graph(spec["edges"], n=spec.get("n"), one_based=True)
-        builder = _BUILDERS[kind]
-    except KeyError as exc:
-        raise ParameterError(f"unknown graph kind {kind!r}") from exc
-    return builder(spec)
+
+def _parse(spec, seed=None):
+    """(constructor, its keyword arguments, the checked dict) of a spec."""
+    items = spec
+    if isinstance(spec, str):
+        kind, _, rest = spec.partition(":")
+        kind = {"er": "erdos_renyi", "rr": "random_regular", "edgelist": "edge_list"}.get(kind, kind)
+        names = [k for k in _KINDS[kind][0][1].split() if "?" not in k] if kind in _KINDS else []
+        parts = [rest] if kind == "edge_list" and rest else rest.replace(",", " ").split()  # a path may hold commas
+        if names and len(parts) != len(names):
+            raise ParameterError(f"malformed graph spec {spec!r}, expected {kind}:{','.join(names)}")
+        items = {"kind": kind, **dict(zip(names, parts))}
+    kind = items.get("kind") if isinstance(items, dict) else None
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ParameterError(f"unknown graph kind {kind!r} in graph spec {spec!r}")
+    keys = items.keys() - {"kind"}
+    for constructor, signature in _KINDS[kind]:
+        names = signature.replace("?", "").split()
+        if {k for k in signature.split() if "?" not in k} <= keys <= set(names):
+            break
+    else:
+        forms = " or ".join(f"{kind}{{{signature}}}" for _, signature in _KINDS[kind])
+        raise ParameterError(f"malformed graph spec {spec!r}, expected {forms}")
+    params = {}
+    for key in (k for k in names if k in keys):
+        try:
+            params[key] = _value(key, items[key])
+        except ValueError as exc:
+            raise ParameterError(f"malformed graph spec {spec!r}: invalid {key} {items[key]!r}") from exc
+    if seed is not None and "seed" in names:
+        params.setdefault("seed", seed)
+    return constructor, {**dict.fromkeys(names), **params}, {"kind": kind, **params}
+
+
+def graph_spec(spec: str | dict, seed: int | None = None) -> dict:
+    """The checked dict form of a graph spec, as build_graph takes it: of
+    KIND:ARGS text (complete:300, torus:10,2, erdos_renyi:50,0.3,
+    edge_list:PATH; aliases er, rr, edgelist), or of a dict {"kind": KIND,
+    parameter: value, ...} with the keys of one of its kind's forms in
+    _KINDS, each value parsed as its text would be.  seed fills in a random
+    kind's missing seed.  Raises ParameterError naming a malformed spec."""
+    return _parse(spec, seed)[2]
+
+
+def build_graph(spec: dict) -> Graph:
+    """Build a graph from a dict spec, checked as graph_spec checks it."""
+    if not isinstance(spec, dict):
+        raise ParameterError(f"graph spec must be a dict with a 'kind' key, got {spec!r}")
+    constructor, kwargs, _ = _parse(spec)
+    return constructor(**kwargs)
 
 
 def graph_distances(g: Graph, source: int) -> np.ndarray:
@@ -381,7 +409,8 @@ def graph_distances(g: Graph, source: int) -> np.ndarray:
 
     Unreachable vertices get INFINITE_DISTANCE (float inf).
     """
-    _check_vertex(g, source)
+    if not isinstance(source, (int, np.integer)) or not (0 <= source < g.n):
+        raise ParameterError(f"vertex {source!r} is not a valid index for a graph on {g.n} vertices")
     dist = np.full(g.n, INFINITE_DISTANCE)
     dist[source] = 0.0
     frontier = np.zeros(g.n, dtype=bool)

@@ -223,9 +223,9 @@ def ensemble_stats(e: PathEnsemble, t: float, pairs: list[tuple[int, int]] | Non
     errors; covariances are computed for the requested vertex pairs."""
     samples = e.at(t)
     p, n = samples.shape
+    variance, variance_se = _variance_and_se(samples)  # first: it needs p >= 3
     mean = samples.mean(axis=0)
     mean_se = samples.std(axis=0, ddof=1) / np.sqrt(p)
-    variance, variance_se = _variance_and_se(samples)
     covariances = {}
     if pairs:
         centered = samples - mean

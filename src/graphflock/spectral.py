@@ -294,19 +294,14 @@ def empirical_measure(g: Graph, es: EigenSystem | None = None) -> SpectralMeasur
     return mu
 
 
-def _legendre_01(m: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_legendre(m)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _cosine_rule(m: int = COS_RULE_NODES) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature for the law of cos(2*pi*U), U uniform on [0, 1].
 
     Integrating in u instead of in the value avoids the inverse-square-root
     endpoint singularities of the arcsine density.
     """
-    u, w = _legendre_01(m)
-    return np.cos(2.0 * np.pi * u), w
+    x, w = roots_legendre(m)
+    return np.cos(2.0 * np.pi * (0.5 * (x + 1.0))), 0.5 * w
 
 
 def _gauss_rule_from_atoms(values: np.ndarray, weights: np.ndarray, n_nodes: int):
@@ -378,38 +373,58 @@ def _kesten_mckay_rule(d: int) -> tuple[np.ndarray, np.ndarray]:
     R = 2*sqrt(d-1)/d removes the endpoint square root, leaving a smooth
     integrand for Gauss-Legendre in theta.
     """
-    r = 2.0 * np.sqrt(d - 1.0) / d
     x, w = roots_legendre(KESTEN_MCKAY_NODES)
     theta = 0.5 * np.pi * x
     w = 0.5 * np.pi * w
-    s = r * np.sin(theta)
-    density_dtheta = (r * np.sqrt(d - 1.0) / np.pi) * np.cos(theta) ** 2 / (1.0 - s**2)
+    s, density_dtheta = _kesten_mckay_density(d, theta)
     return s - 1.0, w * density_dtheta
+
+
+def _kesten_mckay_density(d: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(1 + lam, the Kesten-McKay density in theta) at 1 + lam = R*sin(theta)."""
+    r = 2.0 * np.sqrt(d - 1.0) / d
+    s = r * np.sin(theta)
+    return s, (r * np.sqrt(d - 1.0) / np.pi) * np.cos(theta) ** 2 / (1.0 - s**2)
+
+
+#: Limit-measure kind -> (its alias in KIND[:D] specs, the least d it takes
+#: or None for a kind without d, its quadrature rule as a function of d).
+#: torus_limit at d = 1 is the cycle limit, node for node.
+_LIMITS = {
+    "dirac_minus_one": ("dirac", None, lambda d: (np.array([-1.0]), np.array([1.0]))),
+    "cycle_limit": ("cycle", None, lambda d: _torus_rule(1)),
+    "torus_limit": ("torus", 1, _torus_rule),
+    "kesten_mckay": ("km", 3, _kesten_mckay_rule),
+}
+
+
+def measure_spec(text: str) -> tuple[str, int | None]:
+    """(kind, d) of a limit-measure spec KIND[:D], as limit_measure takes
+    them: KIND is a kind or its alias (dirac, cycle, torus, km), and only
+    torus_limit and kesten_mckay take an integer D."""
+    kind, _, rest = text.partition(":")
+    kind = next((k for k, (alias, _, _) in _LIMITS.items() if alias == kind), kind)
+    if kind not in _LIMITS:
+        raise ParameterError(f"unknown measure kind {kind!r}")
+    if rest and _LIMITS[kind][1] is None:
+        raise ParameterError(f"malformed measure spec {text!r}: {kind} takes no argument")
+    try:
+        return kind, int(rest) if rest else None
+    except ValueError as exc:
+        raise ParameterError(f"malformed measure spec {text!r}") from exc
 
 
 def limit_measure(kind: str, d: int | None = None) -> SpectralMeasure:
     """Analytic limit measures: 'dirac_minus_one', 'cycle_limit',
-    'torus_limit' (d >= 1), 'kesten_mckay' (d >= 3)."""
-    if kind == "dirac_minus_one":
-        mu = SpectralMeasure(kind, np.array([-1.0]), np.array([1.0]))
-    elif kind == "cycle_limit":
-        c_nodes, c_weights = _cosine_rule()
-        mu = SpectralMeasure(kind, c_nodes - 1.0, c_weights)
-    elif kind == "torus_limit":
-        if d is None or d < 1:
-            raise ParameterError(f"torus_limit needs d >= 1, got {d}")
-        nodes, weights = _torus_rule(int(d))
-        mu = SpectralMeasure(kind, nodes, weights, params={"d": int(d)})
-    elif kind == "kesten_mckay":
-        if d is None or d < 3:
-            raise ParameterError(
-                f"kesten_mckay needs d >= 3 (d = 2 is the cycle limit), got {d}"
-            )
-        nodes, weights = _kesten_mckay_rule(int(d))
-        mu = SpectralMeasure(kind, nodes, weights, params={"d": int(d)})
-    else:
+    'torus_limit' (d >= 1), 'kesten_mckay' (d >= 3; d = 2 is the cycle
+    limit)."""
+    if not isinstance(kind, str) or kind not in _LIMITS:
         raise ParameterError(f"unknown limit measure kind {kind!r}")
-    return _validate_measure(mu)
+    _, least, rule = _LIMITS[kind]
+    if least is not None and (d is None or d < least):
+        raise ParameterError(f"{kind} needs d >= {least}, got {d}")
+    params = {} if least is None else {"d": int(d)}
+    return _validate_measure(SpectralMeasure(kind, *rule(params.get("d")), params=params))
 
 
 def measure_from_dict(data: dict) -> SpectralMeasure:
@@ -433,21 +448,10 @@ def kesten_mckay_cdf(d: int, points: np.ndarray) -> np.ndarray:
         lo = -0.5 * np.pi
         theta = 0.5 * (theta_hi - lo) * x + 0.5 * (theta_hi + lo)
         scale = 0.5 * (theta_hi - lo)
-        s = r * np.sin(theta)
-        dens = (r * np.sqrt(d - 1.0) / np.pi) * np.cos(theta) ** 2 / (1.0 - s**2)
-        return float(scale * (w @ dens))
+        return float(scale * (w @ _kesten_mckay_density(d, theta)[1]))
 
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    out = np.empty(points.size)
-    for i, lam in enumerate(points):
-        z = (lam + 1.0) / r
-        if z <= -1.0:
-            out[i] = 0.0
-        elif z >= 1.0:
-            out[i] = 1.0
-        else:
-            out[i] = mass_below(float(np.arcsin(z)))
-    return out
+    z = (np.atleast_1d(np.asarray(points, dtype=float)) + 1.0) / r
+    return np.array([0.0 if zi <= -1.0 else 1.0 if zi >= 1.0 else mass_below(float(np.arcsin(zi))) for zi in z])
 
 
 def ks_distance(mu: SpectralMeasure, cdf) -> float:

@@ -283,8 +283,11 @@ class TestConfigAndErrors:
             "value --graph cycle:6 --c 1e200",
             "value --measure torus:2 --c 1e300",
             "coop --graph cycle:6 --c 1e300 --t 0.5",
+            "variance-curve --measure cycle --c 1e300 --t 0.5",
+            "variance-curve --graph cycle:6 --c 1e200 --t-grid 0:1:3",
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_c_gives_finite_output_or_exit_3(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())
         if code == 3:
@@ -310,6 +313,48 @@ class TestConfigAndErrors:
         assert code == 3 and out == ""
         assert err.startswith("error[numeric]:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("paths", ["1", "2"])
+    def test_too_few_paths_exit_1_before_simulating(self, capsys, monkeypatch, paths):
+        from graphflock import montecarlo
+
+        monkeypatch.setattr(montecarlo, "simulate", _refuse)
+        code, out, err = run(capsys, "simulate", "--graph", "cycle:3", "--paths", paths, "--dt", "0.1")
+        assert code == 1 and out == ""
+        assert err.startswith("error[config]:") and "--paths" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"kind": "cycle"},
+            {"kind": "cycle", "n": "abc"},
+            {"kind": "edge_list", "edges": [[1, 2], [2]]},
+            {"kind": "cycle", "n": 10.7, "bogus": 3},
+            {"kind": "cycle", "n": 10, "bogus": 3},
+            {"kind": "cycle", "n": True},
+            {"kind": "erdos_renyi", "n": 10, "p": 0.5, "seed": 1.5},
+            {"kind": "edge_list", "path": "g.txt", "edges": [[1, 2]]},
+            {"n": 10},
+        ],
+    )
+    def test_malformed_graph_object_exits_1(self, capsys, tmp_path, graph):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"graph": graph}))
+        code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error[config]:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("ignore:graph transitivity:RuntimeWarning")
+    def test_graph_object_records_like_its_text(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"graph": {"kind": "random_regular", "n": "20", "d": 3}, "seed": 4}))
+        code, out, err = run(capsys, "value", "--steps", "200", "--config", str(cfg))
+        assert code == 0, err
+        _, text_out, _ = run(capsys, "value", "--steps", "200", "--graph", "rr:20,3", "--seed", "4")
+        assert json.loads(out) == json.loads(text_out)
+        assert json.loads(out)["config"]["graph"] == {"kind": "random_regular", "n": 20, "d": 3, "seed": 4}
 
     def test_largest_seed_is_accepted(self, capsys):
         code, _, err = run(capsys, "simulate", "--graph", "cycle:3", "--paths", "10", "--seed", str(2**128 - 1))
@@ -384,6 +429,29 @@ class TestSubcommandOptions:
         code, out, err = run(capsys, "spectrum", "--graph", "cycle:4", "--config", str(cfg))
         assert code == 1 and out == ""
         assert err.startswith("error[config]:") and "spectrum" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "spectrum --graph cycle:4",
+            "solve-f --measure dirac --steps 100",
+            "variance-curve --measure dirac --steps 100 --t 1",
+            "value --measure dirac --steps 100",
+            "nash-audit --graph cycle:4 --profile zero --steps 100",
+            "simulate --graph cycle:3 --profile zero --paths 3 --dt 0.5",
+            "coop --graph cycle:4 --t 1",
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:graph transitivity:RuntimeWarning")
+    def test_config_records_only_the_options_taken(self, capsys, argv):
+        command = argv.split()[0]
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0, err
+        config = config_line(out) if out.startswith("# config: ") else json.loads(out)["config"]
+        (subparsers,) = _build_parser()._subparsers._group_actions
+        taken = {action.dest for action in subparsers.choices[command]._actions}
+        model = {"c", "T", "sigma", "steps", "seed"}
+        assert config.keys() & model == taken & model
 
     def test_benchmark_commands_parse(self, monkeypatch):
         spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")

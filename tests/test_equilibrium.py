@@ -397,6 +397,11 @@ class TestLimits:
         with pytest.raises(ParameterError):
             limit_variance(mu, s, 1.0, 0.5)
 
+    def test_limit_value_rejects_another_measures_schedule(self):
+        s = solve_f(limit_measure("cycle_limit"), 1.0, 1.0, 500)
+        with pytest.raises(ParameterError):
+            limit_value(limit_measure("dirac_minus_one"), s, 1.0)
+
     def test_short_time_expansion(self):
         # (V(h) - sigma^2 h)/h^2 -> V''(0)/2 with Richardson extrapolation
         for kind, d in (("dirac_minus_one", None), ("cycle_limit", None), ("torus_limit", 2)):

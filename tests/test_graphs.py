@@ -14,6 +14,7 @@ from graphflock.graphs import (
     edge_list_graph,
     erdos_renyi,
     graph_distances,
+    graph_spec,
     random_regular,
     read_edge_list,
     torus,
@@ -150,6 +151,45 @@ class TestEdgeLists:
             build_graph({"kind": "moebius", "n": 4})
         with pytest.raises(ParameterError):
             build_graph("complete:4")
+
+    def test_text_and_dict_specs_agree(self):
+        assert graph_spec("torus:4,2") == graph_spec({"kind": "torus", "side": "4", "d": 2}) == {
+            "kind": "torus",
+            "side": 4,
+            "d": 2,
+        }
+        assert graph_spec("er:50,0.3", seed=7) == {"kind": "erdos_renyi", "n": 50, "p": 0.3, "seed": 7}
+        assert graph_spec({"kind": "random_regular", "n": 8, "d": 3, "seed": 2}, seed=7)["seed"] == 2
+        assert graph_spec("edgelist:a, b.txt") == {"kind": "edge_list", "path": "a, b.txt"}
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "cycle:10.7",
+            "cycle:10,7",
+            "torus:3",
+            "edge_list",
+            {"kind": "cycle"},
+            {"kind": "cycle", "n": 10.7},
+            {"kind": "cycle", "n": True},
+            {"kind": "cycle", "n": 10, "seed": 3},
+            {"kind": "edge_list", "edges": [[1, 2], [2]]},
+            {"kind": "edge_list", "edges": [[1, 2.5]]},
+            {"kind": "edge_list", "path": "g.txt", "n": 3},
+            {"kind": "er", "n": 10, "p": 0.5},
+        ],
+    )
+    def test_malformed_specs(self, spec):
+        with pytest.raises(ParameterError, match="graph"):
+            graph_spec(spec)
+        if isinstance(spec, dict):
+            with pytest.raises(ParameterError):
+                build_graph(spec)
+
+    def test_random_kind_needs_a_seed(self):
+        with pytest.raises(ParameterError, match="seed"):
+            build_graph(graph_spec("erdos_renyi:10,0.5"))
+        assert build_graph(graph_spec("erdos_renyi:10,0.5", seed=3)).params["seed"] == 3
 
 
 class TestDistances:

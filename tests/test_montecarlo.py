@@ -3,6 +3,7 @@ import hashlib
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,15 @@ class TestValidation:
         runaway = custom_profile(g, T=1.0, matrix_fn=lambda t: -1e6 * np.eye(2), steps=100)
         with pytest.raises(NumericError, match="path"):
             simulate(g, runaway, 1.0, SimConfig(8, 0.01, 0, (1.0,)))
+
+    @pytest.mark.parametrize("paths", [1, 2])
+    def test_stats_need_three_paths(self, paths):
+        g = cycle(3)
+        ensemble = simulate(g, zero_profile(g, 1.0, 100), 1.0, SimConfig(n_paths=paths, dt=0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterError, match="3 paths"):
+                ensemble_stats(ensemble, 1.0)
 
     def test_jackknife_sanity(self):
         g = cycle(3)

@@ -19,6 +19,7 @@ from graphflock.spectral import (
     limit_measure,
     measure_from_dict,
     measure_moments,
+    measure_spec,
 )
 
 ANALYTIC_KINDS = [
@@ -271,6 +272,24 @@ class TestLimitMeasures:
     def test_parameter_errors(self, kind, d):
         with pytest.raises(ParameterError):
             limit_measure(kind, d=d)
+
+    @pytest.mark.parametrize(
+        "text,spec",
+        [
+            ("dirac", ("dirac_minus_one", None)),
+            ("cycle_limit", ("cycle_limit", None)),
+            ("torus:2", ("torus_limit", 2)),
+            ("km:3", ("kesten_mckay", 3)),
+            ("kesten_mckay:5", ("kesten_mckay", 5)),
+        ],
+    )
+    def test_measure_spec(self, text, spec):
+        assert measure_spec(text) == spec
+
+    @pytest.mark.parametrize("text", ["dirac:7", "cycle:5", "torus:x", "moebius", "km:3,2"])
+    def test_malformed_measure_spec(self, text):
+        with pytest.raises(ParameterError):
+            measure_spec(text)
 
     def test_integrate_rejects_nonfinite(self):
         mu = limit_measure("cycle_limit")
