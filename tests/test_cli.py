@@ -318,7 +318,7 @@ class TestConfigAndErrors:
     def test_too_few_paths_exit_1_before_simulating(self, capsys, monkeypatch, paths):
         from graphflock import montecarlo
 
-        monkeypatch.setattr(montecarlo, "simulate", _refuse)
+        monkeypatch.setattr(montecarlo, "simulate", lambda *args: pytest.fail("simulate ran"))
         code, out, err = run(capsys, "simulate", "--graph", "cycle:3", "--paths", paths, "--dt", "0.1")
         assert code == 1 and out == ""
         assert err.startswith("error[config]:") and "--paths" in err
