@@ -80,10 +80,10 @@ def _gram(g: Graph) -> np.ndarray:
     return 0.5 * (gram + gram.T)
 
 
-def coop_feedback_eigenvalues(k: CoopKernel, t: float) -> np.ndarray:
-    t = _clamp_time(t, k.T)
+def coop_feedback_eigenvalues(k: CoopKernel, t) -> np.ndarray:
+    """c nu / (1 + c(T-t) nu) per eigenvalue nu of M; a row per time of an array t."""
     nu = k.eigen.eigenvalues
-    return k.c * nu / (1.0 + k.c * (k.T - t) * nu)
+    return k.c * nu / (1.0 + np.multiply.outer(k.c * (k.T - _clamp_time(t, k.T)), nu))
 
 
 def coop_feedback_matrix(k: CoopKernel, t: float) -> np.ndarray:
@@ -149,13 +149,14 @@ def coop_h_logdet(k: CoopKernel, t: float) -> float:
 
 def coop_profile(k: CoopKernel, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
     """The planner's control as a LinearProfile (K(t) = F(t)), usable with
-    the strategy-evaluation moment ODEs for cross-checking."""
+    the strategy-evaluation moment ODEs for cross-checking.  Where
+    coop_kernel has M = L^2, it is spectral in L's eigensystem (k.eigen
+    holds lam^2 for L's ascending lam <= 0 in reverse); elsewhere dense."""
+    grid = _uniform_grid(k.T, steps)
+    if not (k.graph.is_regular and k.graph.min_degree >= 1):
+        return LinearProfile(k.n, k.T, grid, "coop", matrix_fn=lambda t: coop_feedback_matrix(k, t))
     return LinearProfile(
-        n=k.n,
-        T=k.T,
-        grid=_uniform_grid(k.T, steps),
-        tag="custom",
-        matrix_fn=lambda t: coop_feedback_matrix(k, t),
+        k.n, k.T, grid, "coop", lambda t: coop_feedback_eigenvalues(k, t)[..., ::-1], laplacian_eigensystem(k.graph)
     )
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class EquilibriumKernel:
     c: float
     T: float
     sigma: float
-    transitivity: Transitivity = field(default=Transitivity.UNKNOWN)
 
     @property
     def n(self) -> int:
@@ -113,7 +112,6 @@ def build_kernel(
         c=float(c),
         T=float(T),
         sigma=float(sigma),
-        transitivity=g.transitivity,
     )
 
 
@@ -184,17 +182,17 @@ def _variance_integral(lam, schedule, sigma, t, s_steps=None, weights=None):
     return float(out) if out.ndim == 0 else out
 
 
-def p_eigenvalues(k: EquilibriumKernel, t: float) -> np.ndarray:
-    """Eigenvalues of P(t) paired with the columns of k.eigen.eigenvectors."""
+def p_eigenvalues(k: EquilibriumKernel, t) -> np.ndarray:
+    """Eigenvalues of P(t) paired with k.eigen's columns; a row per time of an array t."""
     return _feedback_rates(k, k.T - _clamp_time(t, k.T))[0]
 
 
-def _feedback_rates(k: EquilibriumKernel, tau: float) -> tuple[np.ndarray, float]:
+def _feedback_rates(k: EquilibriumKernel, tau) -> tuple[np.ndarray, float]:
     """(eigenvalues of P(T - tau), f'(tau)) from one evaluation of f(tau)."""
     lam = k.eigen.eigenvalues
     f = k.schedule.value(tau)
     fp = k.schedule.rhs(f)
-    return -fp * lam / (1.0 - f * lam), fp
+    return np.multiply.outer(-fp, lam) / (1.0 - np.multiply.outer(f, lam)), fp
 
 
 def p_matrix(k: EquilibriumKernel, t: float) -> np.ndarray:
@@ -340,7 +338,7 @@ def riccati_residual(k: EquilibriumKernel, i: int, t: float) -> float:
     grid (t snaps to the nearest interior node), so the residual of an
     exact solution is differencing noise.
     """
-    if k.transitivity is Transitivity.NOT_TRANSITIVE:
+    if k.graph.transitivity is Transitivity.NOT_TRANSITIVE:
         raise DomainError("Riccati residual is defined via the transitive construction")
     if not 0 <= i < k.n:
         raise ParameterError(f"invalid player index {i}")

@@ -2,12 +2,12 @@
 
 Paths follow dX_v = alpha_v(t, X) dt + sigma dW_v under any LinearProfile,
 discretized by Euler-Maruyama (the noise is additive, so Milstein would
-coincide).  A spectral profile (K(t) = V diag(rho(t)) V^T, the
-equilibrium) is stepped in the eigen-frame y = V^T x, where every step is
-elementwise: y <- (1 - dt rho(t)) y + sigma sqrt(dt) eps.  The increments
-are drawn in that frame (V^T W is again a standard Brownian motion), and
-paths are rotated back to x = V y only at record times.  Scalar profiles
-(K = k I) step x elementwise, dense ones multiply by K(t)^T.
+coincide).  A spectral profile (K(t) = V diag(rho(t)) V^T) is stepped in
+the eigen-frame y = V^T x, where every step is elementwise:
+y <- (1 - dt rho(t)) y + sigma sqrt(dt) eps.  The increments are drawn in
+that frame (V^T W is again a standard Brownian motion), and paths are
+rotated back to x = V y only at record times.  Scalar profiles (K = k I)
+step x elementwise, dense ones multiply by K(t)^T, one matrix at a time.
 
 Gaussian increments come from counter-based Philox streams keyed by
 (seed, step), with the (path, player) layout fixed inside each step's
@@ -126,7 +126,7 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
         record_index[j] = float(t)
 
     # A spectral profile is stepped in the eigen-frame, y = V^T x per path.
-    basis = prof.eigen.eigenvectors if prof.eigen_rates is not None else None
+    basis = prof.eigen.eigenvectors if prof.eigen is not None else None
     shape = (cfg.n_paths, g.n)
     x = np.zeros(shape)  # y in the eigen-frame
     drift = np.empty(shape) if basis is None else None
@@ -145,7 +145,7 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
         block = ring[j % len(ring)]
         _step_generator(cfg.seed, j).standard_normal(out=block)
         block *= noise_scale
-        return None if basis is None else 1.0 - cfg.dt * prof.eigen_rates(j * cfg.dt)
+        return None if basis is None else 1.0 - cfg.dt * prof.rates(j * cfg.dt)
 
     record(0)
     pool = ThreadPoolExecutor(max_workers=len(ring) - 1, thread_name_prefix="graphflock-draws")
@@ -157,9 +157,9 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
                     x *= pending.popleft().result()
                 else:
                     t = j * cfg.dt
-                    if prof.rate is not None:
+                    if prof.matrix_fn is None:
                         # K = k I: the product x @ K^T is exactly k * x.
-                        np.multiply(x, prof.rate(t), out=drift)
+                        np.multiply(x, prof.rates(t), out=drift)
                     else:
                         # One feedback matrix at a time: memory stays O(n^2), not steps * n^2.
                         drift = x @ prof.at(t).T

@@ -30,6 +30,10 @@ from .graphs import Graph
 #: Eigenvalues may stick out of [-2, 0] by at most this much before clamping.
 EIGENVALUE_CLAMP_TOL = 1e-9
 
+#: Relative gap below which sorted eigenvalues share an eigenspace: far above
+#: eigvalsh's rounding (about n * 1e-16), far below the spectral gaps here.
+EIGENSPACE_TOL = 1e-10
+
 #: Relative symmetry tolerance for matrices fed to the eigensolver.
 SYMMETRY_TOL = 1e-12
 
@@ -96,6 +100,13 @@ class EigenSystem:
                 raise NumericError(f"eigh spectrum differs from the stored eigenvalues by {gap:.3e}")
             self._vectors, self._source = vecs, None
         return self._vectors
+
+    def eigenspaces(self) -> np.ndarray:
+        """starts: eigenspace k holds columns starts[k]:starts[k + 1] of
+        eigenvectors.  An eigenvalue within EIGENSPACE_TOL * max(1, spectral
+        radius) of its predecessor joins the predecessor's eigenspace."""
+        scale = max(1.0, float(np.abs(self.eigenvalues).max(initial=0.0)))
+        return np.flatnonzero(np.diff(self.eigenvalues, prepend=-np.inf) > EIGENSPACE_TOL * scale)
 
     def reconstruct(self, values: np.ndarray | None = None) -> np.ndarray:
         """V diag(values) V^T; the system's own eigenvalues by default."""
@@ -178,7 +189,8 @@ def laplacian_eigensystem(g: Graph) -> EigenSystem:
     """Eigensystem of the graph Laplacian, clamped to [-2, 0].
 
     Graphs built by cycle, torus and complete get their spectrum in closed
-    form, every other graph from eigvalsh of the Laplacian; the
+    form, other graphs from eigvalsh of the Laplacian or, if irregular, of
+    the similar D^{-1/2} A D^{-1/2} - I (whose eigenvectors they get); the
     eigenvectors are computed on first use.
     Eigenvalues outside [-2 - tol, 0 + tol] indicate a broken input and
     raise instead of being clamped.
@@ -186,6 +198,8 @@ def laplacian_eigensystem(g: Graph) -> EigenSystem:
     vals = _closed_form_spectrum(g)
     if vals is None:
         source = laplacian(g)
+        if not g.is_regular:  # D^{-1}A - I is similar to the symmetric D^{-1/2} A D^{-1/2} - I
+            source = g.adjacency / np.sqrt(np.outer(g.degrees, g.degrees)) - np.eye(g.n)
         vals = eigendecompose(source).eigenvalues
     else:
         source = functools.partial(laplacian, g)

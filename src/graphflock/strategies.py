@@ -7,23 +7,24 @@ profile reduce to a backward matrix Riccati equation (derivation in
 best_response).  Together they quantify how far any profile is from
 equilibrium, which is what the Nash and epsilon-Nash audits report.
 
-There is one Riccati solver (_riccati): it writes player i's matrix as
-F = B G B^T in a basis B that holds it, and the profile's structure picks
-B.  A dense profile (equilibrium, cooperative, custom) has B = I.  Its
-n x n matrices are evaluated on the half-step grid and cached on the
-profile, up to STAGE_CACHE_BUDGET bytes.  A scalar profile, K(t) = k(t) I
-(mean-field and zero), carries its rate k and has B = [l_i, e_i], with l_i
-the terminal alignment functional.  Its 2x2 G is the same for every
-player, and only the noise term depends on i, through deg(i): a whole
-audit is one 2x2 solve, O(steps + n) work.  Its state covariance stays
-s(t) I, so its costs come from a few scalar ODEs (_scalar_costs).  Every
-solver steps with flow.rk4_step.
+A profile has one form.  A modal one is diagonal over a few modes: K(t)
+is k(t) I for a scalar profile (mean-field, zero), and sum_lam p_lam(t)
+Pi_lam over L's eigenspaces for a spectral one (the equilibrium, the
+planner on regular graphs); its rates are evaluated on the whole
+half-step grid at once, and its costs come from a few ODEs per mode.  A
+dense profile (custom, the planner elsewhere) gives K(t) as a matrix,
+evaluated one RK4 step at a time.  The one Riccati solver writes player
+i's matrix as F = B G B^T in a basis B that _basis picks from the form; G
+depends on the player only through w = B^T e_i, so for a scalar profile,
+and for a spectral one on a transitive graph, an audit is one small
+solve.  Every solver steps with flow.rk4_step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,74 +32,47 @@ import numpy as np
 from .errors import NumericError, ParameterError
 from .flow import DEFAULT_ODE_STEPS, rk4_step
 from .graphs import Graph
-from .equilibrium import EquilibriumKernel, p_eigenvalues, p_matrix
+from .equilibrium import EquilibriumKernel, p_eigenvalues
 from .spectral import EigenSystem
 
 #: Abort threshold for the backward Riccati solve; this game's Riccati is
 #: globally solvable, so exceeding it means a bug or a pathological profile.
 RICCATI_BLOWUP_CAP = 1e8
 
-#: Largest stage cache, in bytes, that a dense profile may build: it holds
-#: (2 steps + 1) n x n float64 matrices.  complete(50) at 2000 steps takes
-#: 80 MB; complete(300) would take 2.9 GB.
-STAGE_CACHE_BUDGET = 512 * 2**20
-
 
 @dataclass
 class LinearProfile:
     """Time-dependent linear feedback profile on a uniform grid of [0, T].
 
-    matrix_fn evaluates the full n x n feedback map at any t in [0, T]
-    (RK4 needs half-step values); the grid fixes the discretization that
-    cost and best-response solvers use.  A scalar profile also sets rate,
-    with K(t) = rate(t) I; the solvers then use the scalar and never build
-    the dense matrices.  A spectral profile also sets eigen and
-    eigen_rates, with K(t) = V diag(eigen_rates(t)) V^T for V =
-    eigen.eigenvectors; only Monte Carlo reads that form.
+    Exactly one of rates and matrix_fn is set.  rates(t) is k for a scalar
+    profile, K(t) = k I, or with eigen (L's eigensystem) one rate per
+    eigenvalue, K(t) = V diag(rates(t)) V^T; an array of times gets a
+    row per time.  matrix_fn(t) is a dense K(t).  Any t in [0, T] works;
+    the grid fixes the discretization of the cost and Riccati solvers.
     """
 
     n: int
     T: float
     grid: np.ndarray
     tag: str
-    matrix_fn: Callable[[float], np.ndarray]
-    rate: Callable[[float], float] | None = None
+    rates: Callable | None = None
     eigen: EigenSystem | None = None
-    eigen_rates: Callable[[float], np.ndarray] | None = None
-    _stage_cache: list | None = field(default=None, repr=False)
+    matrix_fn: Callable[[float], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if (self.rates is None) == (self.matrix_fn is None):
+            raise ParameterError("a profile sets exactly one of rates and matrix_fn")
 
     @property
     def steps(self) -> int:
         return self.grid.size - 1
 
     def at(self, t: float) -> np.ndarray:
-        return self.matrix_fn(float(t))
-
-    def _half_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, 2 * self.steps + 1)
-
-    def stage_matrices(self) -> list[np.ndarray]:
-        """Feedback matrices on the half-step grid (2*steps + 1 points).
-
-        Cached on the profile: audits solve one Riccati per player against
-        the same frozen profile, and re-evaluating the map dominates their
-        runtime otherwise.  Raises ParameterError, before evaluating any
-        matrix, when the cache would exceed STAGE_CACHE_BUDGET.
-        """
-        if self._stage_cache is None:
-            size = (2 * self.steps + 1) * self.n**2 * 8
-            if size > STAGE_CACHE_BUDGET:
-                raise ParameterError(
-                    f"a dense profile on {self.n} players at {self.steps} steps needs "
-                    f"{size / 2**20:.0f} MiB of stage matrices, over the "
-                    f"{STAGE_CACHE_BUDGET / 2**20:.0f} MiB budget; use fewer steps"
-                )
-            self._stage_cache = [self.matrix_fn(float(t)) for t in self._half_grid()]
-        return self._stage_cache
-
-    def stage_rates(self) -> list[float]:
-        """A scalar profile's rate on the half-step grid (2*steps + 1 points)."""
-        return [self.rate(float(t)) for t in self._half_grid()]
+        """The dense n x n feedback matrix K(t), whatever the form."""
+        if self.matrix_fn is not None:
+            return self.matrix_fn(float(t))
+        rates = self.rates(float(t))
+        return rates * np.eye(self.n) if self.eigen is None else self.eigen.reconstruct(rates)
 
 
 def _uniform_grid(T: float, steps: int) -> np.ndarray:
@@ -107,38 +81,21 @@ def _uniform_grid(T: float, steps: int) -> np.ndarray:
     return np.linspace(0.0, T, steps + 1)
 
 
-def _scalar_profile(g: Graph, T: float, steps: int, tag: str, rate: Callable[[float], float]) -> LinearProfile:
-    eye = np.eye(g.n)
-    return LinearProfile(
-        n=g.n, T=float(T), grid=_uniform_grid(T, steps), tag=tag, matrix_fn=lambda t: rate(t) * eye, rate=rate
-    )
-
-
 def mf_profile(g: Graph, c: float, T: float, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
     """Decentralized mean-field profile: every player applies
     -c x_i / (1 + c(T - t)), independent of the graph."""
-    return _scalar_profile(g, T, steps, "mean_field", lambda t: c / (1.0 + c * (T - t)))
+    return LinearProfile(g.n, float(T), _uniform_grid(T, steps), "mean_field", lambda t: c / (1.0 + c * (T - t)))
 
 
 def equilibrium_profile(k: EquilibriumKernel) -> LinearProfile:
-    """Profile whose rows are the equilibrium feedback P(t).
-
-    It also carries its spectral form: the kernel's eigensystem and the
-    eigenvalues p_eigenvalues(k, t) of P(t)."""
-    return LinearProfile(
-        n=k.n,
-        T=k.T,
-        grid=k.schedule.grid.copy(),
-        tag="equilibrium",
-        matrix_fn=lambda t: p_matrix(k, t),
-        eigen=k.eigen,
-        eigen_rates=lambda t: p_eigenvalues(k, t),
-    )
+    """Profile whose rows are the equilibrium feedback P(t), in spectral
+    form: the kernel's eigensystem and P(t)'s eigenvalues p_eigenvalues(k, t)."""
+    return LinearProfile(k.n, k.T, k.schedule.grid.copy(), "equilibrium", lambda t: p_eigenvalues(k, t), k.eigen)
 
 
 def zero_profile(g: Graph, T: float, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
     """All players apply the zero control (states are Brownian motions)."""
-    return _scalar_profile(g, T, steps, "zero", lambda t: 0.0)
+    return LinearProfile(g.n, float(T), _uniform_grid(T, steps), "zero", lambda t: 0.0 * t)
 
 
 def custom_profile(
@@ -190,20 +147,20 @@ def profile_costs(
     m' = -K m and S' = -K S - S K^T + sigma^2 I; player i accumulates
     (1/2) k_i (S + m m^T) k_i^T along the way (k_i = row i of K) plus the
     terminal penalty (c/2) l_i (S(T) + m m^T) l_i^T.  Integration is RK4
-    on the profile grid; a scalar profile propagates scalars instead
-    (_scalar_costs).
+    on the profile grid; a scalar or spectral profile propagates its modes
+    instead (_modal_costs).
     """
     _check_profile(g, prof)
     n = g.n
     m = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     if m.shape != (n,):
         raise ParameterError(f"x0 must have length {n}")
-    if prof.rate is not None:
-        return _scalar_costs(g, prof, sigma, c, None if x0 is None else m)
+    if prof.matrix_fn is None:
+        return _modal_costs(g, prof, sigma, c, None if x0 is None else m)
     h = prof.T / prof.steps
     eye = np.eye(n)
     sig2 = sigma**2
-    stages = prof.stage_matrices()
+    stage = _stages(prof)
     # One array holds the state: S in rows 0..n-1, m in row n, costs in row n + 1.
     y = np.zeros((n + 2, n))
     y[n] = m
@@ -218,7 +175,7 @@ def profile_costs(
         return out
 
     for j in range(prof.steps):
-        y = rk4_step(derivs, y, h, stages[2 * j : 2 * j + 3])
+        y = rk4_step(derivs, y, h, (stage(2 * j), stage(2 * j + 1), stage(2 * j + 2)))
         y[:n] = 0.5 * (y[:n] + y[:n].T)
 
     functionals = alignment_functionals(g)
@@ -226,32 +183,64 @@ def profile_costs(
     return y[n + 1] + 0.5 * c * np.einsum("ij,jk,ik->i", functionals, second, functionals)
 
 
-def _scalar_costs(g: Graph, prof: LinearProfile, sigma: float, c: float, x0: np.ndarray | None) -> np.ndarray:
-    """profile_costs for a scalar profile K(t) = k(t) I.
+def _stages(prof: LinearProfile) -> Callable[[int], np.ndarray]:
+    """j -> the coefficient at the j-th half-step time: a modal profile's
+    rates, one per mode (an eigenspace's at its first eigenvalue), from
+    one call; a dense K, evaluated on demand and kept until the next."""
+    times = np.linspace(0.0, prof.T, 2 * prof.steps + 1)
+    if prof.matrix_fn is not None:
+        return functools.lru_cache(maxsize=1)(lambda j: prof.matrix_fn(float(times[j])))
+    rates = prof.rates(times)
+    return (rates[:, None] if prof.eigen is None else rates[:, prof.eigen.eigenspaces()]).__getitem__
 
-    Then S = s I and m = phi x0, with s' = -2ks + sigma^2, phi' = -k phi,
-    s(0) = 0 and phi(0) = 1, and player i's running cost accrues
-    (1/2) k^2 (s + phi^2 x0_i^2).  One scalar RK4 propagation on the same
-    half-step rates serves every player; the terminal penalty is
-    (c/2) (s |l_i|^2 + (l_i . m)^2).
-    """
+
+def _mode_weights(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
+    """e_i^T Pi e_i, l_i^T Pi l_i, e_i^T Pi x0 and l_i^T Pi x0 per player i
+    (row) and mode Pi (column; Pi = I for a scalar profile), the last two
+    None for x0 = None; Pi_lam l_i = -lam Pi_lam e_i."""
+    if prof.eigen is None:
+        ex, lx = (None, None) if x0 is None else (x0[:, None], (alignment_functionals(g) @ x0)[:, None])
+        return np.ones((g.n, 1)), 1.0 + _inverse_degrees(g.degrees)[:, None], ex, lx
+    v, starts = prof.eigen.eigenvectors, prof.eigen.eigenspaces()
+    lam = prof.eigen.eigenvalues[starts]
+    ee = np.add.reduceat(v * v, starts, axis=1)
+    if x0 is None:
+        return ee, ee * lam**2, None, None
+    ex = np.add.reduceat(v * (x0 @ v), starts, axis=1)
+    return ee, ee * lam**2, ex, -lam * ex
+
+
+def _modal_costs(g: Graph, prof: LinearProfile, sigma: float, c: float, x0: np.ndarray | None) -> np.ndarray:
+    """profile_costs for K(t) = sum_k p_k(t) Pi_k: S = sum_k s_k Pi_k and
+    m = sum_k phi_k Pi_k x0, with s_k' = -2 p_k s_k + sigma^2, s_k(0) = 0,
+    phi_k' = -p_k phi_k, phi_k(0) = 1.  Player i's running cost accrues
+    (1/2) sum_k p_k^2 s_k e_i^T Pi_k e_i + (1/2) (sum_k p_k phi_k e_i^T Pi_k x0)^2,
+    so one propagation carries int p_k^2 s_k / 2 per mode and, with x0,
+    R_kl = int p_k phi_k p_l phi_l / 2; the terminal penalty is
+    (c/2) (sum_k s_k l_i^T Pi_k l_i + (sum_k phi_k l_i^T Pi_k x0)^2)."""
     h = prof.T / prof.steps
     sig2 = sigma**2
-    rates = prof.stage_rates()
+    stage = _stages(prof)
+    modes = stage(0).size
 
-    def derivs(y, k):
-        s_cur, phi_cur = y[0], y[1]
-        half_k2 = 0.5 * k * k
-        return np.array([-2.0 * k * s_cur + sig2, -k * phi_cur, half_k2 * s_cur, half_k2 * phi_cur * phi_cur])
+    def derivs(y, p):
+        out = np.empty_like(y)
+        out[0] = -2.0 * p * y[0] + sig2
+        out[1] = -p * y[1]
+        out[2] = 0.5 * p * p * y[0]
+        if x0 is not None:
+            out[3:] = 0.5 * np.outer(p * y[1], p * y[1])
+        return out
 
-    y = np.array([0.0, 1.0, 0.0, 0.0])  # s, phi, and the running costs of s and of phi^2
+    y = np.zeros((3 if x0 is None else 3 + modes, modes))  # s, phi, the running cost of s, then R
+    y[1] = 1.0
     for j in range(prof.steps):
-        y = rk4_step(derivs, y, h, rates[2 * j : 2 * j + 3])
-    s, phi, run_s, run_m = y
-
-    costs = run_s + 0.5 * c * s * (1.0 + _inverse_degrees(g.degrees))
+        y = rk4_step(derivs, y, h, (stage(2 * j), stage(2 * j + 1), stage(2 * j + 2)))
+    s, phi, run_s = y[:3]
+    ee, ll, ex, lx = _mode_weights(g, prof, x0)
+    costs = ee @ run_s + 0.5 * c * (ll @ s)
     if x0 is not None:
-        costs += run_m * x0**2 + 0.5 * c * (phi * (alignment_functionals(g) @ x0)) ** 2
+        costs += np.einsum("ik,kl,il->i", ex, y[3:], ex) + 0.5 * c * (lx @ phi) ** 2
     return costs
 
 
@@ -299,52 +288,66 @@ def best_response(
 
     with l player i's terminal alignment functional, and the optimal
     control is -(e_i^T F(t)) x.  The returned value is
-    x0^T F(0) x0 / 2 + h(0).  _riccati solves the system in a basis that
-    holds F: B = I against a dense profile, B = [l, e_i] against a scalar
-    one.
+    x0^T F(0) x0 / 2 + h(0).  _riccati solves the system in the basis
+    _basis picks.
     """
     _check_profile(g, prof)
     if not 0 <= i < g.n:
         raise ParameterError(f"invalid player index {i}")
-    n = g.n
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (n,):
-            raise ParameterError(f"x0 must have length {n}")
-    ell = _alignment_row(g, i)
-    e_i = np.zeros(n)
+        if x0.shape != (g.n,):
+            raise ParameterError(f"x0 must have length {g.n}")
+    basis, gram, inputs = _basis(g, prof, i)
+    gw, g0, integral = _riccati(prof, c, *inputs, gram)
+    value = _best_values(gram, integral, g0, None if x0 is None else x0 @ basis, sigma)
+    return BestResponse(value=float(value), grid=prof.grid.copy(), feedback=gw @ basis.T)
+
+
+def _basis(g: Graph, prof: LinearProfile, i: int) -> tuple:
+    """Player i's basis B, whose columns are orthogonal, the diagonal of
+    B^T B, and _riccati's stage, w, u and a in B:
+
+    - dense K: B = I, so G = F, w = u = e_i, a = l_i and Kt = K;
+    - K = k I: B = [e_i, l_i - e_i] (l_i - e_i is 0 at i), Kt = k I_2 (one
+      rate, broadcast), w = u = (1, 0) and a = (1, 1) for every player;
+    - K = sum_lam p_lam Pi_lam: B = [Pi_lam e_i], Kt = diag(p_lam) as a
+      vector, w = (e_i^T Pi_lam e_i), u = 1, and a = -lam as l_i = -L e_i.
+    """
+    e_i = np.zeros(g.n)
     e_i[i] = 1.0
-    if prof.rate is None:
-        # B = I: G = F, w = u = e_i, a = l_i, and the coefficient is K itself.
-        gw, g0, integral = _riccati(prof, c, prof.stage_matrices(), e_i, e_i, ell, None)
-        feedback, gram, coords = gw, np.eye(n), x0
-    else:
-        inv_deg = float(_inverse_degrees(g.degrees[i]))
-        basis = np.column_stack((ell, e_i))
-        gw, g0, integral = _riccati(prof, c, *_scalar_basis(prof, inv_deg))
-        feedback, gram = gw @ basis.T, _scalar_grams(inv_deg)
-        coords = None if x0 is None else x0 @ basis
-    value = _best_values(gram, integral, g0, coords, sigma)[0]
-    return BestResponse(value=float(value), grid=prof.grid.copy(), feedback=feedback)
+    stage = _stages(prof)
+    if prof.matrix_fn is not None:
+        return np.eye(g.n), np.ones(g.n), (stage, e_i, e_i, _alignment_row(g, i))
+    if prof.eigen is None:
+        gram, w = np.array([1.0, _inverse_degrees(g.degrees[i])]), np.array([1.0, 0.0])
+        return np.column_stack((e_i, _alignment_row(g, i) - e_i)), gram, (stage, w, w, np.ones(2))
+    v, starts = prof.eigen.eigenvectors, prof.eigen.eigenspaces()
+    basis = np.add.reduceat(v * v[i], starts, axis=1)  # column lam: Pi_lam e_i
+    return basis, basis[i], (stage, basis[i], np.ones(starts.size), -prof.eigen.eigenvalues[starts])
 
 
 def _riccati(
-    prof: LinearProfile, c: float, coeffs: list, w: np.ndarray, u: np.ndarray, a: np.ndarray, rows: np.ndarray | None
+    prof: LinearProfile, c: float, stage: Callable, w: np.ndarray, u: np.ndarray, a: np.ndarray, gram: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """best_response's Riccati for F = B G B^T, in a basis B that holds F.
 
-    With w = B^T e_i, e_i = B u, l_i = B a, and K^T B = B Kt^T (coeffs
-    holds Kt on the half-step grid), the system becomes
+    With w = B^T e_i, e_i = B u, l_i = B a, and K^T B = B Kt^T (stage(j)
+    gives Kt at the j-th half-step time, a vector when diagonal), the
+    system becomes
 
         G' = G w w^T G + Kt^T G + G Kt - Kt^T u w^T G - G w u^T Kt,
         G(T) = c a a^T,
 
     and h(0) = (sigma^2/2) <B^T B, P> for P, the integral of G over
     [0, T], which is solved alongside as P' = -G, P(T) = 0.  The solve is
-    backward RK4 on the profile grid; G is re-symmetrized after every step,
-    and the solve stops once an entry of F exceeds RICCATI_BLOWUP_CAP.  Those
-    entries are the entries of R G R^T for the distinct rows R of B, given
-    as rows; rows=None stands for B = I, where F = G.
+    backward RK4 on the profile grid; G is re-symmetrized after every step.
+
+    B's columns are orthogonal and gram is the diagonal of B^T B, so
+    B = Q diag(sqrt(gram)) with Q's columns orthonormal and F = Q N Q^T for
+    N = diag(sqrt(gram)) G diag(sqrt(gram)).  The solve stops once ||N||_F
+    exceeds RICCATI_BLOWUP_CAP: as ||N||_F >= ||N||_2 = ||F||_2 >= max |F_rs|,
+    that is never looser than a check on F's entries (nor is a larger gram).
 
     Returns G w on the grid (row j gives the optimal feedback row
     e_i^T F = (G w)^T B^T at grid[j]), G(0) and P.
@@ -359,7 +362,8 @@ def _riccati(
     def rhs(y_cur, kt):
         g_cur = y_cur[0]
         row = w @ g_cur
-        half = kt.T @ (g_cur - u[:, None] * row)  # Kt^T G - Kt^T u w^T G
+        lhs = g_cur - u[:, None] * row
+        half = kt[:, None] * lhs if kt.ndim == 1 else kt.T @ lhs  # Kt^T G - Kt^T u w^T G
         out = np.empty_like(y_cur)
         np.multiply((g_cur @ w)[:, None], row, out=out[0])
         out[0] += half
@@ -368,10 +372,9 @@ def _riccati(
         return out
 
     for j in range(steps, 0, -1):
-        y = rk4_step(rhs, y, -dt, (coeffs[2 * j], coeffs[2 * j - 1], coeffs[2 * j - 2]))
+        y = rk4_step(rhs, y, -dt, (stage(2 * j), stage(2 * j - 1), stage(2 * j - 2)))
         g_mat = y[0] = 0.5 * (y[0] + y[0].T)
-        f_entries = g_mat if rows is None else rows @ g_mat @ rows.T
-        if np.abs(f_entries).max() > RICCATI_BLOWUP_CAP:
+        if gram @ (g_mat * g_mat) @ gram > RICCATI_BLOWUP_CAP**2:
             raise NumericError(
                 f"best-response Riccati norm exceeded {RICCATI_BLOWUP_CAP:g} "
                 f"near t = {prof.grid[j - 1]:.6g}"
@@ -380,36 +383,14 @@ def _riccati(
     return gw, y[0], y[1]
 
 
-def _scalar_basis(prof: LinearProfile, inv_deg: float) -> tuple:
-    """_riccati's coeffs, w, u, a and rows for a scalar profile.
-
-    In B = [l_i, e_i], Kt = k(t) I_2, w = (1, 1) and a = (1, 0) because
-    l_i has 1 at i, and u = (0, 1).  G then does not depend on the player.
-    F's largest entries are F_ii, from B's row (1, 1), and those at i's
-    neighbors, from their rows (-1/deg, 0); inv_deg is the 1/deg they are
-    checked at, and the largest 1/deg of the players served bounds them all.
-    """
-    eye = np.eye(2)
-    coeffs = [k * eye for k in prof.stage_rates()]
-    return coeffs, np.ones(2), eye[1], eye[0], np.array([[1.0, 1.0], [-inv_deg, 0.0]])
-
-
-def _scalar_grams(inv_deg) -> np.ndarray:
-    """B^T B = [[1 + 1/deg, 1], [1, 1]] for B = [l_i, e_i], per 1/deg given."""
-    grams = np.ones(np.shape(inv_deg) + (2, 2))
-    grams[..., 0, 0] += inv_deg
-    return grams
-
-
-def _best_values(grams: np.ndarray, integral: np.ndarray, g0: np.ndarray, coords, sigma: float) -> np.ndarray:
-    """x0^T F(0) x0 / 2 + h(0) from a _riccati solve, one value per B^T B
-    in grams: h(0) = (sigma^2/2) <B^T B, P> as a flat dot product, and
-    x0^T F(0) x0 = z^T G(0) z for z = B^T x0 (coords: one z per row, or
-    None for x0 = 0)."""
-    values = 0.5 * sigma**2 * (grams.reshape(-1, integral.size) @ integral.ravel())
+def _best_values(grams: np.ndarray, integral: np.ndarray, g0: np.ndarray, coords, sigma: float):
+    """x0^T F(0) x0 / 2 + h(0) from a _riccati solve: h(0) is
+    (sigma^2/2) <B^T B, P> for the diagonal of B^T B in grams, and
+    x0^T F(0) x0 = z^T G(0) z for z = B^T x0 in coords (None for x0 = 0).
+    Rows of grams and of coords (one per player) give a value per row."""
+    values = 0.5 * sigma**2 * (grams @ np.diagonal(integral))
     if coords is not None:
-        z = np.atleast_2d(coords)
-        values += 0.5 * np.einsum("pi,ij,pj->p", z, g0, z)
+        values = values + 0.5 * np.einsum("...i,ij,...j->...", coords, g0, coords)
     return values
 
 
@@ -472,16 +453,22 @@ def nash_audit(
     """
     _check_profile(g, prof)
     costs = profile_costs(g, prof, sigma, c, x0)
+    x0 = None if x0 is None else np.asarray(x0, dtype=float)
     if prof.tag == "mean_field":
         bounds = epsilon_bounds(g, c, prof.T, sigma).per_vertex
     else:
         bounds = np.zeros(g.n)
-    if prof.rate is not None:
-        # One 2x2 solve serves every player (see _scalar_basis).
-        inv_deg = _inverse_degrees(g.degrees)
-        _, g0, integral = _riccati(prof, c, *_scalar_basis(prof, float(inv_deg.max())))
-        coords = None if x0 is None else np.column_stack((alignment_functionals(g) @ x0, x0))
-        values = _best_values(_scalar_grams(inv_deg), integral, g0, coords, sigma)
+    if prof.matrix_fn is None and (prof.eigen is None or g.transitivity.is_transitive()):
+        # One small solve serves every player: G depends on the player only
+        # through w (see _basis), the same for all on a transitive graph.
+        ee, _, ex, lx = _mode_weights(g, prof, x0)
+        if prof.eigen is None:
+            grams = np.column_stack((ee, _inverse_degrees(g.degrees)))
+            coords = None if x0 is None else np.hstack((ex, lx - ex))
+        else:
+            grams, coords = ee, ex
+        _, g0, integral = _riccati(prof, c, *_basis(g, prof, 0)[2], grams.max(axis=0))
+        values = _best_values(grams, integral, g0, coords, sigma)
     else:
         values = [best_response(g, prof, i, c, sigma, x0).value for i in range(g.n)]
     players = []

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from graphflock.cli import _build_parser, main
+from graphflock.graphs import erdos_renyi
+from graphflock.spectral import laplacian
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,6 +55,16 @@ class TestBasicCommands:
         assert header == ["index", "eigenvalue"]
         assert np.allclose(sorted(rows[:, 1]), [-2, -1, -1, 0], atol=1e-12)
         assert config_line(out)["command"] == "spectrum"
+
+    def test_spectrum_irregular_graph(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"graph": {"kind": "erdos_renyi", "n": 10, "p": 0.5}, "seed": 4}))
+        code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+        assert code == 0 and err == ""
+        g = erdos_renyi(10, 0.5, seed=4)
+        assert not g.is_regular
+        expected = np.sort(np.linalg.eigvals(laplacian(g)).real)
+        assert np.abs(parse_csv(out)[1][:, 1] - expected).max() <= 1e-12
 
     def test_solve_f_dirac_is_linear(self, capsys):
         code, out, _ = run(capsys, "solve-f", "--measure", "dirac", "--c", "2.0", "--steps", "200")
@@ -141,6 +153,14 @@ class TestAuditAndSimulate:
         assert report["all_satisfied"] is True
         assert report["max_gap"] <= 1e-5
         assert len(report["players"]) == 5
+
+    def test_nash_audit_equilibrium_complete300(self, capsys):
+        # The dense stage table this audit once needed was 2747 MiB.
+        code, out, err = run(capsys, "nash-audit", "--graph", "complete:300", "--profile", "equilibrium")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["all_satisfied"] is True
+        assert len(report["players"]) == 300
 
     def test_nash_audit_mean_field(self, capsys):
         code, out, _ = run(
@@ -492,3 +512,10 @@ class TestThreadCap:
             "print(seen)\n"
         )
         assert _python(code, LG_THREADS="1") == "['1']"
+
+
+def test_readme_library_quickstart_runs(capsys):
+    section = (ROOT / "README.md").read_text().split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 4

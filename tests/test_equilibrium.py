@@ -439,6 +439,15 @@ class TestRiccatiResidual:
         with pytest.raises(DomainError):
             riccati_residual(k, 0, 0.5)
 
+    def test_reads_the_graphs_current_verdict(self):
+        g = regular_not_transitive()
+        g.transitivity = type(g.transitivity).UNKNOWN
+        with pytest.warns(RuntimeWarning):
+            k = kernel(g, steps=200)
+        verify_transitive(g)
+        with pytest.raises(DomainError):
+            riccati_residual(k, 0, 0.5)
+
 
 class TestCovarianceBound:
     def test_gamma_half_substitution(self):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from graphflock.equilibrium import build_kernel, state_law
+from graphflock.equilibrium import build_kernel, p_matrix, state_law
 from graphflock.errors import NumericError, ParameterError
 from graphflock.graphs import complete, cycle, edge_list_graph, erdos_renyi, torus
 from graphflock import montecarlo
@@ -20,7 +20,7 @@ from graphflock.montecarlo import (
     ensemble_stats,
     simulate,
 )
-from graphflock.strategies import custom_profile, equilibrium_profile, mf_profile, zero_profile
+from graphflock.strategies import LinearProfile, custom_profile, equilibrium_profile, mf_profile, zero_profile
 from graphflock.threads import available_cores, thread_count
 
 
@@ -154,14 +154,16 @@ class TestDrawPool:
 class TestEigenFrame:
     @pytest.mark.parametrize("g", [cycle(20), torus(3, 2), complete(10)], ids=["cycle20", "torus3_2", "complete10"])
     def test_spectral_form_matches_dense_profile(self, g):
-        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=200))
+        k = build_kernel(g, 1.0, 1.0, 1.0, steps=200)
+        prof = equilibrium_profile(k)
         for t in (0.0, 0.3, 0.71, 1.0):
-            dense = prof.eigen.reconstruct(prof.eigen_rates(t))
-            assert np.abs(dense - prof.at(t)).max() <= 1e-12
+            dense = prof.eigen.reconstruct(prof.rates(t))
+            assert np.abs(dense - p_matrix(k, t)).max() <= 1e-12
 
-    def test_never_builds_the_feedback_matrix(self):
+    def test_never_builds_the_feedback_matrix(self, monkeypatch):
         g = cycle(8)
-        prof = dataclasses.replace(equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=100)), matrix_fn=_refuse)
+        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=100))
+        monkeypatch.setattr(LinearProfile, "at", lambda self, t: _refuse(t))
         ens = simulate(g, prof, 1.0, SimConfig(16, 0.01, 4, (0.5, 1.0)))
         assert np.isfinite(ens.at(1.0)).all()
 
@@ -169,8 +171,7 @@ class TestEigenFrame:
         g = complete(2)
         prof = dataclasses.replace(
             equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=100)),
-            matrix_fn=_refuse,
-            eigen_rates=lambda t: np.full(2, -1e6),
+            rates=lambda t: np.full(2, -1e6),
         )
         with pytest.raises(NumericError, match=r"step \d+, path \d+"):
             simulate(g, prof, 1.0, SimConfig(8, 0.01, 0, (1.0,)))

@@ -117,6 +117,11 @@ class TestEigendecompose:
         with pytest.raises(NumericError, match="stored eigenvalues"):
             es.eigenvectors
 
+    def test_eigenspaces_group_equal_eigenvalues(self):
+        # cycle(6): -2, then -3/2 and -1/2 twice each, then 0.
+        assert laplacian_eigensystem(cycle(6)).eigenspaces().tolist() == [0, 1, 3, 5]
+        assert laplacian_eigensystem(complete(5)).eigenspaces().tolist() == [0, 4]
+
     def test_zero_eigenvector_constant_when_connected(self):
         es = laplacian_eigensystem(cycle(9))
         v = es.eigenvectors[:, -1]  # eigenvalue 0 is last in ascending order

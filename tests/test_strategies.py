@@ -1,13 +1,15 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from graphflock import strategies
+from graphflock.cooperative import coop_kernel, coop_profile
 from graphflock.equilibrium import build_kernel, game_value, p_matrix
 from graphflock.errors import NumericError, ParameterError
-from graphflock.graphs import complete, cycle, edge_list_graph, erdos_renyi, torus
+from graphflock.graphs import complete, cycle, edge_list_graph, erdos_renyi, torus, verify_transitive
 from graphflock.strategies import (
     LinearProfile,
     _alignment_row,
@@ -83,7 +85,7 @@ class TestScalarReduction:
         g = REDUCTION_GRAPHS[graph]()
         c, T, sigma, steps = 1.3, 1.0, 0.8, 200
         prof = mf_profile(g, c, T, steps) if kind == "mean_field" else zero_profile(g, T, steps)
-        assert prof.rate is not None
+        assert prof.rates is not None
         dense = custom_profile(g, T, prof.at, steps)
         x0 = np.random.default_rng(5).normal(size=g.n) if with_x0 else None
         assert np.abs(profile_costs(g, prof, sigma, c, x0) - profile_costs(g, dense, sigma, c, x0)).max() <= 1e-12
@@ -94,28 +96,82 @@ class TestScalarReduction:
             assert abs(values[i] - ref.value) <= 1e-12
             assert np.abs(fast.feedback - ref.feedback).max() <= 1e-12
 
-    def test_audit_builds_no_stage_matrices(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("dense stage matrices built for a scalar profile")
+    @pytest.mark.parametrize("kind", ["mean_field", "equilibrium"])
+    def test_audit_builds_no_feedback_matrix(self, monkeypatch, kind):
+        def refuse(self, t):
+            raise AssertionError("dense feedback matrix built for a modal profile")
 
-        monkeypatch.setattr(LinearProfile, "stage_matrices", refuse)
-        g = erdos_renyi(50, 0.3, seed=7)
-        report = nash_audit(g, mf_profile(g, 1.0, 1.0, steps=100), c=1.0, sigma=1.0)
+        monkeypatch.setattr(LinearProfile, "at", refuse)
+        g = erdos_renyi(50, 0.3, seed=7) if kind == "mean_field" else torus(4, 2)
+        if kind == "mean_field":
+            prof = mf_profile(g, 1.0, 1.0, steps=100)
+        else:
+            prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=100))
+        report = nash_audit(g, prof, c=1.0, sigma=1.0)
         assert report["all_satisfied"]
 
 
-class TestStageCacheBudget:
-    def test_over_budget_raises_before_evaluating(self, monkeypatch):
-        g, steps = cycle(6), 100
-        evaluated = []
-        prof = custom_profile(g, 1.0, lambda t: evaluated.append(t) or np.eye(6), steps=steps)
-        size = (2 * steps + 1) * g.n**2 * 8
-        monkeypatch.setattr(strategies, "STAGE_CACHE_BUDGET", size - 1)
-        with pytest.raises(ParameterError, match="budget"):
-            nash_audit(g, prof, c=1.0, sigma=1.0)
-        assert evaluated == []
-        monkeypatch.setattr(strategies, "STAGE_CACHE_BUDGET", size)
-        assert len(prof.stage_matrices()) == 2 * steps + 1
+def regular_not_transitive():
+    # K_4 disjoint from K_{3,3}: 3-regular, but no automorphism maps one to the other.
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    edges += [(4 + a, 7 + b) for a in range(3) for b in range(3)]
+    g = edge_list_graph(edges, n=10, one_based=False)
+    verify_transitive(g)
+    return g
+
+
+SPECTRAL_GRAPHS = {
+    "complete5": lambda: complete(5),
+    "cycle6": lambda: cycle(6),
+    "torus3x2": lambda: torus(3, 2),
+    "complete2": lambda: complete(2),
+    "cycle20": lambda: cycle(20),
+    "complete30": lambda: complete(30),
+    "k4_k33": regular_not_transitive,
+}
+
+
+class TestSpectralReduction:
+    """Spectral profiles (K = sum_lam p_lam Pi_lam) are solved in L's
+    eigenspaces; the dense path on the same matrices is the reference."""
+
+    @pytest.mark.filterwarnings("ignore:graph transitivity:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["equilibrium", "coop"])
+    @pytest.mark.parametrize("with_x0", [False, True], ids=["x0=0", "x0"])
+    @pytest.mark.parametrize("graph", sorted(SPECTRAL_GRAPHS))
+    def test_matches_dense(self, graph, with_x0, kind):
+        g = SPECTRAL_GRAPHS[graph]()
+        c, T, sigma, steps = 1.3, 1.0, 0.8, 200
+        if kind == "equilibrium":
+            prof = equilibrium_profile(build_kernel(g, c, T, sigma, steps=steps))
+        else:
+            prof = coop_profile(coop_kernel(g, c, T, sigma), steps)
+        assert prof.eigen is not None and prof.tag == kind
+        dense = custom_profile(g, T, prof.at, steps)
+        x0 = np.random.default_rng(5).normal(size=g.n) if with_x0 else None
+        assert np.abs(profile_costs(g, prof, sigma, c, x0) - profile_costs(g, dense, sigma, c, x0)).max() <= 1e-12
+        values = [p["best_response_value"] for p in nash_audit(g, prof, c, sigma, x0)["players"]]
+        for i in range(g.n):
+            fast, ref = best_response(g, prof, i, c, sigma, x0), best_response(g, dense, i, c, sigma, x0)
+            assert abs(fast.value - ref.value) <= 1e-12
+            assert abs(values[i] - ref.value) <= 1e-12
+            assert np.abs(fast.feedback - ref.feedback).max() <= 1e-12
+
+
+class TestDenseMemory:
+    def test_audit_holds_no_stage_table(self):
+        # A table of K on the 801 half-step times would take 801 * 60^2 * 8 B = 23 MB.
+        g = cycle(60)
+        eye = np.eye(g.n)
+        prof = custom_profile(g, 1.0, lambda t: (1.0 + t) * eye, steps=400)
+        tracemalloc.start()
+        try:
+            report = nash_audit(g, prof, c=1.0, sigma=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report["players"]) == g.n
+        assert peak < 4 * 2**20
 
 
 class TestRiccatiReference:
@@ -234,6 +290,13 @@ class TestBestResponse:
     def test_blowup_capped(self):
         g = complete(2)
         destabilizing = custom_profile(g, T=1.0, matrix_fn=lambda t: -1e4 * np.eye(2), steps=200)
+        with pytest.raises(NumericError):
+            best_response(g, destabilizing, 0, c=1.0, sigma=1.0)
+
+    def test_blowup_capped_spectral(self):
+        g = complete(2)
+        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=200))
+        destabilizing = dataclasses.replace(prof, rates=lambda t: np.full(np.shape(t) + (g.n,), -1e4))
         with pytest.raises(NumericError):
             best_response(g, destabilizing, 0, c=1.0, sigma=1.0)
 
