@@ -269,7 +269,7 @@ def _cmd_value(args) -> None:
 
 def _limit_curves(pairs, steps: int, ts) -> list:
     """Variance curve at times ts for each (measure, c) pair, T = sigma = 1:
-    one RK4 loop solves every schedule, one walk gives each curve."""
+    one solve per schedule, one walk per curve."""
     from . import equilibrium, flow
 
     schedules = flow.solve_f_sweep(pairs, 1.0, steps)

@@ -6,22 +6,30 @@ For a spectral measure mu, define
     Q'(x) = Q(x) * integral of (-lam) / (1 - x*lam) dmu(lam).
 
 The flocking schedule f solves f'(t) = c * Q'(f(t)), f(0) = 0, and feeds
-every equilibrium quantity through f(T - t).  Q' is bounded in (0, 1] and
-globally 4-Lipschitz, so a fixed-step RK4 integrator is accurate and
-stiffness-free; off-grid values use shape-preserving (PCHIP) interpolation.
+every equilibrium quantity through f(T - t).  The ODE is autonomous, so f
+inverts t = Phi(f)/c, Phi(f) = integral of dx/Q'(x) over [0, f].  With
+x = cT u^2, Psi(u) = Phi(x)/(cT) integrates G(u) = 2u / Q'(cT u^2), which
+is analytic on u in [0, 1] (Q' is in (0, 1] for x >= 0 and singular only
+at x = 1/lam <= -1/2).  solve_f interpolates G at Chebyshev points, doubling
+the degree until the series' tail is chopped, integrates the series and
+inverts Psi(u) = t/T by safeguarded Newton (Trefethen, Approximation Theory
+and Approximation Practice, 2013; Aurentz & Trefethen, "Chopping a
+Chebyshev series", 2017), so f is exact to rounding at any t.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from numpy.polynomial.chebyshev import chebint
+from scipy.fft import dct
 
 from .errors import DomainError, NumericError, ParameterError
 from .spectral import SpectralMeasure
 
-#: Default RK4 step count for solve_f.
+#: Default step count of solve_f's output grid.
 DEFAULT_ODE_STEPS = 2000
 
 #: Minimum step count accepted by solve_f.
@@ -32,6 +40,14 @@ BOUND_TOL = 1e-8
 
 #: Convergence target for the cycle closed form's scalar root-find.
 PHI_INVERSE_TOL = 1e-12
+
+#: G's Chebyshev coefficients below CHOP_TOL times the largest are chopped.
+#: The degree starts at MIN_DEGREE and doubles; above MAX_DEGREE it fails.
+CHOP_TOL, MIN_DEGREE, MAX_DEGREE = 1e-14, 16, 4096
+
+#: Newton stops at |Psi(u) - t/T| <= NEWTON_TOL * sum |Psi's coefficients|,
+#: a bound on Clenshaw's rounding, or fails after NEWTON_MAX_ITER steps.
+NEWTON_TOL, NEWTON_MAX_ITER = 8 * np.finfo(float).eps, 100
 
 
 def q_eval(mu: SpectralMeasure, x: float) -> tuple[float, float]:
@@ -51,39 +67,121 @@ def q_eval(mu: SpectralMeasure, x: float) -> tuple[float, float]:
 
 
 def _q_pair(nodes, weights, x):
-    """(Q(x), Q'(x)) for the rule (nodes, weights): a scalar x against one
-    rule, a column of x values against one rule, or one x per row of a
-    stacked (S, N) rule.  Every reduction is a row-wise dot, which on one
-    row is the same BLAS dot as `@`: solve_f's RK4 loop is hot."""
+    """(Q(x), Q'(x)) for the rule (nodes, weights): a scalar x, or a column
+    of x values.  Every reduction is a row-wise dot, so an x gets the same
+    bits alone as in a column (rhs takes one slope or many)."""
     resolvent = 1.0 - x * nodes
     q = np.exp(np.vecdot(np.log(resolvent), weights))
     return q, -q * np.vecdot(nodes / resolvent, weights)
 
 
-@dataclass
+def _clenshaw(coef, s):
+    """sum_k coef[k] T_k(s) for a list of floats coef, at a float or an array s."""
+    b1 = b2 = 0.0
+    for a in coef[:0:-1]:
+        b1, b2 = a + (s + s) * b1 - b2, b1
+    return coef[0] + s * b1 - b2
+
+
+def _chebyshev_series(mu: SpectralMeasure, scale: float):
+    """(coefficients in s = 2u - 1, chopped tail / largest, ascending points
+    u) of G(u) = 2u / Q'(scale u^2) interpolated on [0, 1].  A degree is kept
+    once its top quarter of coefficients is chopped, so the rest are resolved,
+    and it matches G to within its interpolation error at a probe in G's bend
+    near u = 0 (about scale^-1/2 wide), which a large scale puts short of
+    every point."""
+    probe = min(0.5, 0.25 / math.sqrt(scale))
+    n = MIN_DEGREE
+    while n <= MAX_DEGREE:
+        u = np.append(0.5 + 0.5 * np.cos(np.pi * np.arange(n + 1) / n), probe)  # descending; u[n] = 0
+        qp = _q_pair(mu.nodes, mu.weights, (scale * u * u)[:, None])[1]
+        if not np.all((0.0 < qp) & (qp <= 1.0 + BOUND_TOL)):  # q_eval's envelope
+            raise NumericError(f"Q' escapes its envelope (0, 1] on [0, {scale:.6g}]")
+        g = 2.0 * u / qp
+        coef = dct(g[:-1], type=1) / n
+        coef[[0, n]] *= 0.5
+        size = np.abs(coef)
+        keep = np.flatnonzero(size > CHOP_TOL * size.max())[-1] + 1
+        miss = abs(_clenshaw(coef[:keep].tolist(), 2.0 * probe - 1.0) - g[-1])
+        if keep <= 3 * n // 4 and miss <= 2.0 * size[keep:].sum() + CHOP_TOL * size.max():
+            return coef[:keep], float(size[keep:].max() / size.max()), u[-2::-1]
+        n *= 2
+    raise NumericError(f"the schedule's Chebyshev series needs a degree above {MAX_DEGREE} at c*T = {scale:.6g}")
+
+
+def _invert(series, tau, table_tau, table_u):
+    """(u, residuals) with Psi(u) = tau over an array tau, by Newton from the
+    ascending table table_tau = Psi(table_u), interpolated linearly in u^2
+    (exact where Psi is a multiple of u^2), with a bisection fallback inside
+    the bracketing table entries."""
+    slope, integral, tol = series
+    j = np.clip(np.searchsorted(table_tau, tau), 1, table_tau.size - 1)
+    lo, hi = table_u[j - 1], table_u[j]
+    w = np.clip((tau - table_tau[j - 1]) / (table_tau[j] - table_tau[j - 1]), 0.0, 1.0)
+    u = np.sqrt(lo * lo + w * (hi * hi - lo * lo))
+    for _ in range(NEWTON_MAX_ITER):
+        residual = _clenshaw(integral, 2.0 * u - 1.0) - tau
+        active = np.abs(residual) > tol
+        if not active.any():
+            return u, residual
+        lo, hi = np.where(residual < 0.0, u, lo), np.where(residual > 0.0, u, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):  # G(0) = 0 at a converged u = 0: step unused
+            step = u - residual / _clenshaw(slope, 2.0 * u - 1.0)
+        u = np.where(active, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)), u)
+    raise NumericError(f"the schedule's Newton inversion did not converge in {NEWTON_MAX_ITER} steps")
+
+
+def _invert_one(series, tau: float, lo: float, hi: float, u: float) -> float:
+    """_invert's Newton for one time from u in [lo, hi], in plain floats."""
+    slope, integral, tol = series
+    for _ in range(NEWTON_MAX_ITER):
+        residual = _clenshaw(integral, 2.0 * u - 1.0) - tau
+        if abs(residual) <= tol:
+            return u
+        lo, hi = (u, hi) if residual < 0.0 else (lo, u)
+        step = u - residual / _clenshaw(slope, 2.0 * u - 1.0)
+        u = step if lo < step < hi else 0.5 * (lo + hi)
+    raise NumericError(f"the schedule's Newton inversion did not converge in {NEWTON_MAX_ITER} steps")
+
+
+@dataclass(frozen=True)
 class FlockingSchedule:
-    """Tabulated solution of f' = c*Q'(f) on a uniform grid of [0, T]."""
+    """Solution of f' = c*Q'(f) on a uniform grid of [0, T], with the series
+    that gives f exactly between the grid's nodes.  Health of the solve:
+    degree of G's series, chop_tail (its largest chopped coefficient over
+    its largest, <= CHOP_TOL), newton_residual (largest |Psi(u) - t/T| left
+    on the grid)."""
 
     c: float
     T: float
     grid: np.ndarray
     f_values: np.ndarray
     measure: SpectralMeasure
-    _interp: PchipInterpolator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._interp = PchipInterpolator(self.grid, self.f_values)
+    degree: int
+    chop_tail: float
+    newton_residual: float
+    _series: tuple = field(repr=False)  # G's and Psi's coefficients as lists, Newton's tolerance
+    _u: np.ndarray = field(repr=False)  # sqrt(f / (cT)) on the grid
 
     @property
     def steps(self) -> int:
         return self.grid.size - 1
 
     def value(self, t):
-        """f(t) for t in [0, T]; monotone cubic between grid nodes."""
+        """f(t) for t in [0, T], by Newton from the grid values around t."""
+        T = self.T
+        if isinstance(t, float) and -1e-9 <= t <= T + 1e-9:  # one time: numpy is slow on tiny arrays
+            tau = min(max(float(t), 0.0), T) / T
+            j = min(max(int(self.grid.searchsorted(t)), 1), self.steps)  # as _invert brackets tau
+            lo, hi, t0, t1 = float(self._u[j - 1]), float(self._u[j]), self.grid[j - 1] / T, self.grid[j] / T
+            w = min(max((tau - t0) / (t1 - t0), 0.0), 1.0)
+            u = _invert_one(self._series, tau, lo, hi, math.sqrt(lo * lo + w * (hi * hi - lo * lo)))
+            return self.c * T * (u * u)
         t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-9) or np.any(t > self.T + 1e-9):
-            raise ParameterError(f"schedule evaluated outside [0, {self.T}]")
-        out = self._interp(np.clip(t, 0.0, self.T))
+        if np.any(t < -1e-9) or np.any(t > T + 1e-9):
+            raise ParameterError(f"schedule evaluated outside [0, {T}]")
+        u = _invert(self._series, np.clip(t, 0.0, T) / T, self.grid / T, self._u)[0]
+        out = self.c * T * (u * u)
         return float(out) if out.ndim == 0 else out
 
     def slope(self, t):
@@ -116,62 +214,43 @@ def rk4_step(rhs, y, h, stages=(None, None, None)):
 def solve_f(
     mu: SpectralMeasure, c: float, T: float, steps: int = DEFAULT_ODE_STEPS
 ) -> FlockingSchedule:
-    """Solve f' = c*Q'(f), f(0) = 0, by classical RK4 with fixed step T/steps.
+    """Solve f' = c*Q'(f), f(0) = 0, on the uniform grid of [0, T] with
+    steps intervals, by inverting Phi (module docstring); steps sets only
+    the output grid, not the cost of the solve.
 
     The returned schedule is checked against the analytic envelope
     0 <= f(t) <= c*t, the slope monotonicity implied by concavity, and the
     Taylor lower bound c*t - (c^2 t^2/2 + c^3 t^3/6) * Var(mu); violations
-    raise NumericError since they indicate quadrature or step-size failure.
+    raise NumericError since they indicate quadrature or series failure, as
+    do a degree above MAX_DEGREE and a Newton failure.
     """
-    (schedule,) = solve_f_sweep([(mu, c)], T, steps)
+    c, T = float(c), float(T)
+    if not (0.0 < c < np.inf and 0.0 < T < np.inf):
+        raise ParameterError(f"solve_f needs finite c > 0 and T > 0, got c={c}, T={T}")
+    if steps < MIN_ODE_STEPS:
+        raise ParameterError(f"solve_f needs steps >= {MIN_ODE_STEPS}, got {steps}")
+    if c * T == np.inf:
+        raise NumericError(f"c*T overflows at c={c}, T={T}")
+    slope, chop_tail, nodes = _chebyshev_series(mu, c * T)
+    integral = chebint(slope, lbnd=-1.0, scl=0.5)
+    series = (slope.tolist(), integral.tolist(), NEWTON_TOL * float(np.abs(integral).sum()))
+    table = _clenshaw(series[1], 2.0 * nodes - 1.0)
+    table[0] = 0.0  # Psi(0) = 0 exactly, so t = 0 starts, and stays, at u = 0
+    grid = np.linspace(0.0, T, steps + 1)
+    u, residual = _invert(series, grid / T, table, nodes)
+    schedule = FlockingSchedule(
+        c, T, grid, c * T * (u * u), mu, slope.size - 1, chop_tail, float(np.abs(residual).max()), series, u
+    )
+    _check_schedule(schedule)
     return schedule
 
 
 def solve_f_sweep(pairs, T: float, steps: int = DEFAULT_ODE_STEPS) -> list[FlockingSchedule]:
-    """solve_f for every (mu, c) in pairs on one grid of [0, T], as one RK4
-    loop over the stacked rules.
-
-    Row r of the stacked (S, N) nodes and weights holds pair r's rule,
-    padded with nodes 0 and weights 0, which add exactly nothing to Q.  A
-    row that needs no padding (the widest rule, or any sweep of one) runs
-    the same float operations as a solve of its own, bit for bit; a padded
-    row's dots may group their terms differently, which moves f by a few
-    ulps at most.  Each schedule carries its own measure and is checked as
-    solve_f checks it.
-    """
+    """solve_f for every (mu, c) in pairs on one grid of [0, T]."""
     pairs = list(pairs)
     if not pairs:
         raise ParameterError("solve_f_sweep needs at least one (measure, c) pair")
-    c = np.array([float(ci) for _, ci in pairs])
-    if not (np.all((0.0 < c) & (c < np.inf)) and 0.0 < T < np.inf):
-        raise ParameterError(f"solve_f needs finite c > 0 and T > 0, got c={c.tolist()}, T={T}")
-    if steps < MIN_ODE_STEPS:
-        raise ParameterError(f"solve_f needs steps >= {MIN_ODE_STEPS}, got {steps}")
-    width = max(mu.nodes.size for mu, _ in pairs)
-    nodes, weights = np.zeros((len(pairs), width)), np.zeros((len(pairs), width))
-    for row, (mu, _) in enumerate(pairs):
-        nodes[row, : mu.nodes.size] = mu.nodes
-        weights[row, : mu.weights.size] = mu.weights
-    column = (slice(None), None)  # f[column][r] meets row r of the rule
-    if len(pairs) == 1:  # one unstacked rule keeps f and c scalars: numpy is slow on tiny arrays
-        nodes, weights, c, column = nodes[0], weights[0], c[0], ()
-    h = T / steps
-    grid = np.linspace(0.0, T, steps + 1)
-    f_values = np.empty((steps + 1, *np.shape(c)))
-    f_values[0] = f = 0.0 * c
-
-    def slope(x, _):
-        return c * _q_pair(nodes, weights, x[column])[1]
-
-    for k in range(steps):
-        f_values[k + 1] = f = rk4_step(slope, f, h)
-    schedules = [
-        FlockingSchedule(c=float(ci), T=float(T), grid=grid, f_values=values, measure=mu)
-        for values, (mu, ci) in zip(f_values.reshape(steps + 1, -1).T.copy(), pairs)
-    ]
-    for schedule in schedules:
-        _check_schedule(schedule)
-    return schedules
+    return [solve_f(mu, c, T, steps) for mu, c in pairs]
 
 
 def _check_schedule(s: FlockingSchedule) -> None:

@@ -305,6 +305,9 @@ class TestConfigAndErrors:
             "coop --graph cycle:6 --c 1e300 --t 0.5",
             "variance-curve --measure cycle --c 1e300 --t 0.5",
             "variance-curve --graph cycle:6 --c 1e200 --t-grid 0:1:3",
+            "solve-f --measure cycle --c 1e300",
+            "value --measure cycle --c 1e4",
+            "solve-f --measure cycle --c 1e308 --T 100",
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -322,6 +325,16 @@ class TestConfigAndErrors:
             json.loads(out.splitlines()[0][len("# config: "):], parse_constant=_refuse_constant)
             _, rows = parse_csv(out)
             assert np.isfinite(rows).all()
+
+    @pytest.mark.parametrize("cap", [("MAX_DEGREE", 32), ("NEWTON_MAX_ITER", 1)], ids=["degree", "newton"])
+    def test_schedule_solve_failure_exits_3(self, capsys, monkeypatch, cap):
+        from graphflock import flow
+
+        monkeypatch.setattr(flow, *cap)
+        code, out, err = run(capsys, "solve-f", "--measure", "cycle", "--c", "100")
+        assert code == 3 and out == ""
+        assert err.startswith("error[numeric]:")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", ["coop --graph cycle:6 --t 0.5", "value --measure dirac"])
     def test_non_finite_output_exits_3(self, capsys, monkeypatch, argv):

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from graphflock.equilibrium import limit_variance
-from graphflock.errors import ParameterError
-from graphflock.flow import _phi, cycle_closed_form, q_eval, solve_f, solve_f_sweep
+from graphflock import flow
+from graphflock.equilibrium import limit_value, limit_variance
+from graphflock.errors import NumericError, ParameterError
+from graphflock.flow import CHOP_TOL, _phi, cycle_closed_form, q_eval, solve_f, solve_f_sweep
 from graphflock.graphs import cycle
 from graphflock.spectral import empirical_measure, limit_measure
 
@@ -173,7 +177,6 @@ FIG2_SWEEP = [(limit_measure("torus_limit", d=d), 1.0) for d in (1, 2, 4)] + [(F
 class TestSolveFSweep:
     @pytest.mark.parametrize("pairs", [FIG1_SWEEP, FIG2_SWEEP], ids=["fig1", "fig2"])
     def test_equals_separate_solves(self, pairs):
-        # The 1-node Dirac rows are padded to 64 nodes; zeros change no sum.
         for (mu, c), s in zip(pairs, solve_f_sweep(pairs, 1.0, 500)):
             alone = solve_f(mu, c, 1.0, 500)
             assert s.measure is mu and s.c == c
@@ -182,7 +185,7 @@ class TestSolveFSweep:
             limit_variance(mu, s, 1.0, 0.5)  # the schedule is built from mu
 
     def test_padded_wide_rows_stay_within_ulps(self):
-        # Rows of 1, 10, 64 and 256 nodes: padding may regroup a row's dot.
+        # Rules of 1, 10, 64 and 256 nodes in one sweep.
         pairs = [
             (FAMILY["kesten_mckay_3"], 2.0),
             (FAMILY["cycle_limit"], 0.7),
@@ -200,6 +203,70 @@ class TestSolveFSweep:
     def test_rejects_empty_sweep(self):
         with pytest.raises(ParameterError):
             solve_f_sweep([], 1.0, 200)
+
+
+def dop853_schedule(mu, c, ts):
+    """f at the times ts by DOP853 on f' = c*Q'(f): a reference made apart from solve_f."""
+    sol = solve_ivp(
+        lambda t, y: c * q_eval(mu, float(y[0]))[1], (0.0, ts[-1]), [0.0], method="DOP853", rtol=1e-13, atol=1e-15, t_eval=ts
+    )
+    return sol.y[0]
+
+
+class TestInverseSchedule:
+    def test_exact_on_and_off_the_grid(self):
+        mu = FAMILY["cycle_limit"]
+        s = solve_f(mu, 100.0, 1.0, 2000)
+        mid = s.grid[:-1] + 0.5 * (s.grid[1] - s.grid[0])
+        for ts, f in ((s.grid, s.f_values), (mid, s.value(mid))):
+            closed = np.array([cycle_closed_form(100.0, t) for t in ts])
+            assert np.all(np.abs(f - closed) <= 1e-10 * np.maximum(1.0, closed))
+        s = solve_f(mu, 5.0, 1.0, 2000)
+        assert np.abs(s.value(mid) - dop853_schedule(mu, 5.0, mid)).max() <= 1e-12
+
+    @pytest.mark.parametrize("c", [1e3, 1e4])
+    @pytest.mark.parametrize("mu", [FAMILY["cycle_limit"], empirical_measure(cycle(1000))], ids=["cycle_limit", "cycle1000"])
+    def test_limit_value_at_large_c(self, mu, c):
+        f_T = dop853_schedule(mu, c, [1.0])[-1]
+        reference = -0.5 * math.log(mu.integrate(lambda lam: -lam / (1.0 - lam * f_T)))
+        assert abs(limit_value(mu, solve_f(mu, c, 1.0), 1.0) - reference) <= 1e-10
+
+    def test_solve_cost_does_not_depend_on_steps(self, monkeypatch):
+        points, q_pair = [], flow._q_pair
+        monkeypatch.setattr(flow, "_q_pair", lambda nodes, weights, x: points.append(np.size(x)) or q_pair(nodes, weights, x))
+        counts = []
+        for steps in (100, 20000):
+            points.clear()
+            solve_f(FAMILY["torus_2"], 5.0, 1.0, steps)
+            counts.append(sum(points))
+        assert counts[0] == counts[1] > 0
+
+    def test_refuses_a_series_that_misses_the_bend(self):
+        # At c*T = 1e10 G bends near u = 1e-5, short of every point of degree 16, where G looks
+        # linear: a chop on those points alone keeps degree 1, 8.5e-8 off DOP853 at t = 0.001.
+        mu, ts = FAMILY["kesten_mckay_3"], np.array([1e-3, 0.5, 1.0])
+        s = solve_f(mu, 1e9, 1.0, 200)
+        assert np.abs(s.value(ts) / dop853_schedule(mu, 1e9, ts) - 1.0).max() <= 1e-12
+        with pytest.raises(NumericError):
+            solve_f(mu, 1e10, 1.0, 200)
+
+    @pytest.mark.parametrize("name", sorted(FAMILY))
+    def test_health_numbers(self, name):
+        s = solve_f(FAMILY[name], 5.0, 1.0, 200)
+        assert 1 <= s.degree <= flow.MAX_DEGREE
+        assert 0.0 <= s.chop_tail <= CHOP_TOL
+        assert 0.0 <= s.newton_residual <= 1e-14
+        with pytest.raises(AttributeError):
+            s.degree = 0
+        if name == "dirac":
+            assert s.degree == 1  # G(u) = 2u
+
+    def test_float_and_array_values_agree(self):
+        s = solve_f(FAMILY["kesten_mckay_3"], 2.0, 1.0, 200)
+        ts = np.array([0.0, 1e-4, 0.3, 0.0051, 0.5, 1.0 - 1e-12, 1.0])
+        ts = np.concatenate([ts, np.nextafter(s.grid[1:-1], 0.0), np.nextafter(s.grid[1:-1], 1.0)])
+        assert np.array_equal(s.value(s.grid), s.f_values)
+        assert np.allclose([s.value(float(t)) for t in ts], s.value(ts), rtol=1e-14, atol=0.0)
 
 
 class TestCycleClosedForm:
