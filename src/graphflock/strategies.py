@@ -2,10 +2,11 @@
 
 A LinearProfile assigns every player the feedback control
 alpha_i(t, x) = -(row i of K(t)) . x.  Costs under a profile are computed
-by deterministic moment propagation; best responses against a frozen
-profile reduce to a backward matrix Riccati equation (derivation in
-best_response).  Together they quantify how far any profile is from
-equilibrium, which is what the Nash and epsilon-Nash audits report.
+by deterministic moment propagation; a best response against a frozen
+profile has a rank-one value matrix F = phi phi^T, so it is one backward
+vector ODE for phi (derivation in best_response).  Together they quantify
+how far any profile is from equilibrium, which is what the Nash and
+epsilon-Nash audits report.
 
 A profile has one form.  A modal one is diagonal over a few modes: K(t)
 is k(t) I for a scalar profile (mean-field, zero), and sum_lam p_lam(t)
@@ -13,11 +14,11 @@ Pi_lam over L's eigenspaces for a spectral one (the equilibrium, the
 planner on regular graphs); its rates are evaluated on the whole
 half-step grid at once, and its costs come from a few ODEs per mode.  A
 dense profile (custom, the planner elsewhere) gives K(t) as a matrix,
-evaluated one RK4 step at a time.  The one Riccati solver writes player
-i's matrix as F = B G B^T in a basis B that _basis picks from the form; G
-depends on the player only through w = B^T e_i, so for a scalar profile,
-and for a spectral one on a transitive graph, an audit is one small
-solve.  Every solver steps with flow.rk4_step.
+evaluated one RK4 step at a time.  A best response's phi lies in a
+basis B (_basis) picked from the form, where its ODE sees the player only
+through a column (_players), so _rank_one solves a whole audit at once:
+one column for a scalar profile, or a spectral one on a transitive graph,
+else one per player.  Every solver steps with flow.rk4_step.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from .graphs import Graph
 from .equilibrium import EquilibriumKernel, p_eigenvalues
 from .spectral import EigenSystem
 
-#: Abort threshold for the backward Riccati solve; this game's Riccati is
-#: globally solvable, so exceeding it means a bug or a pathological profile.
+#: Abort threshold on a best response's |phi|^2 = ||F||_2 >= max |F_rs|;
+#: this game's Riccati is globally solvable, so exceeding it means a bug or
+#: a pathological profile.
 RICCATI_BLOWUP_CAP = 1e8
 
 
@@ -113,15 +115,6 @@ def alignment_functionals(g: Graph) -> np.ndarray:
     return out
 
 
-def _alignment_row(g: Graph, i: int) -> np.ndarray:
-    """Row i of alignment_functionals(g), without the other n - 1 rows."""
-    row = np.zeros(g.n)
-    row[i] = 1.0
-    if g.degrees[i] > 0:
-        row -= g.adjacency[i] / g.degrees[i]
-    return row
-
-
 def _inverse_degrees(degrees: np.ndarray) -> np.ndarray:
     """1/deg, the weight of each neighbor in l_i, or 0 for an isolated
     vertex; |l_i|^2 is 1 plus this."""
@@ -171,7 +164,7 @@ def profile_costs(
         out = np.empty_like(y_cur)
         out[:n] = -kmat @ s_cur - s_cur @ kmat.T + sig2 * eye
         out[n] = -kmat @ m_cur
-        out[n + 1] = 0.5 * np.einsum("ij,jk,ik->i", kmat, second, kmat)
+        out[n + 1] = 0.5 * np.vecdot(kmat @ second, kmat)
         return out
 
     for j in range(prof.steps):
@@ -180,7 +173,7 @@ def profile_costs(
 
     functionals = alignment_functionals(g)
     second = y[:n] + np.outer(y[n], y[n])
-    return y[n + 1] + 0.5 * c * np.einsum("ij,jk,ik->i", functionals, second, functionals)
+    return y[n + 1] + 0.5 * c * np.vecdot(functionals @ second, functionals)
 
 
 def _stages(prof: LinearProfile) -> Callable[[int], np.ndarray]:
@@ -197,15 +190,21 @@ def _stages(prof: LinearProfile) -> Callable[[int], np.ndarray]:
 def _mode_weights(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
     """e_i^T Pi e_i, l_i^T Pi l_i, e_i^T Pi x0 and l_i^T Pi x0 per player i
     (row) and mode Pi (column; Pi = I for a scalar profile), the last two
-    None for x0 = None; Pi_lam l_i = -lam Pi_lam e_i."""
+    None for x0 = None; Pi_lam l_i = -lam Pi_lam e_i.  On a transitive
+    graph e_i^T Pi_lam e_i is multiplicity / n for every i, as the graph's
+    automorphisms commute with Pi_lam, so eigenvectors are read only for x0."""
     if prof.eigen is None:
         ex, lx = (None, None) if x0 is None else (x0[:, None], (alignment_functionals(g) @ x0)[:, None])
         return np.ones((g.n, 1)), 1.0 + _inverse_degrees(g.degrees)[:, None], ex, lx
-    v, starts = prof.eigen.eigenvectors, prof.eigen.eigenspaces()
+    starts = prof.eigen.eigenspaces()
     lam = prof.eigen.eigenvalues[starts]
-    ee = np.add.reduceat(v * v, starts, axis=1)
+    if g.transitivity.is_transitive():
+        ee = np.broadcast_to(np.diff(starts, append=g.n) / g.n, (g.n, starts.size))
+    else:
+        ee = np.add.reduceat(prof.eigen.eigenvectors**2, starts, axis=1)
     if x0 is None:
         return ee, ee * lam**2, None, None
+    v = prof.eigen.eigenvectors
     ex = np.add.reduceat(v * (x0 @ v), starts, axis=1)
     return ee, ee * lam**2, ex, -lam * ex
 
@@ -280,16 +279,21 @@ def best_response(
 
     Freezing opponents makes player i's problem a linear-quadratic control
     problem.  The quadratic value ansatz v(t, x) = x^T F(t) x / 2 + h(t)
-    turns its HJB equation into the backward matrix Riccati system
+    turns its HJB equation into the backward Riccati system
 
-        F' = F e_i e_i^T F + K^T F + F K - K^T e_i e_i^T F - F e_i e_i^T K,
+        F' = N F + F N^T + F e_i e_i^T F,   N = K^T (I - e_i e_i^T),
         h' = -(sigma^2 / 2) Tr F,
         F(T) = c l l^T,   h(T) = 0,
 
     with l player i's terminal alignment functional, and the optimal
-    control is -(e_i^T F(t)) x.  The returned value is
-    x0^T F(0) x0 / 2 + h(0).  _riccati solves the system in the basis
-    _basis picks.
+    control is -(e_i^T F(t)) x.  F = phi phi^T solves it exactly when
+
+        phi' = N phi + (1/2) (e_i^T phi)^2 phi,   phi(T) = sqrt(c) l,
+
+    so by uniqueness F stays rank one.  The returned value is
+    x0^T F(0) x0 / 2 + h(0) = (x0 . phi(0))^2 / 2 + (sigma^2/2) int |phi|^2,
+    and the feedback row is (e_i^T phi) phi^T.  _rank_one solves for phi
+    in the basis _basis picks.
     """
     _check_profile(g, prof)
     if not 0 <= i < g.n:
@@ -298,100 +302,102 @@ def best_response(
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (g.n,):
             raise ParameterError(f"x0 must have length {g.n}")
-    basis, gram, inputs = _basis(g, prof, i)
-    gw, g0, integral = _riccati(prof, c, *inputs, gram)
-    value = _best_values(gram, integral, g0, None if x0 is None else x0 @ basis, sigma)
-    return BestResponse(value=float(value), grid=prof.grid.copy(), feedback=gw @ basis.T)
+    (value,), path = _rank_one(g, prof, c, sigma, x0, [i], trace=True)
+    basis, gamma = _basis(g, prof, i), path[:, :, 0]
+    return BestResponse(float(value), prof.grid.copy(), (gamma @ basis[i])[:, None] * (gamma @ basis.T))
 
 
-def _basis(g: Graph, prof: LinearProfile, i: int) -> tuple:
-    """Player i's basis B, whose columns are orthogonal, the diagonal of
-    B^T B, and _riccati's stage, w, u and a in B:
-
-    - dense K: B = I, so G = F, w = u = e_i, a = l_i and Kt = K;
-    - K = k I: B = [e_i, l_i - e_i] (l_i - e_i is 0 at i), Kt = k I_2 (one
-      rate, broadcast), w = u = (1, 0) and a = (1, 1) for every player;
-    - K = sum_lam p_lam Pi_lam: B = [Pi_lam e_i], Kt = diag(p_lam) as a
-      vector, w = (e_i^T Pi_lam e_i), u = 1, and a = -lam as l_i = -L e_i.
-    """
-    e_i = np.zeros(g.n)
-    e_i[i] = 1.0
-    stage = _stages(prof)
+def _basis(g: Graph, prof: LinearProfile, i: int) -> np.ndarray:
+    """Player i's basis B for phi = B gamma, whose columns are orthogonal:
+    I for a dense K, [e_i, l_i - e_i] for K = k I (l_i - e_i is 0 at i),
+    and [Pi_lam e_i] for K = sum_lam p_lam Pi_lam.  K^T B = B Kt^T for
+    Kt = _stages(prof)(j), and e_i and l_i lie in B's span, so phi does."""
     if prof.matrix_fn is not None:
-        return np.eye(g.n), np.ones(g.n), (stage, e_i, e_i, _alignment_row(g, i))
+        return np.eye(g.n)
     if prof.eigen is None:
-        gram, w = np.array([1.0, _inverse_degrees(g.degrees[i])]), np.array([1.0, 0.0])
-        return np.column_stack((e_i, _alignment_row(g, i) - e_i)), gram, (stage, w, w, np.ones(2))
-    v, starts = prof.eigen.eigenvectors, prof.eigen.eigenspaces()
-    basis = np.add.reduceat(v * v[i], starts, axis=1)  # column lam: Pi_lam e_i
-    return basis, basis[i], (stage, basis[i], np.ones(starts.size), -prof.eigen.eigenvalues[starts])
+        return np.column_stack((np.eye(1, g.n, i)[0], -g.adjacency[i] * _inverse_degrees(g.degrees[i])))
+    v = prof.eigen.eigenvectors
+    return np.add.reduceat(v * v[i], prof.eigen.eigenspaces(), axis=1)
 
 
-def _riccati(
-    prof: LinearProfile, c: float, stage: Callable, w: np.ndarray, u: np.ndarray, a: np.ndarray, gram: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """best_response's Riccati for F = B G B^T, in a basis B that holds F.
+def _players(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
+    """The stage; the distinct columns stacking w = B^T e_i, u and a
+    (e_i = B u, l_i = B a) and which one is player i's; and the diagonal of
+    B^T B and B^T x0 (None for x0 = None) as row i, for B = _basis(g, prof, i).
+    Dense: w = u = e_i, a = l_i, B^T B = I.  Scalar: one column,
+    w = u = (1, 0), a = (1, 1), B^T B = diag(1, 1/deg i).  Spectral:
+    w = diag(B^T B) = (e_i^T Pi_lam e_i), u = 1, a = -lam; one column on a
+    transitive graph (_mode_weights)."""
+    n, stage = g.n, _stages(prof)
+    if prof.matrix_fn is not None:
+        eye = np.eye(n)
+        coords = None if x0 is None else np.broadcast_to(x0, (n, n))
+        return stage, np.vstack((eye, eye, alignment_functionals(g).T)), np.arange(n), np.ones((n, n)), coords
+    ee, _, ex, lx = _mode_weights(g, prof, x0)
+    if prof.eigen is None:
+        grams = np.column_stack((ee, _inverse_degrees(g.degrees)))
+        coords = None if x0 is None else np.hstack((ex, lx - ex))
+        return stage, np.array([[1.0], [0.0], [1.0], [0.0], [1.0], [1.0]]), np.zeros(n, int), grams, coords
+    which = np.zeros(n, int) if g.transitivity.is_transitive() else np.arange(n)
+    w = ee[: which[-1] + 1].T  # the distinct rows: one on a transitive graph
+    lam = prof.eigen.eigenvalues[prof.eigen.eigenspaces()]
+    return stage, np.vstack((w, np.ones(w.shape), np.repeat(-lam[:, None], w.shape[1], axis=1))), which, ee, ex
 
-    With w = B^T e_i, e_i = B u, l_i = B a, and K^T B = B Kt^T (stage(j)
-    gives Kt at the j-th half-step time, a vector when diagonal), the
-    system becomes
 
-        G' = G w w^T G + Kt^T G + G Kt - Kt^T u w^T G - G w u^T Kt,
-        G(T) = c a a^T,
+def _rank_one(
+    g: Graph, prof: LinearProfile, c: float, sigma: float, x0: np.ndarray | None, players, trace: bool = False
+) -> tuple:
+    """Best-response values of players (indices) from one solve for every
+    phi = B gamma, in which players with the same column (_players) share one.
 
-    and h(0) = (sigma^2/2) <B^T B, P> for P, the integral of G over
-    [0, T], which is solved alongside as P' = -G, P(T) = 0.  The solve is
-    backward RK4 on the profile grid; G is re-symmetrized after every step.
+    With W, U and A the distinct columns' w, u and a, s_j = w_j^T gamma_j
+    (that is, e_i^T phi) and K^T B = B Kt^T (Kt = stage(j) at the j-th
+    half-step time, a vector when diagonal), the columns of Gamma solve
 
-    B's columns are orthogonal and gram is the diagonal of B^T B, so
-    B = Q diag(sqrt(gram)) with Q's columns orthonormal and F = Q N Q^T for
-    N = diag(sqrt(gram)) G diag(sqrt(gram)).  The solve stops once ||N||_F
-    exceeds RICCATI_BLOWUP_CAP: as ||N||_F >= ||N||_2 = ||F||_2 >= max |F_rs|,
-    that is never looser than a check on F's entries (nor is a larger gram).
+        Gamma' = Kt^T (Gamma - U diag s) + (1/2) Gamma diag(s^2),   Gamma(T) = sqrt(c) A
 
-    Returns G w on the grid (row j gives the optimal feedback row
-    e_i^T F = (G w)^T B^T at grid[j]), G(0) and P.
+    by backward RK4 on the profile grid, one evaluation of Kt per stage
+    for all columns.  Q' = -Gamma * Gamma, Q(T) = 0, alongside gives
+    Q(0) = int_0^T gamma^2 entrywise, and player i's value is
+    (B^T x0 . gamma(0))^2 / 2 + (sigma^2 / 2) sum_k (B^T B)_kk Q_k.  The
+    solve stops once a column's |phi|^2 = sum_k (B^T B)_kk gamma_k^2, with
+    the largest B^T B of its players, is above RICCATI_BLOWUP_CAP or not
+    finite; |phi|^2 = ||F||_2 >= max |F_rs|.
+
+    Returns the values and, with trace, Gamma at every grid time (row j at
+    grid[j]), else None.
     """
-    steps = prof.steps
-    dt = prof.T / steps
-    y = np.zeros((2, w.size, w.size))  # G, P
-    y[0] = c * np.outer(a, a)
-    gw = np.empty((steps + 1, w.size))
-    gw[steps] = y[0] @ w
+    stage, columns, which, grams, coords = _players(g, prof, x0)
+    solved, col = np.unique(which[players], return_inverse=True)
+    columns, grams = columns[:, solved], grams[players]
+    guard = np.stack([grams[col == k].max(axis=0) for k in range(solved.size)], axis=1)
+    w, u, a = np.split(columns, 3)
+    dt = prof.T / prof.steps
+    y = np.stack((math.sqrt(c) * a, np.zeros(a.shape)))  # Gamma, Q
+    path = np.empty((prof.steps + 1,) + a.shape) if trace else None
 
     def rhs(y_cur, kt):
-        g_cur = y_cur[0]
-        row = w @ g_cur
-        lhs = g_cur - u[:, None] * row
-        half = kt[:, None] * lhs if kt.ndim == 1 else kt.T @ lhs  # Kt^T G - Kt^T u w^T G
+        gamma = y_cur[0]
+        s = np.vecdot(w, gamma, axis=0)
+        lhs = gamma - u * s
         out = np.empty_like(y_cur)
-        np.multiply((g_cur @ w)[:, None], row, out=out[0])
-        out[0] += half
-        out[0] += half.T
-        np.negative(g_cur, out=out[1])
+        out[0] = kt[:, None] * lhs if kt.ndim == 1 else kt.T @ lhs
+        out[0] += 0.5 * (s * s) * gamma
+        np.multiply(gamma, -gamma, out=out[1])
         return out
 
-    for j in range(steps, 0, -1):
+    for j in range(prof.steps, 0, -1):
+        if trace:
+            path[j] = y[0]
         y = rk4_step(rhs, y, -dt, (stage(2 * j), stage(2 * j - 1), stage(2 * j - 2)))
-        g_mat = y[0] = 0.5 * (y[0] + y[0].T)
-        if gram @ (g_mat * g_mat) @ gram > RICCATI_BLOWUP_CAP**2:
-            raise NumericError(
-                f"best-response Riccati norm exceeded {RICCATI_BLOWUP_CAP:g} "
-                f"near t = {prof.grid[j - 1]:.6g}"
-            )
-        gw[j - 1] = g_mat @ w
-    return gw, y[0], y[1]
-
-
-def _best_values(grams: np.ndarray, integral: np.ndarray, g0: np.ndarray, coords, sigma: float):
-    """x0^T F(0) x0 / 2 + h(0) from a _riccati solve: h(0) is
-    (sigma^2/2) <B^T B, P> for the diagonal of B^T B in grams, and
-    x0^T F(0) x0 = z^T G(0) z for z = B^T x0 in coords (None for x0 = 0).
-    Rows of grams and of coords (one per player) give a value per row."""
-    values = 0.5 * sigma**2 * (grams @ np.diagonal(integral))
+        if not np.vecdot(guard, y[0] * y[0], axis=0).max() <= RICCATI_BLOWUP_CAP:
+            raise NumericError(f"best-response |phi|^2 exceeded {RICCATI_BLOWUP_CAP:g} near t = {prof.grid[j - 1]:.6g}")
+    if trace:
+        path[0] = y[0]
+    values = 0.5 * sigma**2 * np.vecdot(grams, y[1].T[col])
     if coords is not None:
-        values = values + 0.5 * np.einsum("...i,ij,...j->...", coords, g0, coords)
-    return values
+        values += 0.5 * np.vecdot(coords[players], y[0].T[col]) ** 2
+    return values, path
 
 
 def deviation_gap(
@@ -458,19 +464,7 @@ def nash_audit(
         bounds = epsilon_bounds(g, c, prof.T, sigma).per_vertex
     else:
         bounds = np.zeros(g.n)
-    if prof.matrix_fn is None and (prof.eigen is None or g.transitivity.is_transitive()):
-        # One small solve serves every player: G depends on the player only
-        # through w (see _basis), the same for all on a transitive graph.
-        ee, _, ex, lx = _mode_weights(g, prof, x0)
-        if prof.eigen is None:
-            grams = np.column_stack((ee, _inverse_degrees(g.degrees)))
-            coords = None if x0 is None else np.hstack((ex, lx - ex))
-        else:
-            grams, coords = ee, ex
-        _, g0, integral = _riccati(prof, c, *_basis(g, prof, 0)[2], grams.max(axis=0))
-        values = _best_values(grams, integral, g0, coords, sigma)
-    else:
-        values = [best_response(g, prof, i, c, sigma, x0).value for i in range(g.n)]
+    values, _ = _rank_one(g, prof, c, sigma, x0, np.arange(g.n))
     players = []
     for i in range(g.n):
         value = float(values[i])
