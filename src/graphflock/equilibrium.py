@@ -14,11 +14,11 @@ sigma^2 * (1 - f(T-t)*lam)^2 * integral_0^t (1 - f(T-s)*lam)^{-2} ds.
 Every game variance is one integral, _variance_integral: sigma^2 *
 int_0^t ((1 - lam f(T-t)) / (1 - lam f(T-s)))^2 ds per eigenvalue lam,
 averaged over a measure.  The integrand factors as
-sigma^2 (1 - lam f(T-t))^2 J(t) with J(t) = int_0^t (1 - lam f(T-s))^-2 ds,
-so a whole variance curve is one walk over its sorted times that carries J
-per node from one time to the next (composite Simpson on each stretch), not
-one integral from 0 per point.  This module owns that time walk: the
-planner's variance (cooperative module) has a closed form and needs none.
+sigma^2 (1 - lam f(T-t))^2 J(t) with J(t) = int_{T-t}^T (1 - lam f(tau))^-2
+dtau, and J is one Gauss-Legendre rule per time in u = sqrt(f/(cT)), the
+variable in which the schedule's series gives dtau (flow module), so the
+integrand is smooth and the rule needs no step count.  The planner's
+variance (cooperative module) has a closed form and needs none.
 A finite graph is the discrete measure of its own spectrum, so
 player_variance and game_value_spectral are limit_variance and limit_value
 on the kernel's empirical measure.
@@ -128,17 +128,8 @@ def _clamp_time(t, T):
     return float(times) if times.ndim == 0 else times
 
 
-#: Simpson nodes times spectral nodes that the variance walk evaluates at
-#: once; a longer segment is integrated in chunks, so its memory stays O(n)
-#: whatever the step count.
-WALK_CHUNK_ELEMENTS = 1 << 16
-
-
-def _simpson_weights(m: int, h: float) -> np.ndarray:
-    w = np.ones(m + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
+#: Gauss-Legendre nodes of a game variance's rule, unless s_steps sets them.
+VARIANCE_NODES = 64
 
 
 def _variance_integral(lam, schedule, sigma, t, s_steps=None, weights=None):
@@ -147,37 +138,22 @@ def _variance_integral(lam, schedule, sigma, t, s_steps=None, weights=None):
     one time t or at each entry of an array of times (a float, a node vector
     or an array back, like t).
 
-    With x = -lam and a(s) = f(T-s) the integrand factors as
-    sigma^2 (1 + a(t) x)^2 J_x(t), with
-    J_x(t) = int_0^t (1 + a(s) x)^-2 ds.  One walk over the sorted distinct
-    times builds J per node: each segment between consecutive times gets
-    composite Simpson with an even step count, its share of the schedule's
-    steps (the share t/T for the first segment [0, t]) or s_steps when
-    given, and J carries from one segment to the next.  a is evaluated once
-    on all Simpson nodes; a long segment is summed in chunks of rows, so no
-    steps x n array is ever held.
+    With x = -lam the integrand factors as sigma^2 (1 + f(T-t) x)^2 J_x(t),
+    with J_x(t) = int_{T-t}^T (1 + f(tau) x)^-2 dtau.  Each distinct time
+    gets the schedule's Gauss rule in u on [T-t, T], with s_steps nodes
+    (VARIANCE_NODES when None), and J = w @ (1 + f x)^-2, one time at a
+    time, so memory is O(nodes x len(lam)).
     """
-    T, steps, x = schedule.T, schedule.steps, -lam
-    u, inverse = np.unique(_clamp_time(t, T), return_inverse=True)
-    starts = np.concatenate(([0.0], u[:-1]))
-    lengths = u - starts
-    m = np.ceil(steps * lengths / T - 1e-9).astype(int) if s_steps is None else np.full(u.size, s_steps)
-    m = np.where(lengths > 0.0, np.maximum(m + m % 2, 2), 0)
-    a_s = schedule.value(T - np.concatenate([np.linspace(lo, hi, k + 1) for lo, hi, k in zip(starts, u, m)]))
-    a_t = schedule.value(T - u)
-    chunk = max(2, WALK_CHUNK_ELEMENTS // x.size // 2 * 2)
-    J = np.zeros(x.size)
-    out = np.empty(u.size if weights is not None else (u.size, x.size))
-    first = 0  # index in a_s of the segment's first node
-    for k, (mk, length) in enumerate(zip(m, lengths)):
-        for lo in range(0, mk, chunk):
-            hi = min(lo + chunk, mk)
-            g = 1.0 / (1.0 + np.outer(a_s[first + lo : first + hi + 1], x))
-            J += _simpson_weights(hi - lo, length / mk) @ (g * g)
-        first += mk + 1
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge c overflows to inf or nan, which callers check
-            v = (1.0 + a_t[k] * x) ** 2 * J
-        out[k] = v if weights is None else v @ weights
+    T, x = schedule.T, -lam
+    times, inverse = np.unique(_clamp_time(t, T), return_inverse=True)
+    out = np.empty(times.size if weights is not None else (times.size, x.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge c overflows to inf or nan, which callers check
+        f, w = schedule.gauss_rule(T - times, T, VARIANCE_NODES if s_steps is None else s_steps)
+        a_t = schedule.value(T - times)
+        for k in range(times.size):
+            g = 1.0 / (1.0 + np.outer(f[k], x))
+            v = (1.0 + a_t[k] * x) ** 2 * (w[k] @ (g * g))
+            out[k] = v if weights is None else v @ weights
     out = sigma**2 * out[inverse.reshape(np.shape(t))]
     return float(out) if out.ndim == 0 else out
 
@@ -223,7 +199,8 @@ def state_law(
 
     Mean: (I - f(T-t)L)(I - f(T)L)^{-1} x0.  The population average of the
     mean equals the population average of x0 (the all-ones direction has
-    eigenvalue 0).
+    eigenvalue 0).  The covariance's eigenvalues are _variance_integral's,
+    with s_steps Gauss nodes (VARIANCE_NODES when None).
     """
     t = _clamp_time(t, k.T)
     v = k.eigen.eigenvectors
@@ -242,7 +219,8 @@ def state_law(
 
 def player_variance(k: EquilibriumKernel, t, s_steps: int | None = None):
     """Variance of one player's state at time t (zero initial states): a
-    float for one t, an array for an array of times (one walk for all).
+    float for one t, an array for an array of times; s_steps is the Gauss
+    rule's node count, as in limit_variance.
 
     On a transitive graph all players share this value; it is the average
     of the covariance eigenvalues.
@@ -290,9 +268,9 @@ def limit_variance(
         sigma^2 * int_0^t int ((1 - lam f(T-t)) / (1 - lam f(T-s)))^2 dmu ds.
 
     t is one time (a float back) or an array of times (an array back, the
-    whole curve from one walk of _variance_integral).  Without s_steps the
-    Simpson step count of each stretch between times is its share of the
-    schedule's steps; s_steps sets it explicitly (for one t: on [0, t]).
+    whole curve from one call of _variance_integral).  s_steps is the node
+    count of each time's Gauss rule in u, VARIANCE_NODES when None; below 1
+    it raises ParameterError.
     """
     _check_schedule_measure(mu, schedule)
     return _variance_integral(mu.nodes, schedule, sigma, t, s_steps, mu.weights)

@@ -14,16 +14,20 @@ at x = 1/lam <= -1/2).  solve_f interpolates G at Chebyshev points, doubling
 the degree until the series' tail is chopped, integrates the series and
 inverts Psi(u) = t/T by safeguarded Newton (Trefethen, Approximation Theory
 and Approximation Practice, 2013; Aurentz & Trefethen, "Chopping a
-Chebyshev series", 2017), so f is exact to rounding at any t.
+Chebyshev series", 2017), so f is exact to rounding at any t.  The same
+series gives dt = T G(u) du, so an integral of h(f(t)) dt is a smooth
+integral in u: FlockingSchedule.gauss_rule is its Gauss-Legendre rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint
+from numpy.polynomial.legendre import leggauss
 from scipy.fft import dct
 
 from .errors import DomainError, NumericError, ParameterError
@@ -46,7 +50,8 @@ PHI_INVERSE_TOL = 1e-12
 CHOP_TOL, MIN_DEGREE, MAX_DEGREE = 1e-14, 16, 4096
 
 #: Newton stops at |Psi(u) - t/T| <= NEWTON_TOL * sum |Psi's coefficients|,
-#: a bound on Clenshaw's rounding, or fails after NEWTON_MAX_ITER steps.
+#: a bound on Clenshaw's rounding, or once its bracket holds two adjacent
+#: floats, or fails after NEWTON_MAX_ITER steps.
 NEWTON_TOL, NEWTON_MAX_ITER = 8 * np.finfo(float).eps, 100
 
 
@@ -109,6 +114,10 @@ def _chebyshev_series(mu: SpectralMeasure, scale: float):
     raise NumericError(f"the schedule's Chebyshev series needs a degree above {MAX_DEGREE} at c*T = {scale:.6g}")
 
 
+#: The m-point Gauss-Legendre rule on [-1, 1], built on first use per m.
+_leggauss = functools.cache(leggauss)
+
+
 def _invert(series, tau, table_tau, table_u):
     """(u, residuals) with Psi(u) = tau over an array tau, by Newton from the
     ascending table table_tau = Psi(table_u), interpolated linearly in u^2
@@ -121,10 +130,10 @@ def _invert(series, tau, table_tau, table_u):
     u = np.sqrt(lo * lo + w * (hi * hi - lo * lo))
     for _ in range(NEWTON_MAX_ITER):
         residual = _clenshaw(integral, 2.0 * u - 1.0) - tau
-        active = np.abs(residual) > tol
+        lo, hi = np.where(residual < 0.0, u, lo), np.where(residual > 0.0, u, hi)
+        active = (np.abs(residual) > tol) & (np.nextafter(lo, hi) < hi)  # adjacent floats bracket no closer u
         if not active.any():
             return u, residual
-        lo, hi = np.where(residual < 0.0, u, lo), np.where(residual > 0.0, u, hi)
         with np.errstate(divide="ignore", invalid="ignore"):  # G(0) = 0 at a converged u = 0: step unused
             step = u - residual / _clenshaw(slope, 2.0 * u - 1.0)
         u = np.where(active, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)), u)
@@ -136,9 +145,9 @@ def _invert_one(series, tau: float, lo: float, hi: float, u: float) -> float:
     slope, integral, tol = series
     for _ in range(NEWTON_MAX_ITER):
         residual = _clenshaw(integral, 2.0 * u - 1.0) - tau
-        if abs(residual) <= tol:
-            return u
         lo, hi = (u, hi) if residual < 0.0 else (lo, u)
+        if abs(residual) <= tol or math.nextafter(lo, hi) >= hi:
+            return u
         step = u - residual / _clenshaw(slope, 2.0 * u - 1.0)
         u = step if lo < step < hi else 0.5 * (lo + hi)
     raise NumericError(f"the schedule's Newton inversion did not converge in {NEWTON_MAX_ITER} steps")
@@ -183,6 +192,18 @@ class FlockingSchedule:
         u = _invert(self._series, np.clip(t, 0.0, T) / T, self.grid / T, self._u)[0]
         out = self.c * T * (u * u)
         return float(out) if out.ndim == 0 else out
+
+    def gauss_rule(self, start, stop, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """(f at the nodes, their dt-weights): the nodes-point Gauss-Legendre
+        rule for int_start^stop h(f(t)) dt in u = sqrt(f/(cT)), where
+        dt = T G(u) du (module docstring) and the integrand is smooth; a row
+        per entry of start and stop, times or arrays broadcast together."""
+        if nodes < 1:
+            raise ParameterError(f"a Gauss rule needs at least 1 node, got {nodes}")
+        x, w = _leggauss(nodes)
+        lo, hi = np.sqrt(self.value(np.broadcast_arrays(start, stop)) / (self.c * self.T))[..., None]
+        u = lo + 0.5 * (hi - lo) * (x + 1.0)
+        return self.c * self.T * (u * u), 0.5 * self.T * (hi - lo) * w * _clenshaw(self._series[0], 2.0 * u - 1.0)
 
     def slope(self, t):
         """f'(t) recovered exactly from the ODE as c * Q'(f(t))."""

@@ -125,6 +125,15 @@ class TestFigures:
         assert header[0] == "t" and len(header) == 9
         assert rows.shape == (101, 9)
 
+    @pytest.mark.parametrize("argv", ["variance-curve --graph cycle:200", "variance-curve --measure cycle", "fig3"])
+    def test_data_rows_do_not_depend_on_steps(self, capsys, argv):
+        outputs = []
+        for steps in ("400", "2000"):
+            code, out, _ = run(capsys, *argv.split(), "--steps", steps)
+            assert code == 0
+            outputs.append(out.split("\n", 1)[1])  # all but the config line
+        assert outputs[0] == outputs[1]
+
     def test_fig2_monotone_in_dimension(self, capsys):
         code, out, _ = run(capsys, "fig2", "--steps", "400")
         assert code == 0

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from graphflock.cooperative import coop_kernel, coop_variance
 from graphflock.equilibrium import (
@@ -22,7 +22,7 @@ from graphflock.equilibrium import (
     state_law,
 )
 from graphflock.errors import DomainError, ParameterError
-from graphflock.flow import FlockingSchedule, cycle_closed_form, solve_f
+from graphflock.flow import FlockingSchedule, cycle_closed_form, q_eval, solve_f
 from graphflock.graphs import complete, cycle, edge_list_graph, torus, verify_transitive
 from graphflock.spectral import laplacian, limit_measure
 
@@ -221,30 +221,49 @@ class TestPlayerVariance:
             assert player_variance(k, t) == pytest.approx(expected, abs=1e-14)
             assert np.diag(state_law(k, t).covariance).mean() == pytest.approx(expected, abs=1e-12)
 
-    def test_simpson_refinement(self):
+    def test_node_refinement(self):
         k = kernel(cycle(6), steps=2000)
         coarse = player_variance(k, 0.8, s_steps=1000)
         fine = player_variance(k, 0.8, s_steps=2000)
         assert abs(coarse - fine) < 1e-10
 
 
-def per_time_rule(variance, ts, steps):
-    """Each t as its own Simpson integral from 0 with max(16, ceil(steps t))
-    steps (T = 1): the rule the time walk replaced."""
-    return np.array([variance(float(t), max(16, math.ceil(steps * t))) for t in ts])
+def dop853_variance(mu, c, ts, nodes=400):
+    """sigma = T = 1 variance curve from a DOP853 schedule of f' = c*Q'(f)
+    and a Gauss-Legendre rule in s on [0, t]: a reference made apart from
+    solve_f and from the rule in u."""
+    sol = solve_ivp(
+        lambda _, y: [c * q_eval(mu, float(y[0]))[1]], (0.0, 1.0), [0.0],
+        method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True,
+    )
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    curve = []
+    for t in ts:
+        f_s = sol.sol(1.0 - 0.5 * t * (x + 1.0))[0]
+        inner = (1.0 - np.outer(mu.nodes, f_s)) ** -2 @ (0.5 * t * w)
+        curve.append(mu.weights @ ((1.0 - sol.sol(1.0 - t)[0] * mu.nodes) ** 2 * inner))
+    return np.array(curve)
 
 
 class TestVarianceWalk:
-    # At 2000 steps every 0.01 of the grid is a schedule node; at 150 only
-    # 0 and 1 are, and the gap is the per-t rule's own quadrature error.
-    @pytest.mark.parametrize("steps, bound", [(2000, 1e-11), (150, 5e-8)], ids=["on-grid", "off-grid"])
-    @pytest.mark.parametrize("kind", ["cycle_limit", "dirac_minus_one"])
-    def test_agrees_with_per_time_integrals(self, kind, steps, bound):
-        mu, c = limit_measure(kind), 2.0
-        s = solve_f(mu, c, 1.0, steps)
+    @pytest.mark.parametrize("c", [1.0, 5.0, 100.0])
+    def test_curves_match_references(self, c):
         ts = np.linspace(0.0, 1.0, 101)
-        game = per_time_rule(lambda t, m: limit_variance(mu, s, 1.0, t, s_steps=m), ts, steps)
-        assert np.abs(limit_variance(mu, s, 1.0, ts) - game).max() <= bound
+        mu = limit_measure("dirac_minus_one")
+        a = c * (1.0 - ts)
+        closed = (1.0 + a) ** 2 * (1.0 / (1.0 + a) - 1.0 / (1.0 + c)) / c
+        assert np.abs(limit_variance(mu, solve_f(mu, c, 1.0, 2000), 1.0, ts) - closed).max() <= 1e-13
+        mu = limit_measure("cycle_limit")
+        curve = limit_variance(mu, solve_f(mu, c, 1.0, 2000), 1.0, ts)
+        assert np.abs(curve - dop853_variance(mu, c, ts)).max() <= 1e-10
+
+    def test_node_count_below_one_rejected(self):
+        k = kernel(cycle(12), steps=200)
+        for s_steps in (0, -3):
+            with pytest.raises(ParameterError):
+                player_variance(k, 0.5, s_steps=s_steps)
+            with pytest.raises(ParameterError):
+                state_law(k, 0.5, s_steps=s_steps)
 
     @pytest.mark.parametrize("curve", ["player", "limit", "coop"])
     def test_order_and_repeats_of_times_do_not_matter(self, curve):

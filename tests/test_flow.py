@@ -268,6 +268,43 @@ class TestInverseSchedule:
         assert np.array_equal(s.value(s.grid), s.f_values)
         assert np.allclose([s.value(float(t)) for t in ts], s.value(ts), rtol=1e-14, atol=0.0)
 
+    def test_newton_stops_at_adjacent_floats(self):
+        # At this time no float u has |Psi(u) - t| within Newton's tolerance:
+        # the two floats around the root leave 2.33e-15 against 2.30e-15.
+        s = solve_f(FAMILY["kesten_mckay_3"], 100.0, 1.0, 2000)
+        t = 0.4025000000000001
+        f = s.value(t)
+        assert s.value(np.array([t]))[0] == f
+        assert f == pytest.approx(s.value(0.4025), rel=1e-14)
+
+
+class TestGaussRule:
+    def test_integrates_time_and_the_dirac_schedule(self):
+        # Dirac at -1: f(t) = c t, so int_a^b f dt = c (b^2 - a^2) / 2.
+        s = solve_f(FAMILY["dirac"], 7.0, 2.0, 200)
+        start, stop = np.array([0.0, 0.3, 1.25, 2.0]), 2.0
+        f, w = s.gauss_rule(start, stop, 16)
+        assert f.shape == w.shape == (4, 16)
+        assert np.allclose(w.sum(axis=1), stop - start, rtol=1e-14, atol=1e-15)
+        assert np.allclose((w * f).sum(axis=1), 3.5 * (stop**2 - start**2), rtol=1e-13, atol=0.0)
+        assert np.array_equal(s.gauss_rule(1.25, 2.0, 16)[0], f[2])
+
+    @pytest.mark.parametrize("c", [1.0, 100.0])
+    def test_integrates_the_slope_to_the_end_value(self, c):
+        # int_a^T f'(t) dt = f(T) - f(a), with f' = c Q'(f) bending near t = 0 at a large c.
+        s = solve_f(FAMILY["cycle_limit"], c, 1.0, 400)
+        start = np.array([0.0, 0.5, 0.999])
+        f, w = s.gauss_rule(start, 1.0, 64)
+        f_T = s.value(1.0)
+        exact = f_T - s.value(start)  # within rounding of f_T
+        assert np.allclose((w * s.rhs(f.ravel()).reshape(f.shape)).sum(axis=1), exact, rtol=0.0, atol=1e-14 * f_T)
+
+    def test_needs_a_node(self):
+        s = solve_f(FAMILY["dirac"], 1.0, 1.0, 200)
+        for nodes in (0, -1):
+            with pytest.raises(ParameterError):
+                s.gauss_rule(0.0, 1.0, nodes)
+
 
 class TestCycleClosedForm:
     def test_zero(self):
