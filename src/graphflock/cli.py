@@ -424,6 +424,9 @@ def main(argv=None) -> int:
     except (NumericError, GenerationError) as exc:
         print(f"error[numeric]: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print(f"error[numeric]: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
+        return 3
     return 0
 
 

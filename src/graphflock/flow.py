@@ -170,26 +170,28 @@ class FlockingSchedule:
     chop_tail: float
     newton_residual: float
     _series: tuple = field(repr=False)  # G's and Psi's coefficients as lists, Newton's tolerance
-    _u: np.ndarray = field(repr=False)  # sqrt(f / (cT)) on the grid
+    _table: tuple = field(repr=False)  # Psi at the series' Chebyshev points u, and those u, ascending
 
     @property
     def steps(self) -> int:
         return self.grid.size - 1
 
     def value(self, t):
-        """f(t) for t in [0, T], by Newton from the grid values around t."""
+        """f(t) for t in [0, T], by Newton from the table solve_f inverted
+        its grid from, so f(t) does not depend on the grid."""
         T = self.T
+        table_tau, table_u = self._table
         if isinstance(t, float) and -1e-9 <= t <= T + 1e-9:  # one time: numpy is slow on tiny arrays
             tau = min(max(float(t), 0.0), T) / T
-            j = min(max(int(self.grid.searchsorted(t)), 1), self.steps)  # as _invert brackets tau
-            lo, hi, t0, t1 = float(self._u[j - 1]), float(self._u[j]), self.grid[j - 1] / T, self.grid[j] / T
+            j = min(max(int(table_tau.searchsorted(tau)), 1), table_tau.size - 1)  # as _invert brackets tau
+            lo, hi, t0, t1 = float(table_u[j - 1]), float(table_u[j]), float(table_tau[j - 1]), float(table_tau[j])
             w = min(max((tau - t0) / (t1 - t0), 0.0), 1.0)
             u = _invert_one(self._series, tau, lo, hi, math.sqrt(lo * lo + w * (hi * hi - lo * lo)))
             return self.c * T * (u * u)
         t = np.asarray(t, dtype=float)
         if np.any(t < -1e-9) or np.any(t > T + 1e-9):
             raise ParameterError(f"schedule evaluated outside [0, {T}]")
-        u = _invert(self._series, np.clip(t, 0.0, T) / T, self.grid / T, self._u)[0]
+        u = _invert(self._series, np.clip(t, 0.0, T) / T, table_tau, table_u)[0]
         out = self.c * T * (u * u)
         return float(out) if out.ndim == 0 else out
 
@@ -197,13 +199,28 @@ class FlockingSchedule:
         """(f at the nodes, their dt-weights): the nodes-point Gauss-Legendre
         rule for int_start^stop h(f(t)) dt in u = sqrt(f/(cT)), where
         dt = T G(u) du (module docstring) and the integrand is smooth; a row
-        per entry of start and stop, times or arrays broadcast together."""
+        per entry of start and stop, times or arrays broadcast together.
+
+        The integrands (1 + f x)^-2, x in (0, 2], and G have poles at
+        u = +-i (cT x)^-1/2, so they bend within about (cT)^-1/2 of u = 0.
+        A row whose start u0 lies nearer those poles, d = hypot(u0, (cT)^-1/2),
+        than its rule's mean node gap is cut at u0 + d 4^k into pieces of
+        nodes points each, every piece a third of its length or more from
+        the poles; the other rows then get empty pieces of zero weight."""
         if nodes < 1:
             raise ParameterError(f"a Gauss rule needs at least 1 node, got {nodes}")
         x, w = _leggauss(nodes)
-        lo, hi = np.sqrt(self.value(np.broadcast_arrays(start, stop)) / (self.c * self.T))[..., None]
+        scale = self.c * self.T
+        lo, hi = np.sqrt(self.value(np.broadcast_arrays(start, stop)) / scale)[..., None]
+        reach = np.hypot(lo, scale**-0.5)  # from each row's start to the nearest poles
+        bent = reach * nodes < hi - lo  # nearer than the row's mean node gap
+        grades = math.ceil(math.log(np.where(bent, (hi - lo) / reach, 1.0).max(initial=1.0), 4))
+        cuts = np.minimum(lo + np.where(bent, reach, np.inf) * 4.0 ** np.arange(grades), hi)
+        ends = np.concatenate((lo, cuts, hi), axis=-1)[..., None]
+        lo, hi = ends[..., :-1, :], ends[..., 1:, :]  # one row per piece, one piece unless a row is bent
         u = lo + 0.5 * (hi - lo) * (x + 1.0)
-        return self.c * self.T * (u * u), 0.5 * self.T * (hi - lo) * w * _clenshaw(self._series[0], 2.0 * u - 1.0)
+        f, dt = self.c * self.T * (u * u), 0.5 * self.T * (hi - lo) * w * _clenshaw(self._series[0], 2.0 * u - 1.0)
+        return f.reshape(u.shape[:-2] + (-1,)), dt.reshape(u.shape[:-2] + (-1,))
 
     def slope(self, t):
         """f'(t) recovered exactly from the ODE as c * Q'(f(t))."""
@@ -259,9 +276,8 @@ def solve_f(
     table[0] = 0.0  # Psi(0) = 0 exactly, so t = 0 starts, and stays, at u = 0
     grid = np.linspace(0.0, T, steps + 1)
     u, residual = _invert(series, grid / T, table, nodes)
-    schedule = FlockingSchedule(
-        c, T, grid, c * T * (u * u), mu, slope.size - 1, chop_tail, float(np.abs(residual).max()), series, u
-    )
+    health = (slope.size - 1, chop_tail, float(np.abs(residual).max()))
+    schedule = FlockingSchedule(c, T, grid, c * T * (u * u), mu, *health, series, (table, nodes))
     _check_schedule(schedule)
     return schedule
 

@@ -1,5 +1,10 @@
 """Construction and interrogation of the interaction graphs the game is played on.
 
+A graph is stored as sorted neighbor lists (CSR), so building, checking
+and searching it takes O(n + E) memory and O(E log E) time for E edge
+entries.  The dense adjacency matrix is built only where it is read, by
+the brute-force automorphism search on small graphs.  Every constructor
+goes through _make, from a list of edges.
 Vertices are 0-based contiguous integers internally.  Edge-list files and
 edge lists inside JSON graph specs are 1-based and converted on ingest.
 """
@@ -8,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +31,10 @@ DEFAULT_TRANSITIVITY_MAX_N = 12
 
 #: Distance reported for unreachable vertex pairs.
 INFINITE_DISTANCE = math.inf
+
+#: Most vertices a graph may have: a vertex fits in int32, so the neighbor
+#: lists take 4 bytes an entry, and an edge key u * n + v in int64.
+MAX_VERTICES = 2**31 - 1
 
 
 class Transitivity(str, enum.Enum):
@@ -45,42 +54,99 @@ class Transitivity(str, enum.Enum):
         return self in (Transitivity.KNOWN, Transitivity.VERIFIED)
 
 
+def _check_order(n: int) -> int:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ParameterError(f"a graph needs 0 to {MAX_VERTICES} vertices, got {n}")
+    return n
+
+
+def _key_type(n: int) -> type:
+    """int32 if every edge key u * n + v < n^2 fits in it, else int64: the
+    narrower keys halve the memory and the sorting of a graph with n <= 46340."""
+    return np.int32 if n * n <= MAX_VERTICES else np.int64
+
+
 @dataclass(eq=False)
 class Graph:
-    """Simple undirected graph with construction provenance.
+    """Simple undirected graph with construction provenance, stored as
+    sorted neighbor lists (CSR).
 
-    adjacency is a dense symmetric 0/1 int8 matrix with zero diagonal;
-    degrees[v] is the row sum.  Both arrays are frozen after construction.
+    Vertex v's neighbors are indices[indptr[v]:indptr[v + 1]] (int32),
+    strictly increasing, and degrees[v] is their count.  Construction checks, in
+    O(E log E) for E = indices.size, that every neighbor is a vertex, that
+    no vertex lists itself or a neighbor twice, and that the lists are
+    symmetric (u lists v exactly when v lists u).  The arrays are frozen.
+    adjacency, the dense n x n 0/1 matrix, is built only when read.
     """
 
     n: int
-    adjacency: np.ndarray
-    degrees: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
     construction: str
     params: dict = field(default_factory=dict)
     transitivity: Transitivity = Transitivity.UNKNOWN
+    degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=np.int8)
-        if adj.shape != (self.n, self.n):
-            raise ParameterError(f"adjacency must be {self.n}x{self.n}, got {adj.shape}")
-        if not np.array_equal(adj, adj.T):
-            raise ParameterError("adjacency must be symmetric")
-        if np.any(np.diag(adj) != 0):
-            raise ParameterError("adjacency must have zero diagonal (no self-loops)")
-        if not np.isin(adj, (0, 1)).all():
-            raise ParameterError("adjacency entries must be 0 or 1")
-        degrees = adj.sum(axis=1, dtype=np.int64)
-        if not np.array_equal(degrees, np.asarray(self.degrees, dtype=np.int64)):
-            raise ParameterError("degrees must equal adjacency row sums")
-        self.adjacency = adj
-        self.degrees = degrees
-        self.adjacency.setflags(write=False)
-        self.degrees.setflags(write=False)
+        n = _check_order(self.n)
+        indptr = np.asarray(self.indptr, dtype=np.int64)
+        indices = np.asarray(self.indices)
+        if indptr.shape != (n + 1,) or indices.ndim != 1 or indices.dtype.kind not in "iu":
+            raise ParameterError(f"indptr must have {n + 1} entries and indices must be an integer vector")
+        degrees = np.diff(indptr)
+        if indptr[0] != 0 or indptr[-1] != indices.size or (degrees < 0).any():
+            raise ParameterError("indptr must rise from 0 to the number of neighbor entries")
+        if indices.size and not (0 <= indices.min() and indices.max() < n):
+            raise ParameterError(f"neighbors must be vertices 0..{n - 1}")
+        indices = indices.astype(np.int32, copy=False)
+        self.indptr, self.indices, self.degrees = indptr, indices, degrees
+        keys = np.repeat(np.arange(n, dtype=_key_type(n)), degrees)  # the rows
+        if (keys == indices).any():
+            raise ParameterError("a vertex may not neighbor itself (no self-loops)")
+        transposed = indices.astype(keys.dtype)
+        transposed *= n
+        transposed += keys
+        keys *= n
+        keys += indices  # rows * n + indices, in place: the sort order of (row, neighbor)
+        if (keys[1:] <= keys[:-1]).any():
+            raise ParameterError("neighbor lists must be strictly increasing (no repeated edge)")
+        transposed.sort()
+        if not np.array_equal(transposed, keys):
+            raise ParameterError("neighbor lists must be symmetric")
+        for a in (indptr, indices, degrees):
+            a.setflags(write=False)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The vertex whose list holds each entry of indices, so that
+        (rows[k], indices[k]) runs over the directed edges in sorted order."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The dense symmetric 0/1 int8 adjacency matrix, read-only and built
+        on every read: n^2 bytes, for small graphs only."""
+        adj = np.zeros((self.n, self.n), dtype=np.int8)
+        adj[self.rows, self.indices] = 1
+        adj.setflags(write=False)
+        return adj
+
+    def neighbors(self, v: int) -> np.ndarray:
+        """Vertex v's neighbors, ascending."""
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
+
+    def has_edges(self, u, v) -> np.ndarray:
+        """Whether each (u, v) pair is an edge, by binary search of the
+        sorted lists' keys rows * n + indices."""
+        keys = self.rows * self.n + self.indices
+        target = np.asarray(u, dtype=np.int64) * self.n + np.asarray(v, dtype=np.int64)
+        if not keys.size:
+            return np.zeros(target.shape, dtype=bool)
+        return keys[np.minimum(np.searchsorted(keys, target), keys.size - 1)] == target
 
     @property
     def edge_count(self) -> int:
-        return int(self.degrees.sum()) // 2
+        return self.indices.size // 2
 
     @property
     def is_regular(self) -> bool:
@@ -95,58 +161,55 @@ class Graph:
         return {"kind": self.construction, **self.params}
 
 
-def _make(adjacency, construction, params, transitivity=Transitivity.UNKNOWN) -> Graph:
-    adjacency = np.asarray(adjacency, dtype=np.int8)
-    return Graph(
-        n=adjacency.shape[0],
-        adjacency=adjacency,
-        degrees=adjacency.sum(axis=1, dtype=np.int64),
-        construction=construction,
-        params=params,
-        transitivity=transitivity,
-    )
+def _make(n: int, u, v, construction, params, transitivity=Transitivity.UNKNOWN) -> Graph:
+    """The graph on n vertices whose edges are the pairs (u[k], v[k]), each
+    given once in either order; Graph checks the rest."""
+    kind = _key_type(_check_order(n))
+    u, v = np.asarray(u), np.asarray(v)
+    keys = np.empty(2 * u.size, dtype=kind)  # u * n + v orders the pairs (u, v) row by row
+    for a, b, part in ((u, v, keys[: u.size]), (v, u, keys[u.size :])):
+        np.multiply(a, n, out=part)
+        part += b
+    keys.sort()
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=kind) * n)
+    keys -= np.repeat(np.arange(n, dtype=kind) * n, np.diff(indptr))  # now the neighbors
+    return Graph(n, indptr, keys.astype(np.int32, copy=False), construction, params, transitivity)
 
 
 def complete(n: int) -> Graph:
     """Complete graph on n >= 2 vertices."""
     if n < 2:
         raise ParameterError(f"complete graph needs n >= 2, got {n}")
-    adj = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
-    return _make(adj, "complete", {"n": n}, Transitivity.KNOWN)
+    return _make(n, *np.triu_indices(n, k=1), "complete", {"n": n}, Transitivity.KNOWN)
 
 
 def cycle(n: int) -> Graph:
     """Cycle graph on n >= 3 vertices."""
     if n < 3:
         raise ParameterError(f"cycle graph needs n >= 3, got {n}")
-    adj = np.zeros((n, n), dtype=np.int8)
     idx = np.arange(n)
-    adj[idx, (idx + 1) % n] = 1
-    adj[(idx + 1) % n, idx] = 1
-    return _make(adj, "cycle", {"n": n}, Transitivity.KNOWN)
+    return _make(n, idx, (idx + 1) % n, "cycle", {"n": n}, Transitivity.KNOWN)
 
 
 def torus(side: int, d: int) -> Graph:
     """d-dimensional discrete torus with `side` vertices per axis.
 
-    Vertices are lattice points of {0,..,side-1}^d with wrap-around
-    adjacency along each axis; every vertex has degree 2d.
+    Vertices are lattice points of {0,..,side-1}^d, vertex sum_i coord_i
+    side^i, with wrap-around adjacency along each axis; every vertex has
+    degree 2d.
     """
     if side < 3:
         raise ParameterError(f"torus needs side >= 3, got {side}")
     if d < 1:
         raise ParameterError(f"torus needs d >= 1, got {d}")
     n = side**d
-    adj = np.zeros((n, n), dtype=np.int8)
-    strides = side ** np.arange(d)
-    coords = (np.arange(n)[:, None] // strides[None, :]) % side
+    idx = np.arange(n)
+    successors = []
     for axis in range(d):
-        shifted = coords.copy()
-        shifted[:, axis] = (coords[:, axis] + 1) % side
-        nbr = shifted @ strides
-        adj[np.arange(n), nbr] = 1
-        adj[nbr, np.arange(n)] = 1
-    return _make(adj, "torus", {"side": side, "d": d}, Transitivity.KNOWN)
+        stride = side**axis
+        coord = (idx // stride) % side
+        successors.append(idx + stride * ((coord + 1) % side - coord))
+    return _make(n, np.tile(idx, d), np.concatenate(successors), "torus", {"side": side, "d": d}, Transitivity.KNOWN)
 
 
 def philox_key(seed) -> int:
@@ -174,10 +237,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     gen = np.random.Generator(np.random.Philox(key=philox_key(seed)))
     rows, cols = np.triu_indices(n, k=1)
     mask = gen.random(rows.size) < p
-    adj = np.zeros((n, n), dtype=np.int8)
-    adj[rows[mask], cols[mask]] = 1
-    adj[cols[mask], rows[mask]] = 1
-    return _make(adj, "erdos_renyi", {"n": n, "p": p, "seed": int(seed)})
+    return _make(n, rows[mask], cols[mask], "erdos_renyi", {"n": n, "p": p, "seed": int(seed)})
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
@@ -211,21 +271,13 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         keys = lo.astype(np.int64) * n + hi
         if np.unique(keys).size != keys.size:
             continue
-        return _make(_pairs_adjacency(n, u, v), "random_regular", params)
+        return _make(n, u, v, "random_regular", params)
     if u is None:
         raise GenerationError(
             f"pairing model failed to produce a simple {d}-regular graph on {n} "
             f"vertices within {PAIRING_RETRY_CAP} attempts"
         )
-    u, v = _switch_to_simple(u, v, gen)
-    return _make(_pairs_adjacency(n, u, v), "random_regular", params)
-
-
-def _pairs_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    adj = np.zeros((n, n), dtype=np.int8)
-    adj[u, v] = 1
-    adj[v, u] = 1
-    return adj
+    return _make(n, *_switch_to_simple(u, v, gen), "random_regular", params)
 
 
 def _switch_to_simple(u: np.ndarray, v: np.ndarray, gen: np.random.Generator):
@@ -236,20 +288,21 @@ def _switch_to_simple(u: np.ndarray, v: np.ndarray, gen: np.random.Generator):
     edge) and a uniform edge (x, y), oriented at random, and replaces them
     by (a, x) and (b, y).  It is accepted only when neither new edge is a
     loop or already present, so every accepted switch removes at least one
-    bad edge and never adds one.
+    bad edge and never adds one.  After a switch only the edges whose key
+    counts changed are checked again, and the bad edges are kept in edge
+    order, so each draw picks the edge a full rescan would.
     """
     u, v = u.tolist(), v.tolist()
     m = len(u)
 
-    def key(a, b):
-        return (a, b) if a < b else (b, a)
+    def key(e):
+        return (u[e], v[e]) if u[e] < v[e] else (v[e], u[e])
 
-    counts = Counter(map(key, u, v))
-
-    def bad_edges():
-        return [e for e in range(m) if u[e] == v[e] or counts[key(u[e], v[e])] > 1]
-
-    bad = bad_edges()
+    holders = defaultdict(set)  # key -> the edges that are copies of it
+    for e in range(m):
+        holders[key(e)].add(e)
+    bad = {e for e in range(m) if u[e] == v[e] or len(holders[key(e)]) > 1}
+    order = sorted(bad)
     rejected = 0
     while bad:
         if rejected >= SWITCH_RETRY_CAP:
@@ -257,21 +310,29 @@ def _switch_to_simple(u: np.ndarray, v: np.ndarray, gen: np.random.Generator):
                 f"double-edge switches failed to make the pairing simple after "
                 f"{SWITCH_RETRY_CAP} rejected switches ({len(bad)} bad edges left)"
             )
-        e1 = bad[int(gen.integers(len(bad)))]
+        e1 = order[int(gen.integers(len(order)))]
         e2 = int(gen.integers(m))
         a, b = u[e1], v[e1]
         x, y = (u[e2], v[e2]) if gen.integers(2) else (v[e2], u[e2])
-        new1, new2 = key(a, x), key(b, y)
-        if e1 == e2 or a == x or b == y or new1 == new2 or new1 in counts or new2 in counts:
+        new1, new2 = (min(a, x), max(a, x)), (min(b, y), max(b, y))
+        if e1 == e2 or a == x or b == y or new1 == new2 or new1 in holders or new2 in holders:
             rejected += 1
             continue
-        for k in (key(a, b), key(x, y)):
-            counts[k] -= 1
-            if counts[k] == 0:
-                del counts[k]
-        counts[new1] = counts[new2] = 1
+        touched = set()
+        for e in (e1, e2):
+            k = key(e)
+            holders[k].discard(e)
+            touched |= holders[k]
+            if not holders[k]:
+                del holders[k]
         u[e1], v[e1], u[e2], v[e2] = a, x, b, y
-        bad = bad_edges()
+        holders[new1], holders[new2] = {e1}, {e2}
+        for e in touched | {e1, e2}:
+            if u[e] == v[e] or len(holders[key(e)]) > 1:
+                bad.add(e)
+            else:
+                bad.discard(e)
+        order = sorted(bad)
     return np.array(u), np.array(v)
 
 
@@ -291,15 +352,14 @@ def edge_list_graph(edges, n: int | None = None, one_based: bool = True) -> Grap
         n = max_seen + 1
     if n < 1:
         raise ParameterError("edge_list graph needs at least one vertex")
-    adj = np.zeros((n, n), dtype=np.int8)
+    _check_order(n)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ParameterError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
         if u == v:
             raise ParameterError(f"self-loop at vertex {u} is not allowed")
-        adj[u, v] = 1
-        adj[v, u] = 1
-    return _make(adj, "edge_list", {"n": n})
+    pairs = np.array(sorted({(min(u, v), max(u, v)) for u, v in edges}), dtype=np.int64).reshape(-1, 2)
+    return _make(n, pairs[:, 0], pairs[:, 1], "edge_list", {"n": n})
 
 
 def read_edge_list(path) -> Graph:
@@ -405,7 +465,8 @@ def build_graph(spec: dict) -> Graph:
 
 
 def graph_distances(g: Graph, source: int) -> np.ndarray:
-    """Breadth-first-search distances from `source` to every vertex.
+    """Breadth-first-search distances from `source` to every vertex, over
+    the neighbor lists: O(n + E) memory, each level one gather.
 
     Unreachable vertices get INFINITE_DISTANCE (float inf).
     """
@@ -413,14 +474,15 @@ def graph_distances(g: Graph, source: int) -> np.ndarray:
         raise ParameterError(f"vertex {source!r} is not a valid index for a graph on {g.n} vertices")
     dist = np.full(g.n, INFINITE_DISTANCE)
     dist[source] = 0.0
-    frontier = np.zeros(g.n, dtype=bool)
-    frontier[source] = True
+    frontier = np.array([source], dtype=np.int64)
     level = 0
-    while frontier.any():
-        reach = (g.adjacency[frontier].any(axis=0)) & np.isinf(dist)
+    while frontier.size:
+        starts, counts = g.indptr[frontier], g.degrees[frontier]
+        offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)  # each frontier vertex's list, end to end
+        reach = g.indices[offsets + np.arange(offsets.size)]
+        frontier = np.unique(reach[np.isinf(dist[reach])])
         level += 1
-        dist[reach] = level
-        frontier = reach
+        dist[frontier] = level
     return dist
 
 

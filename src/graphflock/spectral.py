@@ -11,8 +11,10 @@ Every equilibrium quantity is an integral against the spectrum, so an
 EigenSystem holds its eigenvalues from the start and computes the
 eigenvectors (a full eigh) only when a caller first reads them.  Graphs
 built by graphs.cycle, graphs.torus and graphs.complete get their
-Laplacian spectrum in closed form, without any eigensolver; every other
-graph goes through eigvalsh.
+Laplacian spectrum in closed form, without any eigensolver and without
+any n x n matrix.  Every other graph's symmetric Laplacian is filled
+densely from its neighbor lists and handed to LAPACK's syevd, which
+overwrites it: that matrix is the one n^2 allocation of a spectrum.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy import linalg
 from scipy.special import roots_legendre
 
 from .errors import DomainError, NumericError, ParameterError
@@ -54,19 +56,30 @@ KESTEN_MCKAY_NODES = 256
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Random-walk normalized Laplacian D^{-1}A - I.
+    """Random-walk normalized Laplacian D^{-1}A - I, as a dense matrix.
 
     Requires every degree to be nonzero.  The result is symmetric exactly
     when the graph is regular; non-regular graphs get the (non-symmetric)
     matrix back, which only the mean-field and cooperative paths may use.
     """
+    return _dense_laplacian(g, symmetric=False)
+
+
+def _dense_laplacian(g: Graph, symmetric: bool) -> np.ndarray:
+    """D^{-1}A - I, or the similar D^{-1/2} A D^{-1/2} - I when symmetric,
+    filled from the neighbor lists: 1/deg (or 1/sqrt(deg deg)) at each edge
+    and -1 on the diagonal.  On a regular graph the two are the same bits."""
     isolated = np.flatnonzero(g.degrees == 0)
     if isolated.size:
         raise DomainError(
             f"graph has isolated vertex {int(isolated[0])}; the normalized "
             "Laplacian needs all degrees nonzero"
         )
-    return g.adjacency / g.degrees[:, None] - np.eye(g.n)
+    rows, deg = g.rows, g.degrees
+    out = np.zeros((g.n, g.n))
+    out[rows, g.indices] = 1.0 / (np.sqrt(deg[rows] * deg[g.indices]) if symmetric else deg[rows])
+    np.fill_diagonal(out, -1.0)
+    return out
 
 
 class EigenSystem:
@@ -121,6 +134,14 @@ def _solve(solver, m: np.ndarray):
         raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
 
 
+def _eigvalsh_in_place(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the exactly symmetric m, overwriting m: the
+    LAPACK syevd that np.linalg.eigvalsh runs on a copy, with the same lower
+    triangle.  m.T is the same matrix in Fortran order, so LAPACK takes it
+    without a copy."""
+    return linalg.eigh(m.T, eigvals_only=True, driver="evd", lower=True, overwrite_a=True, check_finite=False)
+
+
 def eigendecompose(m: np.ndarray) -> EigenSystem:
     """Symmetric eigendecomposition with an explicit symmetry gate.
 
@@ -151,7 +172,7 @@ def _is_torus(g: Graph, side: int, d: int) -> bool:
     for axis in range(d):
         stride = side**axis
         coord = (idx // stride) % side
-        if not g.adjacency[idx, idx + stride * ((coord + 1) % side - coord)].all():
+        if not g.has_edges(idx, idx + stride * ((coord + 1) % side - coord)).all():
             return False
     return True
 
@@ -189,21 +210,17 @@ def laplacian_eigensystem(g: Graph) -> EigenSystem:
     """Eigensystem of the graph Laplacian, clamped to [-2, 0].
 
     Graphs built by cycle, torus and complete get their spectrum in closed
-    form, other graphs from eigvalsh of the Laplacian or, if irregular, of
-    the similar D^{-1/2} A D^{-1/2} - I (whose eigenvectors they get); the
-    eigenvectors are computed on first use.
+    form, other graphs from syevd of D^{-1/2} A D^{-1/2} - I, which is the
+    Laplacian itself on a regular graph and similar to it otherwise (its
+    eigenvectors are the ones they get).  The matrix is symmetric because
+    the graph's lists are, so it skips eigendecompose's symmetry gate, and
+    it is rebuilt when the eigenvectors are first read.
     Eigenvalues outside [-2 - tol, 0 + tol] indicate a broken input and
     raise instead of being clamped.
     """
+    source = functools.partial(_dense_laplacian, g, symmetric=True)
     vals = _closed_form_spectrum(g)
-    if vals is None:
-        source = laplacian(g)
-        if not g.is_regular:  # D^{-1}A - I is similar to the symmetric D^{-1/2} A D^{-1/2} - I
-            source = g.adjacency / np.sqrt(np.outer(g.degrees, g.degrees)) - np.eye(g.n)
-        vals = eigendecompose(source).eigenvalues
-    else:
-        source = functools.partial(laplacian, g)
-        vals = np.sort(vals)
+    vals = _solve(_eigvalsh_in_place, source()) if vals is None else np.sort(vals)
     if vals.min() < -2.0 - EIGENVALUE_CLAMP_TOL or vals.max() > EIGENVALUE_CLAMP_TOL:
         raise NumericError(
             f"Laplacian spectrum escapes [-2, 0] beyond tolerance: "
@@ -343,7 +360,7 @@ def _gauss_rule_from_atoms(values: np.ndarray, weights: np.ndarray, n_nodes: int
         if beta[k + 1] <= 0.0:
             raise NumericError("Stieltjes recurrence broke down while compressing a quadrature rule")
         p_prev, p = p, q / np.sqrt(beta[k + 1])
-    nodes, vecs = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
+    nodes, vecs = linalg.eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
     rule_weights = beta[0] * vecs[0] ** 2
     return nodes, rule_weights
 

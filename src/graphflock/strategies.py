@@ -108,11 +108,18 @@ def custom_profile(
 
 def alignment_functionals(g: Graph) -> np.ndarray:
     """Row i is the terminal functional whose square is penalized for
-    player i: e_i - (neighbor average), or e_i alone for isolated i."""
+    player i: e_i - (neighbor average), or e_i alone for isolated i; a
+    dense n x n matrix (_align applies it without one)."""
     out = np.eye(g.n)
-    rows = g.degrees > 0
-    out[rows] -= g.adjacency[rows] / g.degrees[rows, None]
+    rows = g.rows
+    out[rows, g.indices] = -1.0 / g.degrees[rows]
     return out
+
+
+def _align(g: Graph, x: np.ndarray) -> np.ndarray:
+    """alignment_functionals(g) @ x from the neighbor lists: x_i minus the
+    average of x over i's neighbors (x_i alone for isolated i)."""
+    return x - _inverse_degrees(g.degrees) * np.bincount(g.rows, weights=x[g.indices], minlength=g.n)
 
 
 def _inverse_degrees(degrees: np.ndarray) -> np.ndarray:
@@ -194,7 +201,7 @@ def _mode_weights(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple
     graph e_i^T Pi_lam e_i is multiplicity / n for every i, as the graph's
     automorphisms commute with Pi_lam, so eigenvectors are read only for x0."""
     if prof.eigen is None:
-        ex, lx = (None, None) if x0 is None else (x0[:, None], (alignment_functionals(g) @ x0)[:, None])
+        ex, lx = (None, None) if x0 is None else (x0[:, None], _align(g, x0)[:, None])
         return np.ones((g.n, 1)), 1.0 + _inverse_degrees(g.degrees)[:, None], ex, lx
     starts = prof.eigen.eigenspaces()
     lam = prof.eigen.eigenvalues[starts]
@@ -315,7 +322,9 @@ def _basis(g: Graph, prof: LinearProfile, i: int) -> np.ndarray:
     if prof.matrix_fn is not None:
         return np.eye(g.n)
     if prof.eigen is None:
-        return np.column_stack((np.eye(1, g.n, i)[0], -g.adjacency[i] * _inverse_degrees(g.degrees[i])))
+        step = np.zeros(g.n)
+        step[g.neighbors(i)] = -_inverse_degrees(g.degrees[i])
+        return np.column_stack((np.eye(1, g.n, i)[0], step))
     v = prof.eigen.eigenvectors
     return np.add.reduceat(v * v[i], prof.eigen.eigenspaces(), axis=1)
 

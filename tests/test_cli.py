@@ -2,12 +2,14 @@ import importlib.util
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from graphflock.cli import _build_parser, main
 from graphflock.graphs import erdos_renyi
@@ -125,7 +127,15 @@ class TestFigures:
         assert header[0] == "t" and len(header) == 9
         assert rows.shape == (101, 9)
 
-    @pytest.mark.parametrize("argv", ["variance-curve --graph cycle:200", "variance-curve --measure cycle", "fig3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "variance-curve --graph cycle:200",
+            "variance-curve --measure cycle",
+            "fig3",
+            "variance-curve --measure kesten_mckay:3 --c 7 --t-grid 0:1:37",  # times off the --steps 400 grid
+        ],
+    )
     def test_data_rows_do_not_depend_on_steps(self, capsys, argv):
         outputs = []
         for steps in ("400", "2000"):
@@ -345,6 +355,21 @@ class TestConfigAndErrors:
         assert err.startswith("error[numeric]:")
         assert len(err.splitlines()) == 1
 
+    def test_out_of_memory_exits_3(self):
+        # Under a 1.5 GiB address-space cap the graph's neighbor lists fit
+        # (1.4 MB), but the 11.9 GiB dense Laplacian of its eigensolve does not.
+        cap = 1536 * 2**20
+        environ = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        environ.update(PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphflock.cli", "spectrum", "--graph", "random_regular:40000,3"],
+            env=environ, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error[numeric]: out of memory: ")
+        assert len(proc.stderr.splitlines()) == 1
+
     @pytest.mark.parametrize("argv", ["coop --graph cycle:6 --t 0.5", "value --measure dirac"])
     def test_non_finite_output_exits_3(self, capsys, monkeypatch, argv):
         from graphflock import cooperative, equilibrium
@@ -453,6 +478,7 @@ class TestEigenvalueOnlyCommands:
     def test_coop_runs_without_eigensolver(self, capsys, monkeypatch, graph):
         monkeypatch.setattr(np.linalg, "eigh", _refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
+        monkeypatch.setattr(scipy.linalg, "eigh", _refuse)
         code, out, err = run(capsys, "coop", "--graph", graph, "--t-grid", "0:1:3")
         assert code == 0, err
         assert out

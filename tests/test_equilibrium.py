@@ -257,6 +257,26 @@ class TestVarianceWalk:
         curve = limit_variance(mu, solve_f(mu, c, 1.0, 2000), 1.0, ts)
         assert np.abs(curve - dop853_variance(mu, c, ts)).max() <= 1e-10
 
+    @pytest.mark.parametrize("c", [1e4, 1e5, 1e6])
+    def test_large_ct_curves_match_the_closed_form(self, c):
+        # Near t = T the integrand bends at u = (cT)^-1/2, closer to the rule's
+        # start than its mean node gap: the rule is then cut into graded pieces.
+        ts = np.linspace(0.0, 1.0, 41)[1:]
+        mu = limit_measure("dirac_minus_one")
+        a = c * (1.0 - ts)
+        closed = (1.0 + a) ** 2 * (1.0 / (1.0 + a) - 1.0 / (1.0 + c)) / c
+        curve = limit_variance(mu, solve_f(mu, c, 1.0, 200), 1.0, ts)
+        assert np.abs(curve / closed - 1.0).max() <= 1e-12
+        assert curve[-1] == pytest.approx((1.0 - 1.0 / (1.0 + c)) / c, rel=1e-12, abs=0.0)
+
+    def test_rule_is_cut_only_where_it_misses_the_bend(self):
+        mu = limit_measure("dirac_minus_one")
+        f, w = solve_f(mu, 100.0, 1.0, 200).gauss_rule(np.array([0.0, 0.5]), 1.0, 64)
+        assert f.shape == w.shape == (2, 64)
+        f, w = solve_f(mu, 1e6, 1.0, 200).gauss_rule(np.array([0.0, 0.5]), 1.0, 64)
+        assert f.shape[1] > 64 and np.count_nonzero(w[1]) == 64  # t = 0.5 keeps its one rule
+        assert np.allclose(w.sum(axis=1), [1.0, 0.5], rtol=1e-14, atol=0.0)
+
     def test_node_count_below_one_rejected(self):
         k = kernel(cycle(12), steps=200)
         for s_steps in (0, -3):

@@ -1,11 +1,15 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graphflock import graphs
+from graphflock.equilibrium import build_kernel
 from graphflock.errors import GenerationError, ParameterError
 from graphflock.graphs import (
+    Graph,
     Transitivity,
     build_graph,
     complete,
@@ -20,6 +24,8 @@ from graphflock.graphs import (
     torus,
     verify_transitive,
 )
+from graphflock.spectral import laplacian_eigensystem
+from graphflock.strategies import equilibrium_profile, mf_profile, nash_audit
 
 
 def path_graph(n):
@@ -110,6 +116,86 @@ class TestConstructors:
         g = complete(3)
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = 0
+
+
+def edge_keys_sha256(g):
+    """sha256 of the sorted keys u * n + v of the edges u < v, as little-endian int64."""
+    rows = g.rows
+    return hashlib.sha256((rows * g.n + g.indices)[rows < g.indices].astype("<i8").tobytes()).hexdigest()
+
+
+class TestNeighborLists:
+    def test_torus_lists_hold_the_lattice_neighbors(self):
+        g = torus(3, 2)  # vertex x + 3 y
+        assert g.indptr.tolist() == list(range(0, 37, 4))
+        for v in range(g.n):
+            x, y = v % 3, v // 3
+            lattice = {(x + 1) % 3 + 3 * y, (x - 1) % 3 + 3 * y, x + 3 * ((y + 1) % 3), x + 3 * ((y - 1) % 3)}
+            assert g.neighbors(v).tolist() == sorted(lattice)
+        assert g.has_edges([0, 0, 4], [1, 4, 7]).tolist() == [True, False, True]
+
+    @pytest.mark.parametrize(
+        "n,indptr,indices,problem",
+        [
+            (3, [0, 1, 2, 2], [1, 3], "vertices 0..2"),  # a neighbor out of range
+            (2, [0, 2, 3], [0, 1, 0], "no self-loops"),
+            (3, [0, 2, 3, 4], [1, 1, 0, 0], "strictly increasing"),  # a repeated edge
+            (3, [0, 2, 3, 4], [2, 1, 0, 0], "strictly increasing"),  # an unsorted list
+            (3, [0, 1, 2, 3], [1, 2, 0], "symmetric"),  # a directed triangle
+            (3, [0, 1, 2], [1, 0], "3 + 1 entries|4 entries"),
+            (2, [0, 2, 1], [1, 0], "rise from 0"),
+        ],
+    )
+    def test_malformed_lists_rejected(self, n, indptr, indices, problem):
+        with pytest.raises(ParameterError, match=problem):
+            Graph(n, np.array(indptr), np.array(indices), "edge_list", {"n": n})
+
+    def test_arrays_are_frozen(self):
+        g = cycle(5)
+        for a in (g.indptr, g.indices, g.degrees):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    @pytest.mark.parametrize(
+        "build,digest",
+        [
+            (lambda: erdos_renyi(100, 0.1, seed=1), "97e1eeea310313f621af097cb12a9cd328f269bc427fd14cb4ca3b5102dab6aa"),
+            (lambda: random_regular(1000, 3, seed=1), "9f8c4776fdde0c2ebb519326d29d820e6c8668202cbab8a1dbe612c2930e0318"),
+            # these two need the double-edge switch repair
+            (lambda: random_regular(200, 8, seed=3), "7864db9409e6b079ddcbef38ef17f7fbe03091a76e00697af3a9b2c70354628a"),
+            (lambda: random_regular(200, 20, seed=3), "85a498479e4a3dd560991999b47918213c8654e0a620a64937396c14ef7f1e8c"),
+        ],
+        ids=["er100", "rr1000_3", "rr200_8", "rr200_20"],
+    )
+    def test_seeds_give_pinned_graphs(self, build, digest):
+        assert edge_keys_sha256(build()) == digest
+
+    def test_million_vertex_cycle_builds_in_linear_memory(self):
+        # A dense n x n adjacency would need 10^12 bytes here.
+        tracemalloc.start()
+        try:
+            g = build_graph({"kind": "cycle", "n": 10**6})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == 10**6 and (g.degrees == 2).all()
+        assert peak < 128 * 10**6  # 128 bytes per vertex; about 90 are used
+
+    @pytest.mark.filterwarnings("ignore:graph transitivity:RuntimeWarning")
+    def test_no_dense_adjacency_outside_the_automorphism_search(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the dense adjacency was built")
+
+        irregular = erdos_renyi(30, 0.2, seed=2)
+        monkeypatch.setattr(Graph, "adjacency", property(refuse))
+        for g in (cycle(12), torus(4, 2)):
+            k = build_kernel(g, 1.0, 1.0, 1.0, steps=200)
+            x0 = np.linspace(-1.0, 1.0, g.n)
+            assert nash_audit(g, equilibrium_profile(k), 1.0, 1.0, x0=x0)["all_satisfied"]
+            assert nash_audit(g, mf_profile(g, 1.0, 1.0, 200), 1.0, 1.0, x0=x0)["all_satisfied"]
+            assert laplacian_eigensystem(g).eigenvectors.shape == (g.n, g.n)
+            assert graph_distances(g, 0).max() == {12: 6, 16: 4}[g.n]
+        assert laplacian_eigensystem(irregular).eigenvectors.shape == (30, 30)
 
 
 class TestEdgeLists:
