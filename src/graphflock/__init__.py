@@ -48,7 +48,7 @@ _EXPORTS = {
         "limit_measure",
         "measure_moments",
     ),
-    "flow": ("FlockingSchedule", "cycle_closed_form", "q_eval", "solve_f", "solve_f_sweep"),
+    "flow": ("FlockingSchedule", "cycle_closed_form", "q_eval", "solve_f"),
     "equilibrium": (
         "EquilibriumKernel",
         "GaussianLaw",

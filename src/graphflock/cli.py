@@ -269,11 +269,10 @@ def _cmd_value(args) -> None:
 
 def _limit_curves(pairs, steps: int, ts) -> list:
     """Variance curve at times ts for each (measure, c) pair, T = sigma = 1:
-    one solve per schedule, one walk per curve."""
+    one solve per schedule, then one Gauss rule per time of the curve."""
     from . import equilibrium, flow
 
-    schedules = flow.solve_f_sweep(pairs, 1.0, steps)
-    return [equilibrium.limit_variance(s.measure, s, 1.0, ts) for s in schedules]
+    return [equilibrium.limit_variance(mu, flow.solve_f(mu, c, 1.0, steps), 1.0, ts) for mu, c in pairs]
 
 
 def _cmd_fig1(args) -> None:

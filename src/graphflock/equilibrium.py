@@ -118,8 +118,6 @@ def build_kernel(
 def _clamp_time(t, T):
     """t clipped to [0, T], a float or an array like t; NaN or a time more
     than 1e-12 outside raises ParameterError."""
-    if isinstance(t, float) and -1e-12 <= t <= T + 1e-12:
-        return min(max(float(t), 0.0), T)  # one time: no numpy call on the rate path
     times = np.asarray(t, dtype=float)
     outside = times[~((times >= -1e-12) & (times <= T + 1e-12))]
     if outside.size:

@@ -140,19 +140,6 @@ def _invert(series, tau, table_tau, table_u):
     raise NumericError(f"the schedule's Newton inversion did not converge in {NEWTON_MAX_ITER} steps")
 
 
-def _invert_one(series, tau: float, lo: float, hi: float, u: float) -> float:
-    """_invert's Newton for one time from u in [lo, hi], in plain floats."""
-    slope, integral, tol = series
-    for _ in range(NEWTON_MAX_ITER):
-        residual = _clenshaw(integral, 2.0 * u - 1.0) - tau
-        lo, hi = (u, hi) if residual < 0.0 else (lo, u)
-        if abs(residual) <= tol or math.nextafter(lo, hi) >= hi:
-            return u
-        step = u - residual / _clenshaw(slope, 2.0 * u - 1.0)
-        u = step if lo < step < hi else 0.5 * (lo + hi)
-    raise NumericError(f"the schedule's Newton inversion did not converge in {NEWTON_MAX_ITER} steps")
-
-
 @dataclass(frozen=True)
 class FlockingSchedule:
     """Solution of f' = c*Q'(f) on a uniform grid of [0, T], with the series
@@ -177,21 +164,14 @@ class FlockingSchedule:
         return self.grid.size - 1
 
     def value(self, t):
-        """f(t) for t in [0, T], by Newton from the table solve_f inverted
-        its grid from, so f(t) does not depend on the grid."""
+        """f(t) for t in [0, T], a float or an array like t, by Newton from
+        the table solve_f inverted its grid from, so f(t) does not depend on
+        the grid.  Callers pass every time they need in one array."""
         T = self.T
-        table_tau, table_u = self._table
-        if isinstance(t, float) and -1e-9 <= t <= T + 1e-9:  # one time: numpy is slow on tiny arrays
-            tau = min(max(float(t), 0.0), T) / T
-            j = min(max(int(table_tau.searchsorted(tau)), 1), table_tau.size - 1)  # as _invert brackets tau
-            lo, hi, t0, t1 = float(table_u[j - 1]), float(table_u[j]), float(table_tau[j - 1]), float(table_tau[j])
-            w = min(max((tau - t0) / (t1 - t0), 0.0), 1.0)
-            u = _invert_one(self._series, tau, lo, hi, math.sqrt(lo * lo + w * (hi * hi - lo * lo)))
-            return self.c * T * (u * u)
         t = np.asarray(t, dtype=float)
         if np.any(t < -1e-9) or np.any(t > T + 1e-9):
             raise ParameterError(f"schedule evaluated outside [0, {T}]")
-        u = _invert(self._series, np.clip(t, 0.0, T) / T, table_tau, table_u)[0]
+        u = _invert(self._series, np.clip(t, 0.0, T) / T, *self._table)[0]
         out = self.c * T * (u * u)
         return float(out) if out.ndim == 0 else out
 
@@ -280,14 +260,6 @@ def solve_f(
     schedule = FlockingSchedule(c, T, grid, c * T * (u * u), mu, *health, series, (table, nodes))
     _check_schedule(schedule)
     return schedule
-
-
-def solve_f_sweep(pairs, T: float, steps: int = DEFAULT_ODE_STEPS) -> list[FlockingSchedule]:
-    """solve_f for every (mu, c) in pairs on one grid of [0, T]."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ParameterError("solve_f_sweep needs at least one (measure, c) pair")
-    return [solve_f(mu, c, T, steps) for mu, c in pairs]
 
 
 def _check_schedule(s: FlockingSchedule) -> None:

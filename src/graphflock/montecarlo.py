@@ -8,6 +8,8 @@ y <- (1 - dt rho(t)) y + sigma sqrt(dt) eps.  The increments are drawn in
 that frame (V^T W is again a standard Brownian motion), and paths are
 rotated back to x = V y only at record times.  Scalar profiles (K = k I)
 step x elementwise, dense ones multiply by K(t)^T, one matrix at a time.
+A scalar or spectral profile's rates are tabulated on the whole step grid
+by one call before the first step.
 
 Gaussian increments come from counter-based Philox streams keyed by
 (seed, step), with the (path, player) layout fixed inside each step's
@@ -108,7 +110,12 @@ def draw_threads(block_bytes: int) -> int:
 
 
 def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> PathEnsemble:
-    """Euler-Maruyama ensemble of the controlled system under the profile."""
+    """Euler-Maruyama ensemble of the controlled system under the profile.
+
+    A scalar or spectral profile's rates come from one prof.rates call on
+    the step times, a row per step.  That table holds steps x n floats for
+    a spectral profile (0.8 MB at n = 200 and 500 steps), less than the
+    ring of drawn-ahead blocks whenever steps <= (draw threads + 1) x n_paths."""
     if prof.n != g.n:
         raise ParameterError(f"profile is for {prof.n} players, graph has {g.n}")
     if cfg.n_paths < 1:
@@ -130,6 +137,10 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
     shape = (cfg.n_paths, g.n)
     x = np.zeros(shape)  # y in the eigen-frame
     drift = np.empty(shape) if basis is None else None
+    rates = None if prof.rates is None else prof.rates(np.arange(steps) * cfg.dt)
+    if basis is not None:
+        rates *= -cfg.dt  # the decay factors 1 - dt * rho(t), a row per step
+        rates += 1.0
     ring = [np.empty(shape) for _ in range(draw_threads(x.nbytes) + 1)]
     noise_scale = sigma * np.sqrt(cfg.dt)
     states: dict[float, np.ndarray] = {}
@@ -138,14 +149,12 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
         if j in record_index:
             states[record_index[j]] = x.copy() if basis is None else x @ basis.T
 
-    def prepare(j: int) -> np.ndarray | None:
+    def prepare(j: int) -> None:
         # Runs on the pool.  Step j's draws depend on (seed, j) alone, so any
-        # thread may fill them; in the eigen-frame it also returns the step's
-        # decay factors 1 - dt * rho(t).
+        # thread may fill them.
         block = ring[j % len(ring)]
         _step_generator(cfg.seed, j).standard_normal(out=block)
         block *= noise_scale
-        return None if basis is None else 1.0 - cfg.dt * prof.rates(j * cfg.dt)
 
     record(0)
     pool = ThreadPoolExecutor(max_workers=len(ring) - 1, thread_name_prefix="graphflock-draws")
@@ -154,18 +163,17 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
         with np.errstate(over="ignore", invalid="ignore"):  # explosions are detected below
             for j in range(steps):
                 if basis is not None:
-                    x *= pending.popleft().result()
+                    x *= rates[j]
                 else:
-                    t = j * cfg.dt
-                    if prof.matrix_fn is None:
+                    if rates is not None:
                         # K = k I: the product x @ K^T is exactly k * x.
-                        np.multiply(x, prof.rates(t), out=drift)
+                        np.multiply(x, rates[j], out=drift)
                     else:
                         # One feedback matrix at a time: memory stays O(n^2), not steps * n^2.
-                        drift = x @ prof.at(t).T
+                        drift = x @ prof.at(j * cfg.dt).T
                     drift *= cfg.dt
                     x -= drift
-                    pending.popleft().result()
+                pending.popleft().result()
                 x += ring[j % len(ring)]
                 if j + len(ring) < steps:
                     pending.append(pool.submit(prepare, j + len(ring)))

@@ -295,6 +295,23 @@ class TestDistances:
         with pytest.raises(ParameterError):
             graph_distances(cycle(4), 7)
 
+    def test_long_cycle_in_linear_time(self):
+        # 500,000 BFS levels, so a loop with one round of numpy calls per level takes seconds.
+        assert graph_distances(cycle(10**6), 0).max() == 500000
+
+    def test_matches_breadth_first_search(self):
+        # A sparse ER graph, so some vertices are unreachable.
+        g = erdos_renyi(40, 0.04, seed=3)
+        for source in range(0, g.n, 3):
+            dist = [math.inf] * g.n
+            dist[source], queue = 0, [source]
+            for u in queue:
+                for v in g.indices[g.indptr[u]:g.indptr[u + 1]]:
+                    if math.isinf(dist[v]):
+                        dist[v] = dist[u] + 1
+                        queue.append(v)
+            assert graph_distances(g, source).tolist() == dist
+
     def test_triangle_inequality(self):
         g = erdos_renyi(18, 0.25, seed=5)
         dists = np.array([graph_distances(g, s) for s in range(g.n)])

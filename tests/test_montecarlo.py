@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from graphflock.cooperative import coop_kernel, coop_profile
 from graphflock.equilibrium import build_kernel, p_matrix, state_law
 from graphflock.errors import NumericError, ParameterError
 from graphflock.graphs import complete, cycle, edge_list_graph, erdos_renyi, torus
@@ -130,6 +131,30 @@ class TestDrawPool:
         assert _digest(mean_field) == "794202845e7e7e9e8e3a3b8b733fe56b5b2b17c76d6cb2b02024e888660fdb90"
         assert _digest(zero) == "e51ae3adea1cd2dc1a947a24d529991fe23108feb4c9e851102fe1696a0694a7"
 
+    def test_spectral_ensembles_match_pinned_digests(self):
+        # Digests of the ensembles drawn when the eigen-frame evaluated the
+        # rates one step at a time: the tabulated rates must not change them.
+        cfg = SimConfig(n_paths=48, dt=0.01, seed=9, record_times=(0.0, 0.5, 1.0))
+        g, h = cycle(12), torus(3, 2)
+        equilibrium = simulate(g, equilibrium_profile(build_kernel(g, 2.0, 1.0, 0.7, steps=100)), 0.7, cfg)
+        coop = simulate(h, coop_profile(coop_kernel(h, 1.5, 1.0, 1.3), 100), 1.3, cfg)
+        assert _digest(equilibrium) == "388f925716368c64c4acd68d2c264c30440066ae50c802c795562670306b6eed"
+        assert _digest(coop) == "91cf04490d4726fb68cd1cbb3f95ce572dce18ada030d31a13a42b85cc184b78"
+
+    @pytest.mark.parametrize("kind", ["equilibrium", "mean_field"])
+    def test_rates_are_tabulated_once(self, kind):
+        g = cycle(6)
+        k = build_kernel(g, 1.0, 1.0, 1.0, steps=100)
+        prof = equilibrium_profile(k) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0, 100)
+        calls = []
+
+        def rates(t):
+            calls.append(np.copy(t))
+            return prof.rates(t)
+
+        simulate(g, dataclasses.replace(prof, rates=rates), 1.0, SimConfig(8, 0.01, 2, (0.5, 1.0)))
+        assert len(calls) == 1 and np.array_equal(calls[0], np.arange(100) * 0.01)
+
     def test_lg_threads_sizes_the_pool(self, monkeypatch):
         monkeypatch.delenv("LG_THREADS", raising=False)
         assert thread_count() == available_cores()
@@ -171,7 +196,7 @@ class TestEigenFrame:
         g = complete(2)
         prof = dataclasses.replace(
             equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=100)),
-            rates=lambda t: np.full(2, -1e6),
+            rates=lambda t: np.full(np.shape(t) + (2,), -1e6),
         )
         with pytest.raises(NumericError, match=r"step \d+, path \d+"):
             simulate(g, prof, 1.0, SimConfig(8, 0.01, 0, (1.0,)))
