@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from graphflock import flow
-from graphflock.equilibrium import limit_value
+from graphflock.cli import _limit_curves
+from graphflock.equilibrium import limit_value, limit_variance
 from graphflock.errors import NumericError, ParameterError
 from graphflock.flow import CHOP_TOL, _phi, cycle_closed_form, q_eval, solve_f
 from graphflock.graphs import cycle
@@ -169,6 +170,26 @@ class TestSolveF:
         assert s.rhs(s.value(0.4)) == s.slope(0.4)
         assert isinstance(s.rhs(s.value(0.4)), float)
         assert np.array_equal(s.rhs(s.value(ts)), s.slope(ts))
+
+
+FIG1_SWEEP = [(FAMILY[name], c) for c in (0.5, 1.0, 2.0, 5.0) for name in ("dirac", "cycle_limit")]
+FIG2_SWEEP = [(limit_measure("torus_limit", d=d), 1.0) for d in (1, 2, 4)] + [(FAMILY["dirac"], 1.0)]
+
+
+class TestSolveFSweep:
+    """solve_f over the figures' sweeps of (measure, c) pairs, as cli._limit_curves runs them."""
+
+    @pytest.mark.parametrize("pairs", [FIG1_SWEEP, FIG2_SWEEP], ids=["fig1", "fig2"])
+    def test_equals_separate_solves(self, pairs):
+        ts = np.linspace(0.0, 1.0, 11)
+        for (mu, c), curve in zip(pairs, _limit_curves(pairs, 500, ts), strict=True):
+            alone = limit_variance(mu, solve_f(mu, c, 1.0, 500), 1.0, ts)
+            assert np.array_equal(curve, alone)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_c_anywhere_in_the_sweep(self, bad):
+        with pytest.raises(ParameterError):
+            _limit_curves([(FAMILY["cycle_limit"], 1.0), (FAMILY["dirac"], bad)], 200, np.array([0.5]))
 
 
 def dop853_schedule(mu, c, ts):
