@@ -15,10 +15,10 @@ planner on regular graphs); its rates are evaluated on the whole
 half-step grid at once, and its costs come from a few ODEs per mode.  A
 dense profile (custom, the planner elsewhere) gives K(t) as a matrix,
 evaluated one RK4 step at a time.  A best response's phi lies in a
-basis B (_basis) picked from the form, where its ODE sees the player only
-through a column (_players), so _rank_one solves a whole audit at once:
-one column for a scalar profile, or a spectral one on a transitive graph,
-else one per player.  Every solver steps with flow.rk4_step.
+basis B (_basis) picked from the form, where its ODE and costs see a
+player only through weights shared by a class (_players), so _rank_one
+solves an audit at once: one column for a scalar profile, or a spectral
+one on a transitive graph, else one per player.  Solvers use rk4_step.
 """
 
 from __future__ import annotations
@@ -185,49 +185,29 @@ def profile_costs(
 
 def _stages(prof: LinearProfile) -> Callable[[int], np.ndarray]:
     """j -> the coefficient at the j-th half-step time: a modal profile's
-    rates, one per mode (an eigenspace's at its first eigenvalue), from
-    one call; a dense K, evaluated on demand and kept until the next."""
+    rates, one per basis vector of _basis (k twice for a scalar profile,
+    an eigenspace's at its first eigenvalue), from one call; a dense K,
+    evaluated on demand and kept until the next."""
     times = np.linspace(0.0, prof.T, 2 * prof.steps + 1)
     if prof.matrix_fn is not None:
         return functools.lru_cache(maxsize=1)(lambda j: prof.matrix_fn(float(times[j])))
     rates = prof.rates(times)
-    return (rates[:, None] if prof.eigen is None else rates[:, prof.eigen.eigenspaces()]).__getitem__
-
-
-def _mode_weights(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
-    """e_i^T Pi e_i, l_i^T Pi l_i, e_i^T Pi x0 and l_i^T Pi x0 per player i
-    (row) and mode Pi (column; Pi = I for a scalar profile), the last two
-    None for x0 = None; Pi_lam l_i = -lam Pi_lam e_i.  On a transitive
-    graph e_i^T Pi_lam e_i is multiplicity / n for every i, as the graph's
-    automorphisms commute with Pi_lam, so eigenvectors are read only for x0."""
-    if prof.eigen is None:
-        ex, lx = (None, None) if x0 is None else (x0[:, None], _align(g, x0)[:, None])
-        return np.ones((g.n, 1)), 1.0 + _inverse_degrees(g.degrees)[:, None], ex, lx
-    starts = prof.eigen.eigenspaces()
-    lam = prof.eigen.eigenvalues[starts]
-    if g.transitivity.is_transitive():
-        ee = np.broadcast_to(np.diff(starts, append=g.n) / g.n, (g.n, starts.size))
-    else:
-        ee = np.add.reduceat(prof.eigen.eigenvectors**2, starts, axis=1)
-    if x0 is None:
-        return ee, ee * lam**2, None, None
-    v = prof.eigen.eigenvectors
-    ex = np.add.reduceat(v * (x0 @ v), starts, axis=1)
-    return ee, ee * lam**2, ex, -lam * ex
+    return (np.column_stack((rates, rates)) if prof.eigen is None else rates[:, prof.eigen.eigenspaces()]).__getitem__
 
 
 def _modal_costs(g: Graph, prof: LinearProfile, sigma: float, c: float, x0: np.ndarray | None) -> np.ndarray:
-    """profile_costs for K(t) = sum_k p_k(t) Pi_k: S = sum_k s_k Pi_k and
-    m = sum_k phi_k Pi_k x0, with s_k' = -2 p_k s_k + sigma^2, s_k(0) = 0,
-    phi_k' = -p_k phi_k, phi_k(0) = 1.  Player i's running cost accrues
-    (1/2) sum_k p_k^2 s_k e_i^T Pi_k e_i + (1/2) (sum_k p_k phi_k e_i^T Pi_k x0)^2,
+    """profile_costs for a modal K(t): on the orthogonal columns of
+    B = _basis(g, prof, i), S B = B diag(s) and B^T m = diag(phi) B^T x0, with
+    s_k' = -2 p_k s_k + sigma^2, s_k(0) = 0, phi_k' = -p_k phi_k, phi_k(0) = 1.
+    With e_i = B u, l_i = B a and G = B^T B (_players), player i's running cost accrues
+    (1/2) sum_k p_k^2 s_k u_k^2 G_kk + (1/2) (sum_k p_k phi_k u_k (B^T x0)_k)^2,
     so one propagation carries int p_k^2 s_k / 2 per mode and, with x0,
     R_kl = int p_k phi_k p_l phi_l / 2; the terminal penalty is
-    (c/2) (sum_k s_k l_i^T Pi_k l_i + (sum_k phi_k l_i^T Pi_k x0)^2)."""
+    (c/2) (sum_k s_k a_k^2 G_kk + (sum_k phi_k a_k (B^T x0)_k)^2)."""
     h = prof.T / prof.steps
     sig2 = sigma**2
-    stage = _stages(prof)
-    modes = stage(0).size
+    stage, grams, which, columns, coords = _players(g, prof, x0)
+    _, u, a = np.split(columns[:, :1], 3)  # the same for every player of a modal profile
 
     def derivs(y, p):
         out = np.empty_like(y)
@@ -238,15 +218,16 @@ def _modal_costs(g: Graph, prof: LinearProfile, sigma: float, c: float, x0: np.n
             out[3:] = 0.5 * np.outer(p * y[1], p * y[1])
         return out
 
-    y = np.zeros((3 if x0 is None else 3 + modes, modes))  # s, phi, the running cost of s, then R
+    y = np.zeros((3 if x0 is None else 3 + len(grams), len(grams)))  # s, phi, the running cost of s, then R
     y[1] = 1.0
-    for j in range(prof.steps):
-        y = rk4_step(derivs, y, h, (stage(2 * j), stage(2 * j + 1), stage(2 * j + 2)))
-    s, phi, run_s = y[:3]
-    ee, ll, ex, lx = _mode_weights(g, prof, x0)
-    costs = ee @ run_s + 0.5 * c * (ll @ s)
-    if x0 is not None:
-        costs += np.einsum("ik,kl,il->i", ex, y[3:], ex) + 0.5 * c * (lx @ phi) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends as a refused inf or NaN
+        for j in range(prof.steps):
+            y = rk4_step(derivs, y, h, (stage(2 * j), stage(2 * j + 1), stage(2 * j + 2)))
+        s, phi, run_s = y[:3]
+        costs = (run_s @ (u * u * grams) + 0.5 * c * (s @ (a * a * grams)))[which]
+        if coords is not None:
+            ex, lx = coords * u.T, coords * a.T
+            costs += np.einsum("ik,kl,il->i", ex, y[3:], ex) + 0.5 * c * (lx @ phi) ** 2
     return costs
 
 
@@ -330,36 +311,47 @@ def _basis(g: Graph, prof: LinearProfile, i: int) -> np.ndarray:
 
 
 def _players(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
-    """The stage; the distinct columns stacking w = B^T e_i, u and a
-    (e_i = B u, l_i = B a) and which one is player i's; and the diagonal of
-    B^T B and B^T x0 (None for x0 = None) as row i, for B = _basis(g, prof, i).
-    Dense: w = u = e_i, a = l_i, B^T B = I.  Scalar: one column,
-    w = u = (1, 0), a = (1, 1), B^T B = diag(1, 1/deg i).  Spectral:
-    w = diag(B^T B) = (e_i^T Pi_lam e_i), u = 1, a = -lam; one column on a
-    transitive graph (_mode_weights)."""
+    """The stage and, for B = _basis(g, prof, i), the weights of each class of
+    alike players: diag(B^T B) as a column per class (grams); each player's
+    class (which); the solved columns stacking w = B^T e_i, u and a (e_i = B u,
+    l_i = B a), one for all classes or one per class; B^T x0 as row i (None
+    for x0 = None).  Dense: a class per player, w = u = e_i, a = l_i,
+    B^T B = I.  Scalar: a class per degree, one column w = u = (1, 0),
+    a = (1, 1), B^T B = diag(1, 1/deg i).  Spectral: w = diag(B^T B) =
+    (e_i^T Pi_lam e_i), u = 1, a = -lam; a class per player, or one on a
+    transitive graph, where the graph's automorphisms commute with Pi_lam,
+    so e_i^T Pi_lam e_i = multiplicity / n and eigenvectors are read only for x0."""
     n, stage = g.n, _stages(prof)
     if prof.matrix_fn is not None:
         eye = np.eye(n)
         coords = None if x0 is None else np.broadcast_to(x0, (n, n))
-        return stage, np.vstack((eye, eye, alignment_functionals(g).T)), np.arange(n), np.ones((n, n)), coords
-    ee, _, ex, lx = _mode_weights(g, prof, x0)
+        return stage, np.ones((n, n)), np.arange(n), np.vstack((eye, eye, alignment_functionals(g).T)), coords
     if prof.eigen is None:
-        grams = np.column_stack((ee, _inverse_degrees(g.degrees)))
-        coords = None if x0 is None else np.hstack((ex, lx - ex))
-        return stage, np.array([[1.0], [0.0], [1.0], [0.0], [1.0], [1.0]]), np.zeros(n, int), grams, coords
-    which = np.zeros(n, int) if g.transitivity.is_transitive() else np.arange(n)
-    w = ee[: which[-1] + 1].T  # the distinct rows: one on a transitive graph
-    lam = prof.eigen.eigenvalues[prof.eigen.eigenspaces()]
-    return stage, np.vstack((w, np.ones(w.shape), np.repeat(-lam[:, None], w.shape[1], axis=1))), which, ee, ex
+        degrees, which = np.unique(g.degrees, return_inverse=True)
+        grams = np.vstack((np.ones(degrees.size), _inverse_degrees(degrees)))
+        coords = None if x0 is None else np.column_stack((x0, _align(g, x0) - x0))
+        return stage, grams, which, np.array([[1.0], [0.0], [1.0], [0.0], [1.0], [1.0]]), coords
+    starts = prof.eigen.eigenspaces()
+    lam = prof.eigen.eigenvalues[starts]
+    if g.transitivity.is_transitive():
+        grams, which = (np.diff(starts, append=n) / n)[:, None], np.zeros(n, int)
+    else:
+        grams, which = np.add.reduceat(prof.eigen.eigenvectors**2, starts, axis=1).T, np.arange(n)
+    coords = None
+    if x0 is not None:
+        v = prof.eigen.eigenvectors
+        coords = np.add.reduceat(v * (x0 @ v), starts, axis=1)
+    columns = np.vstack((grams, np.ones(grams.shape), np.broadcast_to(-lam[:, None], grams.shape)))
+    return stage, grams, which, columns, coords
 
 
 def _rank_one(
     g: Graph, prof: LinearProfile, c: float, sigma: float, x0: np.ndarray | None, players, trace: bool = False
 ) -> tuple:
     """Best-response values of players (indices) from one solve for every
-    phi = B gamma, in which players with the same column (_players) share one.
+    phi = B gamma, in which players of one class (_players) share one.
 
-    With W, U and A the distinct columns' w, u and a, s_j = w_j^T gamma_j
+    With W, U and A the solved columns' w, u and a, s_j = w_j^T gamma_j
     (that is, e_i^T phi) and K^T B = B Kt^T (Kt = stage(j) at the j-th
     half-step time, a vector when diagonal), the columns of Gamma solve
 
@@ -369,18 +361,16 @@ def _rank_one(
     for all columns.  Q' = -Gamma * Gamma, Q(T) = 0, alongside gives
     Q(0) = int_0^T gamma^2 entrywise, and player i's value is
     (B^T x0 . gamma(0))^2 / 2 + (sigma^2 / 2) sum_k (B^T B)_kk Q_k.  The
-    solve stops once a column's |phi|^2 = sum_k (B^T B)_kk gamma_k^2, with
-    the largest B^T B of its players, is above RICCATI_BLOWUP_CAP or not
-    finite; |phi|^2 = ||F||_2 >= max |F_rs|.
+    solve stops once a class's |phi|^2 = sum_k (B^T B)_kk gamma_k^2 is
+    above RICCATI_BLOWUP_CAP or not finite; |phi|^2 = ||F||_2 >= max |F_rs|.
 
     Returns the values and, with trace, Gamma at every grid time (row j at
     grid[j]), else None.
     """
-    stage, columns, which, grams, coords = _players(g, prof, x0)
-    solved, col = np.unique(which[players], return_inverse=True)
-    columns, grams = columns[:, solved], grams[players]
-    guard = np.stack([grams[col == k].max(axis=0) for k in range(solved.size)], axis=1)
-    w, u, a = np.split(columns, 3)
+    stage, grams, which, columns, coords = _players(g, prof, x0)
+    solved, cls = np.unique(which[players], return_inverse=True)
+    grams = grams[:, solved]
+    w, u, a = np.split(columns[:, solved] if columns.shape[1] > 1 else columns, 3)
     dt = prof.T / prof.steps
     y = np.stack((math.sqrt(c) * a, np.zeros(a.shape)))  # Gamma, Q
     path = np.empty((prof.steps + 1,) + a.shape) if trace else None
@@ -395,17 +385,18 @@ def _rank_one(
         np.multiply(gamma, -gamma, out=out[1])
         return out
 
-    for j in range(prof.steps, 0, -1):
-        if trace:
-            path[j] = y[0]
-        y = rk4_step(rhs, y, -dt, (stage(2 * j), stage(2 * j - 1), stage(2 * j - 2)))
-        if not np.vecdot(guard, y[0] * y[0], axis=0).max() <= RICCATI_BLOWUP_CAP:
-            raise NumericError(f"best-response |phi|^2 exceeded {RICCATI_BLOWUP_CAP:g} near t = {prof.grid[j - 1]:.6g}")
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard refuses an inf or NaN
+        for j in range(prof.steps, 0, -1):
+            if trace:
+                path[j] = y[0]
+            y = rk4_step(rhs, y, -dt, (stage(2 * j), stage(2 * j - 1), stage(2 * j - 2)))
+            if not np.vecdot(grams, y[0] * y[0], axis=0).max() <= RICCATI_BLOWUP_CAP:
+                raise NumericError(f"best-response |phi|^2 exceeded {RICCATI_BLOWUP_CAP:g} near t = {prof.grid[j - 1]:.6g}")
     if trace:
         path[0] = y[0]
-    values = 0.5 * sigma**2 * np.vecdot(grams, y[1].T[col])
+    values = (0.5 * sigma**2 * np.vecdot(grams, y[1], axis=0))[cls]
     if coords is not None:
-        values += 0.5 * np.vecdot(coords[players], y[0].T[col]) ** 2
+        values += 0.5 * np.vecdot(coords[players], np.broadcast_to(y[0], grams.shape).T[cls]) ** 2
     return values, path
 
 
@@ -464,32 +455,34 @@ def nash_audit(
 
     For mean-field profiles each gap is compared against its epsilon_v
     certificate; for other profiles against the numerical tolerance alone
-    (an exact equilibrium should show pure discretization error).
+    (an exact equilibrium should show pure discretization error).  A gap
+    below -gap_tolerance or NaN, a best response worse than the profile,
+    means the grid does not resolve the problem: NumericError.
     """
     _check_profile(g, prof)
     costs = profile_costs(g, prof, sigma, c, x0)
     x0 = None if x0 is None else np.asarray(x0, dtype=float)
-    if prof.tag == "mean_field":
-        bounds = epsilon_bounds(g, c, prof.T, sigma).per_vertex
-    else:
-        bounds = np.zeros(g.n)
+    bounds = epsilon_bounds(g, c, prof.T, sigma).per_vertex if prof.tag == "mean_field" else np.zeros(g.n)
     values, _ = _rank_one(g, prof, c, sigma, x0, np.arange(g.n))
-    players = []
-    for i in range(g.n):
-        value = float(values[i])
-        gap = float(costs[i] - value)
-        bound = float(bounds[i])
-        players.append(
-            {
-                "vertex": i,
-                "cost": float(costs[i]),
-                "best_response_value": value,
-                "gap": gap,
-                "epsilon_bound": bound,
-                "satisfied": bool(gap <= bound + gap_tolerance),
-            }
+    gaps = costs - values
+    worse = np.flatnonzero(~(gaps >= -gap_tolerance))  # a NaN gap too
+    if worse.size:
+        i = int(worse[0])
+        raise NumericError(
+            f"player {i}'s best response costs {values[i]:.6g}, more than its cost {costs[i]:.6g} under the "
+            f"profile: {prof.steps} steps do not resolve the profile"
         )
-    gaps = [p["gap"] for p in players]
+    players = [
+        {
+            "vertex": i,
+            "cost": float(costs[i]),
+            "best_response_value": float(values[i]),
+            "gap": float(gaps[i]),
+            "epsilon_bound": float(bounds[i]),
+            "satisfied": bool(gaps[i] <= bounds[i] + gap_tolerance),
+        }
+        for i in range(g.n)
+    ]
     return {
         "graph": g.spec(),
         "profile": prof.tag,
@@ -497,6 +490,6 @@ def nash_audit(
         "sigma": sigma,
         "gap_tolerance": gap_tolerance,
         "players": players,
-        "max_gap": max(gaps),
+        "max_gap": float(gaps.max()),
         "all_satisfied": all(p["satisfied"] for p in players),
     }

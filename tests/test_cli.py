@@ -197,6 +197,17 @@ class TestAuditAndSimulate:
         report = json.loads(out)
         assert report["profile"] == report["config"]["profile"] == "zero"
 
+    def test_nash_audit_refuses_a_best_response_above_the_cost(self, capsys):
+        # At h k(T) = 3 RK4 is unstable: the best response would cost 5.59 against 3.11.
+        argv = ["nash-audit", "--graph", "cycle:20", "--profile", "mean_field", "--c", "300"]
+        code, out, err = run(capsys, *argv, "--steps", "100")
+        assert code == 3 and out == ""
+        assert err.startswith("error[numeric]: player 0's best response costs")
+        assert "100 steps" in err and len(err.splitlines()) == 1
+        code, out, err = run(capsys, *argv, "--steps", "2000")
+        assert code == 0 and err == ""
+        assert json.loads(out)["max_gap"] >= -1e-5
+
     def test_simulate_summary_and_dump(self, capsys, tmp_path):
         dump = tmp_path / "samples.csv"
         code, out, _ = run(
@@ -327,6 +338,9 @@ class TestConfigAndErrors:
             "solve-f --measure cycle --c 1e300",
             "value --measure cycle --c 1e4",
             "solve-f --measure cycle --c 1e308 --T 100",
+            "nash-audit --graph cycle:20 --profile mean_field --c 1e7 --steps 100",
+            "nash-audit --graph cycle:6 --profile zero --c 1e300 --steps 100",
+            "nash-audit --graph cycle:6 --profile mean_field --c 1e300 --steps 100",
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -197,6 +197,21 @@ class TestDenseMemory:
         assert len(calls) - 2 * forward <= 2 * steps + 1
 
 
+class TestTransitiveMemory:
+    def test_audit_holds_no_player_by_mode_table(self):
+        # One (players x eigenspaces) table on cycle(4000) would take 4000 * 2001 * 8 B = 61 MiB.
+        g = cycle(4000)
+        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=100))
+        tracemalloc.start()
+        try:
+            report = nash_audit(g, prof, c=1.0, sigma=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report["all_satisfied"] and len(report["players"]) == g.n
+        assert peak < 32 * 2**20
+
+
 class TestRiccatiReference:
     """best_response against scipy's solve_ivp on the full n x n system."""
 
