@@ -426,6 +426,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy's message names the allocation that failed
         print(f"error[numeric]: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return 3
+    except OverflowError as exc:  # Python float arithmetic past 1.8e308, as sigma**2 at a huge --sigma
+        print(f"error[numeric]: float overflow: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -17,21 +17,20 @@ and Approximation Practice, 2013; Aurentz & Trefethen, "Chopping a
 Chebyshev series", 2017), so f is exact to rounding at any t.  The same
 series gives dt = T G(u) du, so an integral of h(f(t)) dt is a smooth
 integral in u: FlockingSchedule.gauss_rule is its Gauss-Legendre rule.
+The series' coefficients come from a DCT-I done as numpy's real FFT, so
+this module needs numpy alone.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint
-from numpy.polynomial.legendre import leggauss
-from scipy.fft import dct
 
 from .errors import DomainError, NumericError, ParameterError
-from .spectral import SpectralMeasure
+from .spectral import SpectralMeasure, _leggauss
 
 #: Default step count of solve_f's output grid.
 DEFAULT_ODE_STEPS = 2000
@@ -88,6 +87,12 @@ def _clenshaw(coef, s):
     return coef[0] + s * b1 - b2
 
 
+def _dct1(h: np.ndarray) -> np.ndarray:
+    """Type-I DCT of h (unnormalized, as scipy.fft.dct(h, type=1), bit for
+    bit): the real part of the FFT of h's even extension."""
+    return np.fft.rfft(np.concatenate((h, h[-2:0:-1]))).real
+
+
 def _chebyshev_series(mu: SpectralMeasure, scale: float):
     """(coefficients in s = 2u - 1, chopped tail / largest, ascending points
     u) of G(u) = 2u / Q'(scale u^2) interpolated on [0, 1].  A degree is kept
@@ -103,7 +108,7 @@ def _chebyshev_series(mu: SpectralMeasure, scale: float):
         if not np.all((0.0 < qp) & (qp <= 1.0 + BOUND_TOL)):  # q_eval's envelope
             raise NumericError(f"Q' escapes its envelope (0, 1] on [0, {scale:.6g}]")
         g = 2.0 * u / qp
-        coef = dct(g[:-1], type=1) / n
+        coef = _dct1(g[:-1]) / n
         coef[[0, n]] *= 0.5
         size = np.abs(coef)
         keep = np.flatnonzero(size > CHOP_TOL * size.max())[-1] + 1
@@ -112,10 +117,6 @@ def _chebyshev_series(mu: SpectralMeasure, scale: float):
             return coef[:keep], float(size[keep:].max() / size.max()), u[-2::-1]
         n *= 2
     raise NumericError(f"the schedule's Chebyshev series needs a degree above {MAX_DEGREE} at c*T = {scale:.6g}")
-
-
-#: The m-point Gauss-Legendre rule on [-1, 1], built on first use per m.
-_leggauss = functools.cache(leggauss)
 
 
 def _invert(series, tau, table_tau, table_u):

@@ -15,6 +15,11 @@ Laplacian spectrum in closed form, without any eigensolver and without
 any n x n matrix.  Every other graph's symmetric Laplacian is filled
 densely from its neighbor lists and handed to LAPACK's syevd, which
 overwrites it: that matrix is the one n^2 allocation of a spectrum.
+
+That syevd call is the only place this module loads scipy.  Limit measures
+and closed-form spectra need numpy alone: their Gauss-Legendre rules come
+from numpy's leggauss, and compressed rules from the eigensystem of a
+small dense Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969).
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, NumericError, ParameterError
 from .graphs import Graph
@@ -139,6 +143,8 @@ def _eigvalsh_in_place(m: np.ndarray) -> np.ndarray:
     LAPACK syevd that np.linalg.eigvalsh runs on a copy, with the same lower
     triangle.  m.T is the same matrix in Fortran order, so LAPACK takes it
     without a copy."""
+    from scipy import linalg  # here, not at import: closed-form spectra and limit measures never need it
+
     return linalg.eigh(m.T, eigvals_only=True, driver="evd", lower=True, overwrite_a=True, check_finite=False)
 
 
@@ -325,13 +331,23 @@ def empirical_measure(g: Graph, es: EigenSystem | None = None) -> SpectralMeasur
     return mu
 
 
+@functools.cache
+def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule (nodes, weights) on [-1, 1], built on
+    first use per m.  Every caller shares the cached arrays, so they are
+    read-only."""
+    x, w = leggauss(m)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _cosine_rule(m: int = COS_RULE_NODES) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature for the law of cos(2*pi*U), U uniform on [0, 1].
 
     Integrating in u instead of in the value avoids the inverse-square-root
     endpoint singularities of the arcsine density.
     """
-    x, w = roots_legendre(m)
+    x, w = _leggauss(m)
     return np.cos(2.0 * np.pi * (0.5 * (x + 1.0))), 0.5 * w
 
 
@@ -360,7 +376,8 @@ def _gauss_rule_from_atoms(values: np.ndarray, weights: np.ndarray, n_nodes: int
         if beta[k + 1] <= 0.0:
             raise NumericError("Stieltjes recurrence broke down while compressing a quadrature rule")
         p_prev, p = p, q / np.sqrt(beta[k + 1])
-    nodes, vecs = linalg.eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
+    off = np.sqrt(beta[1:])
+    nodes, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
     rule_weights = beta[0] * vecs[0] ** 2
     return nodes, rule_weights
 
@@ -404,7 +421,7 @@ def _kesten_mckay_rule(d: int) -> tuple[np.ndarray, np.ndarray]:
     R = 2*sqrt(d-1)/d removes the endpoint square root, leaving a smooth
     integrand for Gauss-Legendre in theta.
     """
-    x, w = roots_legendre(KESTEN_MCKAY_NODES)
+    x, w = _leggauss(KESTEN_MCKAY_NODES)
     theta = 0.5 * np.pi * x
     w = 0.5 * np.pi * w
     s, density_dtheta = _kesten_mckay_density(d, theta)
@@ -473,7 +490,7 @@ def measure_from_dict(data: dict) -> SpectralMeasure:
 def kesten_mckay_cdf(d: int, points: np.ndarray) -> np.ndarray:
     """CDF of the Kesten-McKay Laplacian law evaluated at the given points."""
     r = 2.0 * np.sqrt(d - 1.0) / d
-    x, w = roots_legendre(KESTEN_MCKAY_NODES)
+    x, w = _leggauss(KESTEN_MCKAY_NODES)
 
     def mass_below(theta_hi: float) -> float:
         lo = -0.5 * np.pi

@@ -341,6 +341,11 @@ class TestConfigAndErrors:
             "nash-audit --graph cycle:20 --profile mean_field --c 1e7 --steps 100",
             "nash-audit --graph cycle:6 --profile zero --c 1e300 --steps 100",
             "nash-audit --graph cycle:6 --profile mean_field --c 1e300 --steps 100",
+            "value --graph cycle:3 --sigma 1e300",
+            "value --measure cycle --sigma 1e300",
+            "variance-curve --measure cycle --sigma 1e300 --t 0.5",
+            "coop --graph cycle:3 --sigma 1e300 --t 0.5",
+            "nash-audit --graph cycle:3 --steps 100 --sigma 1e300",
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -574,6 +579,37 @@ class TestThreadCap:
             "print(seen)\n"
         )
         assert _python(code, LG_THREADS="1") == "['1']"
+
+
+class TestImportFootprint:
+    """scipy loads only for a dense spectrum without a closed form."""
+
+    @staticmethod
+    def scipy_modules_after(argv: str) -> list[str]:
+        code = (
+            "import contextlib, io, json, sys, warnings\n"
+            "from graphflock.cli import main\n"
+            "warnings.simplefilter('ignore')\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv.split()!r}) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        )
+        return json.loads(_python(code))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "fig1",
+            "value --measure kesten_mckay:3",
+            "nash-audit --graph cycle:20 --profile equilibrium --steps 100",
+            "simulate --graph cycle:20 --profile equilibrium --paths 3",
+        ],
+    )
+    def test_closed_forms_and_limits_run_on_numpy_alone(self, argv):
+        assert self.scipy_modules_after(argv) == []
+
+    def test_dense_spectrum_loads_scipy_linalg(self):
+        assert "scipy.linalg" in self.scipy_modules_after("value --graph random_regular:50,3 --seed 1")
 
 
 def test_readme_library_quickstart_runs(capsys):

@@ -265,6 +265,18 @@ class TestInverseSchedule:
         assert f == pytest.approx(s.value(0.4025), rel=1e-14)
 
 
+class TestNumpyDct:
+    def test_matches_scipy_bit_for_bit_at_every_degree(self):
+        from scipy.fft import dct
+
+        rng = np.random.default_rng(5)
+        n = flow.MIN_DEGREE
+        while n <= flow.MAX_DEGREE:
+            h = rng.standard_normal(n + 1)
+            assert np.array_equal(flow._dct1(h), dct(h, type=1)), n
+            n *= 2
+
+
 class TestGaussRule:
     def test_integrates_time_and_the_dirac_schedule(self):
         # Dirac at -1: f(t) = c t, so int_a^b f dt = c (b^2 - a^2) / 2.

@@ -202,6 +202,24 @@ class TestEmpiricalMeasure:
             empirical_measure(g)
 
 
+class TestLegendreRule:
+    @pytest.mark.parametrize("m", [64, 256])
+    def test_integrates_monomials_below_degree_2m(self, m):
+        # numpy's rule is off by 2.2e-15 (m = 64) and 3.6e-15 (m = 256); scipy's
+        # roots_legendre by 4.6e-15 and 4.1e-14.
+        x, w = spectral._leggauss(m)
+        k = np.arange(2 * m)
+        exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+        assert np.abs(w @ x[:, None] ** k - exact).max() < 1e-14
+
+    def test_cached_arrays_are_read_only(self):
+        x, w = spectral._leggauss(8)
+        for array in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert spectral._leggauss(8)[0] is x
+
+
 class TestLimitMeasures:
     @pytest.mark.parametrize("kind,d", ANALYTIC_KINDS)
     def test_mass_mean_support(self, kind, d):
@@ -248,6 +266,15 @@ class TestLimitMeasures:
             direct = wt @ np.log1p(-x * lam)
             compressed = integrate(mu, lambda v: np.log1p(-x * v))
             assert abs(direct - compressed) < 1e-12
+
+    def test_compressed_rule_keeps_the_atoms_moments(self):
+        # Stage 2 of the torus rule: 64 nodes must match the 64 x 64 tensored
+        # cosine atoms, here in lam + 1 = (cos + cos) / 2, below degree 128.
+        c, cw = spectral._cosine_rule()
+        atoms, atom_weights = ((c[:, None] + c[None, :]) / 2).ravel(), (cw[:, None] * cw[None, :]).ravel()
+        nodes, weights = spectral._gauss_rule_from_atoms(atoms, atom_weights, 64)
+        k = np.arange(128)[:, None]
+        assert np.abs((nodes**k) @ weights - (atoms**k) @ atom_weights).max() < 1e-14
 
     def test_corrupted_compression_stage_raises(self, monkeypatch):
         gauss_rule = spectral._gauss_rule_from_atoms
