@@ -9,6 +9,7 @@ configuration, 2 domain error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -97,6 +98,7 @@ _OPTIONS = {
 }
 
 
+@functools.cache  # built once per process: nothing mutates it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="graphflock", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)

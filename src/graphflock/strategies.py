@@ -3,10 +3,10 @@
 A LinearProfile assigns every player the feedback control
 alpha_i(t, x) = -(row i of K(t)) . x.  Costs under a profile are computed
 by deterministic moment propagation; a best response against a frozen
-profile has a rank-one value matrix F = phi phi^T, so it is one backward
-vector ODE for phi (derivation in best_response).  Together they quantify
-how far any profile is from equilibrium, which is what the Nash and
-epsilon-Nash audits report.
+profile has a rank-one value matrix F = phi phi^T with phi = psi / sqrt(z),
+for a linear backward ODE in psi and z (derivation in best_response).
+Together they quantify how far any profile is from equilibrium, which is
+what the Nash and epsilon-Nash audits report.
 
 A profile has one form.  A modal one is diagonal over a few modes: K(t)
 is k(t) I for a scalar profile (mean-field, zero), and sum_lam p_lam(t)
@@ -14,7 +14,7 @@ Pi_lam over L's eigenspaces for a spectral one (the equilibrium, the
 planner on regular graphs); its rates are evaluated on the whole
 half-step grid at once, and its costs come from a few ODEs per mode.  A
 dense profile (custom, the planner elsewhere) gives K(t) as a matrix,
-evaluated one RK4 step at a time.  A best response's phi lies in a
+evaluated one RK4 step at a time.  A best response's psi lies in a
 basis B (_basis) picked from the form, where its ODE and costs see a
 player only through weights shared by a class (_players), so _rank_one
 solves an audit at once: one column for a scalar profile, or a spectral
@@ -35,11 +35,6 @@ from .flow import DEFAULT_ODE_STEPS, rk4_step
 from .graphs import Graph
 from .equilibrium import EquilibriumKernel, p_eigenvalues
 from .spectral import EigenSystem
-
-#: Abort threshold on a best response's |phi|^2 = ||F||_2 >= max |F_rs|;
-#: this game's Riccati is globally solvable, so exceeding it means a bug or
-#: a pathological profile.
-RICCATI_BLOWUP_CAP = 1e8
 
 
 @dataclass
@@ -274,14 +269,15 @@ def best_response(
         F(T) = c l l^T,   h(T) = 0,
 
     with l player i's terminal alignment functional, and the optimal
-    control is -(e_i^T F(t)) x.  F = phi phi^T solves it exactly when
+    control is -(e_i^T F(t)) x.  F = phi phi^T, phi = psi / sqrt(z), solves
+    it exactly (Riccati substitution; Reid, 1972) for the linear system
 
-        phi' = N phi + (1/2) (e_i^T phi)^2 phi,   phi(T) = sqrt(c) l,
+        psi' = N psi,   psi(T) = sqrt(c) l,   z' = -(e_i^T psi)^2,   z(T) = 1,
 
-    so by uniqueness F stays rank one.  The returned value is
-    x0^T F(0) x0 / 2 + h(0) = (x0 . phi(0))^2 / 2 + (sigma^2/2) int |phi|^2,
-    and the feedback row is (e_i^T phi) phi^T.  _rank_one solves for phi
-    in the basis _basis picks.
+    so F stays rank one and, as z >= 1, cannot blow up unless psi does.
+    The value x0^T F(0) x0 / 2 + h(0) is (x0 . psi(0))^2 / (2 z(0)) +
+    (sigma^2/2) int |psi|^2 / z, the feedback row (e_i^T phi) phi^T.
+    _rank_one solves in _basis; an unresolved step raises NumericError.
     """
     _check_profile(g, prof)
     if not 0 <= i < g.n:
@@ -291,15 +287,17 @@ def best_response(
         if x0.shape != (g.n,):
             raise ParameterError(f"x0 must have length {g.n}")
     (value,), path = _rank_one(g, prof, c, sigma, x0, [i], trace=True)
+    if not math.isfinite(value):
+        raise NumericError(f"player {i}'s best response is not finite: {prof.steps} steps do not resolve the profile")
     basis, gamma = _basis(g, prof, i), path[:, :, 0]
     return BestResponse(float(value), prof.grid.copy(), (gamma @ basis[i])[:, None] * (gamma @ basis.T))
 
 
 def _basis(g: Graph, prof: LinearProfile, i: int) -> np.ndarray:
-    """Player i's basis B for phi = B gamma, whose columns are orthogonal:
+    """Player i's basis B for psi = B gamma, whose columns are orthogonal:
     I for a dense K, [e_i, l_i - e_i] for K = k I (l_i - e_i is 0 at i),
     and [Pi_lam e_i] for K = sum_lam p_lam Pi_lam.  K^T B = B Kt^T for
-    Kt = _stages(prof)(j), and e_i and l_i lie in B's span, so phi does."""
+    Kt = _stages(prof)(j), and e_i and l_i lie in B's span, so psi does."""
     if prof.matrix_fn is not None:
         return np.eye(g.n)
     if prof.eigen is None:
@@ -348,55 +346,54 @@ def _players(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
 def _rank_one(
     g: Graph, prof: LinearProfile, c: float, sigma: float, x0: np.ndarray | None, players, trace: bool = False
 ) -> tuple:
-    """Best-response values of players (indices) from one solve for every
-    phi = B gamma, in which players of one class (_players) share one.
+    """Best-response values of players (indices) from one linear solve for
+    every psi = B gamma, in which players of one class (_players) share one.
 
     With W, U and A the solved columns' w, u and a, s_j = w_j^T gamma_j
-    (that is, e_i^T phi) and K^T B = B Kt^T (Kt = stage(j) at the j-th
-    half-step time, a vector when diagonal), the columns of Gamma solve
+    (that is, e_i^T psi) and K^T B = B Kt^T (Kt = stage(j) at the j-th
+    half-step time, a vector when diagonal), Gamma's columns and z solve
 
-        Gamma' = Kt^T (Gamma - U diag s) + (1/2) Gamma diag(s^2),   Gamma(T) = sqrt(c) A
+        Gamma' = Kt^T (Gamma - U diag s),   Gamma(T) = sqrt(c) A,   z' = -s^2,   z(T) = 1
 
     by backward RK4 on the profile grid, one evaluation of Kt per stage
-    for all columns.  Q' = -Gamma * Gamma, Q(T) = 0, alongside gives
-    Q(0) = int_0^T gamma^2 entrywise, and player i's value is
-    (B^T x0 . gamma(0))^2 / 2 + (sigma^2 / 2) sum_k (B^T B)_kk Q_k.  The
-    solve stops once a class's |phi|^2 = sum_k (B^T B)_kk gamma_k^2 is
-    above RICCATI_BLOWUP_CAP or not finite; |phi|^2 = ||F||_2 >= max |F_rs|.
+    for all columns.  Q' = -Gamma * Gamma / z, Q(T) = 0, alongside gives
+    Q(0) = int_0^T gamma^2 / z entrywise, and player i's value is
+    (B^T x0 . gamma(0))^2 / (2 z(0)) + (sigma^2 / 2) sum_k (B^T B)_kk Q_k.
+    z grows by a factor of about 1 + dt phi_i^2 per step; a column whose z
+    more than doubles is unresolved (dt > 1 / phi_i^2) and turns NaN.
 
-    Returns the values and, with trace, Gamma at every grid time (row j at
-    grid[j]), else None.
+    Returns the values and, with trace, Gamma / sqrt(z) at every grid
+    time (row j at grid[j]), else None.
     """
     stage, grams, which, columns, coords = _players(g, prof, x0)
     solved, cls = np.unique(which[players], return_inverse=True)
     grams = grams[:, solved]
     w, u, a = np.split(columns[:, solved] if columns.shape[1] > 1 else columns, 3)
-    dt = prof.T / prof.steps
-    y = np.stack((math.sqrt(c) * a, np.zeros(a.shape)))  # Gamma, Q
-    path = np.empty((prof.steps + 1,) + a.shape) if trace else None
+    m, dt = len(a), prof.T / prof.steps
+    y = np.vstack((math.sqrt(c) * a, np.zeros(a.shape), np.ones(a.shape[1])))  # Gamma, Q, z
+    path = np.repeat(y[None], prof.steps + 1, axis=0) if trace else None
 
     def rhs(y_cur, kt):
-        gamma = y_cur[0]
+        gamma = y_cur[:m]
         s = np.vecdot(w, gamma, axis=0)
         lhs = gamma - u * s
-        out = np.empty_like(y_cur)
-        out[0] = kt[:, None] * lhs if kt.ndim == 1 else kt.T @ lhs
-        out[0] += 0.5 * (s * s) * gamma
-        np.multiply(gamma, -gamma, out=out[1])
-        return out
+        drift = kt[:, None] * lhs if kt.ndim == 1 else kt.T @ lhs
+        return np.vstack((drift, -gamma * gamma / y_cur[-1], -s * s))
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the guard refuses an inf or NaN
+    # Columns are independent: a NaN set in one (an unresolved step), or an overflow, stays there.
+    with np.errstate(over="ignore", invalid="ignore"):
         for j in range(prof.steps, 0, -1):
-            if trace:
-                path[j] = y[0]
+            z = y[-1]
             y = rk4_step(rhs, y, -dt, (stage(2 * j), stage(2 * j - 1), stage(2 * j - 2)))
-            if not np.vecdot(grams, y[0] * y[0], axis=0).max() <= RICCATI_BLOWUP_CAP:
-                raise NumericError(f"best-response |phi|^2 exceeded {RICCATI_BLOWUP_CAP:g} near t = {prof.grid[j - 1]:.6g}")
-    if trace:
-        path[0] = y[0]
-    values = (0.5 * sigma**2 * np.vecdot(grams, y[1], axis=0))[cls]
-    if coords is not None:
-        values += 0.5 * np.vecdot(coords[players], np.broadcast_to(y[0], grams.shape).T[cls]) ** 2
+            y[:, y[-1] > 2.0 * z] = np.nan
+            if trace:
+                path[j - 1] = y
+        values = (0.5 * sigma**2 * np.vecdot(grams, y[m:-1], axis=0))[cls]
+        if coords is not None:
+            ends = np.broadcast_to(y[:m] / np.sqrt(y[-1]), grams.shape).T[cls]
+            values += 0.5 * np.vecdot(coords[players], ends) ** 2
+        if trace:
+            path = path[:, :m] / np.sqrt(path[:, -1:])
     return values, path
 
 

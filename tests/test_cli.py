@@ -49,6 +49,15 @@ def _refuse_constant(name):
     raise AssertionError(f"output holds {name}")
 
 
+def _numbers(payload):
+    """Every number in a parsed JSON payload."""
+    if isinstance(payload, dict):
+        payload = list(payload.values())
+    if isinstance(payload, list):
+        return [x for item in payload for x in _numbers(item)]
+    return [payload] if isinstance(payload, (int, float)) else []
+
+
 class TestBasicCommands:
     def test_spectrum_cycle4(self, capsys):
         code, out, err = run(capsys, "spectrum", "--graph", "cycle:4")
@@ -208,6 +217,28 @@ class TestAuditAndSimulate:
         assert code == 0 and err == ""
         assert json.loads(out)["max_gap"] >= -1e-5
 
+    def test_nash_audit_equilibrium_at_large_c(self, capsys):
+        # c dt = 0.15: RK4 resolves the linear best-response ODE, so the equilibrium is Nash.
+        argv = "nash-audit --graph cycle:20 --profile equilibrium --c 300 --steps 2000"
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0 and err == ""
+        assert json.loads(out)["all_satisfied"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # c dt = 1: the best response would cost more than the profile.
+            "nash-audit --graph cycle:20 --profile equilibrium --c 100 --steps 100",
+            # c dt = 5: the best response's z grows by a factor of 6 over the first step.
+            "nash-audit --graph cycle:20 --profile zero --c 1e4 --steps 2000",
+        ],
+    )
+    def test_nash_audit_refuses_unresolved_steps(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 3 and out == ""
+        assert err.startswith("error[numeric]: player 0's best response costs")
+        assert f"{argv.split()[-1]} steps do not resolve the profile" in err and len(err.splitlines()) == 1
+
     def test_simulate_summary_and_dump(self, capsys, tmp_path):
         dump = tmp_path / "samples.csv"
         code, out, _ = run(
@@ -346,6 +377,7 @@ class TestConfigAndErrors:
             "variance-curve --measure cycle --sigma 1e300 --t 0.5",
             "coop --graph cycle:3 --sigma 1e300 --t 0.5",
             "nash-audit --graph cycle:3 --steps 100 --sigma 1e300",
+            "nash-audit --graph cycle:6 --profile zero --c 1e3 --steps 2000",
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -356,9 +388,9 @@ class TestConfigAndErrors:
             assert len(err.splitlines()) == 1
             return
         assert code == 0 and err == ""
-        if argv.startswith("value"):
+        if argv.startswith(("value", "nash-audit")):
             payload = json.loads(out, parse_constant=_refuse_constant)
-            assert math.isfinite(payload["value"])
+            assert all(math.isfinite(x) for x in _numbers(payload))
         else:
             json.loads(out.splitlines()[0][len("# config: "):], parse_constant=_refuse_constant)
             _, rows = parse_csv(out)

@@ -339,6 +339,19 @@ class TestBestResponse:
         with pytest.raises(NumericError):
             best_response(g, destabilizing, 0, c=1.0, sigma=1.0)
 
+    def test_zero_profile_at_large_c(self):
+        # psi stays sqrt(c) l_i and z = 1 + c (T - t), so the value is
+        # (sigma^2 / 2) |l_i|^2 log(1 + cT); here c dt = 0.5.
+        g, c, sigma = cycle(20), 1000.0, 1.0
+        br = best_response(g, zero_profile(g, T=1.0, steps=2000), 0, c=c, sigma=sigma)
+        assert br.value == pytest.approx(0.5 * sigma**2 * 1.5 * math.log(1.0 + c), abs=1.5e-4)
+
+    def test_unresolved_step_refused(self):
+        # c dt = 5: z grows by a factor of 6 over the first step.
+        g = cycle(20)
+        with pytest.raises(NumericError, match="2000 steps do not resolve the profile"):
+            best_response(g, zero_profile(g, T=1.0, steps=2000), 0, c=1e4, sigma=1.0)
+
     def test_invalid_player(self):
         g = cycle(4)
         prof = mf_profile(g, 1.0, 1.0, steps=100)
