@@ -56,7 +56,6 @@ _EXPORTS = {
         "covariance_bound",
         "equilibrium_control",
         "game_value",
-        "game_value_spectral",
         "limit_value",
         "limit_variance",
         "p_matrix",

@@ -159,6 +159,8 @@ def _graph_spec(args) -> dict:
 def _times(args) -> "np.ndarray":
     import numpy as np
 
+    if args.t is not None and args.t_grid is not None:
+        raise ParameterError("--t and --t-grid exclude each other; give one")
     if args.t is not None:
         return np.array([args.t])
     return np.linspace(*(args.t_grid or (0.0, args.T, _FIG_GRID_POINTS)))
@@ -223,6 +225,7 @@ def _cmd_spectrum(args) -> None:
 
 
 def _schedule_for(args):
+    """The flocking schedule on --graph's empirical measure or --measure's limit measure."""
     from . import flow, graphs, spectral
 
     if args.graph is not None:
@@ -231,11 +234,11 @@ def _schedule_for(args):
         mu = spectral.limit_measure(*spectral.measure_spec(args.measure))
     else:
         raise ParameterError("this command needs --measure (or --graph)")
-    return mu, flow.solve_f(mu, args.c, args.T, args.steps)
+    return flow.solve_f(mu, args.c, args.T, args.steps)
 
 
 def _cmd_solve_f(args) -> None:
-    _, schedule = _schedule_for(args)
+    schedule = _schedule_for(args)
     rows = zip(schedule.grid, schedule.f_values)
     _emit_csv(args, ["t", "f"], rows, _resolved_config(args, "solve-f"))
 
@@ -250,8 +253,7 @@ def _cmd_variance_curve(args) -> None:
         kernel = equilibrium.build_kernel(g, args.c, args.T, args.sigma, args.steps)
         variance = equilibrium.player_variance(kernel, ts)
     else:
-        mu, schedule = _schedule_for(args)
-        variance = equilibrium.limit_variance(mu, schedule, args.sigma, ts)
+        variance = equilibrium.limit_variance(_schedule_for(args), args.sigma, ts)
     _emit_csv(args, ["t", "variance"], zip(ts, variance), config)
 
 
@@ -264,8 +266,7 @@ def _cmd_value(args) -> None:
         kernel = equilibrium.build_kernel(g, args.c, args.T, args.sigma, args.steps)
         value = equilibrium.game_value(kernel)
     else:
-        mu, schedule = _schedule_for(args)
-        value = equilibrium.limit_value(mu, schedule, args.sigma)
+        value = equilibrium.limit_value(_schedule_for(args), args.sigma)
     _emit_json(args, {"config": config, "value": value})
 
 
@@ -274,7 +275,7 @@ def _limit_curves(pairs, steps: int, ts) -> list:
     one solve per schedule, then one Gauss rule per time of the curve."""
     from . import equilibrium, flow
 
-    return [equilibrium.limit_variance(mu, flow.solve_f(mu, c, 1.0, steps), 1.0, ts) for mu, c in pairs]
+    return [equilibrium.limit_variance(flow.solve_f(mu, c, 1.0, steps), 1.0, ts) for mu, c in pairs]
 
 
 def _cmd_fig1(args) -> None:
@@ -312,8 +313,7 @@ def _cmd_fig3(args) -> None:
 
     ts = np.linspace(0.0, 1.0, _FIG_GRID_POINTS)
     mu = spectral.limit_measure("cycle_limit")
-    schedule = flow.solve_f(mu, 1.0, 1.0, args.steps)
-    competitive = equilibrium.limit_variance(mu, schedule, 1.0, ts)
+    competitive = equilibrium.limit_variance(flow.solve_f(mu, 1.0, 1.0, args.steps), 1.0, ts)
     cooperative_curve = cooperative.coop_variance_measure(mu, 1.0, 1.0, 1.0, ts)
     config = {"command": "fig3", "T": 1.0, "sigma": 1.0, "c": 1.0, "steps": args.steps}
     _emit_csv(args, ["t", "competitive", "cooperative"], zip(ts, competitive, cooperative_curve), config)
@@ -372,9 +372,9 @@ def _cmd_simulate(args) -> None:
 def _cmd_coop(args) -> None:
     from . import cooperative, graphs
 
+    ts = _times(args)
     g = graphs.build_graph(_graph_spec(args))
     kernel = cooperative.coop_kernel(g, args.c, args.T, args.sigma)
-    ts = _times(args)
     variance = cooperative.coop_variance(kernel, ts)
     config = _resolved_config(args, "coop", value=cooperative.coop_value(kernel))
     _emit_csv(args, ["t", "variance"], zip(ts, variance), config)

@@ -20,8 +20,8 @@ variable in which the schedule's series gives dtau (flow module), so the
 integrand is smooth and the rule needs no step count.  The planner's
 variance (cooperative module) has a closed form and needs none.
 A finite graph is the discrete measure of its own spectrum, so
-player_variance and game_value_spectral are limit_variance and limit_value
-on the kernel's empirical measure.
+player_variance is limit_variance on the kernel's schedule, which holds
+the graph's empirical measure.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .flow import DEFAULT_ODE_STEPS, FlockingSchedule, solve_f
 from .graphs import Graph, Transitivity, graph_distances
-from .spectral import EigenSystem, SpectralMeasure, empirical_measure, laplacian_eigensystem
+from .spectral import EigenSystem, empirical_measure, laplacian_eigensystem
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,6 @@ class EquilibriumKernel:
 
     graph: Graph
     eigen: EigenSystem
-    measure: SpectralMeasure
     schedule: FlockingSchedule
     c: float
     T: float
@@ -102,13 +101,10 @@ def build_kernel(
             stacklevel=2,
         )
     es = laplacian_eigensystem(g)
-    mu = empirical_measure(g, es=es)
-    schedule = solve_f(mu, c, T, steps)
     return EquilibriumKernel(
         graph=g,
         eigen=es,
-        measure=mu,
-        schedule=schedule,
+        schedule=solve_f(empirical_measure(g, es=es), c, T, steps),
         c=float(c),
         T=float(T),
         sigma=float(sigma),
@@ -126,11 +122,11 @@ def _clamp_time(t, T):
     return float(times) if times.ndim == 0 else times
 
 
-#: Gauss-Legendre nodes of a game variance's rule, unless s_steps sets them.
+#: Gauss-Legendre nodes of a game variance's rule.
 VARIANCE_NODES = 64
 
 
-def _variance_integral(lam, schedule, sigma, t, s_steps=None, weights=None):
+def _variance_integral(lam, schedule, sigma, t, weights=None):
     """sigma^2 * int_0^t ((1 - lam f(T-t)) / (1 - lam f(T-s)))^2 ds for each
     eigenvalue lam, f the schedule; averaged with the weights when given, at
     one time t or at each entry of an array of times (a float, a node vector
@@ -138,15 +134,15 @@ def _variance_integral(lam, schedule, sigma, t, s_steps=None, weights=None):
 
     With x = -lam the integrand factors as sigma^2 (1 + f(T-t) x)^2 J_x(t),
     with J_x(t) = int_{T-t}^T (1 + f(tau) x)^-2 dtau.  Each distinct time
-    gets the schedule's Gauss rule in u on [T-t, T], with s_steps nodes
-    (VARIANCE_NODES when None), and J = w @ (1 + f x)^-2, one time at a
-    time, so memory is O(nodes x len(lam)).
+    gets the schedule's Gauss rule in u on [T-t, T], with VARIANCE_NODES
+    nodes, and J = w @ (1 + f x)^-2, one time at a time, so memory is
+    O(nodes x len(lam)).
     """
     T, x = schedule.T, -lam
     times, inverse = np.unique(_clamp_time(t, T), return_inverse=True)
     out = np.empty(times.size if weights is not None else (times.size, x.size))
     with np.errstate(over="ignore", invalid="ignore"):  # a huge c overflows to inf or nan, which callers check
-        f, w = schedule.gauss_rule(T - times, T, VARIANCE_NODES if s_steps is None else s_steps)
+        f, w = schedule.gauss_rule(T - times, T, VARIANCE_NODES)
         a_t = schedule.value(T - times)
         for k in range(times.size):
             g = 1.0 / (1.0 + np.outer(f[k], x))
@@ -187,18 +183,12 @@ def equilibrium_control(k: EquilibriumKernel, i: int, t: float, x: np.ndarray) -
     return float(-(v[i] * rho) @ (v.T @ x))
 
 
-def state_law(
-    k: EquilibriumKernel,
-    t: float,
-    x0: np.ndarray | None = None,
-    s_steps: int | None = None,
-) -> GaussianLaw:
+def state_law(k: EquilibriumKernel, t: float, x0: np.ndarray | None = None) -> GaussianLaw:
     """Gaussian law of the equilibrium state at time t from initial state x0.
 
     Mean: (I - f(T-t)L)(I - f(T)L)^{-1} x0.  The population average of the
     mean equals the population average of x0 (the all-ones direction has
-    eigenvalue 0).  The covariance's eigenvalues are _variance_integral's,
-    with s_steps Gauss nodes (VARIANCE_NODES when None).
+    eigenvalue 0).  The covariance's eigenvalues are _variance_integral's.
     """
     t = _clamp_time(t, k.T)
     v = k.eigen.eigenvectors
@@ -211,19 +201,18 @@ def state_law(
         lam = k.eigen.eigenvalues
         coef = (1.0 - k.schedule.value(k.T - t) * lam) / (1.0 - k.schedule.value(k.T) * lam)
         mean = (v * coef) @ (v.T @ x0)
-    cov = k.eigen.reconstruct(_variance_integral(k.eigen.eigenvalues, k.schedule, k.sigma, t, s_steps))
+    cov = k.eigen.reconstruct(_variance_integral(k.eigen.eigenvalues, k.schedule, k.sigma, t))
     return GaussianLaw(mean=mean, covariance=0.5 * (cov + cov.T))
 
 
-def player_variance(k: EquilibriumKernel, t, s_steps: int | None = None):
+def player_variance(k: EquilibriumKernel, t):
     """Variance of one player's state at time t (zero initial states): a
-    float for one t, an array for an array of times; s_steps is the Gauss
-    rule's node count, as in limit_variance.
+    float for one t, an array for an array of times.
 
     On a transitive graph all players share this value; it is the average
-    of the covariance eigenvalues.
+    of the covariance eigenvalues, limit_variance on the kernel's schedule.
     """
-    return limit_variance(k.measure, k.schedule, k.sigma, t, s_steps)
+    return limit_variance(k.schedule, k.sigma, t)
 
 
 def game_value(k: EquilibriumKernel, x0: np.ndarray | None = None) -> float:
@@ -246,51 +235,27 @@ def game_value(k: EquilibriumKernel, x0: np.ndarray | None = None) -> float:
     return first - 0.5 * k.sigma**2 * math.log(trace / (k.n * fp_T))
 
 
-def game_value_spectral(k: EquilibriumKernel) -> float:
-    """Independent spectral route to the zero-start value:
-
-        -(sigma^2/2) log( integral of (-lam)/(1 - f(T) lam) dmu(lam) ).
-    """
-    return limit_value(k.measure, k.schedule, k.sigma)
-
-
-def limit_variance(
-    mu: SpectralMeasure,
-    schedule: FlockingSchedule,
-    sigma: float,
-    t,
-    s_steps: int | None = None,
-):
-    """Large-population variance at time t for limit measure mu:
+def limit_variance(schedule: FlockingSchedule, sigma: float, t):
+    """Large-population variance at time t on the schedule's measure mu:
 
         sigma^2 * int_0^t int ((1 - lam f(T-t)) / (1 - lam f(T-s)))^2 dmu ds.
 
     t is one time (a float back) or an array of times (an array back, the
-    whole curve from one call of _variance_integral).  s_steps is the node
-    count of each time's Gauss rule in u, VARIANCE_NODES when None; below 1
-    it raises ParameterError.
+    whole curve from one call of _variance_integral), each integrated by
+    a VARIANCE_NODES-node Gauss rule in u.
     """
-    _check_schedule_measure(mu, schedule)
-    return _variance_integral(mu.nodes, schedule, sigma, t, s_steps, mu.weights)
+    mu = schedule.measure
+    return _variance_integral(mu.nodes, schedule, sigma, t, mu.weights)
 
 
-def _check_schedule_measure(mu: SpectralMeasure, schedule: FlockingSchedule) -> None:
-    if schedule.measure is not mu and not (
-        schedule.measure.kind == mu.kind
-        and np.array_equal(schedule.measure.nodes, mu.nodes)
-        and np.array_equal(schedule.measure.weights, mu.weights)
-    ):
-        raise ParameterError("schedule was not built from the given measure")
-
-
-def limit_value(mu: SpectralMeasure, schedule: FlockingSchedule, sigma: float) -> float:
-    """Large-population limit of the average equilibrium value:
+def limit_value(schedule: FlockingSchedule, sigma: float) -> float:
+    """Large-population limit of the average equilibrium value on the
+    schedule's measure mu:
 
         -(sigma^2/2) log( integral of (-lam)/(1 - lam f(T)) dmu(lam) ).
     """
-    _check_schedule_measure(mu, schedule)
     f_T = schedule.value(schedule.T)
-    integral = mu.integrate(lambda lam: -lam / (1.0 - lam * f_T))
+    integral = schedule.measure.integrate(lambda lam: -lam / (1.0 - lam * f_T))
     return -0.5 * sigma**2 * math.log(integral)
 
 

@@ -452,12 +452,18 @@ def nash_audit(
 
     For mean-field profiles each gap is compared against its epsilon_v
     certificate; for other profiles against the numerical tolerance alone
-    (an exact equilibrium should show pure discretization error).  A gap
-    below -gap_tolerance or NaN, a best response worse than the profile,
-    means the grid does not resolve the problem: NumericError.
+    (an exact equilibrium should show pure discretization error).  A cost
+    under the profile that is below -gap_tolerance or not finite, or a gap
+    below -gap_tolerance or NaN (a best response worse than the profile or
+    not finite), means the grid does not resolve the problem: NumericError.
     """
     _check_profile(g, prof)
     costs = profile_costs(g, prof, sigma, c, x0)
+    unresolved = f"{prof.steps} steps do not resolve the profile"
+    bad = np.flatnonzero(~((costs >= -gap_tolerance) & (costs < np.inf)))  # a NaN cost too
+    if bad.size:
+        i = int(bad[0])
+        raise NumericError(f"player {i}'s cost under the profile is {costs[i]:.6g}: {unresolved}")
     x0 = None if x0 is None else np.asarray(x0, dtype=float)
     bounds = epsilon_bounds(g, c, prof.T, sigma).per_vertex if prof.tag == "mean_field" else np.zeros(g.n)
     values, _ = _rank_one(g, prof, c, sigma, x0, np.arange(g.n))
@@ -465,9 +471,10 @@ def nash_audit(
     worse = np.flatnonzero(~(gaps >= -gap_tolerance))  # a NaN gap too
     if worse.size:
         i = int(worse[0])
+        how = "more than" if np.isfinite(values[i]) else "which is not finite, against"
         raise NumericError(
-            f"player {i}'s best response costs {values[i]:.6g}, more than its cost {costs[i]:.6g} under the "
-            f"profile: {prof.steps} steps do not resolve the profile"
+            f"player {i}'s best response costs {values[i]:.6g}, {how} its cost {costs[i]:.6g} under the "
+            f"profile: {unresolved}"
         )
     players = [
         {

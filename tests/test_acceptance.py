@@ -72,7 +72,7 @@ def test_criterion_02_dense_variance_curve():
     ts = np.linspace(0.0, 1.0, 101)
     closed = ts * (1.0 + (1.0 - ts)) / 2.0
     worst_limit = max(
-        abs(limit_variance(mu, schedule, 1.0, float(t)) - c) for t, c in zip(ts, closed)
+        abs(limit_variance(schedule, 1.0, float(t)) - c) for t, c in zip(ts, closed)
     )
     assert worst_limit <= 1e-10
 
@@ -268,9 +268,9 @@ def test_criterion_10_ode_property_suite():
         assert np.all(f >= -1e-12) and np.all(f <= c * t + 1e-9)
         assert np.all(f >= c * t - (0.5 * c**2 * t**2 + c**3 * t**3 / 6) * var - 1e-9)
 
-        assert limit_variance(mu, schedule, sigma, 0.0) == 0.0
+        assert limit_variance(schedule, sigma, 0.0) == 0.0
         h = 1e-3
-        v_h = limit_variance(mu, schedule, sigma, h, s_steps=64)
+        v_h = limit_variance(schedule, sigma, h)
         assert abs(v_h / h - sigma**2) <= 1e-3, f"{name}: V'(0) check"
 
         f_T = schedule.value(T)
@@ -278,15 +278,15 @@ def test_criterion_10_ode_property_suite():
         second_exact = -2.0 * sigma**2 * schedule.slope(T) ** 2 / (c * q_T)
 
         def g_fn(hh):
-            return (limit_variance(mu, schedule, sigma, hh, s_steps=64) - sigma**2 * hh) / hh**2
+            return (limit_variance(schedule, sigma, hh) - sigma**2 * hh) / hh**2
 
         h1, h2 = 1e-2, 1e-3
         richardson = (h1 * g_fn(h2) - h2 * g_fn(h1)) / (h1 - h2)
         assert abs(2.0 * richardson - second_exact) <= 1e-2, f"{name}: V''(0) check"
 
         for t_chk in np.linspace(0.0, T, 21):
-            lhs = limit_variance(mu, schedule, sigma, float(t_chk))
-            rhs = limit_variance(dirac, dirac_schedule, sigma, float(t_chk))
+            lhs = limit_variance(schedule, sigma, float(t_chk))
+            rhs = limit_variance(dirac_schedule, sigma, float(t_chk))
             assert lhs >= rhs - 1e-12, f"{name}: variance domination at t={t_chk}"
     report("criterion 10", "Q/f/V property bounds hold for all six measures")
 

@@ -239,6 +239,21 @@ class TestAuditAndSimulate:
         assert err.startswith("error[numeric]: player 0's best response costs")
         assert f"{argv.split()[-1]} steps do not resolve the profile" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv, cost",
+        [
+            # RK4 on the cost moments is unstable at h k(T) of about 1e6 and 1e5:
+            # the profile's costs come out negative, which no quadratic cost can be.
+            ("nash-audit --graph complete:3 --profile equilibrium --c 1e8 --steps 100", "-4.45164e+10"),
+            ("nash-audit --graph cycle:20 --profile mean_field --c 1e7 --steps 100", "-5.58822e+07"),
+        ],
+    )
+    def test_nash_audit_refuses_an_unresolved_profile_cost(self, capsys, argv, cost):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error[numeric]: player 0's cost under the profile is {cost}:")
+        assert "100 steps do not resolve the profile" in err
+
     def test_simulate_summary_and_dump(self, capsys, tmp_path):
         dump = tmp_path / "samples.csv"
         code, out, _ = run(
@@ -273,6 +288,20 @@ class TestConfigAndErrors:
         # V(1) = sigma^2 * T / (1 + cT) with c = 2 from the config file
         assert rows[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert config_line(out)["c"] == 2.0
+
+    @pytest.mark.parametrize("command", ["variance-curve", "coop"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+    def test_t_and_t_grid_together_exit_1(self, capsys, tmp_path, command, via_config):
+        argv = [command, "--graph", "cycle:5", "--t", "0.5"]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"t-grid": "0:1:3"}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--t-grid", "0:1:3"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error[config]:") and "--t-grid" in err
 
     def test_config_values_parse_like_flags(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -649,3 +678,14 @@ def test_readme_library_quickstart_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_every_public_name_resolves():
+    # The package resolves its exports lazily, so a stale entry fails only when used.
+    import graphflock
+
+    for name in graphflock.__all__:
+        assert getattr(graphflock, name) is not None, name
+    assert "game_value_spectral" not in graphflock.__all__
+    with pytest.raises(AttributeError):
+        graphflock.game_value_spectral

@@ -11,7 +11,6 @@ from graphflock.equilibrium import (
     covariance_bound,
     equilibrium_control,
     game_value,
-    game_value_spectral,
     limit_value,
     limit_variance,
     p_eigenvalues,
@@ -217,15 +216,9 @@ class TestPlayerVariance:
     def test_is_limit_variance_of_own_measure(self, g):
         k = kernel(g, c=1.5, sigma=1.3, steps=500)
         for t in (0.0, 0.3, 1.0):
-            expected = limit_variance(k.measure, k.schedule, k.sigma, t)
+            expected = limit_variance(k.schedule, k.sigma, t)
             assert player_variance(k, t) == pytest.approx(expected, abs=1e-14)
             assert np.diag(state_law(k, t).covariance).mean() == pytest.approx(expected, abs=1e-12)
-
-    def test_node_refinement(self):
-        k = kernel(cycle(6), steps=2000)
-        coarse = player_variance(k, 0.8, s_steps=1000)
-        fine = player_variance(k, 0.8, s_steps=2000)
-        assert abs(coarse - fine) < 1e-10
 
 
 def dop853_variance(mu, c, ts, nodes=400):
@@ -252,9 +245,9 @@ class TestVarianceWalk:
         mu = limit_measure("dirac_minus_one")
         a = c * (1.0 - ts)
         closed = (1.0 + a) ** 2 * (1.0 / (1.0 + a) - 1.0 / (1.0 + c)) / c
-        assert np.abs(limit_variance(mu, solve_f(mu, c, 1.0, 2000), 1.0, ts) - closed).max() <= 1e-13
+        assert np.abs(limit_variance(solve_f(mu, c, 1.0, 2000), 1.0, ts) - closed).max() <= 1e-13
         mu = limit_measure("cycle_limit")
-        curve = limit_variance(mu, solve_f(mu, c, 1.0, 2000), 1.0, ts)
+        curve = limit_variance(solve_f(mu, c, 1.0, 2000), 1.0, ts)
         assert np.abs(curve - dop853_variance(mu, c, ts)).max() <= 1e-10
 
     @pytest.mark.parametrize("c", [1e4, 1e5, 1e6])
@@ -265,7 +258,7 @@ class TestVarianceWalk:
         mu = limit_measure("dirac_minus_one")
         a = c * (1.0 - ts)
         closed = (1.0 + a) ** 2 * (1.0 / (1.0 + a) - 1.0 / (1.0 + c)) / c
-        curve = limit_variance(mu, solve_f(mu, c, 1.0, 200), 1.0, ts)
+        curve = limit_variance(solve_f(mu, c, 1.0, 200), 1.0, ts)
         assert np.abs(curve / closed - 1.0).max() <= 1e-12
         assert curve[-1] == pytest.approx((1.0 - 1.0 / (1.0 + c)) / c, rel=1e-12, abs=0.0)
 
@@ -277,21 +270,13 @@ class TestVarianceWalk:
         assert f.shape[1] > 64 and np.count_nonzero(w[1]) == 64  # t = 0.5 keeps its one rule
         assert np.allclose(w.sum(axis=1), [1.0, 0.5], rtol=1e-14, atol=0.0)
 
-    def test_node_count_below_one_rejected(self):
-        k = kernel(cycle(12), steps=200)
-        for s_steps in (0, -3):
-            with pytest.raises(ParameterError):
-                player_variance(k, 0.5, s_steps=s_steps)
-            with pytest.raises(ParameterError):
-                state_law(k, 0.5, s_steps=s_steps)
-
     @pytest.mark.parametrize("curve", ["player", "limit", "coop"])
     def test_order_and_repeats_of_times_do_not_matter(self, curve):
         k = kernel(cycle(30), steps=400)
         mu = limit_measure("cycle_limit")
         variance = {
             "player": lambda ts: player_variance(k, ts),
-            "limit": lambda ts: limit_variance(mu, solve_f(mu, 1.0, 1.0, 400), 1.0, ts),
+            "limit": lambda ts: limit_variance(solve_f(mu, 1.0, 1.0, 400), 1.0, ts),
             "coop": lambda ts: coop_variance(coop_kernel(cycle(30), 1.0, 1.0, 1.0), ts),
         }[curve]
         ts = np.linspace(0.0, 1.0, 21)
@@ -358,7 +343,7 @@ class TestGameValue:
     def test_two_code_paths_agree(self):
         for g in (complete(5), cycle(6), torus(3, 2), complete(2)):
             k = kernel(g, c=1.5, T=0.8, sigma=1.3, steps=1000)
-            assert game_value(k) == pytest.approx(game_value_spectral(k), abs=1e-9)
+            assert game_value(k) == pytest.approx(limit_value(k.schedule, k.sigma), abs=1e-9)
 
     def test_nonzero_start_adds_quadratic_term(self):
         k = kernel(cycle(4), steps=400)
@@ -370,11 +355,11 @@ class TestLimits:
     def test_dense_variance_formula(self):
         mu = limit_measure("dirac_minus_one")
         s = solve_f(mu, 1.0, 1.0, 2000)
-        assert limit_variance(mu, s, 1.0, 1.0) == pytest.approx(0.5, abs=1e-10)
-        assert limit_variance(mu, s, 1.0, 0.0) == 0.0
+        assert limit_variance(s, 1.0, 1.0) == pytest.approx(0.5, abs=1e-10)
+        assert limit_variance(s, 1.0, 0.0) == 0.0
         for t in (0.25, 0.6):
             expected = t * (1 + (1 - t)) / 2
-            assert limit_variance(mu, s, 1.0, t) == pytest.approx(expected, abs=1e-10)
+            assert limit_variance(s, 1.0, t) == pytest.approx(expected, abs=1e-10)
 
     def test_variance_dominates_dense(self):
         dirac = limit_measure("dirac_minus_one")
@@ -383,7 +368,7 @@ class TestLimits:
             mu = limit_measure(kind, d=d)
             s = solve_f(mu, 1.0, 1.0, 500)
             for t in (0.3, 0.7, 1.0):
-                assert limit_variance(mu, s, 1.0, t) >= limit_variance(dirac, s_dirac, 1.0, t) - 1e-12
+                assert limit_variance(s, 1.0, t) >= limit_variance(s_dirac, 1.0, t) - 1e-12
 
     def test_cycle_variance_against_closed_form_double_quadrature(self):
         # independent oracle: periodic trapezoid in u, adaptive quadrature in
@@ -400,7 +385,7 @@ class TestLimits:
             return np.mean(((1 - lam * f_t) / (1 - lam * f_s)) ** 2)
 
         expected = quad(inner, 0.0, t, epsabs=1e-11)[0]
-        value = limit_variance(mu, s, 1.0, t)
+        value = limit_variance(s, 1.0, t)
         assert value == pytest.approx(expected, abs=1e-8)
         assert value >= 0.375
 
@@ -409,37 +394,26 @@ class TestLimits:
         for d in (1, 2, 4):
             mu = limit_measure("torus_limit", d=d)
             s = solve_f(mu, 1.0, 1.0, 500)
-            values.append(limit_variance(mu, s, 1.0, 0.5))
+            values.append(limit_variance(s, 1.0, 0.5))
         assert values[0] > values[1] > values[2]
 
     def test_limit_value_dense(self):
         mu = limit_measure("dirac_minus_one")
         s = solve_f(mu, 1.0, 1.0, 500)
-        assert limit_value(mu, s, 1.0) == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+        assert limit_value(s, 1.0) == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
 
     def test_limit_value_vanishing_horizon(self):
         mu = limit_measure("cycle_limit")
         s = solve_f(mu, 1.0, 1e-6, 100)
-        assert abs(limit_value(mu, s, 1.0)) < 1e-5
+        assert abs(limit_value(s, 1.0)) < 1e-5
 
     def test_finite_cycle_value_converges(self):
         mu = limit_measure("cycle_limit")
         s = solve_f(mu, 1.0, 1.0, 1000)
-        target = limit_value(mu, s, 1.0)
+        target = limit_value(s, 1.0)
         for n in (100, 200):
             k = kernel(cycle(n), steps=1000)
             assert abs(game_value(k) - target) <= 0.02
-
-    def test_measure_schedule_mismatch(self):
-        mu = limit_measure("cycle_limit")
-        s = solve_f(limit_measure("dirac_minus_one"), 1.0, 1.0, 500)
-        with pytest.raises(ParameterError):
-            limit_variance(mu, s, 1.0, 0.5)
-
-    def test_limit_value_rejects_another_measures_schedule(self):
-        s = solve_f(limit_measure("cycle_limit"), 1.0, 1.0, 500)
-        with pytest.raises(ParameterError):
-            limit_value(limit_measure("dirac_minus_one"), s, 1.0)
 
     def test_short_time_expansion(self):
         # (V(h) - sigma^2 h)/h^2 -> V''(0)/2 with Richardson extrapolation
@@ -451,7 +425,7 @@ class TestLimits:
             second = -2.0 * s.slope(1.0) ** 2 / q_T
 
             def g(h):
-                return (limit_variance(mu, s, 1.0, h, s_steps=64) - h) / h**2
+                return (limit_variance(s, 1.0, h) - h) / h**2
 
             h1, h2 = 1e-2, 1e-3
             richardson = (h1 * g(h2) - h2 * g(h1)) / (h1 - h2)

@@ -183,7 +183,7 @@ class TestSolveFSweep:
     def test_equals_separate_solves(self, pairs):
         ts = np.linspace(0.0, 1.0, 11)
         for (mu, c), curve in zip(pairs, _limit_curves(pairs, 500, ts), strict=True):
-            alone = limit_variance(mu, solve_f(mu, c, 1.0, 500), 1.0, ts)
+            alone = limit_variance(solve_f(mu, c, 1.0, 500), 1.0, ts)
             assert np.array_equal(curve, alone)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
@@ -216,7 +216,7 @@ class TestInverseSchedule:
     def test_limit_value_at_large_c(self, mu, c):
         f_T = dop853_schedule(mu, c, [1.0])[-1]
         reference = -0.5 * math.log(mu.integrate(lambda lam: -lam / (1.0 - lam * f_T)))
-        assert abs(limit_value(mu, solve_f(mu, c, 1.0), 1.0) - reference) <= 1e-10
+        assert abs(limit_value(solve_f(mu, c, 1.0), 1.0) - reference) <= 1e-10
 
     def test_solve_cost_does_not_depend_on_steps(self, monkeypatch):
         points, q_pair = [], flow._q_pair
