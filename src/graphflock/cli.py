@@ -173,7 +173,9 @@ def _fmt(x) -> str:
 
 
 def _resolved_config(args, command: str, **extra) -> dict:
-    config = {"command": command, **{k: v for k, v in vars(args).items() if k in ("c", "T", "sigma", "steps", "seed")}}
+    taken = vars(args)
+    config = {"command": command, **{k: v for k, v in taken.items() if k in ("c", "T", "sigma", "steps", "seed")}}
+    config.update({k: taken[k] for k in ("t", "t_grid") if taken.get(k) is not None})  # the one given, if any
     if getattr(args, "graph", None) is not None:
         config["graph"] = _graph_spec(args)
     if getattr(args, "measure", None) is not None:
@@ -425,8 +427,8 @@ def main(argv=None) -> int:
     except (NumericError, GenerationError) as exc:
         print(f"error[numeric]: {exc}", file=sys.stderr)
         return 3
-    except MemoryError as exc:  # numpy's message names the allocation that failed
-        print(f"error[numeric]: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
+    except MemoryError as exc:  # numpy's array allocations name their size; its linalg solvers say nothing
+        print(f"error[numeric]: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
     except OverflowError as exc:  # Python float arithmetic past 1.8e308, as sigma**2 at a huge --sigma
         print(f"error[numeric]: float overflow: {exc}", file=sys.stderr)

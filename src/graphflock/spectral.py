@@ -13,12 +13,14 @@ eigenvectors (a full eigh) only when a caller first reads them.  Graphs
 built by graphs.cycle, graphs.torus and graphs.complete get their
 Laplacian spectrum in closed form, without any eigensolver and without
 any n x n matrix.  Every other graph's symmetric Laplacian is filled
-densely from its neighbor lists and handed to LAPACK's syevd, which
-overwrites it: that matrix is the one n^2 allocation of a spectrum.
+densely from its neighbor lists and handed to np.linalg.eigvalsh, LAPACK's
+syevd on a working copy: a spectrum peaks at two n^2 arrays, the Laplacian
+and that copy.  scipy's syevd could overwrite the Laplacian instead, but
+importing scipy.linalg costs a process about 29 MB and 0.27 s, which
+outweighs the second array up to n of about 1500 in peak resident memory.
 
-That syevd call is the only place this module loads scipy.  Limit measures
-and closed-form spectra need numpy alone: their Gauss-Legendre rules come
-from numpy's leggauss, and compressed rules from the eigensystem of a
+So this module runs on numpy alone.  Limit measures' Gauss-Legendre rules
+come from numpy's leggauss, and compressed rules from the eigensystem of a
 small dense Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969).
 """
 
@@ -138,27 +140,21 @@ def _solve(solver, m: np.ndarray):
         raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def _eigvalsh_in_place(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the exactly symmetric m, overwriting m: the
-    LAPACK syevd that np.linalg.eigvalsh runs on a copy, with the same lower
-    triangle.  m.T is the same matrix in Fortran order, so LAPACK takes it
-    without a copy."""
-    from scipy import linalg  # here, not at import: closed-form spectra and limit measures never need it
-
-    return linalg.eigh(m.T, eigvals_only=True, driver="evd", lower=True, overwrite_a=True, check_finite=False)
-
-
 def eigendecompose(m: np.ndarray) -> EigenSystem:
     """Symmetric eigendecomposition with an explicit symmetry gate.
 
     Only the eigenvalues are computed here (eigvalsh); the eigenvectors
-    follow on first use.
+    follow on first use.  The gate allocates one n x n temporary, m - m.T,
+    and frees it before the solve.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if float(np.abs(m - m.T).max(initial=0.0)) > SYMMETRY_TOL * scale:
+    scale = max(1.0, float(m.max(initial=0.0)), -float(m.min(initial=0.0)))
+    diff = m - m.T
+    asymmetry = float(np.abs(diff, out=diff).max(initial=0.0))
+    del diff
+    if asymmetry > SYMMETRY_TOL * scale:
         raise DomainError("matrix is not symmetric; eigendecompose refuses to proceed")
     return EigenSystem(_solve(np.linalg.eigvalsh, m), m)
 
@@ -216,17 +212,19 @@ def laplacian_eigensystem(g: Graph) -> EigenSystem:
     """Eigensystem of the graph Laplacian, clamped to [-2, 0].
 
     Graphs built by cycle, torus and complete get their spectrum in closed
-    form, other graphs from syevd of D^{-1/2} A D^{-1/2} - I, which is the
-    Laplacian itself on a regular graph and similar to it otherwise (its
-    eigenvectors are the ones they get).  The matrix is symmetric because
-    the graph's lists are, so it skips eigendecompose's symmetry gate, and
-    it is rebuilt when the eigenvectors are first read.
+    form, other graphs from np.linalg.eigvalsh of D^{-1/2} A D^{-1/2} - I,
+    which is the Laplacian itself on a regular graph and similar to it
+    otherwise (its eigenvectors are the ones they get).  eigvalsh solves on
+    its own copy, so the solve holds two n^2 arrays at its peak.  The matrix
+    is symmetric because the graph's lists are, so it skips
+    eigendecompose's symmetry gate, and it is rebuilt when the eigenvectors
+    are first read.
     Eigenvalues outside [-2 - tol, 0 + tol] indicate a broken input and
     raise instead of being clamped.
     """
     source = functools.partial(_dense_laplacian, g, symmetric=True)
     vals = _closed_form_spectrum(g)
-    vals = _solve(_eigvalsh_in_place, source()) if vals is None else np.sort(vals)
+    vals = _solve(np.linalg.eigvalsh, source()) if vals is None else np.sort(vals)
     if vals.min() < -2.0 - EIGENVALUE_CLAMP_TOL or vals.max() > EIGENVALUE_CLAMP_TOL:
         raise NumericError(
             f"Laplacian spectrum escapes [-2, 0] beyond tolerance: "

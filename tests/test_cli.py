@@ -303,6 +303,24 @@ class TestConfigAndErrors:
         assert code == 1 and out == "" and len(err.splitlines()) == 1
         assert err.startswith("error[config]:") and "--t-grid" in err
 
+    @pytest.mark.parametrize("command", ["variance-curve", "coop"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+    @pytest.mark.parametrize(
+        ("flag", "text", "recorded"), [("t", "0.5", {"t": 0.5}), ("t-grid", "0:1:3", {"t_grid": [0.0, 1.0, 3]})]
+    )
+    def test_config_records_the_times_asked_for(self, capsys, tmp_path, command, via_config, flag, text, recorded):
+        argv = [command, "--graph", "cycle:5"]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag: text}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += [f"--{flag}", text]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        config = config_line(out)
+        assert {k: config[k] for k in ("t", "t_grid") if k in config} == recorded
+
     def test_config_values_parse_like_flags(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"c": "1"}))
@@ -435,20 +453,47 @@ class TestConfigAndErrors:
         assert err.startswith("error[numeric]:")
         assert len(err.splitlines()) == 1
 
-    def test_out_of_memory_exits_3(self):
-        # Under a 1.5 GiB address-space cap the graph's neighbor lists fit
-        # (1.4 MB), but the 11.9 GiB dense Laplacian of its eigensolve does not.
+    @staticmethod
+    def spectrum_under_memory_cap(graph: str) -> subprocess.CompletedProcess:
+        """spectrum --graph graph under a 1.5 GiB address-space cap."""
         cap = 1536 * 2**20
         environ = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
         environ.update(PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "graphflock.cli", "spectrum", "--graph", "random_regular:40000,3"],
+        return subprocess.run(
+            [sys.executable, "-m", "graphflock.cli", "spectrum", "--graph", graph],
             env=environ, capture_output=True, text=True, timeout=120,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         )
+
+    def test_out_of_memory_exits_3(self):
+        # Under the cap the graph's neighbor lists fit (1.4 MB), but the
+        # 11.9 GiB dense Laplacian of its eigensolve does not.
+        proc = self.spectrum_under_memory_cap("random_regular:40000,3")
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr.startswith("error[numeric]: out of memory: ")
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_out_of_memory_in_the_solver_exits_3(self):
+        # The 763 MiB Laplacian fits under the cap, but the eigensolver's own
+        # copy of it does not, and numpy's solver says nothing about it.
+        proc = self.spectrum_under_memory_cap("random_regular:10000,3")
+        assert proc.returncode == 3 and proc.stdout == ""
+        prefix = "error[numeric]: out of memory: "
+        assert proc.stderr.startswith(prefix) and proc.stderr[len(prefix):].strip()
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_bare_memory_error_exits_3_with_detail(self, capsys, monkeypatch):
+        from graphflock import spectral
+
+        def refuse(g):
+            raise MemoryError()
+
+        monkeypatch.setattr(spectral, "laplacian_eigensystem", refuse)
+        code, out, err = run(capsys, "spectrum", "--graph", "cycle:4")
+        prefix = "error[numeric]: out of memory: "
+        assert code == 3 and out == ""
+        assert err.startswith(prefix) and err[len(prefix):].strip()
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", ["coop --graph cycle:6 --t 0.5", "value --measure dirac"])
     def test_non_finite_output_exits_3(self, capsys, monkeypatch, argv):
@@ -643,7 +688,7 @@ class TestThreadCap:
 
 
 class TestImportFootprint:
-    """scipy loads only for a dense spectrum without a closed form."""
+    """No command loads scipy: dense spectra run on numpy's eigensolver."""
 
     @staticmethod
     def scipy_modules_after(argv: str) -> list[str]:
@@ -669,8 +714,9 @@ class TestImportFootprint:
     def test_closed_forms_and_limits_run_on_numpy_alone(self, argv):
         assert self.scipy_modules_after(argv) == []
 
-    def test_dense_spectrum_loads_scipy_linalg(self):
-        assert "scipy.linalg" in self.scipy_modules_after("value --graph random_regular:50,3 --seed 1")
+    def test_dense_spectrum_runs_on_numpy_alone(self):
+        for argv in ("value --graph random_regular:50,3 --seed 1", "spectrum --graph erdos_renyi:40,0.3 --seed 1"):
+            assert self.scipy_modules_after(argv) == [], argv
 
 
 def test_readme_library_quickstart_runs(capsys):

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -113,6 +114,27 @@ class TestEigendecompose:
         gc.collect()
         assert source() is None
 
+    def test_symmetry_gate_holds_one_temporary(self):
+        # One 600 x 600 float array is 2.75 MiB; the gate's m - m.T is the one
+        # such array eigendecompose may allocate.
+        n = 600
+        a = np.random.default_rng(5).normal(size=(n, n))
+        m = a + a.T
+        tracemalloc.start()
+        try:
+            eigendecompose(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m.nbytes
+
+    def test_symmetry_gate_scale_is_largest_magnitude(self):
+        # A skew of 1e-9 passes only against the -1e4 entry's scale.
+        m = np.array([[-1e4, 1.0], [1.0 + 1e-9, 0.5]])
+        assert eigendecompose(m).n == 2
+        with pytest.raises(DomainError):
+            eigendecompose(m + np.diag([1e4 - 1.0, 0.0]))
+
     def test_spectrum_disagreeing_with_matrix_raises(self):
         es = EigenSystem(np.array([0.0, 1.0]), np.zeros((2, 2)))
         with pytest.raises(NumericError, match="stored eigenvalues"):
@@ -128,6 +150,12 @@ class TestEigendecompose:
         v = es.eigenvectors[:, -1]  # eigenvalue 0 is last in ascending order
         assert abs(es.eigenvalues[-1]) < 1e-12
         assert np.allclose(np.abs(v), 1.0 / np.sqrt(9), atol=1e-10)
+
+    @pytest.mark.parametrize(("n", "d"), [(1000, 3), (200, 8)])
+    def test_matches_scipy_syevd(self, n, d):
+        g = random_regular(n, d, seed=1)
+        expected = scipy.linalg.eigh(laplacian(g), eigvals_only=True, driver="evd")
+        assert np.abs(laplacian_eigensystem(g).eigenvalues - expected).max() <= 1e-14
 
     def test_trace_identity(self):
         for g in (cycle(7), torus(3, 2), random_regular(14, 3, seed=1)):
