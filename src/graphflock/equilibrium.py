@@ -158,11 +158,15 @@ def p_eigenvalues(k: EquilibriumKernel, t) -> np.ndarray:
 
 
 def _feedback_rates(k: EquilibriumKernel, tau) -> tuple[np.ndarray, float]:
-    """(eigenvalues of P(T - tau), f'(tau)) from one evaluation of f(tau)."""
+    """(eigenvalues of P(T - tau), f'(tau)) from one evaluation of f(tau).
+    The quotient is formed in place: a table of many times holds two
+    (times x n) arrays, not three."""
     lam = k.eigen.eigenvalues
     f = k.schedule.value(tau)
     fp = k.schedule.rhs(f)
-    return np.multiply.outer(-fp, lam) / (1.0 - np.multiply.outer(f, lam)), fp
+    out = np.multiply.outer(f, lam)
+    np.subtract(1.0, out, out=out)
+    return np.divide(np.multiply.outer(-fp, lam), out, out=out), fp
 
 
 def p_matrix(k: EquilibriumKernel, t: float) -> np.ndarray:

@@ -41,7 +41,8 @@ MIN_ODE_STEPS = 100
 #: Absolute slack allowed when checking analytic bounds on Q and f.
 BOUND_TOL = 1e-8
 
-#: Convergence target for the cycle closed form's scalar root-find.
+#: Convergence target for the cycle closed form's scalar root-find, which
+#: also stops once its bracket holds two adjacent floats.
 PHI_INVERSE_TOL = 1e-12
 
 #: G's Chebyshev coefficients below CHOP_TOL times the largest are chopped.
@@ -298,6 +299,9 @@ def cycle_closed_form(c: float, t: float) -> float:
     Returns the inverse of Phi(x) = log(1 + sqrt(1+2x)) - sqrt(1+2x) + x + 1/2
     at log(2) + (c*t - 1)/2, computed by safeguarded Newton iteration with a
     bisection fallback; Phi is strictly increasing so the root is unique.
+    Newton stops at |Phi(x) - target| <= PHI_INVERSE_TOL, or where Phi's
+    float spacing exceeds that (x near 1.6e4 at c = 1e5) once its bracket
+    holds two adjacent floats.
     """
     if c <= 0:
         raise ParameterError(f"cycle_closed_form needs c > 0, got {c}")
@@ -321,6 +325,8 @@ def cycle_closed_form(c: float, t: float) -> float:
             hi = x
         else:
             lo = x
+        if np.nextafter(lo, hi) >= hi:  # no float lies between: Phi's rounding is above the tolerance
+            return float(x)
         step = err / _phi_prime(x)
         x_new = x - step
         if not (lo < x_new < hi):

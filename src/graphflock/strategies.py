@@ -18,7 +18,11 @@ evaluated one RK4 step at a time.  A best response's psi lies in a
 basis B (_basis) picked from the form, where its ODE and costs see a
 player only through weights shared by a class (_players), so _rank_one
 solves an audit at once: one column for a scalar profile, or a spectral
-one on a transitive graph, else one per player.  Solvers use rk4_step.
+one on a transitive graph, else one per player.  Every solver is classical
+RK4 on the profile grid.  On a modal profile each stage is linear in the
+state, with coefficients from the rate table alone, so RK4's maps for a
+block of steps are built in a few array operations (_rk4_maps) and the
+quadratures become sums over the grid; a dense profile calls rk4_step.
 """
 
 from __future__ import annotations
@@ -142,8 +146,9 @@ def profile_costs(
     m' = -K m and S' = -K S - S K^T + sigma^2 I; player i accumulates
     (1/2) k_i (S + m m^T) k_i^T along the way (k_i = row i of K) plus the
     terminal penalty (c/2) l_i (S(T) + m m^T) l_i^T.  Integration is RK4
-    on the profile grid; a scalar or spectral profile propagates its modes
-    instead (_modal_costs).
+    on the profile grid: rk4_step on these n x n moments for a dense
+    profile, precomputed RK4 maps on its modes for a scalar or spectral
+    one (_modal_costs).
     """
     _check_profile(g, prof)
     n = g.n
@@ -178,16 +183,59 @@ def profile_costs(
     return y[n + 1] + 0.5 * c * np.vecdot(functionals @ second, functionals)
 
 
-def _stages(prof: LinearProfile) -> Callable[[int], np.ndarray]:
-    """j -> the coefficient at the j-th half-step time: a modal profile's
-    rates, one per basis vector of _basis (k twice for a scalar profile,
-    an eigenspace's at its first eigenvalue), from one call; a dense K,
-    evaluated on demand and kept until the next."""
+def _stages(prof: LinearProfile):
+    """The coefficient at the j-th half-step time, j = 0 .. 2 steps.  For a
+    modal profile a table from one call, row j holding the rates, one per
+    basis vector of _basis (k twice for a scalar profile, an eigenspace's at
+    its first eigenvalue); for a dense one a function j -> K, evaluated on
+    demand and kept until the next."""
     times = np.linspace(0.0, prof.T, 2 * prof.steps + 1)
     if prof.matrix_fn is not None:
         return functools.lru_cache(maxsize=1)(lambda j: prof.matrix_fn(float(times[j])))
     rates = prof.rates(times)
-    return (np.column_stack((rates, rates)) if prof.eigen is None else rates[:, prof.eigen.eigenspaces()]).__getitem__
+    return np.column_stack((rates, rates)) if prof.eigen is None else rates[:, prof.eigen.eigenspaces()]
+
+
+#: Bytes the RK4 maps of one block of steps may take (_blocks): a block
+#: holds fewer steps as the modes and solved columns grow, never fewer than one.
+MAP_BLOCK_BYTES = 1 << 22
+
+#: RK4's stage weights, and the fraction of the step at which each stage starts.
+RK4_WEIGHTS, RK4_NODES = np.array([1.0, 2.0, 2.0, 1.0]), np.array([0.0, 0.5, 0.5, 1.0])
+
+
+def _blocks(steps: int, floats_per_step: int):
+    """Ranges [lo, hi) of steps whose tables, floats_per_step each, fit MAP_BLOCK_BYTES."""
+    size = max(1, MAP_BLOCK_BYTES // (8 * floats_per_step))
+    return ((lo, min(lo + size, steps)) for lo in range(0, steps, size))
+
+
+def _stage_rows(table: np.ndarray, lo: int, hi: int) -> list:
+    """The rates at RK4's four stages (start, middle twice, end) of steps
+    lo .. hi - 1 from a half-step table (step j reads rows 2j, 2j + 1, 2j + 2):
+    four (hi - lo, modes) views."""
+    mid = table[2 * lo + 1 : 2 * hi : 2]
+    return [table[2 * lo : 2 * hi : 2], mid, mid, table[2 * lo + 2 : 2 * hi + 1 : 2]]
+
+
+def _rk4_maps(r: list, f: list, h: float) -> tuple[list, list]:
+    """RK4's maps for a block of steps of y' = r_i y + f_i x_i, diagonal over
+    the modes, with rate r_i, forcing f_i and a scalar x_i at stage i: r and
+    f hold four (steps, modes) arrays or floats, as _stage_rows gives r.
+    Returns d, five entries, and e, five rows: stage i's y is
+    d[i] y + sum_{q<i} e[i][q] x_q (i < 4), and the step's result
+    d[4] y + sum_q e[4][q] x_q, as rk4_step computes.  An entry is an array
+    over (steps, modes), or a float where it is constant."""
+    d, e = [1.0], [[]]
+    for i in range(3):
+        node_h = RK4_NODES[i + 1] * h
+        slope = node_h * r[i]
+        d.append(1.0 + slope * d[i])
+        e.append([slope * x for x in e[i]] + [node_h * f[i]])
+    slopes = [(h / 6.0) * weight * rate for weight, rate in zip(RK4_WEIGHTS, r)]
+    d.append(1.0 + sum(slope * x for slope, x in zip(slopes, d)))
+    e.append([(h / 6.0) * RK4_WEIGHTS[q] * f[q] + sum(slopes[i] * e[i][q] for i in range(q + 1, 4)) for q in range(4)])
+    return d, e
 
 
 def _modal_costs(g: Graph, prof: LinearProfile, sigma: float, c: float, x0: np.ndarray | None) -> np.ndarray:
@@ -198,31 +246,43 @@ def _modal_costs(g: Graph, prof: LinearProfile, sigma: float, c: float, x0: np.n
     (1/2) sum_k p_k^2 s_k u_k^2 G_kk + (1/2) (sum_k p_k phi_k u_k (B^T x0)_k)^2,
     so one propagation carries int p_k^2 s_k / 2 per mode and, with x0,
     R_kl = int p_k phi_k p_l phi_l / 2; the terminal penalty is
-    (c/2) (sum_k s_k a_k^2 G_kk + (sum_k phi_k a_k (B^T x0)_k)^2)."""
-    h = prof.T / prof.steps
-    sig2 = sigma**2
-    stage, grams, which, columns, coords = _players(g, prof, x0)
+    (c/2) (sum_k s_k a_k^2 G_kk + (sum_k phi_k a_k (B^T x0)_k)^2).
+
+    RK4 on these linear ODEs is a precomputed map per step (_rk4_maps):
+    s_{j+1} = A_j s_j + b_j and phi_{j+1} = C_j phi_j, every stage's s and
+    phi a known multiple of s_j and phi_j, so the running cost is the sum of
+    alpha_j s_j + beta_j over the grid and R one matrix product of the
+    stages' p phi.  A block of steps at a time (_blocks) builds the maps,
+    runs the recurrence for s and sums the riders."""
+    h, sig2 = prof.T / prof.steps, sigma**2
+    table, grams, which, columns, coords = _players(g, prof, x0)
     _, u, a = np.split(columns[:, :1], 3)  # the same for every player of a modal profile
-
-    def derivs(y, p):
-        out = np.empty_like(y)
-        out[0] = -2.0 * p * y[0] + sig2
-        out[1] = -p * y[1]
-        out[2] = 0.5 * p * p * y[0]
-        if x0 is not None:
-            out[3:] = 0.5 * np.outer(p * y[1], p * y[1])
-        return out
-
-    y = np.zeros((3 if x0 is None else 3 + len(grams), len(grams)))  # s, phi, the running cost of s, then R
-    y[1] = 1.0
+    m = len(grams)
+    s, phi, run = np.zeros(m), np.ones(m), np.zeros(m)
+    outer = np.zeros((m, m)) if x0 is not None else None  # R
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends as a refused inf or NaN
-        for j in range(prof.steps):
-            y = rk4_step(derivs, y, h, (stage(2 * j), stage(2 * j + 1), stage(2 * j + 2)))
-        s, phi, run_s = y[:3]
-        costs = (run_s @ (u * u * grams) + 0.5 * c * (s @ (a * a * grams)))[which]
+        for lo, hi in _blocks(prof.steps, 48 * m):
+            p = _stage_rows(table, lo, hi)
+            d, e = _rk4_maps([-2.0 * x for x in p], [sig2] * 4, h)
+            shift = [sum(row) for row in e]  # s's stages and step, forced by sigma^2 at every stage
+            path = np.empty((hi - lo, m))
+            for j in range(hi - lo):
+                path[j] = s
+                s = d[4][j] * s + shift[4][j]
+            weights = [(h / 12.0) * weight * x * x for weight, x in zip(RK4_WEIGHTS, p)]  # (h/6) w_i p_i^2 / 2
+            alpha = sum(wt * x for wt, x in zip(weights, d))
+            beta = sum(wt * x for wt, x in zip(weights, shift))
+            run += np.sum(alpha * path + beta, axis=0)
+            if x0 is not None:
+                d = _rk4_maps([-x for x in p], [0.0] * 4, h)[0]
+                phis = np.cumprod(np.vstack((phi, d[4])), axis=0)
+                v = np.stack([x * y for x, y in zip(p, d)], axis=1) * phis[:-1, None]  # p phi at every stage
+                outer += ((h / 12.0) * RK4_WEIGHTS[:, None] * v).reshape(-1, m).T @ v.reshape(-1, m)
+                phi = phis[-1]
+        costs = (run @ (u * u * grams) + 0.5 * c * (s @ (a * a * grams)))[which]
         if coords is not None:
             ex, lx = coords * u.T, coords * a.T
-            costs += np.einsum("ik,kl,il->i", ex, y[3:], ex) + 0.5 * c * (lx @ phi) ** 2
+            costs += np.einsum("ik,kl,il->i", ex, outer, ex) + 0.5 * c * (lx @ phi) ** 2
     return costs
 
 
@@ -279,6 +339,13 @@ def best_response(
     (sigma^2/2) int |psi|^2 / z, the feedback row (e_i^T phi) phi^T.
     _rank_one solves in _basis; an unresolved step raises NumericError.
     """
+    value, path = _best_value(g, prof, i, c, sigma, x0, trace=True)
+    basis, gamma = _basis(g, prof, i), path[:, :, 0]
+    return BestResponse(value, prof.grid.copy(), (gamma @ basis[i])[:, None] * (gamma @ basis.T))
+
+
+def _best_value(g, prof, i, c, sigma, x0, trace=False) -> tuple[float, np.ndarray | None]:
+    """best_response's checks and its value (and, with trace, _rank_one's path)."""
     _check_profile(g, prof)
     if not 0 <= i < g.n:
         raise ParameterError(f"invalid player index {i}")
@@ -286,18 +353,17 @@ def best_response(
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (g.n,):
             raise ParameterError(f"x0 must have length {g.n}")
-    (value,), path = _rank_one(g, prof, c, sigma, x0, [i], trace=True)
+    (value,), path = _rank_one(g, prof, c, sigma, x0, [i], trace=trace)
     if not math.isfinite(value):
         raise NumericError(f"player {i}'s best response is not finite: {prof.steps} steps do not resolve the profile")
-    basis, gamma = _basis(g, prof, i), path[:, :, 0]
-    return BestResponse(float(value), prof.grid.copy(), (gamma @ basis[i])[:, None] * (gamma @ basis.T))
+    return float(value), path
 
 
 def _basis(g: Graph, prof: LinearProfile, i: int) -> np.ndarray:
     """Player i's basis B for psi = B gamma, whose columns are orthogonal:
     I for a dense K, [e_i, l_i - e_i] for K = k I (l_i - e_i is 0 at i),
-    and [Pi_lam e_i] for K = sum_lam p_lam Pi_lam.  K^T B = B Kt^T for
-    Kt = _stages(prof)(j), and e_i and l_i lie in B's span, so psi does."""
+    and [Pi_lam e_i] for K = sum_lam p_lam Pi_lam.  K^T B = B Kt^T for Kt
+    the j-th stage of _stages(prof), and e_i and l_i lie in B's span, so psi does."""
     if prof.matrix_fn is not None:
         return np.eye(g.n)
     if prof.eigen is None:
@@ -309,7 +375,7 @@ def _basis(g: Graph, prof: LinearProfile, i: int) -> np.ndarray:
 
 
 def _players(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
-    """The stage and, for B = _basis(g, prof, i), the weights of each class of
+    """The stages (_stages) and, for B = _basis(g, prof, i), the weights of each class of
     alike players: diag(B^T B) as a column per class (grams); each player's
     class (which); the solved columns stacking w = B^T e_i, u and a (e_i = B u,
     l_i = B a), one for all classes or one per class; B^T x0 as row i (None
@@ -355,12 +421,14 @@ def _rank_one(
 
         Gamma' = Kt^T (Gamma - U diag s),   Gamma(T) = sqrt(c) A,   z' = -s^2,   z(T) = 1
 
-    by backward RK4 on the profile grid, one evaluation of Kt per stage
-    for all columns.  Q' = -Gamma * Gamma / z, Q(T) = 0, alongside gives
-    Q(0) = int_0^T gamma^2 / z entrywise, and player i's value is
-    (B^T x0 . gamma(0))^2 / (2 z(0)) + (sigma^2 / 2) sum_k (B^T B)_kk Q_k.
-    z grows by a factor of about 1 + dt phi_i^2 per step; a column whose z
-    more than doubles is unresolved (dt > 1 / phi_i^2) and turns NaN.
+    by backward RK4 on the profile grid: precomputed maps for a modal
+    profile (_modal_solve), rk4_step with one evaluation of Kt per stage
+    for all columns for a dense one (_dense_solve).  Q' = -Gamma * Gamma / z,
+    Q(T) = 0, alongside gives Q(0) = int_0^T gamma^2 / z entrywise, and
+    player i's value is (B^T x0 . gamma(0))^2 / (2 z(0)) + (sigma^2 / 2)
+    sum_k (B^T B)_kk Q_k.  z grows by a factor of about 1 + dt phi_i^2 per
+    step; from the first step in which a column's z more than doubles, the
+    column is unresolved (dt > 1 / phi_i^2) and NaN.
 
     Returns the values and, with trace, Gamma / sqrt(z) at every grid
     time (row j at grid[j]), else None.
@@ -369,32 +437,97 @@ def _rank_one(
     solved, cls = np.unique(which[players], return_inverse=True)
     grams = grams[:, solved]
     w, u, a = np.split(columns[:, solved] if columns.shape[1] > 1 else columns, 3)
-    m, dt = len(a), prof.T / prof.steps
-    y = np.vstack((math.sqrt(c) * a, np.zeros(a.shape), np.ones(a.shape[1])))  # Gamma, Q, z
-    path = np.repeat(y[None], prof.steps + 1, axis=0) if trace else None
+    solve = _modal_solve if prof.matrix_fn is None else _dense_solve
+    # Columns are independent: a NaN set in one (an unresolved step), or an overflow, stays there.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma, q, z, path = solve(stage, w, u, math.sqrt(c) * a, prof.T / prof.steps, prof.steps, trace)
+        values = (0.5 * sigma**2 * np.vecdot(grams, q, axis=0))[cls]
+        if coords is not None:
+            ends = np.broadcast_to(gamma / np.sqrt(z), grams.shape).T[cls]
+            values += 0.5 * np.vecdot(coords[players], ends) ** 2
+    return values, path
+
+
+def _dense_solve(stage, w, u, gamma, dt, steps, trace):
+    """_rank_one's Gamma(0), Q(0), z(0) and trace path for a dense Kt: steps
+    rk4_step calls back from Gamma(T) = gamma with step dt."""
+    m = len(gamma)
+    y = np.vstack((gamma, np.zeros(gamma.shape), np.ones(gamma.shape[1])))  # Gamma, Q, z
+    path = np.repeat(y[None], steps + 1, axis=0) if trace else None
 
     def rhs(y_cur, kt):
         gamma = y_cur[:m]
         s = np.vecdot(w, gamma, axis=0)
-        lhs = gamma - u * s
-        drift = kt[:, None] * lhs if kt.ndim == 1 else kt.T @ lhs
-        return np.vstack((drift, -gamma * gamma / y_cur[-1], -s * s))
+        return np.vstack((kt.T @ (gamma - u * s), -gamma * gamma / y_cur[-1], -s * s))
 
-    # Columns are independent: a NaN set in one (an unresolved step), or an overflow, stays there.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(prof.steps, 0, -1):
-            z = y[-1]
-            y = rk4_step(rhs, y, -dt, (stage(2 * j), stage(2 * j - 1), stage(2 * j - 2)))
-            y[:, y[-1] > 2.0 * z] = np.nan
-            if trace:
-                path[j - 1] = y
-        values = (0.5 * sigma**2 * np.vecdot(grams, y[m:-1], axis=0))[cls]
-        if coords is not None:
-            ends = np.broadcast_to(y[:m] / np.sqrt(y[-1]), grams.shape).T[cls]
-            values += 0.5 * np.vecdot(coords[players], ends) ** 2
+    for j in range(steps, 0, -1):
+        z = y[-1]
+        y = rk4_step(rhs, y, -dt, (stage(2 * j), stage(2 * j - 1), stage(2 * j - 2)))
+        y[:, y[-1] > 2.0 * z] = np.nan
         if trace:
-            path = path[:, :m] / np.sqrt(path[:, -1:])
-    return values, path
+            path[j - 1] = y
+    if trace:
+        path = path[:, :m] / np.sqrt(path[:, -1:])
+    return y[:m], y[m:-1], y[-1], path
+
+
+def _modal_solve(table, w, u, gamma, dt, steps, trace):
+    """_rank_one's Gamma(0), Q(0), z(0) and trace path for a diagonal Kt,
+    from the rate table, by RK4 maps (_rk4_maps) back from Gamma(T) = gamma.
+
+    Gamma' = Kt (Gamma - u s) is diagonal but for the forcing -Kt u s, so
+    stage i of a step is Y_i = D_i Gamma + sum_{q<i} E_iq s_q, the step
+    Gamma <- D_4 Gamma + sum_q E_4q s_q, with D and E vectors over the modes.
+    The stage scalars s_i = w^T Y_i follow from the moments (D_i w)^T Gamma
+    through a 4 x 4 unit lower-triangular map, folded into one (4, modes)
+    map per column and step.  The loop over steps does only that; z is then
+    the ordered cumulative sum of its stage increments, and Q is summed from
+    the explicit Y_i, a block of steps (_blocks) at a time.  Columns lead
+    every array here: gamma is (columns, modes)."""
+    cols, m = w.shape[1], len(w)
+    h, u, w, gamma = -dt, u[:, 0], w.T, gamma.T  # u is the same for every player of a modal profile
+    q, z = np.zeros((cols, m)), np.ones(cols)
+    first = np.full(cols, steps)  # each column's first unresolved (backward) step, or steps
+    path = np.empty((steps + 1, cols, m)) if trace else None  # backward: row k at grid[steps - k]
+    back = table[::-1]  # backward step k reads rows 2k, 2k + 1, 2k + 2
+    for lo, hi in _blocks(steps, (32 + 8 * cols) * m):
+        kt = _stage_rows(back, lo, hi)
+        d, e = _rk4_maps(kt, [-x * u for x in kt], h)  # forced by -Kt u s_q
+        lower = np.zeros((hi - lo, cols, 4, 4))  # s = lower @ moments, as s_i = w^T Y_i
+        for i in range(4):
+            lower[:, :, i, i] = 1.0
+            for r in range(i):
+                lower[:, :, i] += (e[i][r] @ w.T)[..., None] * lower[:, :, r]
+        stages = np.stack(np.broadcast_arrays(*d[:4]), axis=1)  # D_0 .. D_3: (steps, 4, modes)
+        moments = (lower @ stages[:, None]) * w[:, None]  # s = moments . gamma: (steps, columns, 4, modes)
+        step_d, step_e = d[4], np.stack(e[4], axis=1)
+        gammas, ss = np.empty((hi - lo, cols, m)), np.empty((hi - lo, cols, 4))
+        for j in range(hi - lo):
+            gammas[j] = gamma
+            s = ss[j] = np.vecdot(moments[j], gamma[:, None])
+            gamma = step_d[j] * gamma + s @ step_e[j]
+        squares = ss * ss
+        zs = np.cumsum(np.vstack((z[None], (-h / 6.0) * (squares @ RK4_WEIGHTS))), axis=0)
+        doubled = zs[1:] > 2.0 * zs[:-1]
+        first = np.where((first == steps) & doubled.any(axis=0), lo + doubled.argmax(axis=0), first)
+        before = np.concatenate((np.zeros((hi - lo, cols, 1)), squares[..., :3]), axis=2)  # s^2 one stage back
+        stage_z = zs[:-1, :, None] - h * RK4_NODES * before
+        y = gammas
+        for i in range(4):  # Y_i by RK4's own stages, from each step's gamma and s
+            q -= (h / 6.0) * RK4_WEIGHTS[i] * np.sum(y * y / stage_z[..., i, None], axis=0)
+            if i < 3:
+                y = gammas + (RK4_NODES[i + 1] * h) * kt[i][:, None] * (y - ss[..., i, None] * u)
+        if trace:
+            path[lo:hi] = gammas / np.sqrt(zs[:-1, :, None])
+        z = zs[-1]
+    unresolved = first < steps
+    gamma[unresolved], q[unresolved], z[unresolved] = np.nan, np.nan, np.nan
+    if trace:
+        path[steps] = gamma / np.sqrt(z[:, None])
+        for col in np.flatnonzero(unresolved):
+            path[first[col] + 1 :, col] = np.nan
+        path = path[::-1].transpose(0, 2, 1)
+    return gamma.T, q.T, z, path
 
 
 def deviation_gap(
@@ -408,10 +541,10 @@ def deviation_gap(
     """How much player i saves by deviating optimally from the profile.
 
     Nonnegative up to discretization noise; zero exactly at a Nash
-    equilibrium.
+    equilibrium.  Solves only the value, not best_response's feedback path.
     """
     cost = cost_under_profile(g, prof, i, sigma, c, x0)
-    return cost - best_response(g, prof, i, c, sigma, x0).value
+    return cost - _best_value(g, prof, i, c, sigma, x0)[0]
 
 
 @dataclass(frozen=True)

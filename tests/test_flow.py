@@ -332,6 +332,15 @@ class TestCycleClosedForm:
                 target = np.log(2.0) + 0.5 * (c * t - 1.0)
                 assert abs(_phi(x) - target) <= 1e-12
 
+    def test_inverse_at_large_c(self):
+        # Near x = 1.6e4, Phi's float spacing (3.6e-12) exceeds PHI_INVERSE_TOL,
+        # so the root is met only to Phi's rounding.
+        c = 1e5
+        for t in np.linspace(0.0, 1.0, 201):
+            x = cycle_closed_form(c, float(t))
+            target = np.log(2.0) + 0.5 * (c * t - 1.0)
+            assert abs(_phi(x) - target) <= 4 * np.spacing(max(1.0, target))
+
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             cycle_closed_form(-1.0, 0.5)

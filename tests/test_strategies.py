@@ -10,6 +10,7 @@ from graphflock.cooperative import coop_kernel, coop_profile
 from graphflock.equilibrium import build_kernel, game_value, p_matrix
 from graphflock.errors import NumericError, ParameterError
 from graphflock.graphs import complete, cycle, edge_list_graph, erdos_renyi, torus, verify_transitive
+from graphflock import strategies
 from graphflock.spectral import EigenSystem
 from graphflock.strategies import (
     LinearProfile,
@@ -165,6 +166,62 @@ class TestSpectralReduction:
         monkeypatch.setattr(EigenSystem, "eigenvectors", property(refuse))
         report = nash_audit(g, prof, c=1.0, sigma=1.0)
         assert report["all_satisfied"] and len(report["players"]) == g.n
+
+
+MODAL_AUDITS = {
+    "er50-mean_field": lambda: (erdos_renyi(50, 0.3, seed=7), lambda g: mf_profile(g, 1.3, 1.0, 100)),
+    "er50-zero": lambda: (erdos_renyi(50, 0.3, seed=7), lambda g: zero_profile(g, 1.0, 100)),
+    "cycle20-equilibrium": lambda: (cycle(20), lambda g: equilibrium_profile(build_kernel(g, 1.3, 1.0, 0.8, 100))),
+    "k4_k33-equilibrium": lambda: (
+        regular_not_transitive(), lambda g: equilibrium_profile(build_kernel(g, 1.3, 1.0, 0.8, 100))
+    ),
+    "torus3x2-coop": lambda: (torus(3, 2), lambda g: coop_profile(coop_kernel(g, 1.3, 1.0, 0.8), 100)),
+}
+
+
+class TestModalMaps:
+    """Modal profiles are solved by precomputed RK4 maps, never by rk4_step."""
+
+    @pytest.mark.filterwarnings("ignore:graph transitivity:RuntimeWarning")
+    @pytest.mark.parametrize("with_x0", [False, True], ids=["x0=0", "x0"])
+    @pytest.mark.parametrize("audit", sorted(MODAL_AUDITS))
+    def test_audit_never_steps(self, monkeypatch, audit, with_x0):
+        g, make = MODAL_AUDITS[audit]()
+        prof = make(g)
+        assert prof.matrix_fn is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rk4_step called for a modal profile")
+
+        monkeypatch.setattr(strategies, "rk4_step", refuse)
+        x0 = np.random.default_rng(5).normal(size=g.n) if with_x0 else None
+        costs = profile_costs(g, prof, 0.8, 1.3, x0)
+        br = best_response(g, prof, 3, 1.3, 0.8, x0)
+        report = nash_audit(g, prof, 1.3, 0.8, x0)
+        assert report["players"][3]["cost"] == costs[3]
+        assert report["players"][3]["best_response_value"] == pytest.approx(br.value, rel=1e-13)
+
+    def test_spectral_step_that_does_not_resolve_is_refused(self):
+        g = cycle(20)
+        # c dt = 1: the best response costs more than the profile.
+        prof = equilibrium_profile(build_kernel(g, 100.0, 1.0, 1.0, steps=100))
+        with pytest.raises(NumericError, match="player 0's best response costs .* more than its cost"):
+            nash_audit(g, prof, c=100.0, sigma=1.0)
+        # c dt = 3: z more than doubles within one step.
+        prof = equilibrium_profile(build_kernel(g, 300.0, 1.0, 1.0, steps=100))
+        with pytest.raises(NumericError, match="100 steps do not resolve the profile"):
+            best_response(g, prof, 0, c=300.0, sigma=1.0)
+        with pytest.raises(NumericError, match="which is not finite"):
+            nash_audit(g, prof, c=300.0, sigma=1.0)
+
+    @pytest.mark.filterwarnings("ignore:graph transitivity:RuntimeWarning")
+    def test_non_transitive_spectral_audit_refused(self):
+        g = regular_not_transitive()
+        prof = equilibrium_profile(build_kernel(g, 300.0, 1.0, 1.0, steps=100))
+        with pytest.raises(NumericError, match="100 steps do not resolve the profile"):
+            best_response(g, prof, 7, c=300.0, sigma=1.0)
+        with pytest.raises(NumericError, match="player 0's best response costs nan, which is not finite"):
+            nash_audit(g, prof, c=300.0, sigma=1.0)
 
 
 class TestDenseMemory:
@@ -360,6 +417,17 @@ class TestBestResponse:
 
 
 class TestDeviationGap:
+    @pytest.mark.parametrize("form", ["modal", "dense"])
+    def test_is_cost_less_best_response(self, form):
+        g = cycle(6)
+        prof = mf_profile(g, 1.3, 1.0, steps=200)
+        if form == "dense":
+            prof = custom_profile(g, 1.0, prof.at, 200)
+        x0 = np.random.default_rng(5).normal(size=g.n)
+        for i in (0, 4):
+            cost = cost_under_profile(g, prof, i, 0.8, 1.3, x0)
+            assert deviation_gap(g, prof, i, 1.3, 0.8, x0) == cost - best_response(g, prof, i, 1.3, 0.8, x0).value
+
     def test_equilibrium_profile_no_gain(self):
         g = complete(10)
         k = build_kernel(g, 1.0, 1.0, 1.0, steps=2000)
