@@ -34,7 +34,7 @@ from .flow import DEFAULT_ODE_STEPS
 from .graphs import Graph
 from .equilibrium import _clamp_time
 from .spectral import EigenSystem, SpectralMeasure, eigendecompose, laplacian_eigensystem
-from .strategies import LinearProfile, alignment_functionals, _uniform_grid
+from .strategies import LinearProfile, alignment_functionals
 
 
 @dataclass
@@ -152,11 +152,10 @@ def coop_profile(k: CoopKernel, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile
     the strategy-evaluation moment ODEs for cross-checking.  Where
     coop_kernel has M = L^2, it is spectral in L's eigensystem (k.eigen
     holds lam^2 for L's ascending lam <= 0 in reverse); elsewhere dense."""
-    grid = _uniform_grid(k.T, steps)
     if not (k.graph.is_regular and k.graph.min_degree >= 1):
-        return LinearProfile(k.n, k.T, grid, "coop", matrix_fn=lambda t: coop_feedback_matrix(k, t))
+        return LinearProfile(k.n, k.T, steps, "coop", matrix_fn=lambda t: coop_feedback_matrix(k, t))
     return LinearProfile(
-        k.n, k.T, grid, "coop", lambda t: coop_feedback_eigenvalues(k, t)[..., ::-1], laplacian_eigensystem(k.graph)
+        k.n, k.T, steps, "coop", lambda t: coop_feedback_eigenvalues(k, t)[..., ::-1], laplacian_eigensystem(k.graph)
     )
 
 

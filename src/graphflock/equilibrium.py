@@ -263,9 +263,8 @@ def limit_value(schedule: FlockingSchedule, sigma: float) -> float:
     return -0.5 * sigma**2 * math.log(integral)
 
 
-def _f_matrix(k: EquilibriumKernel, i: int, t: float) -> np.ndarray:
-    """Player i's quadratic-value matrix P e_i e_i^T P / (Tr(P)/n)."""
-    rho = p_eigenvalues(k, t)
+def _f_matrix(k: EquilibriumKernel, i: int, rho: np.ndarray) -> np.ndarray:
+    """Player i's quadratic-value matrix P e_i e_i^T P / (Tr(P)/n), for P's eigenvalues rho."""
     p = k.eigen.reconstruct(rho)
     tau = rho.sum() / k.n
     return np.outer(p[:, i], p[i, :]) / tau
@@ -291,15 +290,13 @@ def riccati_residual(k: EquilibriumKernel, i: int, t: float) -> float:
     h = k.T / k.schedule.steps
     j = int(round(t / h))
     j = min(max(j, 2), k.schedule.steps - 2)
-    t0 = k.schedule.grid[j]
 
-    stencil = [_f_matrix(k, i, k.schedule.grid[j + o]) for o in (-2, -1, 1, 2)]
-    f_dot = (stencil[0] - 8.0 * stencil[1] + 8.0 * stencil[2] - stencil[3]) / (12.0 * h)
+    rhos = p_eigenvalues(k, k.schedule.grid[j - 2 : j + 3])  # one schedule evaluation for the stencil
+    stencil = [_f_matrix(k, i, rho) for rho in rhos]
+    f_dot = (stencil[0] - 8.0 * stencil[1] + 8.0 * stencil[3] - stencil[4]) / (12.0 * h)
 
-    rho = p_eigenvalues(k, t0)
-    p = k.eigen.reconstruct(rho)
-    tau = rho.sum() / k.n
-    f_i = np.outer(p[:, i], p[i, :]) / tau
+    p, f_i = k.eigen.reconstruct(rhos[2]), stencil[2]
+    tau = rhos[2].sum() / k.n
     p_hat = p * (np.diag(p) / tau)[None, :]  # sum_j F^j e_j e_j^T
     own = np.outer(f_i[:, i], f_i[i, :])
     residual = f_dot - p_hat @ f_i - f_i @ p_hat.T + own
@@ -310,7 +307,7 @@ def riccati_terminal_residual(k: EquilibriumKernel, i: int) -> float:
     """Max-norm gap between F^i(T) and its boundary value c L e_i e_i^T L."""
     if not 0 <= i < k.n:
         raise ParameterError(f"invalid player index {i}")
-    f_T = _f_matrix(k, i, k.T)
+    f_T = _f_matrix(k, i, p_eigenvalues(k, k.T))
     laplacian = k.eigen.reconstruct()
     boundary = k.c * np.outer(laplacian[:, i], laplacian[i, :])
     return float(np.abs(f_T - boundary).max())

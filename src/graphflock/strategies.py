@@ -14,15 +14,17 @@ Pi_lam over L's eigenspaces for a spectral one (the equilibrium, the
 planner on regular graphs); its rates are evaluated on the whole
 half-step grid at once, and its costs come from a few ODEs per mode.  A
 dense profile (custom, the planner elsewhere) gives K(t) as a matrix,
-evaluated one RK4 step at a time.  A best response's psi lies in a
-basis B (_basis) picked from the form, where its ODE and costs see a
-player only through weights shared by a class (_players), so _rank_one
-solves an audit at once: one column for a scalar profile, or a spectral
-one on a transitive graph, else one per player.  Every solver is classical
-RK4 on the profile grid.  On a modal profile each stage is linear in the
-state, with coefficients from the rate table alone, so RK4's maps for a
-block of steps are built in a few array operations (_rk4_maps) and the
-quadratures become sums over the grid; a dense profile calls rk4_step.
+evaluated one RK4 step at a time.  A best response's psi lies in a basis
+B (_basis) picked from the form, where its ODE and costs see a player
+only through weights shared by a class.  One table per call (_players),
+of those weights and the rates, feeds both the costs and the best
+responses, and _rank_one solves an audit at once: one column for a
+scalar profile, or a spectral one on a transitive graph, else one per
+player.  Every solver is classical RK4 on the profile grid.  On a modal
+profile each stage is linear in the state, with coefficients from the
+rate table alone, so RK4's maps for a block of steps are built in a few
+array operations (_rk4_maps) and the quadratures become sums over the
+grid; a dense profile calls rk4_step.
 """
 
 from __future__ import annotations
@@ -49,24 +51,27 @@ class LinearProfile:
     profile, K(t) = k I, or with eigen (L's eigensystem) one rate per
     eigenvalue, K(t) = V diag(rates(t)) V^T; an array of times gets a
     row per time.  matrix_fn(t) is a dense K(t).  Any t in [0, T] works;
-    the grid fixes the discretization of the cost and Riccati solvers.
+    the grid of steps + 1 equal times fixes the discretization of the cost
+    and Riccati solvers.
     """
 
     n: int
     T: float
-    grid: np.ndarray
+    steps: int
     tag: str
     rates: Callable | None = None
     eigen: EigenSystem | None = None
     matrix_fn: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
+        if self.steps < 1:
+            raise ParameterError(f"profile needs at least one step, got {self.steps}")
         if (self.rates is None) == (self.matrix_fn is None):
             raise ParameterError("a profile sets exactly one of rates and matrix_fn")
 
     @property
-    def steps(self) -> int:
-        return self.grid.size - 1
+    def grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.T, self.steps + 1)
 
     def at(self, t: float) -> np.ndarray:
         """The dense n x n feedback matrix K(t), whatever the form."""
@@ -76,33 +81,27 @@ class LinearProfile:
         return rates * np.eye(self.n) if self.eigen is None else self.eigen.reconstruct(rates)
 
 
-def _uniform_grid(T: float, steps: int) -> np.ndarray:
-    if steps < 1:
-        raise ParameterError(f"profile needs at least one step, got {steps}")
-    return np.linspace(0.0, T, steps + 1)
-
-
 def mf_profile(g: Graph, c: float, T: float, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
     """Decentralized mean-field profile: every player applies
     -c x_i / (1 + c(T - t)), independent of the graph."""
-    return LinearProfile(g.n, float(T), _uniform_grid(T, steps), "mean_field", lambda t: c / (1.0 + c * (T - t)))
+    return LinearProfile(g.n, float(T), steps, "mean_field", lambda t: c / (1.0 + c * (T - t)))
 
 
 def equilibrium_profile(k: EquilibriumKernel) -> LinearProfile:
     """Profile whose rows are the equilibrium feedback P(t), in spectral
     form: the kernel's eigensystem and P(t)'s eigenvalues p_eigenvalues(k, t)."""
-    return LinearProfile(k.n, k.T, k.schedule.grid.copy(), "equilibrium", lambda t: p_eigenvalues(k, t), k.eigen)
+    return LinearProfile(k.n, k.T, k.schedule.steps, "equilibrium", lambda t: p_eigenvalues(k, t), k.eigen)
 
 
 def zero_profile(g: Graph, T: float, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
     """All players apply the zero control (states are Brownian motions)."""
-    return LinearProfile(g.n, float(T), _uniform_grid(T, steps), "zero", lambda t: 0.0 * t)
+    return LinearProfile(g.n, float(T), steps, "zero", lambda t: 0.0 * t)
 
 
 def custom_profile(
     g: Graph, T: float, matrix_fn: Callable[[float], np.ndarray], steps: int = DEFAULT_ODE_STEPS
 ) -> LinearProfile:
-    return LinearProfile(n=g.n, T=float(T), grid=_uniform_grid(T, steps), tag="custom", matrix_fn=matrix_fn)
+    return LinearProfile(n=g.n, T=float(T), steps=steps, tag="custom", matrix_fn=matrix_fn)
 
 
 def alignment_functionals(g: Graph) -> np.ndarray:
@@ -128,9 +127,20 @@ def _inverse_degrees(degrees: np.ndarray) -> np.ndarray:
     return np.divide(1.0, deg, out=np.zeros(deg.shape), where=deg > 0)
 
 
-def _check_profile(g: Graph, prof: LinearProfile) -> None:
+def _checked(g: Graph, prof: LinearProfile, x0: np.ndarray | None, i: int | None = None) -> np.ndarray | None:
+    """The entry points' argument check: the profile's size against the
+    graph's, player i's index where there is one, and x0's shape.  Returns
+    x0 as floats (None stays None)."""
     if prof.n != g.n:
         raise ParameterError(f"profile is for {prof.n} players, graph has {g.n}")
+    if i is not None and not 0 <= i < g.n:
+        raise ParameterError(f"invalid player index {i}")
+    if x0 is None:
+        return None
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (g.n,):
+        raise ParameterError(f"x0 must have length {g.n}")
+    return x0
 
 
 def profile_costs(
@@ -150,20 +160,23 @@ def profile_costs(
     profile, precomputed RK4 maps on its modes for a scalar or spectral
     one (_modal_costs).
     """
-    _check_profile(g, prof)
-    n = g.n
-    m = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if m.shape != (n,):
-        raise ParameterError(f"x0 must have length {n}")
+    return _costs(prof, _players(g, prof, _checked(g, prof, x0)), sigma, c)
+
+
+def _costs(prof: LinearProfile, players: tuple, sigma: float, c: float) -> np.ndarray:
+    """profile_costs from _players' table: _modal_costs for a modal profile,
+    else rk4_step on the n x n moments, with l_i the a block's column i and
+    m(0) = x0 any row of the coordinates."""
     if prof.matrix_fn is None:
-        return _modal_costs(g, prof, sigma, c, None if x0 is None else m)
-    h = prof.T / prof.steps
+        return _modal_costs(prof, players, sigma, c)
+    stage, _, _, columns, coords = players
+    n, h = prof.n, prof.T / prof.steps
     eye = np.eye(n)
     sig2 = sigma**2
-    stage = _stages(prof)
     # One array holds the state: S in rows 0..n-1, m in row n, costs in row n + 1.
     y = np.zeros((n + 2, n))
-    y[n] = m
+    if coords is not None:
+        y[n] = coords[0]
 
     def derivs(y_cur, kmat):
         s_cur, m_cur = y_cur[:n], y_cur[n]
@@ -178,22 +191,10 @@ def profile_costs(
         y = rk4_step(derivs, y, h, (stage(2 * j), stage(2 * j + 1), stage(2 * j + 2)))
         y[:n] = 0.5 * (y[:n] + y[:n].T)
 
-    functionals = alignment_functionals(g)
+    # Row i is l_i; the C-order copy rounds the products as on alignment_functionals(g).
+    functionals = np.ascontiguousarray(np.split(columns, 3)[2].T)
     second = y[:n] + np.outer(y[n], y[n])
     return y[n + 1] + 0.5 * c * np.vecdot(functionals @ second, functionals)
-
-
-def _stages(prof: LinearProfile):
-    """The coefficient at the j-th half-step time, j = 0 .. 2 steps.  For a
-    modal profile a table from one call, row j holding the rates, one per
-    basis vector of _basis (k twice for a scalar profile, an eigenspace's at
-    its first eigenvalue); for a dense one a function j -> K, evaluated on
-    demand and kept until the next."""
-    times = np.linspace(0.0, prof.T, 2 * prof.steps + 1)
-    if prof.matrix_fn is not None:
-        return functools.lru_cache(maxsize=1)(lambda j: prof.matrix_fn(float(times[j])))
-    rates = prof.rates(times)
-    return np.column_stack((rates, rates)) if prof.eigen is None else rates[:, prof.eigen.eigenspaces()]
 
 
 #: Bytes the RK4 maps of one block of steps may take (_blocks): a block
@@ -238,9 +239,9 @@ def _rk4_maps(r: list, f: list, h: float) -> tuple[list, list]:
     return d, e
 
 
-def _modal_costs(g: Graph, prof: LinearProfile, sigma: float, c: float, x0: np.ndarray | None) -> np.ndarray:
-    """profile_costs for a modal K(t): on the orthogonal columns of
-    B = _basis(g, prof, i), S B = B diag(s) and B^T m = diag(phi) B^T x0, with
+def _modal_costs(prof: LinearProfile, players: tuple, sigma: float, c: float) -> np.ndarray:
+    """profile_costs for a modal K(t) from _players' table: on the orthogonal
+    columns of B = _basis(g, prof, i), S B = B diag(s) and B^T m = diag(phi) B^T x0, with
     s_k' = -2 p_k s_k + sigma^2, s_k(0) = 0, phi_k' = -p_k phi_k, phi_k(0) = 1.
     With e_i = B u, l_i = B a and G = B^T B (_players), player i's running cost accrues
     (1/2) sum_k p_k^2 s_k u_k^2 G_kk + (1/2) (sum_k p_k phi_k u_k (B^T x0)_k)^2,
@@ -255,11 +256,11 @@ def _modal_costs(g: Graph, prof: LinearProfile, sigma: float, c: float, x0: np.n
     stages' p phi.  A block of steps at a time (_blocks) builds the maps,
     runs the recurrence for s and sums the riders."""
     h, sig2 = prof.T / prof.steps, sigma**2
-    table, grams, which, columns, coords = _players(g, prof, x0)
+    table, grams, which, columns, coords = players
     _, u, a = np.split(columns[:, :1], 3)  # the same for every player of a modal profile
     m = len(grams)
     s, phi, run = np.zeros(m), np.ones(m), np.zeros(m)
-    outer = np.zeros((m, m)) if x0 is not None else None  # R
+    outer = np.zeros((m, m)) if coords is not None else None  # R
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends as a refused inf or NaN
         for lo, hi in _blocks(prof.steps, 48 * m):
             p = _stage_rows(table, lo, hi)
@@ -273,7 +274,7 @@ def _modal_costs(g: Graph, prof: LinearProfile, sigma: float, c: float, x0: np.n
             alpha = sum(wt * x for wt, x in zip(weights, d))
             beta = sum(wt * x for wt, x in zip(weights, shift))
             run += np.sum(alpha * path + beta, axis=0)
-            if x0 is not None:
+            if coords is not None:
                 d = _rk4_maps([-x for x in p], [0.0] * 4, h)[0]
                 phis = np.cumprod(np.vstack((phi, d[4])), axis=0)
                 v = np.stack([x * y for x, y in zip(p, d)], axis=1) * phis[:-1, None]  # p phi at every stage
@@ -295,9 +296,7 @@ def cost_under_profile(
     x0: np.ndarray | None = None,
 ) -> float:
     """Player i's expected cost under the profile."""
-    if not 0 <= i < g.n:
-        raise ParameterError(f"invalid player index {i}")
-    return float(profile_costs(g, prof, sigma, c, x0)[i])
+    return float(_costs(prof, _players(g, prof, _checked(g, prof, x0, i)), sigma, c)[i])
 
 
 @dataclass
@@ -339,21 +338,16 @@ def best_response(
     (sigma^2/2) int |psi|^2 / z, the feedback row (e_i^T phi) phi^T.
     _rank_one solves in _basis; an unresolved step raises NumericError.
     """
-    value, path = _best_value(g, prof, i, c, sigma, x0, trace=True)
+    players = _players(g, prof, _checked(g, prof, x0, i))
+    value, path = _best_value(prof, players, i, c, sigma, trace=True)
     basis, gamma = _basis(g, prof, i), path[:, :, 0]
-    return BestResponse(value, prof.grid.copy(), (gamma @ basis[i])[:, None] * (gamma @ basis.T))
+    return BestResponse(value, prof.grid, (gamma @ basis[i])[:, None] * (gamma @ basis.T))
 
 
-def _best_value(g, prof, i, c, sigma, x0, trace=False) -> tuple[float, np.ndarray | None]:
-    """best_response's checks and its value (and, with trace, _rank_one's path)."""
-    _check_profile(g, prof)
-    if not 0 <= i < g.n:
-        raise ParameterError(f"invalid player index {i}")
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (g.n,):
-            raise ParameterError(f"x0 must have length {g.n}")
-    (value,), path = _rank_one(g, prof, c, sigma, x0, [i], trace=trace)
+def _best_value(prof, players, i, c, sigma, trace=False) -> tuple[float, np.ndarray | None]:
+    """Player i's best-response value from _players' table (and, with
+    trace, _rank_one's path); a value that is not finite raises NumericError."""
+    (value,), path = _rank_one(prof, players, c, sigma, [i], trace=trace)
     if not math.isfinite(value):
         raise NumericError(f"player {i}'s best response is not finite: {prof.steps} steps do not resolve the profile")
     return float(value), path
@@ -363,7 +357,7 @@ def _basis(g: Graph, prof: LinearProfile, i: int) -> np.ndarray:
     """Player i's basis B for psi = B gamma, whose columns are orthogonal:
     I for a dense K, [e_i, l_i - e_i] for K = k I (l_i - e_i is 0 at i),
     and [Pi_lam e_i] for K = sum_lam p_lam Pi_lam.  K^T B = B Kt^T for Kt
-    the j-th stage of _stages(prof), and e_i and l_i lie in B's span, so psi does."""
+    the j-th stage of _players' table, and e_i and l_i lie in B's span, so psi does."""
     if prof.matrix_fn is not None:
         return np.eye(g.n)
     if prof.eigen is None:
@@ -375,27 +369,38 @@ def _basis(g: Graph, prof: LinearProfile, i: int) -> np.ndarray:
 
 
 def _players(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
-    """The stages (_stages) and, for B = _basis(g, prof, i), the weights of each class of
-    alike players: diag(B^T B) as a column per class (grams); each player's
-    class (which); the solved columns stacking w = B^T e_i, u and a (e_i = B u,
-    l_i = B a), one for all classes or one per class; B^T x0 as row i (None
-    for x0 = None).  Dense: a class per player, w = u = e_i, a = l_i,
-    B^T B = I.  Scalar: a class per degree, one column w = u = (1, 0),
-    a = (1, 1), B^T B = diag(1, 1/deg i).  Spectral: w = diag(B^T B) =
-    (e_i^T Pi_lam e_i), u = 1, a = -lam; a class per player, or one on a
-    transitive graph, where the graph's automorphisms commute with Pi_lam,
-    so e_i^T Pi_lam e_i = multiplicity / n and eigenvectors are read only for x0."""
-    n, stage = g.n, _stages(prof)
+    """The table every solver reads, built once per call: the stages, and
+    for B = _basis(g, prof, i) the weights of each class of alike players:
+    diag(B^T B) as a column per class (grams); each player's class (which);
+    the solved columns stacking w = B^T e_i, u and a (e_i = B u, l_i = B a),
+    one for all classes or one per class; B^T x0 as row i (None for
+    x0 = None).  The stages are the coefficient at the j-th half-step time,
+    j = 0 .. 2 steps: for a modal profile a table from one rates call, row j
+    holding the rates, one per basis vector of B (k twice for a scalar
+    profile, an eigenspace's at its first eigenvalue); for a dense one a
+    function j -> K, evaluated on demand and kept until the next.
+
+    Dense: a class per player, w = u = e_i, a = l_i, B^T B = I.  Scalar: a
+    class per degree, one column w = u = (1, 0), a = (1, 1),
+    B^T B = diag(1, 1/deg i).  Spectral: w = diag(B^T B) = (e_i^T Pi_lam e_i),
+    u = 1, a = -lam; a class per player, or one on a transitive graph, where
+    the graph's automorphisms commute with Pi_lam, so
+    e_i^T Pi_lam e_i = multiplicity / n and eigenvectors are read only for x0."""
+    n, times = g.n, np.linspace(0.0, prof.T, 2 * prof.steps + 1)
     if prof.matrix_fn is not None:
+        stage = functools.lru_cache(maxsize=1)(lambda j: prof.matrix_fn(float(times[j])))
         eye = np.eye(n)
         coords = None if x0 is None else np.broadcast_to(x0, (n, n))
         return stage, np.ones((n, n)), np.arange(n), np.vstack((eye, eye, alignment_functionals(g).T)), coords
     if prof.eigen is None:
+        rates = prof.rates(times)
         degrees, which = np.unique(g.degrees, return_inverse=True)
         grams = np.vstack((np.ones(degrees.size), _inverse_degrees(degrees)))
         coords = None if x0 is None else np.column_stack((x0, _align(g, x0) - x0))
-        return stage, grams, which, np.array([[1.0], [0.0], [1.0], [0.0], [1.0], [1.0]]), coords
+        columns = np.array([[1.0], [0.0], [1.0], [0.0], [1.0], [1.0]])
+        return np.column_stack((rates, rates)), grams, which, columns, coords
     starts = prof.eigen.eigenspaces()
+    table = prof.rates(times)[:, starts]
     lam = prof.eigen.eigenvalues[starts]
     if g.transitivity.is_transitive():
         grams, which = (np.diff(starts, append=n) / n)[:, None], np.zeros(n, int)
@@ -406,14 +411,13 @@ def _players(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
         v = prof.eigen.eigenvectors
         coords = np.add.reduceat(v * (x0 @ v), starts, axis=1)
     columns = np.vstack((grams, np.ones(grams.shape), np.broadcast_to(-lam[:, None], grams.shape)))
-    return stage, grams, which, columns, coords
+    return table, grams, which, columns, coords
 
 
-def _rank_one(
-    g: Graph, prof: LinearProfile, c: float, sigma: float, x0: np.ndarray | None, players, trace: bool = False
-) -> tuple:
-    """Best-response values of players (indices) from one linear solve for
-    every psi = B gamma, in which players of one class (_players) share one.
+def _rank_one(prof: LinearProfile, players: tuple, c: float, sigma: float, indices, trace: bool = False) -> tuple:
+    """Best-response values of the players at indices from one linear solve
+    for every psi = B gamma, in which players of one class share one; players
+    is _players' table.
 
     With W, U and A the solved columns' w, u and a, s_j = w_j^T gamma_j
     (that is, e_i^T psi) and K^T B = B Kt^T (Kt = stage(j) at the j-th
@@ -433,8 +437,8 @@ def _rank_one(
     Returns the values and, with trace, Gamma / sqrt(z) at every grid
     time (row j at grid[j]), else None.
     """
-    stage, grams, which, columns, coords = _players(g, prof, x0)
-    solved, cls = np.unique(which[players], return_inverse=True)
+    stage, grams, which, columns, coords = players
+    solved, cls = np.unique(which[indices], return_inverse=True)
     grams = grams[:, solved]
     w, u, a = np.split(columns[:, solved] if columns.shape[1] > 1 else columns, 3)
     solve = _modal_solve if prof.matrix_fn is None else _dense_solve
@@ -444,7 +448,7 @@ def _rank_one(
         values = (0.5 * sigma**2 * np.vecdot(grams, q, axis=0))[cls]
         if coords is not None:
             ends = np.broadcast_to(gamma / np.sqrt(z), grams.shape).T[cls]
-            values += 0.5 * np.vecdot(coords[players], ends) ** 2
+            values += 0.5 * np.vecdot(coords[indices], ends) ** 2
     return values, path
 
 
@@ -543,8 +547,8 @@ def deviation_gap(
     Nonnegative up to discretization noise; zero exactly at a Nash
     equilibrium.  Solves only the value, not best_response's feedback path.
     """
-    cost = cost_under_profile(g, prof, i, sigma, c, x0)
-    return cost - _best_value(g, prof, i, c, sigma, x0)[0]
+    players = _players(g, prof, _checked(g, prof, x0, i))
+    return float(_costs(prof, players, sigma, c)[i]) - _best_value(prof, players, i, c, sigma)[0]
 
 
 @dataclass(frozen=True)
@@ -590,16 +594,15 @@ def nash_audit(
     below -gap_tolerance or NaN (a best response worse than the profile or
     not finite), means the grid does not resolve the problem: NumericError.
     """
-    _check_profile(g, prof)
-    costs = profile_costs(g, prof, sigma, c, x0)
+    players = _players(g, prof, _checked(g, prof, x0))
+    costs = _costs(prof, players, sigma, c)
     unresolved = f"{prof.steps} steps do not resolve the profile"
     bad = np.flatnonzero(~((costs >= -gap_tolerance) & (costs < np.inf)))  # a NaN cost too
     if bad.size:
         i = int(bad[0])
         raise NumericError(f"player {i}'s cost under the profile is {costs[i]:.6g}: {unresolved}")
-    x0 = None if x0 is None else np.asarray(x0, dtype=float)
     bounds = epsilon_bounds(g, c, prof.T, sigma).per_vertex if prof.tag == "mean_field" else np.zeros(g.n)
-    values, _ = _rank_one(g, prof, c, sigma, x0, np.arange(g.n))
+    values, _ = _rank_one(prof, players, c, sigma, np.arange(g.n))
     gaps = costs - values
     worse = np.flatnonzero(~(gaps >= -gap_tolerance))  # a NaN gap too
     if worse.size:

@@ -331,6 +331,9 @@ class TestGameValue:
         calls.clear()
         game_value(k)
         assert len(calls) == 1
+        calls.clear()
+        riccati_residual(k, 0, 0.5)
+        assert len(calls) == 1
 
     def test_complete300_near_half_log2(self):
         k = kernel(complete(300), steps=2000)

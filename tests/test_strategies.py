@@ -224,6 +224,29 @@ class TestModalMaps:
             nash_audit(g, prof, c=300.0, sigma=1.0)
 
 
+class TestOneTable:
+    """Every entry point evaluates the profile's rates once per call, and
+    its costs and best responses read that one table."""
+
+    @pytest.mark.parametrize("with_x0", [False, True], ids=["x0=0", "x0"])
+    @pytest.mark.parametrize("audit", ["er50-mean_field", "cycle20-equilibrium"])
+    def test_one_rate_evaluation_per_call(self, audit, with_x0):
+        g, make = MODAL_AUDITS[audit]()
+        prof = make(g)
+        calls = []
+        counted = dataclasses.replace(prof, rates=lambda t: calls.append(t) or prof.rates(t))
+        x0 = np.random.default_rng(5).normal(size=g.n) if with_x0 else None
+        for call in (
+            lambda: nash_audit(g, counted, 1.3, 0.8, x0),
+            lambda: deviation_gap(g, counted, 3, 1.3, 0.8, x0),
+            lambda: best_response(g, counted, 3, 1.3, 0.8, x0),
+            lambda: profile_costs(g, counted, 0.8, 1.3, x0),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == 1
+
+
 class TestDenseMemory:
     def test_audit_holds_no_stage_table(self):
         # A table of K on the 801 half-step times would take 801 * 60^2 * 8 B = 23 MB.
