@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -166,10 +167,29 @@ def _times(args) -> "np.ndarray":
     return np.linspace(*(args.t_grid or (0.0, args.T, _FIG_GRID_POINTS)))
 
 
+#: Rows of a CSV body per format call: the text of a long table is made,
+#: and written, a block of rows at a time.
+_CSV_BLOCK_ROWS = 1024
+
+
 def _fmt(x) -> str:
     if not math.isfinite(x := float(x)):
         raise NumericError("output holds a non-finite number")
     return format(x, ".15g")
+
+
+def _csv_rows(table):
+    """The rows of a 2-D table as CSV text, every cell as _fmt writes it,
+    one string per block of _CSV_BLOCK_ROWS rows; a non-finite cell raises
+    NumericError before any text is made."""
+    import numpy as np
+
+    table = np.asarray(table, dtype=float)
+    if not np.isfinite(table).all():
+        raise NumericError("output holds a non-finite number")
+    line = ",".join(["%.15g"] * table.shape[1]) + "\n"
+    blocks = (table[i : i + _CSV_BLOCK_ROWS] for i in range(0, len(table), _CSV_BLOCK_ROWS))
+    return ((line * len(rows)) % tuple(rows.ravel().tolist()) for rows in blocks)
 
 
 def _resolved_config(args, command: str, **extra) -> dict:
@@ -194,11 +214,12 @@ def _write_file(path: str, flag: str, write) -> None:
         raise ParameterError(f"cannot write {flag} {path}: {exc.strerror or exc}") from exc
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, texts) -> None:
+    """Write the strings texts to --out, or to stdout without it."""
     if args.out:
-        _write_file(args.out, "--out", lambda fh: fh.write(text))
+        _write_file(args.out, "--out", lambda fh: fh.writelines(texts))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def _dumps(payload: dict, **kwargs) -> str:
@@ -208,13 +229,16 @@ def _dumps(payload: dict, **kwargs) -> str:
         raise NumericError("output holds a non-finite number") from exc
 
 
-def _emit_csv(args, header: list[str], rows, config: dict) -> None:
-    lines = ["# config: " + _dumps(config), ",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]
-    _emit(args, "\n".join(lines) + "\n")
+def _emit_csv(args, header: list[str], columns, config: dict) -> None:
+    """The columns (equal-length vectors) as CSV under a config line and the header."""
+    import numpy as np
+
+    head = "# config: " + _dumps(config) + "\n" + ",".join(header) + "\n"
+    _emit(args, itertools.chain([head], _csv_rows(np.column_stack(columns))))
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, _dumps(payload, indent=2) + "\n")
+    _emit(args, [_dumps(payload, indent=2) + "\n"])
 
 
 def _cmd_spectrum(args) -> None:
@@ -222,8 +246,8 @@ def _cmd_spectrum(args) -> None:
 
     g = graphs.build_graph(_graph_spec(args))
     es = spectral.laplacian_eigensystem(g)
-    rows = [(i, lam) for i, lam in enumerate(es.eigenvalues)]
-    _emit_csv(args, ["index", "eigenvalue"], rows, _resolved_config(args, "spectrum"))
+    columns = [range(es.eigenvalues.size), es.eigenvalues]
+    _emit_csv(args, ["index", "eigenvalue"], columns, _resolved_config(args, "spectrum"))
 
 
 def _schedule_for(args):
@@ -241,8 +265,7 @@ def _schedule_for(args):
 
 def _cmd_solve_f(args) -> None:
     schedule = _schedule_for(args)
-    rows = zip(schedule.grid, schedule.f_values)
-    _emit_csv(args, ["t", "f"], rows, _resolved_config(args, "solve-f"))
+    _emit_csv(args, ["t", "f"], [schedule.grid, schedule.f_values], _resolved_config(args, "solve-f"))
 
 
 def _cmd_variance_curve(args) -> None:
@@ -256,7 +279,7 @@ def _cmd_variance_curve(args) -> None:
         variance = equilibrium.player_variance(kernel, ts)
     else:
         variance = equilibrium.limit_variance(_schedule_for(args), args.sigma, ts)
-    _emit_csv(args, ["t", "variance"], zip(ts, variance), config)
+    _emit_csv(args, ["t", "variance"], [ts, variance], config)
 
 
 def _cmd_value(args) -> None:
@@ -274,7 +297,7 @@ def _cmd_value(args) -> None:
 
 def _limit_curves(pairs, steps: int, ts) -> list:
     """Variance curve at times ts for each (measure, c) pair, T = sigma = 1:
-    one solve per schedule, then one Gauss rule per time of the curve."""
+    one solve per schedule, then one composite Gauss rule per curve."""
     from . import equilibrium, flow
 
     return [equilibrium.limit_variance(flow.solve_f(mu, c, 1.0, steps), 1.0, ts) for mu, c in pairs]
@@ -291,7 +314,7 @@ def _cmd_fig1(args) -> None:
     header = ["t"] + [f"{label}_c{_fmt(c)}" for c in c_values for _, label in families]
     columns = [ts] + _limit_curves([(mu, c) for c in c_values for mu, _ in families], args.steps, ts)
     config = {"command": "fig1", "T": 1.0, "sigma": 1.0, "c_values": list(c_values), "steps": args.steps}
-    _emit_csv(args, header, zip(*columns), config)
+    _emit_csv(args, header, columns, config)
 
 
 def _cmd_fig2(args) -> None:
@@ -305,7 +328,7 @@ def _cmd_fig2(args) -> None:
     header = ["t", "torus_d1", "torus_d2", "torus_d4", "dense"]
     columns = [ts] + _limit_curves([(mu, 1.0) for mu in measures], args.steps, ts)
     config = {"command": "fig2", "T": 1.0, "sigma": 1.0, "c": 1.0, "d_values": [1, 2, 4], "steps": args.steps}
-    _emit_csv(args, header, zip(*columns), config)
+    _emit_csv(args, header, columns, config)
 
 
 def _cmd_fig3(args) -> None:
@@ -318,7 +341,7 @@ def _cmd_fig3(args) -> None:
     competitive = equilibrium.limit_variance(flow.solve_f(mu, 1.0, 1.0, args.steps), 1.0, ts)
     cooperative_curve = cooperative.coop_variance_measure(mu, 1.0, 1.0, 1.0, ts)
     config = {"command": "fig3", "T": 1.0, "sigma": 1.0, "c": 1.0, "steps": args.steps}
-    _emit_csv(args, ["t", "competitive", "cooperative"], zip(ts, competitive, cooperative_curve), config)
+    _emit_csv(args, ["t", "competitive", "cooperative"], [ts, competitive, cooperative_curve], config)
 
 
 def _profile_for(args, g):
@@ -358,14 +381,18 @@ def _cmd_simulate(args) -> None:
         summary[_fmt(t)] = {k: [float(v) for v in getattr(stats, k)] for k in fields}
     config = _resolved_config(args, "simulate", profile=args.profile, sim=cfg.to_dict())
     if args.dump_samples:
+        import numpy as np
 
         def dump(fh) -> None:
             fh.write("path,player,t,x\n")
             for t in ensemble.times:
-                block = ensemble.states[t]
-                for path in range(block.shape[0]):
-                    for player in range(block.shape[1]):
-                        fh.write(f"{path},{player},{_fmt(t)},{_fmt(block[path, player])}\n")
+                states = ensemble.states[t]
+                paths = max(1, _CSV_BLOCK_ROWS // states.shape[1])  # a block of rows' worth of paths at a time
+                for start in range(0, states.shape[0], paths):
+                    x = states[start : start + paths]
+                    path, player = np.indices(x.shape)
+                    table = (path.ravel() + start, player.ravel(), np.full(x.size, t), x.ravel())
+                    fh.writelines(_csv_rows(np.column_stack(table)))
 
         _write_file(args.dump_samples, "--dump-samples", dump)
     _emit_json(args, {"config": config, "times": summary})
@@ -379,7 +406,7 @@ def _cmd_coop(args) -> None:
     kernel = cooperative.coop_kernel(g, args.c, args.T, args.sigma)
     variance = cooperative.coop_variance(kernel, ts)
     config = _resolved_config(args, "coop", value=cooperative.coop_value(kernel))
-    _emit_csv(args, ["t", "variance"], zip(ts, variance), config)
+    _emit_csv(args, ["t", "variance"], [ts, variance], config)
 
 
 _GRAPH = ("--graph", "--seed")

@@ -15,10 +15,11 @@ Every game variance is one integral, _variance_integral: sigma^2 *
 int_0^t ((1 - lam f(T-t)) / (1 - lam f(T-s)))^2 ds per eigenvalue lam,
 averaged over a measure.  The integrand factors as
 sigma^2 (1 - lam f(T-t))^2 J(t) with J(t) = int_{T-t}^T (1 - lam f(tau))^-2
-dtau, and J is one Gauss-Legendre rule per time in u = sqrt(f/(cT)), the
-variable in which the schedule's series gives dtau (flow module), so the
-integrand is smooth and the rule needs no step count.  The planner's
-variance (cooperative module) has a closed form and needs none.
+dtau, and J takes Gauss-Legendre rules in u = sqrt(f/(cT)), the variable in
+which the schedule's series gives dtau (flow module), so the integrand is
+smooth and the rule needs no step count: one composite rule per curve, cut
+at the curve's own times, whose cumulative sum gives J at every time.  The
+planner's variance (cooperative module) has a closed form and needs none.
 A finite graph is the discrete measure of its own spectrum, so
 player_variance is limit_variance on the kernel's schedule, which holds
 the graph's empirical measure.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .flow import DEFAULT_ODE_STEPS, FlockingSchedule, solve_f
+from .flow import DEFAULT_ODE_STEPS, FlockingSchedule, _clenshaw, solve_f
 from .graphs import Graph, Transitivity, graph_distances
 from .spectral import EigenSystem, empirical_measure, laplacian_eigensystem
 
@@ -122,8 +123,28 @@ def _clamp_time(t, T):
     return float(times) if times.ndim == 0 else times
 
 
-#: Gauss-Legendre nodes of a game variance's rule.
-VARIANCE_NODES = 64
+#: Gauss-Legendre nodes of each piece of a game variance's composite rule.
+VARIANCE_NODES = 16
+
+#: Integrand values evaluated at once by _variance_integral (64 KiB of floats).
+VARIANCE_BLOCK = 8192
+
+
+def _variance_pieces(schedule, tau):
+    """Descending ends T = b_0 > b_1 > ... of the variance rule's pieces, and
+    the index among them of each of the descending times tau.  The ends are T,
+    tau, and between them the times where f = 4^j, j >= 0, that is
+    u = (cT)^-1/2 2^j, taken by the schedule's series as t = T Psi(u): the
+    integrand's poles lie at u = +-i (cT x)^-1/2, x in (0, 2], so every piece
+    is 0.7 of its length or more away from them.  (Graded by 4, J of a
+    single time at cT = 1e4 is off by 2e-13.)"""
+    T = schedule.T
+    scale = schedule.c * T
+    grades = 2.0 ** np.arange(max(0, math.ceil(math.log(scale, 4)))) / math.sqrt(scale)
+    graded = T * _clenshaw(schedule._series[1], 2.0 * grades - 1.0)
+    graded = graded[(graded > tau.min(initial=T)) & (graded < T)]
+    ends, index = np.unique(np.concatenate((tau, graded, [T])), return_inverse=True)
+    return ends[::-1], ends.size - 1 - index[: tau.size]
 
 
 def _variance_integral(lam, schedule, sigma, t, weights=None):
@@ -133,21 +154,35 @@ def _variance_integral(lam, schedule, sigma, t, weights=None):
     or an array back, like t).
 
     With x = -lam the integrand factors as sigma^2 (1 + f(T-t) x)^2 J_x(t),
-    with J_x(t) = int_{T-t}^T (1 + f(tau) x)^-2 dtau.  Each distinct time
-    gets the schedule's Gauss rule in u on [T-t, T], with VARIANCE_NODES
-    nodes, and J = w @ (1 + f x)^-2, one time at a time, so memory is
-    O(nodes x len(lam)).
+    with J_x(t) = int_{T-t}^T (1 + f(tau) x)^-2 dtau.  One composite rule
+    serves every time: [T - max t, T] is cut at each T - t and graded toward
+    the integrand's bend (_variance_pieces), each piece gets the schedule's
+    Gauss rule in u with VARIANCE_NODES nodes, and J at each time is one
+    cumulative sum of the pieces' sums from T down.  The integrand is
+    evaluated VARIANCE_BLOCK values (or one piece's) at a time, and J holds
+    a row per time, fewer than the pieces, so memory is O(nodes x len(lam)).
     """
     T, x = schedule.T, -lam
     times, inverse = np.unique(_clamp_time(t, T), return_inverse=True)
-    out = np.empty(times.size if weights is not None else (times.size, x.size))
     with np.errstate(over="ignore", invalid="ignore"):  # a huge c overflows to inf or nan, which callers check
-        f, w = schedule.gauss_rule(T - times, T, VARIANCE_NODES)
         a_t = schedule.value(T - times)
-        for k in range(times.size):
-            g = 1.0 / (1.0 + np.outer(f[k], x))
-            v = (1.0 + a_t[k] * x) ** 2 * (w[k] @ (g * g))
-            out[k] = v if weights is None else v @ weights
+        ends, piece = _variance_pieces(schedule, T - times)
+        no_piece = np.empty((2, 0, 0))  # every t is 0
+        f, w = schedule.gauss_rule(ends[1:], ends[:-1], VARIANCE_NODES) if ends.size > 1 else no_piece
+        block = max(1, VARIANCE_BLOCK // (VARIANCE_NODES * x.size))
+        J = np.zeros((times.size, x.size))
+        j = np.zeros((1, x.size))
+        for lo in range(0, f.shape[0], block):
+            g = f[lo : lo + block, :, None] * x
+            g += 1.0
+            np.divide(1.0, g, out=g)
+            g *= g
+            j = np.add.accumulate(np.concatenate((j[-1:], (w[lo : lo + block, None, :] @ g)[:, 0])))
+            k = slice(*np.searchsorted(piece, [lo + 1, lo + block + 1]))  # the times whose J is in j
+            J[k] = j[piece[k] - lo]  # j[i] is J at the end of piece lo + i
+        out = (1.0 + np.outer(a_t, x)) ** 2 * J
+        if weights is not None:
+            out = out @ weights
     out = sigma**2 * out[inverse.reshape(np.shape(t))]
     return float(out) if out.ndim == 0 else out
 
@@ -245,8 +280,8 @@ def limit_variance(schedule: FlockingSchedule, sigma: float, t):
         sigma^2 * int_0^t int ((1 - lam f(T-t)) / (1 - lam f(T-s)))^2 dmu ds.
 
     t is one time (a float back) or an array of times (an array back, the
-    whole curve from one call of _variance_integral), each integrated by
-    a VARIANCE_NODES-node Gauss rule in u.
+    whole curve from one composite rule of _variance_integral, with
+    VARIANCE_NODES Gauss nodes in u per piece).
     """
     mu = schedule.measure
     return _variance_integral(mu.nodes, schedule, sigma, t, mu.weights)

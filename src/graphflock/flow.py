@@ -83,8 +83,9 @@ def _q_pair(nodes, weights, x):
 def _clenshaw(coef, s):
     """sum_k coef[k] T_k(s) for a list of floats coef, at a float or an array s."""
     b1 = b2 = 0.0
+    twice = s + s
     for a in coef[:0:-1]:
-        b1, b2 = a + (s + s) * b1 - b2, b1
+        b1, b2 = a + twice * b1 - b2, b1
     return coef[0] + s * b1 - b2
 
 

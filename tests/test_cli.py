@@ -609,6 +609,71 @@ class TestEigenvalueOnlyCommands:
         assert out
 
 
+#: Cells whose text must be format(x, ".15g") byte for byte.
+_CELLS = [-0.0, 1e300, 5e-324, 0.1, 1.0 / 3.0, 2.0**53, -7.0]
+
+
+class TestCsvWriter:
+    def test_cells_are_written_as_format_15g(self, capsys, monkeypatch):
+        from graphflock import equilibrium
+
+        monkeypatch.setattr(equilibrium, "limit_variance", lambda s, sigma, ts: np.array(_CELLS))
+        grid = f"0:1:{len(_CELLS)}"
+        code, out, err = run(capsys, "variance-curve", "--measure", "dirac", "--steps", "100", "--t-grid", grid)
+        assert code == 0 and err == ""
+        ts = np.linspace(0.0, 1.0, len(_CELLS)).tolist()
+        assert out.splitlines()[2:] == [f"{format(t, '.15g')},{format(x, '.15g')}" for t, x in zip(ts, _CELLS)]
+
+    def test_spectrum_index_column_is_integers(self, capsys):
+        from graphflock.graphs import cycle
+        from graphflock.spectral import laplacian_eigensystem
+
+        code, out, _ = run(capsys, "spectrum", "--graph", "cycle:12")
+        assert code == 0
+        eigenvalues = laplacian_eigensystem(cycle(12)).eigenvalues.tolist()
+        assert out.splitlines()[2:] == [f"{i},{format(lam, '.15g')}" for i, lam in enumerate(eigenvalues)]
+
+    def test_row_blocks_do_not_change_the_text(self, capsys, monkeypatch):
+        from graphflock import cli
+
+        argv = ("solve-f", "--measure", "cycle", "--steps", "100")
+        whole = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
+        assert run(capsys, *argv) == whole
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_cell_exits_3(self, capsys, monkeypatch, tmp_path, bad):
+        from graphflock import equilibrium
+
+        monkeypatch.setattr(equilibrium, "limit_variance", lambda s, sigma, ts: np.where(ts > 0.5, bad, ts))
+        path = tmp_path / "curve.csv"
+        argv = ("variance-curve", "--measure", "dirac", "--steps", "100", "--t-grid", "0:1:5", "--out", str(path))
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and not path.exists()
+        assert err.startswith("error[numeric]:") and len(err.splitlines()) == 1
+
+    def test_dump_rows_are_written_as_format_15g(self, capsys, monkeypatch, tmp_path):
+        from graphflock import cli, montecarlo
+
+        ensembles, simulate = [], montecarlo.simulate
+        monkeypatch.setattr(montecarlo, "simulate", lambda *args: ensembles.append(simulate(*args)) or ensembles[-1])
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 4)  # one path per block of rows
+        dump = tmp_path / "samples.csv"
+        code, _, err = run(
+            capsys, "simulate", "--graph", "cycle:3", "--profile", "zero", "--paths", "5",
+            "--dt", "0.1", "--record-times", "0.5,1", "--dump-samples", str(dump),
+        )
+        assert code == 0, err
+        (e,) = ensembles
+        expected = [
+            f"{path},{player},{format(float(t), '.15g')},{format(float(x), '.15g')}"
+            for t in e.times
+            for path, row in enumerate(e.states[t])
+            for player, x in enumerate(row)
+        ]
+        assert dump.read_text().splitlines() == ["path,player,t,x", *expected]
+
+
 class TestSubcommandOptions:
     def test_flag_of_another_command_exits_1(self, capsys):
         code, out, err = run(capsys, "spectrum", "--graph", "cycle:4", "--paths", "5")

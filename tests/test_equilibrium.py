@@ -320,6 +320,60 @@ class TestVarianceWalk:
         assert peak < 4 * 2**20
 
 
+def gauss_reference(s, sigma, ts):
+    """A variance curve with the schedule's public 64-node Gauss rule per
+    time over the whole of [T - t, T]."""
+    mu, T = s.measure, s.T
+    f, w = s.gauss_rule(T - ts, T, 64)
+    curve = []
+    for f_k, w_k, a in zip(f, w, s.value(T - ts)):
+        inner = w_k @ (1.0 - np.outer(f_k, mu.nodes)) ** -2
+        curve.append(((1.0 - a * mu.nodes) ** 2 * inner) @ mu.weights)
+    return sigma**2 * np.array(curve)
+
+
+#: (measure, d, c) of the fig1 and fig2 sweeps, kesten_mckay:3, and a c whose curve is graded.
+_SWEEPS = (
+    [(kind, None, c) for c in (0.5, 1.0, 2.0, 5.0) for kind in ("dirac_minus_one", "cycle_limit")]
+    + [("torus_limit", d, 1.0) for d in (1, 2, 4)]
+    + [("kesten_mckay", 3, 1.0), ("cycle_limit", None, 1e4)]
+)
+
+
+class TestCompositeVarianceRule:
+    @pytest.mark.parametrize("kind, d, c", _SWEEPS)
+    def test_matches_a_64_node_rule_per_time(self, kind, d, c):
+        s = solve_f(limit_measure(kind, d=d), c, 1.0, 2000)
+        ts = np.linspace(0.0, 1.0, 101)
+        curve, reference = limit_variance(s, 1.0, ts), gauss_reference(s, 1.0, ts)
+        assert curve[0] == reference[0] == 0.0
+        assert np.abs(curve[1:] / reference[1:] - 1.0).max() <= 1e-13
+
+    def test_cycle1000_matches_a_64_node_rule_per_time(self):
+        k = kernel(cycle(1000), steps=2000)
+        ts = np.linspace(0.0, 1.0, 26)
+        curve, reference = player_variance(k, ts), gauss_reference(k.schedule, k.sigma, ts)
+        assert np.abs(curve[1:] / reference[1:] - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("c", [1e7, 1e8])
+    def test_huge_ct_curves_match_the_closed_form(self, c):
+        ts = np.linspace(0.0, 1.0, 41)[1:]
+        a = c * (1.0 - ts)
+        closed = (1.0 + a) ** 2 * (1.0 / (1.0 + a) - 1.0 / (1.0 + c)) / c
+        curve = limit_variance(solve_f(limit_measure("dirac_minus_one"), c, 1.0, 200), 1.0, ts)
+        assert np.abs(curve / closed - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kind, d, c", [("cycle_limit", None, 1.0), ("torus_limit", 2, 1.0), ("cycle_limit", None, 1e4)]
+    )
+    def test_one_time_agrees_with_a_curve_through_it(self, kind, d, c):
+        s = solve_f(limit_measure(kind, d=d), c, 1.0, 2000)
+        ts = np.linspace(0.0, 1.0, 101)
+        curve = limit_variance(s, 1.0, ts)
+        for i in (1, 2, 37, 50, 99, 100):
+            assert limit_variance(s, 1.0, float(ts[i])) == pytest.approx(curve[i], rel=1e-14, abs=0.0)
+
+
 class TestGameValue:
     def test_one_schedule_evaluation_per_rate(self, monkeypatch):
         k = kernel(cycle(8), steps=200)
