@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .flow import DEFAULT_ODE_STEPS, FlockingSchedule, _clenshaw, solve_f
+from .flow import DEFAULT_ODE_STEPS, FlockingSchedule, solve_f
 from .graphs import Graph, Transitivity, graph_distances
 from .spectral import EigenSystem, empirical_measure, laplacian_eigensystem
 
@@ -130,23 +130,6 @@ VARIANCE_NODES = 16
 VARIANCE_BLOCK = 8192
 
 
-def _variance_pieces(schedule, tau):
-    """Descending ends T = b_0 > b_1 > ... of the variance rule's pieces, and
-    the index among them of each of the descending times tau.  The ends are T,
-    tau, and between them the times where f = 4^j, j >= 0, that is
-    u = (cT)^-1/2 2^j, taken by the schedule's series as t = T Psi(u): the
-    integrand's poles lie at u = +-i (cT x)^-1/2, x in (0, 2], so every piece
-    is 0.7 of its length or more away from them.  (Graded by 4, J of a
-    single time at cT = 1e4 is off by 2e-13.)"""
-    T = schedule.T
-    scale = schedule.c * T
-    grades = 2.0 ** np.arange(max(0, math.ceil(math.log(scale, 4)))) / math.sqrt(scale)
-    graded = T * _clenshaw(schedule._series[1], 2.0 * grades - 1.0)
-    graded = graded[(graded > tau.min(initial=T)) & (graded < T)]
-    ends, index = np.unique(np.concatenate((tau, graded, [T])), return_inverse=True)
-    return ends[::-1], ends.size - 1 - index[: tau.size]
-
-
 def _variance_integral(lam, schedule, sigma, t, weights=None):
     """sigma^2 * int_0^t ((1 - lam f(T-t)) / (1 - lam f(T-s)))^2 ds for each
     eigenvalue lam, f the schedule; averaged with the weights when given, at
@@ -155,22 +138,21 @@ def _variance_integral(lam, schedule, sigma, t, weights=None):
 
     With x = -lam the integrand factors as sigma^2 (1 + f(T-t) x)^2 J_x(t),
     with J_x(t) = int_{T-t}^T (1 + f(tau) x)^-2 dtau.  One composite rule
-    serves every time: [T - max t, T] is cut at each T - t and graded toward
-    the integrand's bend (_variance_pieces), each piece gets the schedule's
-    Gauss rule in u with VARIANCE_NODES nodes, and J at each time is one
-    cumulative sum of the pieces' sums from T down.  The integrand is
-    evaluated VARIANCE_BLOCK values (or one piece's) at a time, and J holds
-    a row per time, fewer than the pieces, so memory is O(nodes x len(lam)).
+    serves every time: the schedule's curve_rule cuts [T - max t, T] at each
+    T - t and grades it toward the integrand's bend, each piece with
+    VARIANCE_NODES nodes, and J at each time is one cumulative sum of the
+    pieces' sums from T down.  The integrand is evaluated VARIANCE_BLOCK
+    values (or one piece's) at a time, and each time's row is formed and
+    averaged in the block where its J is complete, so memory is
+    O(nodes x len(lam)) whatever the number of times.
     """
     T, x = schedule.T, -lam
     times, inverse = np.unique(_clamp_time(t, T), return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):  # a huge c overflows to inf or nan, which callers check
         a_t = schedule.value(T - times)
-        ends, piece = _variance_pieces(schedule, T - times)
-        no_piece = np.empty((2, 0, 0))  # every t is 0
-        f, w = schedule.gauss_rule(ends[1:], ends[:-1], VARIANCE_NODES) if ends.size > 1 else no_piece
+        f, w, piece = schedule.curve_rule(a_t, VARIANCE_NODES)
         block = max(1, VARIANCE_BLOCK // (VARIANCE_NODES * x.size))
-        J = np.zeros((times.size, x.size))
+        out = np.zeros(times.shape + (x.shape if weights is None else ()))  # J = 0 at t = 0
         j = np.zeros((1, x.size))
         for lo in range(0, f.shape[0], block):
             g = f[lo : lo + block, :, None] * x
@@ -179,10 +161,8 @@ def _variance_integral(lam, schedule, sigma, t, weights=None):
             g *= g
             j = np.add.accumulate(np.concatenate((j[-1:], (w[lo : lo + block, None, :] @ g)[:, 0])))
             k = slice(*np.searchsorted(piece, [lo + 1, lo + block + 1]))  # the times whose J is in j
-            J[k] = j[piece[k] - lo]  # j[i] is J at the end of piece lo + i
-        out = (1.0 + np.outer(a_t, x)) ** 2 * J
-        if weights is not None:
-            out = out @ weights
+            rows = (1.0 + np.outer(a_t[k], x)) ** 2 * j[piece[k] - lo]  # j[i] is J at the end of piece lo + i
+            out[k] = rows if weights is None else rows @ weights
     out = sigma**2 * out[inverse.reshape(np.shape(t))]
     return float(out) if out.ndim == 0 else out
 

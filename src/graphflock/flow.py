@@ -16,7 +16,8 @@ inverts Psi(u) = t/T by safeguarded Newton (Trefethen, Approximation Theory
 and Approximation Practice, 2013; Aurentz & Trefethen, "Chopping a
 Chebyshev series", 2017), so f is exact to rounding at any t.  The same
 series gives dt = T G(u) du, so an integral of h(f(t)) dt is a smooth
-integral in u: FlockingSchedule.gauss_rule is its Gauss-Legendre rule.
+integral in u: FlockingSchedule.gauss_rule is its Gauss-Legendre rule,
+and curve_rule one composite rule for such integrals to many times.
 The series' coefficients come from a DCT-I done as numpy's real FFT, so
 this module needs numpy alone.
 """
@@ -192,7 +193,6 @@ class FlockingSchedule:
         the poles; the other rows then get empty pieces of zero weight."""
         if nodes < 1:
             raise ParameterError(f"a Gauss rule needs at least 1 node, got {nodes}")
-        x, w = _leggauss(nodes)
         scale = self.c * self.T
         lo, hi = np.sqrt(self.value(np.broadcast_arrays(start, stop)) / scale)[..., None]
         reach = np.hypot(lo, scale**-0.5)  # from each row's start to the nearest poles
@@ -200,10 +200,40 @@ class FlockingSchedule:
         grades = math.ceil(math.log(np.where(bent, (hi - lo) / reach, 1.0).max(initial=1.0), 4))
         cuts = np.minimum(lo + np.where(bent, reach, np.inf) * 4.0 ** np.arange(grades), hi)
         ends = np.concatenate((lo, cuts, hi), axis=-1)[..., None]
-        lo, hi = ends[..., :-1, :], ends[..., 1:, :]  # one row per piece, one piece unless a row is bent
+        f, dt = self._rule_in_u(ends[..., :-1, :], ends[..., 1:, :], nodes)  # one piece unless a row is bent
+        return f.reshape(f.shape[:-2] + (-1,)), dt.reshape(f.shape[:-2] + (-1,))
+
+    def curve_rule(self, f, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(f at the nodes, their dt-weights, pieces): one composite
+        nodes-point Gauss-Legendre rule in u for int_tau^T h(f(t)) dt at
+        every tau where the schedule takes a value of the array f, so that
+        a curve of such integrals is one cumulative sum.  A row per piece,
+        from T down; the integral to the tau of f[i] is the sum of the
+        first pieces[i] rows.
+
+        The pieces are cut at every tau and, toward the bend near u = 0
+        (gauss_rule), at u = (cT)^-1/2 2^j, so each lies 0.7 of its length
+        or more away from the poles u = +-i (cT x)^-1/2, x in (0, 2].  The
+        ends are taken in u = sqrt(f/(cT)), so none is inverted.  (Graded
+        by 4, a 16-node rule is off by 2e-13 at cT = 1e4.)"""
+        if nodes < 1:
+            raise ParameterError(f"a Gauss rule needs at least 1 node, got {nodes}")
+        scale = self.c * self.T
+        u = np.sqrt(np.asarray(f, dtype=float).ravel() / scale)
+        top = math.sqrt(self.f_values[-1] / scale)  # u at T: f_values[-1] is value(T) bit for bit
+        grades = 2.0 ** np.arange(max(0, math.ceil(math.log(scale, 4)))) / math.sqrt(scale)
+        grades = grades[(grades > u.min(initial=top)) & (grades < top)]
+        ends, index = np.unique(np.concatenate((u, grades, [top])), return_inverse=True)
+        ends = ends[::-1, None]
+        return *self._rule_in_u(ends[1:], ends[:-1], nodes), ends.size - 1 - index[: u.size]
+
+    def _rule_in_u(self, lo, hi, nodes):
+        """(f at the nodes, their dt-weights) of the nodes-point
+        Gauss-Legendre rule on each piece [lo, hi] of u, arrays whose last
+        axis has length 1, where dt = T G(u) du (module docstring)."""
+        x, w = _leggauss(nodes)
         u = lo + 0.5 * (hi - lo) * (x + 1.0)
-        f, dt = self.c * self.T * (u * u), 0.5 * self.T * (hi - lo) * w * _clenshaw(self._series[0], 2.0 * u - 1.0)
-        return f.reshape(u.shape[:-2] + (-1,)), dt.reshape(u.shape[:-2] + (-1,))
+        return self.c * self.T * (u * u), 0.5 * self.T * (hi - lo) * w * _clenshaw(self._series[0], 2.0 * u - 1.0)
 
     def slope(self, t):
         """f'(t) recovered exactly from the ODE as c * Q'(f(t))."""

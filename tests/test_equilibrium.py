@@ -319,6 +319,18 @@ class TestVarianceWalk:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_memory_does_not_grow_with_times_times_n(self):
+        # One 1001 x 1000 array of J values would take 7.6 MiB.
+        k = kernel(cycle(1000), steps=2000)
+        tracemalloc.start()
+        try:
+            player_variance(k, np.linspace(0.0, 1.0, 101))
+            player_variance(k, np.linspace(0.0, 1.0, 1001))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 def gauss_reference(s, sigma, ts):
     """A variance curve with the schedule's public 64-node Gauss rule per

@@ -303,6 +303,23 @@ class TestGaussRule:
         for nodes in (0, -1):
             with pytest.raises(ParameterError):
                 s.gauss_rule(0.0, 1.0, nodes)
+            with pytest.raises(ParameterError):
+                s.curve_rule(s.value(0.0), nodes)
+
+    def test_curve_rule_sums_to_every_time(self):
+        # Dirac at -1, c T = 14: int_tau^T f dt = 3.5 (T^2 - tau^2), cut at u = 14^-1/2 2^j.
+        s = solve_f(FAMILY["dirac"], 7.0, 2.0, 200)
+        tau = np.array([2.0, 1.25, 0.3, 0.0])
+        f, w, pieces = s.curve_rule(s.value(tau), 16)
+        assert f.shape == w.shape == (5, 16) and pieces.tolist() == [0, 1, 3, 5]
+        time, area = (np.concatenate(([0.0], np.cumsum(h.sum(axis=1))))[pieces] for h in (w, w * f))
+        assert np.allclose(time, 2.0 - tau, rtol=1e-14, atol=0.0)
+        assert np.allclose(area, 3.5 * (4.0 - tau**2), rtol=1e-13, atol=0.0)
+
+    def test_curve_rule_has_no_piece_at_t_equal_t(self):
+        s = solve_f(FAMILY["cycle_limit"], 1e4, 1.0, 200)
+        f, w, pieces = s.curve_rule(s.value(np.array([1.0, 1.0])), 16)
+        assert f.shape == w.shape == (0, 16) and pieces.tolist() == [0, 0]
 
 
 class TestCycleClosedForm:
