@@ -303,8 +303,6 @@ class TestGaussRule:
         for nodes in (0, -1):
             with pytest.raises(ParameterError):
                 s.gauss_rule(0.0, 1.0, nodes)
-            with pytest.raises(ParameterError):
-                s.curve_rule(s.value(0.0), nodes)
 
     def test_curve_rule_sums_to_every_time(self):
         # Dirac at -1, c T = 14: int_tau^T f dt = 3.5 (T^2 - tau^2), cut at u = 14^-1/2 2^j.
@@ -316,10 +314,16 @@ class TestGaussRule:
         assert np.allclose(time, 2.0 - tau, rtol=1e-14, atol=0.0)
         assert np.allclose(area, 3.5 * (4.0 - tau**2), rtol=1e-13, atol=0.0)
 
-    def test_curve_rule_has_no_piece_at_t_equal_t(self):
+    def test_curve_rule_has_no_piece_when_every_tau_is_t(self):
         s = solve_f(FAMILY["cycle_limit"], 1e4, 1.0, 200)
         f, w, pieces = s.curve_rule(s.value(np.array([1.0, 1.0])), 16)
         assert f.shape == w.shape == (0, 16) and pieces.tolist() == [0, 0]
+
+    def test_curve_rule_needs_a_node(self):
+        s = solve_f(FAMILY["dirac"], 1.0, 1.0, 200)
+        for nodes in (0, -1):
+            with pytest.raises(ParameterError):
+                s.curve_rule(s.value(np.array([0.0])), nodes)
 
 
 class TestCycleClosedForm:
