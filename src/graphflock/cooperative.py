@@ -30,9 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .flow import DEFAULT_ODE_STEPS
-from .graphs import Graph
-from .equilibrium import _clamp_time
+from .flow import DEFAULT_ODE_STEPS, _clamp_time
+from .graphs import Graph, _vector
 from .spectral import EigenSystem, SpectralMeasure, eigendecompose, laplacian_eigensystem
 from .strategies import LinearProfile, alignment_functionals
 
@@ -112,9 +111,7 @@ def coop_value(k: CoopKernel, x0: np.ndarray | None = None) -> float:
     """
     value = _noise_term(k.eigen.eigenvalues, np.full(k.n, 1.0 / k.n), k.c, k.T, k.sigma)
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (k.n,):
-            raise ParameterError(f"x0 must have length {k.n}")
+        x0 = _vector(k.graph, x0)
         value += 0.5 * float(x0 @ coop_feedback_matrix(k, 0.0) @ x0) / k.n
     return value
 

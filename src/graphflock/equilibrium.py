@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .flow import DEFAULT_ODE_STEPS, FlockingSchedule, solve_f
-from .graphs import Graph, Transitivity, graph_distances
+from .flow import DEFAULT_ODE_STEPS, FlockingSchedule, _clamp_time, solve_f
+from .graphs import Graph, Transitivity, _vector, _vertex, graph_distances
 from .spectral import EigenSystem, empirical_measure, laplacian_eigensystem
 
 
@@ -112,17 +112,6 @@ def build_kernel(
     )
 
 
-def _clamp_time(t, T):
-    """t clipped to [0, T], a float or an array like t; NaN or a time more
-    than 1e-12 outside raises ParameterError."""
-    times = np.asarray(t, dtype=float)
-    outside = times[~((times >= -1e-12) & (times <= T + 1e-12))]
-    if outside.size:
-        raise ParameterError(f"t = {outside.flat[0]} outside the horizon [0, {T}]")
-    times = np.clip(times, 0.0, T)
-    return float(times) if times.ndim == 0 else times
-
-
 #: Gauss-Legendre nodes of each piece of a game variance's composite rule.
 VARIANCE_NODES = 16
 
@@ -192,11 +181,7 @@ def p_matrix(k: EquilibriumKernel, t: float) -> np.ndarray:
 
 def equilibrium_control(k: EquilibriumKernel, i: int, t: float, x: np.ndarray) -> float:
     """Player i's equilibrium control -(row i of P(t)) . x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (k.n,):
-        raise ParameterError(f"state vector must have length {k.n}, got shape {x.shape}")
-    if not 0 <= i < k.n:
-        raise ParameterError(f"invalid player index {i}")
+    x, i = _vector(k.graph, x), _vertex(k.graph, i)
     rho = p_eigenvalues(k, t)
     v = k.eigen.eigenvectors
     return float(-(v[i] * rho) @ (v.T @ x))
@@ -214,9 +199,7 @@ def state_law(k: EquilibriumKernel, t: float, x0: np.ndarray | None = None) -> G
     if x0 is None:
         mean = np.zeros(k.n)
     else:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (k.n,):
-            raise ParameterError(f"x0 must have length {k.n}, got shape {x0.shape}")
+        x0 = _vector(k.graph, x0)
         lam = k.eigen.eigenvalues
         coef = (1.0 - k.schedule.value(k.T - t) * lam) / (1.0 - k.schedule.value(k.T) * lam)
         mean = (v * coef) @ (v.T @ x0)
@@ -245,9 +228,7 @@ def game_value(k: EquilibriumKernel, x0: np.ndarray | None = None) -> float:
         raise DomainError("Tr P(0) must be positive (graph needs an edge)")
     first = 0.0
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (k.n,):
-            raise ParameterError(f"x0 must have length {k.n}, got shape {x0.shape}")
+        x0 = _vector(k.graph, x0)
         v = k.eigen.eigenvectors
         px0 = (v * rho0) @ (v.T @ x0)
         first = float(px0 @ px0) / (2.0 * trace)
@@ -299,8 +280,7 @@ def riccati_residual(k: EquilibriumKernel, i: int, t: float) -> float:
     """
     if k.graph.transitivity is Transitivity.NOT_TRANSITIVE:
         raise DomainError("Riccati residual is defined via the transitive construction")
-    if not 0 <= i < k.n:
-        raise ParameterError(f"invalid player index {i}")
+    i = _vertex(k.graph, i)
     t = _clamp_time(t, k.T)
     h = k.T / k.schedule.steps
     j = int(round(t / h))
@@ -320,8 +300,7 @@ def riccati_residual(k: EquilibriumKernel, i: int, t: float) -> float:
 
 def riccati_terminal_residual(k: EquilibriumKernel, i: int) -> float:
     """Max-norm gap between F^i(T) and its boundary value c L e_i e_i^T L."""
-    if not 0 <= i < k.n:
-        raise ParameterError(f"invalid player index {i}")
+    i = _vertex(k.graph, i)
     f_T = _f_matrix(k, i, p_eigenvalues(k, k.T))
     laplacian = k.eigen.reconstruct()
     boundary = k.c * np.outer(laplacian[:, i], laplacian[i, :])
@@ -335,11 +314,8 @@ def covariance_bound(k: EquilibriumKernel, u: int, v: int, t: float) -> float:
 
     where d is the graph distance between u and v (bound 0 if infinite).
     """
-    for vertex in (u, v):
-        if not 0 <= vertex < k.n:
-            raise ParameterError(f"invalid vertex {vertex}")
     t = _clamp_time(t, k.T)
-    dist = graph_distances(k.graph, u)[v]
+    dist = graph_distances(k.graph, u)[_vertex(k.graph, v)]
     if math.isinf(dist):
         return 0.0
     gamma = k.c * k.T / (1.0 + k.c * k.T)

@@ -16,8 +16,8 @@ inverts Psi(u) = t/T by safeguarded Newton (Trefethen, Approximation Theory
 and Approximation Practice, 2013; Aurentz & Trefethen, "Chopping a
 Chebyshev series", 2017), so f is exact to rounding at any t.  The same
 series gives dt = T G(u) du, so an integral of h(f(t)) dt is a smooth
-integral in u: FlockingSchedule.gauss_rule is its Gauss-Legendre rule,
-and curve_rule one composite rule for such integrals to many times.
+integral in u: FlockingSchedule.curve_rule is its composite Gauss-Legendre
+rule, for such integrals to one time or to many.
 The series' coefficients come from a DCT-I done as numpy's real FFT, so
 this module needs numpy alone.
 """
@@ -144,6 +144,17 @@ def _invert(series, tau, table_tau, table_u):
     raise NumericError(f"the schedule's Newton inversion did not converge in {NEWTON_MAX_ITER} steps")
 
 
+def _clamp_time(t, T):
+    """t clipped to [0, T], a float or an array like t; NaN or a time more
+    than 1e-12 outside raises ParameterError."""
+    times = np.asarray(t, dtype=float)
+    outside = times[~((times >= -1e-12) & (times <= T + 1e-12))]
+    if outside.size:
+        raise ParameterError(f"t = {outside.flat[0]} outside the horizon [0, {T}]")
+    times = np.clip(times, 0.0, T)
+    return float(times) if times.ndim == 0 else times
+
+
 @dataclass(frozen=True)
 class FlockingSchedule:
     """Solution of f' = c*Q'(f) on a uniform grid of [0, T], with the series
@@ -170,38 +181,12 @@ class FlockingSchedule:
     def value(self, t):
         """f(t) for t in [0, T], a float or an array like t, by Newton from
         the table solve_f inverted its grid from, so f(t) does not depend on
-        the grid.  Callers pass every time they need in one array."""
+        the grid.  A NaN time, or one more than 1e-12 outside [0, T], raises
+        ParameterError.  Callers pass every time they need in one array."""
         T = self.T
-        t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-9) or np.any(t > T + 1e-9):
-            raise ParameterError(f"schedule evaluated outside [0, {T}]")
-        u = _invert(self._series, np.clip(t, 0.0, T) / T, *self._table)[0]
+        u = _invert(self._series, _clamp_time(t, T) / T, *self._table)[0]
         out = self.c * T * (u * u)
         return float(out) if out.ndim == 0 else out
-
-    def gauss_rule(self, start, stop, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        """(f at the nodes, their dt-weights): the nodes-point Gauss-Legendre
-        rule for int_start^stop h(f(t)) dt in u = sqrt(f/(cT)), where
-        dt = T G(u) du (module docstring) and the integrand is smooth; a row
-        per entry of start and stop, times or arrays broadcast together.
-
-        The integrands (1 + f x)^-2, x in (0, 2], and G have poles at
-        u = +-i (cT x)^-1/2, so they bend within about (cT)^-1/2 of u = 0.
-        A row whose start u0 lies nearer those poles, d = hypot(u0, (cT)^-1/2),
-        than its rule's mean node gap is cut at u0 + d 4^k into pieces of
-        nodes points each, every piece a third of its length or more from
-        the poles; the other rows then get empty pieces of zero weight."""
-        if nodes < 1:
-            raise ParameterError(f"a Gauss rule needs at least 1 node, got {nodes}")
-        scale = self.c * self.T
-        lo, hi = np.sqrt(self.value(np.broadcast_arrays(start, stop)) / scale)[..., None]
-        reach = np.hypot(lo, scale**-0.5)  # from each row's start to the nearest poles
-        bent = reach * nodes < hi - lo  # nearer than the row's mean node gap
-        grades = math.ceil(math.log(np.where(bent, (hi - lo) / reach, 1.0).max(initial=1.0), 4))
-        cuts = np.minimum(lo + np.where(bent, reach, np.inf) * 4.0 ** np.arange(grades), hi)
-        ends = np.concatenate((lo, cuts, hi), axis=-1)[..., None]
-        f, dt = self._rule_in_u(ends[..., :-1, :], ends[..., 1:, :], nodes)  # one piece unless a row is bent
-        return f.reshape(f.shape[:-2] + (-1,)), dt.reshape(f.shape[:-2] + (-1,))
 
     def curve_rule(self, f, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(f at the nodes, their dt-weights, pieces): one composite
@@ -211,10 +196,12 @@ class FlockingSchedule:
         from T down; the integral to the tau of f[i] is the sum of the
         first pieces[i] rows.
 
-        The pieces are cut at every tau and, toward the bend near u = 0
-        (gauss_rule), at u = (cT)^-1/2 2^j, so each lies 0.7 of its length
-        or more away from the poles u = +-i (cT x)^-1/2, x in (0, 2].  The
-        ends are taken in u = sqrt(f/(cT)), so none is inverted.  (Graded
+        In u = sqrt(f/(cT)), dt = T G(u) du (module docstring), and the
+        integrands (1 + f x)^-2, x in (0, 2], and G have poles at
+        u = +-i (cT x)^-1/2, so they bend within about (cT)^-1/2 of u = 0.
+        The pieces are cut at every tau and, toward that bend, at
+        u = (cT)^-1/2 2^j, so each lies 0.7 of its length or more away from
+        the poles.  The ends are taken in u, so none is inverted.  (Graded
         by 4, a 16-node rule is off by 2e-13 at cT = 1e4.)"""
         if nodes < 1:
             raise ParameterError(f"a Gauss rule needs at least 1 node, got {nodes}")
@@ -225,15 +212,11 @@ class FlockingSchedule:
         grades = grades[(grades > u.min(initial=top)) & (grades < top)]
         ends, index = np.unique(np.concatenate((u, grades, [top])), return_inverse=True)
         ends = ends[::-1, None]
-        return *self._rule_in_u(ends[1:], ends[:-1], nodes), ends.size - 1 - index[: u.size]
-
-    def _rule_in_u(self, lo, hi, nodes):
-        """(f at the nodes, their dt-weights) of the nodes-point
-        Gauss-Legendre rule on each piece [lo, hi] of u, arrays whose last
-        axis has length 1, where dt = T G(u) du (module docstring)."""
+        hi, lo = ends[:-1], ends[1:]
         x, w = _leggauss(nodes)
-        u = lo + 0.5 * (hi - lo) * (x + 1.0)
-        return self.c * self.T * (u * u), 0.5 * self.T * (hi - lo) * w * _clenshaw(self._series[0], 2.0 * u - 1.0)
+        at = lo + 0.5 * (hi - lo) * (x + 1.0)  # the nodes in u, a row per piece
+        dt = 0.5 * self.T * (hi - lo) * w * _clenshaw(self._series[0], 2.0 * at - 1.0)
+        return scale * (at * at), dt, ends.size - 1 - index[: u.size]
 
     def slope(self, t):
         """f'(t) recovered exactly from the ODE as c * Q'(f(t))."""
@@ -244,22 +227,6 @@ class FlockingSchedule:
         slope where the schedule takes the value f, with no evaluation of f."""
         out = self.c * _q_pair(self.measure.nodes, self.measure.weights, np.atleast_1d(f)[:, None])[1]
         return float(out[0]) if np.ndim(f) == 0 else out
-
-
-def rk4_step(rhs, y, h, stages=(None, None, None)):
-    """One classical RK4 step of y' = rhs(y, s) from y, with step h.
-
-    stages holds rhs's second argument at the start, middle and end of the
-    step (say a profile's coefficient at t, t + h/2 and t + h); a negative
-    h steps backward in time.  y is a float or an array, and a system of
-    several unknowns is one array.
-    """
-    start, mid, end = stages
-    k1 = rhs(y, start)
-    k2 = rhs(y + 0.5 * h * k1, mid)
-    k3 = rhs(y + 0.5 * h * k2, mid)
-    k4 = rhs(y + h * k3, end)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def solve_f(

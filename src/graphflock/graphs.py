@@ -473,10 +473,26 @@ def graph_distances(g: Graph, source: int) -> np.ndarray:
     from scipy.sparse import csr_array  # here, not at import: graph commands would pay for it
     from scipy.sparse.csgraph import shortest_path
 
-    if not isinstance(source, (int, np.integer)) or not (0 <= source < g.n):
-        raise ParameterError(f"vertex {source!r} is not a valid index for a graph on {g.n} vertices")
+    source = _vertex(g, source)
     adjacency = csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
-    return shortest_path(adjacency, unweighted=True, directed=False, indices=int(source))
+    return shortest_path(adjacency, unweighted=True, directed=False, indices=source)
+
+
+def _vertex(g: Graph, v) -> int:
+    """v as a vertex (or player) index of g: an integer, not a bool, in
+    [0, n); anything else raises ParameterError."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < g.n:
+        raise ParameterError(f"vertex {v!r} is not a valid index for a graph on {g.n} vertices")
+    return int(v)
+
+
+def _vector(g: Graph, x) -> np.ndarray:
+    """x as a float state vector, one entry per vertex of g; another shape
+    raises ParameterError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (g.n,):
+        raise ParameterError(f"a state vector must have length {g.n}, got shape {x.shape}")
+    return x
 
 
 @dataclass(frozen=True)

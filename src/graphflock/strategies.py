@@ -37,8 +37,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .flow import DEFAULT_ODE_STEPS, rk4_step
-from .graphs import Graph
+from .flow import DEFAULT_ODE_STEPS
+from .graphs import Graph, _vector, _vertex
 from .equilibrium import EquilibriumKernel, p_eigenvalues
 from .spectral import EigenSystem
 
@@ -133,14 +133,9 @@ def _checked(g: Graph, prof: LinearProfile, x0: np.ndarray | None, i: int | None
     x0 as floats (None stays None)."""
     if prof.n != g.n:
         raise ParameterError(f"profile is for {prof.n} players, graph has {g.n}")
-    if i is not None and not 0 <= i < g.n:
-        raise ParameterError(f"invalid player index {i}")
-    if x0 is None:
-        return None
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (g.n,):
-        raise ParameterError(f"x0 must have length {g.n}")
-    return x0
+    if i is not None:
+        _vertex(g, i)
+    return None if x0 is None else _vector(g, x0)
 
 
 def profile_costs(
@@ -203,6 +198,22 @@ MAP_BLOCK_BYTES = 1 << 22
 
 #: RK4's stage weights, and the fraction of the step at which each stage starts.
 RK4_WEIGHTS, RK4_NODES = np.array([1.0, 2.0, 2.0, 1.0]), np.array([0.0, 0.5, 0.5, 1.0])
+
+
+def rk4_step(rhs, y, h, stages=(None, None, None)):
+    """One classical RK4 step of y' = rhs(y, s) from y, with step h.
+
+    stages holds rhs's second argument at the start, middle and end of the
+    step (say a profile's coefficient at t, t + h/2 and t + h); a negative
+    h steps backward in time.  y is a float or an array, and a system of
+    several unknowns is one array.
+    """
+    start, mid, end = stages
+    k1 = rhs(y, start)
+    k2 = rhs(y + 0.5 * h * k1, mid)
+    k3 = rhs(y + 0.5 * h * k2, mid)
+    k4 = rhs(y + h * k3, end)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _blocks(steps: int, floats_per_step: int):

@@ -262,14 +262,6 @@ class TestVarianceWalk:
         assert np.abs(curve / closed - 1.0).max() <= 1e-12
         assert curve[-1] == pytest.approx((1.0 - 1.0 / (1.0 + c)) / c, rel=1e-12, abs=0.0)
 
-    def test_rule_is_cut_only_where_it_misses_the_bend(self):
-        mu = limit_measure("dirac_minus_one")
-        f, w = solve_f(mu, 100.0, 1.0, 200).gauss_rule(np.array([0.0, 0.5]), 1.0, 64)
-        assert f.shape == w.shape == (2, 64)
-        f, w = solve_f(mu, 1e6, 1.0, 200).gauss_rule(np.array([0.0, 0.5]), 1.0, 64)
-        assert f.shape[1] > 64 and np.count_nonzero(w[1]) == 64  # t = 0.5 keeps its one rule
-        assert np.allclose(w.sum(axis=1), [1.0, 0.5], rtol=1e-14, atol=0.0)
-
     @pytest.mark.parametrize("curve", ["player", "limit", "coop"])
     def test_order_and_repeats_of_times_do_not_matter(self, curve):
         k = kernel(cycle(30), steps=400)
@@ -333,14 +325,15 @@ class TestVarianceWalk:
 
 
 def gauss_reference(s, sigma, ts):
-    """A variance curve with the schedule's public 64-node Gauss rule per
-    time over the whole of [T - t, T]."""
+    """A variance curve with the schedule's 64-node rule built for each
+    time on its own over the whole of [T - t, T]."""
     mu, T = s.measure, s.T
-    f, w = s.gauss_rule(T - ts, T, 64)
     curve = []
-    for f_k, w_k, a in zip(f, w, s.value(T - ts)):
-        inner = w_k @ (1.0 - np.outer(f_k, mu.nodes)) ** -2
-        curve.append(((1.0 - a * mu.nodes) ** 2 * inner) @ mu.weights)
+    for t in ts:
+        a = s.value([T - t])
+        f, w, _ = s.curve_rule(a, 64)
+        inner = w.ravel() @ (1.0 - np.outer(f.ravel(), mu.nodes)) ** -2
+        curve.append(((1.0 - a[0] * mu.nodes) ** 2 * inner) @ mu.weights)
     return sigma**2 * np.array(curve)
 
 
@@ -556,3 +549,18 @@ class TestCovarianceBound:
         k = kernel(cycle(4), steps=200)
         with pytest.raises(ParameterError):
             covariance_bound(k, 0, 9, 0.5)
+
+
+class TestPlayerIndex:
+    @pytest.mark.parametrize("i", [1.5, True, np.float64(1.0)])
+    def test_must_be_an_integer(self, i):
+        k = kernel(cycle(4), steps=200)
+        for call in (
+            lambda: equilibrium_control(k, i, 0.5, np.ones(4)),
+            lambda: riccati_residual(k, i, 0.5),
+            lambda: riccati_terminal_residual(k, i),
+            lambda: covariance_bound(k, i, 0, 0.5),
+            lambda: covariance_bound(k, 0, i, 0.5),
+        ):
+            with pytest.raises(ParameterError):
+                call()

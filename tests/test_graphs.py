@@ -292,8 +292,9 @@ class TestDistances:
         assert math.isinf(d[2]) and math.isinf(d[3])
 
     def test_invalid_source(self):
-        with pytest.raises(ParameterError):
-            graph_distances(cycle(4), 7)
+        for source in (7, -1, 1.5, True):
+            with pytest.raises(ParameterError):
+                graph_distances(cycle(4), source)
 
     def test_long_cycle_in_linear_time(self):
         # 500,000 BFS levels, so a loop with one round of numpy calls per level takes seconds.

@@ -437,6 +437,10 @@ class TestBestResponse:
         prof = mf_profile(g, 1.0, 1.0, steps=100)
         with pytest.raises(ParameterError):
             best_response(g, prof, 4, c=1.0, sigma=1.0)
+        for i in (1.5, True, np.float64(1.0)):  # not an integer index
+            for entry in (best_response, deviation_gap, cost_under_profile):
+                with pytest.raises(ParameterError):
+                    entry(g, prof, i, 1.0, 1.0)
 
 
 class TestDeviationGap:
