@@ -263,35 +263,36 @@ def _schedule_for(args):
     return flow.solve_f(mu, args.c, args.T, args.steps)
 
 
+def _game_schedule(args):
+    """The schedule of value and variance-curve: build_kernel's for --graph,
+    with its checks and its transitivity warning, else _schedule_for's."""
+    from . import equilibrium, graphs
+
+    if args.graph is None:
+        return _schedule_for(args)
+    g = graphs.build_graph(_graph_spec(args))
+    return equilibrium.build_kernel(g, args.c, args.T, args.sigma, args.steps).schedule
+
+
 def _cmd_solve_f(args) -> None:
     schedule = _schedule_for(args)
     _emit_csv(args, ["t", "f"], [schedule.grid, schedule.f_values], _resolved_config(args, "solve-f"))
 
 
 def _cmd_variance_curve(args) -> None:
-    from . import equilibrium, graphs
+    from . import equilibrium
 
     ts = _times(args)
     config = _resolved_config(args, "variance-curve")
-    if args.graph is not None:
-        g = graphs.build_graph(_graph_spec(args))
-        kernel = equilibrium.build_kernel(g, args.c, args.T, args.sigma, args.steps)
-        variance = equilibrium.player_variance(kernel, ts)
-    else:
-        variance = equilibrium.limit_variance(_schedule_for(args), args.sigma, ts)
+    variance = equilibrium.limit_variance(_game_schedule(args), args.sigma, ts)
     _emit_csv(args, ["t", "variance"], [ts, variance], config)
 
 
 def _cmd_value(args) -> None:
-    from . import equilibrium, graphs
+    from . import equilibrium
 
     config = _resolved_config(args, "value")
-    if args.graph is not None:
-        g = graphs.build_graph(_graph_spec(args))
-        kernel = equilibrium.build_kernel(g, args.c, args.T, args.sigma, args.steps)
-        value = equilibrium.game_value(kernel)
-    else:
-        value = equilibrium.limit_value(_schedule_for(args), args.sigma)
+    value = equilibrium.limit_value(_game_schedule(args), args.sigma)
     _emit_json(args, {"config": config, "value": value})
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .flow import DEFAULT_ODE_STEPS, _clamp_time
+from .flow import DEFAULT_ODE_STEPS, _check_model, _clamp_time
 from .graphs import Graph, _vector
 from .spectral import EigenSystem, SpectralMeasure, eigendecompose, laplacian_eigensystem
 from .strategies import LinearProfile, alignment_functionals
@@ -42,6 +42,7 @@ class CoopKernel:
 
     graph: Graph
     eigen: EigenSystem  # of the PSD matrix M
+    laplacian: EigenSystem | None  # L's, where M = L^2; else None
     c: float
     T: float
     sigma: float
@@ -61,15 +62,15 @@ def coop_kernel(g: Graph, c: float, T: float, sigma: float) -> CoopKernel:
     eigenvalues are the squared Laplacian spectrum, and the dense M is built
     only if the eigenvectors are read.
     """
-    if c <= 0 or T <= 0 or sigma <= 0:
-        raise ParameterError(f"c, T, sigma must be positive, got {c}, {T}, {sigma}")
+    _check_model(c=c, T=T, sigma=sigma)
+    lap = None
     if g.is_regular and g.min_degree >= 1:
-        nu = np.sort(laplacian_eigensystem(g).eigenvalues ** 2)
-        eigen = EigenSystem(nu, functools.partial(_gram, g))
+        lap = laplacian_eigensystem(g)
+        eigen = EigenSystem(np.sort(lap.eigenvalues**2), functools.partial(_gram, g))
     else:
         gram = _gram(g)
         eigen = EigenSystem(np.clip(eigendecompose(gram).eigenvalues, 0.0, None), gram)
-    return CoopKernel(graph=g, eigen=eigen, c=float(c), T=float(T), sigma=float(sigma))
+    return CoopKernel(graph=g, eigen=eigen, laplacian=lap, c=float(c), T=float(T), sigma=float(sigma))
 
 
 def _gram(g: Graph) -> np.ndarray:
@@ -147,18 +148,18 @@ def coop_h_logdet(k: CoopKernel, t: float) -> float:
 def coop_profile(k: CoopKernel, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
     """The planner's control as a LinearProfile (K(t) = F(t)), usable with
     the strategy-evaluation moment ODEs for cross-checking.  Where
-    coop_kernel has M = L^2, it is spectral in L's eigensystem (k.eigen
-    holds lam^2 for L's ascending lam <= 0 in reverse); elsewhere dense."""
-    if not (k.graph.is_regular and k.graph.min_degree >= 1):
+    coop_kernel has M = L^2, it is spectral in the eigensystem of L that
+    coop_kernel took (k.eigen holds lam^2 for L's ascending lam <= 0 in
+    reverse); elsewhere dense."""
+    if k.laplacian is None:
         return LinearProfile(k.n, k.T, steps, "coop", matrix_fn=lambda t: coop_feedback_matrix(k, t))
-    return LinearProfile(
-        k.n, k.T, steps, "coop", lambda t: coop_feedback_eigenvalues(k, t)[..., ::-1], laplacian_eigensystem(k.graph)
-    )
+    return LinearProfile(k.n, k.T, steps, "coop", lambda t: coop_feedback_eigenvalues(k, t)[..., ::-1], k.laplacian)
 
 
 def coop_value_measure(mu: SpectralMeasure, c: float, T: float, sigma: float) -> float:
     """Per-player cooperative value for a (limit) spectral measure:
     (sigma^2/2) * integral of log(1 + c T lam^2) dmu(lam)."""
+    _check_model(c=c, T=T, sigma=sigma)
     return _noise_term(mu.nodes**2, mu.weights, c, T, sigma)
 
 
@@ -166,4 +167,5 @@ def coop_variance_measure(mu: SpectralMeasure, c: float, T: float, sigma: float,
     """Cooperative per-player variance for a (limit) spectral measure,
     sigma^2 t * integral of (1 + c(T-t) lam^2) / (1 + cT lam^2) dmu(lam), at
     one time t (a float back) or at an array of times (an array back)."""
+    _check_model(c=c, T=T, sigma=sigma)
     return _planner_variance(mu.nodes**2, mu.weights, c, T, sigma, t)

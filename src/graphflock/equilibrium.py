@@ -22,7 +22,8 @@ at the curve's own times, whose cumulative sum gives J at every time.  The
 planner's variance (cooperative module) has a closed form and needs none.
 A finite graph is the discrete measure of its own spectrum, so
 player_variance is limit_variance on the kernel's schedule, which holds
-the graph's empirical measure.
+the graph's empirical measure, and game_value is limit_value there plus
+the cost of the initial state.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
-from .flow import DEFAULT_ODE_STEPS, FlockingSchedule, _clamp_time, solve_f
+from .errors import DomainError
+from .flow import DEFAULT_ODE_STEPS, FlockingSchedule, _check_model, _clamp_time, solve_f
 from .graphs import Graph, Transitivity, _vector, _vertex, graph_distances
 from .spectral import EigenSystem, empirical_measure, laplacian_eigensystem
 
@@ -88,8 +89,7 @@ def build_kernel(
     Riccati residual operation is the arbiter of whether the formula
     actually solves the Nash system there.
     """
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    _check_model(c=c, T=T, sigma=sigma)
     if not g.is_regular:
         raise DomainError("equilibrium kernel needs a regular graph")
     if g.min_degree < 1:
@@ -157,20 +157,14 @@ def _variance_integral(lam, schedule, sigma, t, weights=None):
 
 
 def p_eigenvalues(k: EquilibriumKernel, t) -> np.ndarray:
-    """Eigenvalues of P(t) paired with k.eigen's columns; a row per time of an array t."""
-    return _feedback_rates(k, k.T - _clamp_time(t, k.T))[0]
-
-
-def _feedback_rates(k: EquilibriumKernel, tau) -> tuple[np.ndarray, float]:
-    """(eigenvalues of P(T - tau), f'(tau)) from one evaluation of f(tau).
-    The quotient is formed in place: a table of many times holds two
-    (times x n) arrays, not three."""
+    """Eigenvalues of P(t) paired with k.eigen's columns, from one evaluation
+    of f(T - t); a row per time of an array t.  The quotient is formed in
+    place: a table of many times holds two (times x n) arrays, not three."""
     lam = k.eigen.eigenvalues
-    f = k.schedule.value(tau)
-    fp = k.schedule.rhs(f)
+    f = k.schedule.value(k.T - _clamp_time(t, k.T))
     out = np.multiply.outer(f, lam)
     np.subtract(1.0, out, out=out)
-    return np.divide(np.multiply.outer(-fp, lam), out, out=out), fp
+    return np.divide(np.multiply.outer(-k.schedule.rhs(f), lam), out, out=out)
 
 
 def p_matrix(k: EquilibriumKernel, t: float) -> np.ndarray:
@@ -181,7 +175,7 @@ def p_matrix(k: EquilibriumKernel, t: float) -> np.ndarray:
 
 def equilibrium_control(k: EquilibriumKernel, i: int, t: float, x: np.ndarray) -> float:
     """Player i's equilibrium control -(row i of P(t)) . x."""
-    x, i = _vector(k.graph, x), _vertex(k.graph, i)
+    x, i = _vector(k.graph, x), _vertex(k.n, i)
     rho = p_eigenvalues(k, t)
     v = k.eigen.eigenvectors
     return float(-(v[i] * rho) @ (v.T @ x))
@@ -218,21 +212,20 @@ def player_variance(k: EquilibriumKernel, t):
 
 
 def game_value(k: EquilibriumKernel, x0: np.ndarray | None = None) -> float:
-    """Average equilibrium cost over players:
+    """Average equilibrium cost over players: limit_value on the kernel's
+    schedule, whose measure is the graph's spectrum, plus the cost of the
+    initial state,
 
-        |P(0) x0|^2 / (2 Tr P(0))  -  (sigma^2/2) log( Tr P(0) / (n f'(T)) ).
+        |P(0) x0|^2 / (2 Tr P(0))  -  (sigma^2/2) log( integral of (-lam)/(1 - lam f(T)) dmu(lam) ).
     """
-    rho0, fp_T = _feedback_rates(k, k.T)
-    trace = float(rho0.sum())
-    if trace <= 0.0:
-        raise DomainError("Tr P(0) must be positive (graph needs an edge)")
-    first = 0.0
+    value = limit_value(k.schedule, k.sigma)
     if x0 is not None:
         x0 = _vector(k.graph, x0)
+        rho0 = p_eigenvalues(k, 0.0)
         v = k.eigen.eigenvectors
         px0 = (v * rho0) @ (v.T @ x0)
-        first = float(px0 @ px0) / (2.0 * trace)
-    return first - 0.5 * k.sigma**2 * math.log(trace / (k.n * fp_T))
+        value += float(px0 @ px0) / (2.0 * float(rho0.sum()))
+    return value
 
 
 def limit_variance(schedule: FlockingSchedule, sigma: float, t):
@@ -244,6 +237,7 @@ def limit_variance(schedule: FlockingSchedule, sigma: float, t):
     whole curve from one composite rule of _variance_integral, with
     VARIANCE_NODES Gauss nodes in u per piece).
     """
+    _check_model(sigma=sigma)
     mu = schedule.measure
     return _variance_integral(mu.nodes, schedule, sigma, t, mu.weights)
 
@@ -254,6 +248,7 @@ def limit_value(schedule: FlockingSchedule, sigma: float) -> float:
 
         -(sigma^2/2) log( integral of (-lam)/(1 - lam f(T)) dmu(lam) ).
     """
+    _check_model(sigma=sigma)
     f_T = schedule.value(schedule.T)
     integral = schedule.measure.integrate(lambda lam: -lam / (1.0 - lam * f_T))
     return -0.5 * sigma**2 * math.log(integral)
@@ -280,7 +275,7 @@ def riccati_residual(k: EquilibriumKernel, i: int, t: float) -> float:
     """
     if k.graph.transitivity is Transitivity.NOT_TRANSITIVE:
         raise DomainError("Riccati residual is defined via the transitive construction")
-    i = _vertex(k.graph, i)
+    i = _vertex(k.n, i)
     t = _clamp_time(t, k.T)
     h = k.T / k.schedule.steps
     j = int(round(t / h))
@@ -300,7 +295,7 @@ def riccati_residual(k: EquilibriumKernel, i: int, t: float) -> float:
 
 def riccati_terminal_residual(k: EquilibriumKernel, i: int) -> float:
     """Max-norm gap between F^i(T) and its boundary value c L e_i e_i^T L."""
-    i = _vertex(k.graph, i)
+    i = _vertex(k.n, i)
     f_T = _f_matrix(k, i, p_eigenvalues(k, k.T))
     laplacian = k.eigen.reconstruct()
     boundary = k.c * np.outer(laplacian[:, i], laplacian[i, :])
@@ -315,7 +310,7 @@ def covariance_bound(k: EquilibriumKernel, u: int, v: int, t: float) -> float:
     where d is the graph distance between u and v (bound 0 if infinite).
     """
     t = _clamp_time(t, k.T)
-    dist = graph_distances(k.graph, u)[_vertex(k.graph, v)]
+    dist = graph_distances(k.graph, u)[_vertex(k.n, v)]
     if math.isinf(dist):
         return 0.0
     gamma = k.c * k.T / (1.0 + k.c * k.T)

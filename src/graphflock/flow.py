@@ -155,6 +155,17 @@ def _clamp_time(t, T):
     return float(times) if times.ndim == 0 else times
 
 
+def _check_model(**params) -> None:
+    """The model-parameter rule of every entry point, for the parameters
+    passed by name: c and T positive and finite, sigma nonnegative and
+    finite (sigma = 0 is the deterministic game).  A value that breaks it,
+    NaN included, raises ParameterError."""
+    for name, value in params.items():
+        if not ((value >= 0.0 if name == "sigma" else value > 0.0) and value < math.inf):
+            rule = "nonnegative" if name == "sigma" else "positive"
+            raise ParameterError(f"{name} must be {rule} and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class FlockingSchedule:
     """Solution of f' = c*Q'(f) on a uniform grid of [0, T], with the series
@@ -242,9 +253,8 @@ def solve_f(
     raise NumericError since they indicate quadrature or series failure, as
     do a degree above MAX_DEGREE and a Newton failure.
     """
+    _check_model(c=c, T=T)
     c, T = float(c), float(T)
-    if not (0.0 < c < np.inf and 0.0 < T < np.inf):
-        raise ParameterError(f"solve_f needs finite c > 0 and T > 0, got c={c}, T={T}")
     if steps < MIN_ODE_STEPS:
         raise ParameterError(f"solve_f needs steps >= {MIN_ODE_STEPS}, got {steps}")
     if c * T == np.inf:
@@ -301,8 +311,7 @@ def cycle_closed_form(c: float, t: float) -> float:
     float spacing exceeds that (x near 1.6e4 at c = 1e5) once its bracket
     holds two adjacent floats.
     """
-    if c <= 0:
-        raise ParameterError(f"cycle_closed_form needs c > 0, got {c}")
+    _check_model(c=c)
     if t < 0:
         raise ParameterError(f"cycle_closed_form needs t >= 0, got {t}")
     target = float(np.log(2.0) + 0.5 * (c * t - 1.0))

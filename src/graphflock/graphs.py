@@ -473,16 +473,16 @@ def graph_distances(g: Graph, source: int) -> np.ndarray:
     from scipy.sparse import csr_array  # here, not at import: graph commands would pay for it
     from scipy.sparse.csgraph import shortest_path
 
-    source = _vertex(g, source)
+    source = _vertex(g.n, source)
     adjacency = csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
     return shortest_path(adjacency, unweighted=True, directed=False, indices=source)
 
 
-def _vertex(g: Graph, v) -> int:
-    """v as a vertex (or player) index of g: an integer, not a bool, in
-    [0, n); anything else raises ParameterError."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < g.n:
-        raise ParameterError(f"vertex {v!r} is not a valid index for a graph on {g.n} vertices")
+def _vertex(n: int, v) -> int:
+    """v as a vertex (or player) index of a graph on n vertices: an integer,
+    not a bool, in [0, n); anything else raises ParameterError."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < n:
+        raise ParameterError(f"vertex {v!r} is not a valid index for a graph on {n} vertices")
     return int(v)
 
 

@@ -32,8 +32,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .graphs import Graph, philox_key
-from .strategies import LinearProfile
+from .graphs import Graph, _vertex, philox_key
+from .strategies import LinearProfile, _checked
 from .threads import thread_count
 
 #: Default number of Euler steps per horizon in acceptance runs.
@@ -85,10 +85,6 @@ class PathEnsemble:
 
     times: tuple[float, ...]
     states: dict[float, np.ndarray]
-    profile_tag: str
-    graph_spec: dict
-    config: SimConfig
-    sigma: float
 
     def at(self, t: float) -> np.ndarray:
         for rec in self.times:
@@ -116,8 +112,7 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
     the step times, a row per step.  That table holds steps x n floats for
     a spectral profile (0.8 MB at n = 200 and 500 steps), less than the
     ring of drawn-ahead blocks whenever steps <= (draw threads + 1) x n_paths."""
-    if prof.n != g.n:
-        raise ParameterError(f"profile is for {prof.n} players, graph has {g.n}")
+    _checked(g, prof, None, sigma=sigma)
     if cfg.n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {cfg.n_paths}")
     if not 0.0 < cfg.dt < np.inf:
@@ -185,14 +180,7 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
-    return PathEnsemble(
-        times=tuple(sorted(states)),
-        states=states,
-        profile_tag=prof.tag,
-        graph_spec=g.spec(),
-        config=cfg,
-        sigma=sigma,
-    )
+    return PathEnsemble(tuple(sorted(states)), states)
 
 
 def _jackknife_se(delete_one: np.ndarray) -> np.ndarray:
@@ -238,8 +226,7 @@ def ensemble_stats(e: PathEnsemble, t: float, pairs: list[tuple[int, int]] | Non
     if pairs:
         centered = samples - mean
         for u, v in pairs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParameterError(f"invalid vertex pair ({u}, {v})")
+            u, v = _vertex(n, u), _vertex(n, v)
             sxy = float(centered[:, u] @ centered[:, v])
             cov = sxy / (p - 1)
             sxy_del = sxy - centered[:, u] * centered[:, v] * (p / (p - 1))

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .flow import DEFAULT_ODE_STEPS
+from .flow import DEFAULT_ODE_STEPS, _check_model
 from .graphs import Graph, _vector, _vertex
 from .equilibrium import EquilibriumKernel, p_eigenvalues
 from .spectral import EigenSystem
@@ -64,6 +64,7 @@ class LinearProfile:
     matrix_fn: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
+        _check_model(T=self.T)
         if self.steps < 1:
             raise ParameterError(f"profile needs at least one step, got {self.steps}")
         if (self.rates is None) == (self.matrix_fn is None):
@@ -84,6 +85,7 @@ class LinearProfile:
 def mf_profile(g: Graph, c: float, T: float, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
     """Decentralized mean-field profile: every player applies
     -c x_i / (1 + c(T - t)), independent of the graph."""
+    _check_model(c=c)
     return LinearProfile(g.n, float(T), steps, "mean_field", lambda t: c / (1.0 + c * (T - t)))
 
 
@@ -127,14 +129,16 @@ def _inverse_degrees(degrees: np.ndarray) -> np.ndarray:
     return np.divide(1.0, deg, out=np.zeros(deg.shape), where=deg > 0)
 
 
-def _checked(g: Graph, prof: LinearProfile, x0: np.ndarray | None, i: int | None = None) -> np.ndarray | None:
-    """The entry points' argument check: the profile's size against the
-    graph's, player i's index where there is one, and x0's shape.  Returns
-    x0 as floats (None stays None)."""
+def _checked(g: Graph, prof: LinearProfile, x0: np.ndarray | None, i: int | None = None, **params) -> np.ndarray | None:
+    """The entry points' argument check: the model parameters passed by
+    name (flow._check_model), the profile's size against the graph's, player
+    i's index where there is one, and x0's shape.  Returns x0 as floats
+    (None stays None)."""
+    _check_model(**params)
     if prof.n != g.n:
         raise ParameterError(f"profile is for {prof.n} players, graph has {g.n}")
     if i is not None:
-        _vertex(g, i)
+        _vertex(g.n, i)
     return None if x0 is None else _vector(g, x0)
 
 
@@ -155,7 +159,7 @@ def profile_costs(
     profile, precomputed RK4 maps on its modes for a scalar or spectral
     one (_modal_costs).
     """
-    return _costs(prof, _players(g, prof, _checked(g, prof, x0)), sigma, c)
+    return _costs(prof, _players(g, prof, _checked(g, prof, x0, c=c, sigma=sigma)), sigma, c)
 
 
 def _costs(prof: LinearProfile, players: tuple, sigma: float, c: float) -> np.ndarray:
@@ -307,7 +311,7 @@ def cost_under_profile(
     x0: np.ndarray | None = None,
 ) -> float:
     """Player i's expected cost under the profile."""
-    return float(_costs(prof, _players(g, prof, _checked(g, prof, x0, i)), sigma, c)[i])
+    return float(_costs(prof, _players(g, prof, _checked(g, prof, x0, i, c=c, sigma=sigma)), sigma, c)[i])
 
 
 @dataclass
@@ -349,7 +353,7 @@ def best_response(
     (sigma^2/2) int |psi|^2 / z, the feedback row (e_i^T phi) phi^T.
     _rank_one solves in _basis; an unresolved step raises NumericError.
     """
-    players = _players(g, prof, _checked(g, prof, x0, i))
+    players = _players(g, prof, _checked(g, prof, x0, i, c=c, sigma=sigma))
     value, path = _best_value(prof, players, i, c, sigma, trace=True)
     basis, gamma = _basis(g, prof, i), path[:, :, 0]
     return BestResponse(value, prof.grid, (gamma @ basis[i])[:, None] * (gamma @ basis.T))
@@ -558,7 +562,7 @@ def deviation_gap(
     Nonnegative up to discretization noise; zero exactly at a Nash
     equilibrium.  Solves only the value, not best_response's feedback path.
     """
-    players = _players(g, prof, _checked(g, prof, x0, i))
+    players = _players(g, prof, _checked(g, prof, x0, i, c=c, sigma=sigma))
     return float(_costs(prof, players, sigma, c)[i]) - _best_value(prof, players, i, c, sigma)[0]
 
 
@@ -580,6 +584,7 @@ def epsilon_bounds(g: Graph, c: float, T: float, sigma: float) -> EpsilonBounds:
     max(1, min degree), and the diagnostic (1/n) sum (1 v deg)^(-1/2)
     measures denseness in the averaged sense.
     """
+    _check_model(c=c, T=T, sigma=sigma)
     front = sigma**2 * (c * T / (1.0 + c * T)) * math.sqrt(c * T * (2.0 + c * T))
     deg = g.degrees.astype(float)
     per_vertex = np.where(deg >= 1, front / np.sqrt(np.maximum(deg, 1.0)), 0.0)
@@ -605,7 +610,7 @@ def nash_audit(
     below -gap_tolerance or NaN (a best response worse than the profile or
     not finite), means the grid does not resolve the problem: NumericError.
     """
-    players = _players(g, prof, _checked(g, prof, x0))
+    players = _players(g, prof, _checked(g, prof, x0, c=c, sigma=sigma))
     costs = _costs(prof, players, sigma, c)
     unresolved = f"{prof.steps} steps do not resolve the profile"
     bad = np.flatnonzero(~((costs >= -gap_tolerance) & (costs < np.inf)))  # a NaN cost too

@@ -84,6 +84,15 @@ class TestSquaredLaplacianSpectrum:
         k = coop_kernel(g, 1.0, 1.0, 1.0)
         assert np.abs(k.eigen.eigenvalues - np.clip(np.linalg.eigvalsh(gram), 0.0, None)).max() <= 1e-12
 
+    def test_profile_reads_the_kernels_laplacian_spectrum(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        g = random_regular(100, 3, seed=1)
+        prof = coop_profile(coop_kernel(g, 1.0, 1.0, 1.0))
+        assert calls == [(100, 100)]
+        assert prof.eigen is not None and np.array_equal(prof.rates(0.5), prof.rates(np.array([0.5]))[0])
+
 
 class TestValue:
     def test_cycle4_exact(self):

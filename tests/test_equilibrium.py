@@ -403,9 +403,13 @@ class TestGameValue:
         assert game_value(k, np.ones(6)) == pytest.approx(game_value(k), abs=1e-12)
 
     def test_two_code_paths_agree(self):
+        # game_value is limit_value on the graph's measure; the trace formula
+        # -(sigma^2/2) log(Tr P(0) / (n f'(T))) is the oracle
         for g in (complete(5), cycle(6), torus(3, 2), complete(2)):
             k = kernel(g, c=1.5, T=0.8, sigma=1.3, steps=1000)
-            assert game_value(k) == pytest.approx(limit_value(k.schedule, k.sigma), abs=1e-9)
+            trace = p_eigenvalues(k, 0.0).sum() / (g.n * k.schedule.slope(k.T))
+            assert game_value(k) == limit_value(k.schedule, k.sigma)
+            assert game_value(k) == pytest.approx(-0.5 * 1.3**2 * math.log(trace), abs=1e-9)
 
     def test_nonzero_start_adds_quadratic_term(self):
         k = kernel(cycle(4), steps=400)

@@ -332,6 +332,14 @@ class TestValidation:
         with pytest.raises(ParameterError):
             ensemble_stats(ens, 0.5)
 
+    def test_pairs_must_be_vertex_indices(self):
+        g = cycle(3)
+        ens = simulate(g, zero_profile(g, T=1.0, steps=100), 1.0, SimConfig(10, 0.01, 3, (1.0,)))
+        for pair in ((0.5, 1), (True, 1), (np.float64(1.0), 2), (0, 3), (-1, 0)):
+            with pytest.raises(ParameterError, match="is not a valid index"):
+                ensemble_stats(ens, 1.0, pairs=[pair])
+        assert set(ensemble_stats(ens, 1.0, pairs=[(np.int64(0), 2)]).covariances) == {(0, 2)}
+
     def test_explosion_detected(self):
         g = complete(2)
         runaway = custom_profile(g, T=1.0, matrix_fn=lambda t: -1e6 * np.eye(2), steps=100)
