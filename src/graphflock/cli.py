@@ -304,45 +304,31 @@ def _limit_curves(pairs, steps: int, ts) -> list:
     return [equilibrium.limit_variance(flow.solve_f(mu, c, 1.0, steps), 1.0, ts) for mu, c in pairs]
 
 
-def _cmd_fig1(args) -> None:
+#: Figure -> (its config beyond command, T = sigma = 1 and steps; its curves,
+#: each a column header, a KIND[:D] measure spec, c, and True on the planner's).
+_FIGURES = {
+    "fig1": ({"c_values": [0.5, 1.0, 2.0, 5.0]},
+             [(f"{name}_c{c:g}", spec, c, False) for c in (0.5, 1.0, 2.0, 5.0)
+              for name, spec in (("dense", "dirac"), ("cycle", "cycle"))]),
+    "fig2": ({"c": 1.0, "d_values": [1, 2, 4]},
+             [(f"torus_d{d}", f"torus:{d}", 1.0, False) for d in (1, 2, 4)] + [("dense", "dirac", 1.0, False)]),
+    "fig3": ({"c": 1.0}, [("competitive", "cycle", 1.0, False), ("cooperative", "cycle", 1.0, True)]),
+}
+
+
+def _cmd_figure(args) -> None:
+    """fig1-fig3: _FIGURES' curves at 101 times in [0, 1], each distinct measure built once."""
     import numpy as np
 
-    from . import spectral
+    from . import cooperative, spectral
 
+    extra, curves = _FIGURES[args.command]
     ts = np.linspace(0.0, 1.0, _FIG_GRID_POINTS)
-    c_values = (0.5, 1.0, 2.0, 5.0)
-    families = [(spectral.limit_measure("dirac_minus_one"), "dense"), (spectral.limit_measure("cycle_limit"), "cycle")]
-    header = ["t"] + [f"{label}_c{_fmt(c)}" for c in c_values for _, label in families]
-    columns = [ts] + _limit_curves([(mu, c) for c in c_values for mu, _ in families], args.steps, ts)
-    config = {"command": "fig1", "T": 1.0, "sigma": 1.0, "c_values": list(c_values), "steps": args.steps}
-    _emit_csv(args, header, columns, config)
-
-
-def _cmd_fig2(args) -> None:
-    import numpy as np
-
-    from . import spectral
-
-    ts = np.linspace(0.0, 1.0, _FIG_GRID_POINTS)
-    measures = [spectral.limit_measure("torus_limit", d=d) for d in (1, 2, 4)]
-    measures.append(spectral.limit_measure("dirac_minus_one"))
-    header = ["t", "torus_d1", "torus_d2", "torus_d4", "dense"]
-    columns = [ts] + _limit_curves([(mu, 1.0) for mu in measures], args.steps, ts)
-    config = {"command": "fig2", "T": 1.0, "sigma": 1.0, "c": 1.0, "d_values": [1, 2, 4], "steps": args.steps}
-    _emit_csv(args, header, columns, config)
-
-
-def _cmd_fig3(args) -> None:
-    import numpy as np
-
-    from . import cooperative, equilibrium, flow, spectral
-
-    ts = np.linspace(0.0, 1.0, _FIG_GRID_POINTS)
-    mu = spectral.limit_measure("cycle_limit")
-    competitive = equilibrium.limit_variance(flow.solve_f(mu, 1.0, 1.0, args.steps), 1.0, ts)
-    cooperative_curve = cooperative.coop_variance_measure(mu, 1.0, 1.0, 1.0, ts)
-    config = {"command": "fig3", "T": 1.0, "sigma": 1.0, "c": 1.0, "steps": args.steps}
-    _emit_csv(args, ["t", "competitive", "cooperative"], [ts, competitive, cooperative_curve], config)
+    mu = {spec: spectral.limit_measure(*spectral.measure_spec(spec)) for _, spec, _, _ in curves}
+    games = iter(_limit_curves([(mu[spec], c) for _, spec, c, planner in curves if not planner], args.steps, ts))
+    columns = [cooperative.coop_variance_measure(mu[s], c, 1.0, 1.0, ts) if p else next(games) for _, s, c, p in curves]
+    config = {"command": args.command, "T": 1.0, "sigma": 1.0, **extra, "steps": args.steps}
+    _emit_csv(args, ["t"] + [header for header, *_ in curves], [ts] + columns, config)
 
 
 def _profile_for(args, g):
@@ -426,9 +412,9 @@ _COMMANDS = {
         _SOURCE + _GAME + _TIMES,
     ),
     "value": (_cmd_value, "average equilibrium value as JSON", _SOURCE + _GAME),
-    "fig1": (_cmd_fig1, "dense vs cycle variance families for c in {0.5, 1, 2, 5}", ("--steps",)),
-    "fig2": (_cmd_fig2, "torus variance for d in {1, 2, 4} plus the dense limit", ("--steps",)),
-    "fig3": (_cmd_fig3, "competitive vs cooperative variance on the cycle limit", ("--steps",)),
+    "fig1": (_cmd_figure, "dense vs cycle variance families for c in {0.5, 1, 2, 5}", ("--steps",)),
+    "fig2": (_cmd_figure, "torus variance for d in {1, 2, 4} plus the dense limit", ("--steps",)),
+    "fig3": (_cmd_figure, "competitive vs cooperative variance on the cycle limit", ("--steps",)),
     "nash-audit": (_cmd_nash_audit, "per-player deviation audit as JSON", _GRAPH + _GAME + ("--profile",)),
     "simulate": (
         _cmd_simulate,

@@ -93,7 +93,8 @@ def coop_feedback_matrix(k: CoopKernel, t: float) -> np.ndarray:
 
 def _noise_term(nu: np.ndarray, weights: np.ndarray, c: float, tau: float, sigma: float) -> float:
     """(sigma^2/2) * sum_k weights_k log(1 + c tau nu_k)."""
-    return 0.5 * sigma**2 * float(weights @ np.log1p(c * tau * nu))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge c overflows to inf, which callers check
+        return 0.5 * sigma**2 * float(weights @ np.log1p(c * tau * nu))
 
 
 def _planner_variance(nu, weights, c, T, sigma, t):
@@ -101,8 +102,9 @@ def _planner_variance(nu, weights, c, T, sigma, t):
     # sigma^2 t (sum_k a_k + c(T-t) sum_k a_k nu_k) with a_k = w_k / (1 + cT nu_k):
     # positive terms, so nothing cancels near nu = 0, and O(n) memory for any t.
     t = _clamp_time(t, T)
-    a = weights / (1.0 + c * T * nu)
-    return sigma**2 * t * (float(a.sum()) + c * (T - t) * float(a @ nu))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _noise_term
+        a = weights / (1.0 + c * T * nu)
+        return sigma**2 * t * (float(a.sum()) + c * (T - t) * float(a @ nu))
 
 
 def coop_value(k: CoopKernel, x0: np.ndarray | None = None) -> float:

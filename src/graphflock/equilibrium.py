@@ -158,13 +158,15 @@ def _variance_integral(lam, schedule, sigma, t, weights=None):
 
 def p_eigenvalues(k: EquilibriumKernel, t) -> np.ndarray:
     """Eigenvalues of P(t) paired with k.eigen's columns, from one evaluation
-    of f(T - t); a row per time of an array t.  The quotient is formed in
-    place: a table of many times holds two (times x n) arrays, not three."""
+    of f(T - t); a row per time of an array t.  rhs's (times x n)
+    temporaries are freed before the quotient's table is made, in place,
+    so a table of many times peaks at two (times x n) arrays."""
     lam = k.eigen.eigenvalues
     f = k.schedule.value(k.T - _clamp_time(t, k.T))
+    slope = -k.schedule.rhs(f)
     out = np.multiply.outer(f, lam)
     np.subtract(1.0, out, out=out)
-    return np.divide(np.multiply.outer(-k.schedule.rhs(f), lam), out, out=out)
+    return np.divide(np.multiply.outer(slope, lam), out, out=out)
 
 
 def p_matrix(k: EquilibriumKernel, t: float) -> np.ndarray:

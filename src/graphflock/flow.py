@@ -159,11 +159,15 @@ def _check_model(**params) -> None:
     """The model-parameter rule of every entry point, for the parameters
     passed by name: c and T positive and finite, sigma nonnegative and
     finite (sigma = 0 is the deterministic game).  A value that breaks it,
-    NaN included, raises ParameterError."""
+    NaN included, raises ParameterError; given c and T, a c*T that
+    overflows raises NumericError."""
     for name, value in params.items():
         if not ((value >= 0.0 if name == "sigma" else value > 0.0) and value < math.inf):
             rule = "nonnegative" if name == "sigma" else "positive"
             raise ParameterError(f"{name} must be {rule} and finite, got {value}")
+    c, T = float(params.get("c", 1.0)), float(params.get("T", 1.0))
+    if c * T == math.inf:
+        raise NumericError(f"c*T overflows at c={c}, T={T}")
 
 
 @dataclass(frozen=True)
@@ -257,8 +261,6 @@ def solve_f(
     c, T = float(c), float(T)
     if steps < MIN_ODE_STEPS:
         raise ParameterError(f"solve_f needs steps >= {MIN_ODE_STEPS}, got {steps}")
-    if c * T == np.inf:
-        raise NumericError(f"c*T overflows at c={c}, T={T}")
     slope, chop_tail, nodes = _chebyshev_series(mu, c * T)
     integral = chebint(slope, lbnd=-1.0, scl=0.5)
     series = (slope.tolist(), integral.tolist(), NEWTON_TOL * float(np.abs(integral).sum()))
@@ -309,11 +311,12 @@ def cycle_closed_form(c: float, t: float) -> float:
     bisection fallback; Phi is strictly increasing so the root is unique.
     Newton stops at |Phi(x) - target| <= PHI_INVERSE_TOL, or where Phi's
     float spacing exceeds that (x near 1.6e4 at c = 1e5) once its bracket
-    holds two adjacent floats.
+    holds two adjacent floats.  A t that is not finite and >= 0 raises
+    ParameterError, and c*t keeps _check_model's c*T rule.
     """
-    _check_model(c=c)
-    if t < 0:
-        raise ParameterError(f"cycle_closed_form needs t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:  # false for NaN too
+        raise ParameterError(f"cycle_closed_form needs a finite t >= 0, got {t}")
+    _check_model(c=c, T=t or 1.0)  # t = 0 has no c*t to overflow
     target = float(np.log(2.0) + 0.5 * (c * t - 1.0))
     floor = _phi(0.0)
     if target < floor - PHI_INVERSE_TOL:

@@ -5,7 +5,8 @@ eigenvalues of L = D^{-1}A - I; it always lives on [-2, 0] and has mean -1.
 Large-graph limits of interest (point mass at -1, the cycle limit, the
 d-dimensional torus limit, the Kesten-McKay law of random regular graphs)
 are represented the same way: as a node/weight quadrature rule against
-which smooth integrands can be integrated to ~1e-8 or better.
+which smooth integrands can be integrated to ~1e-8 or better.  A measure
+is its kind and its rule; measure_spec's KIND[:D] is its one text grammar.
 
 Every equilibrium quantity is an integral against the spectrum, so an
 EigenSystem holds its eigenvalues from the start and computes the
@@ -27,7 +28,7 @@ small dense Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -238,7 +239,8 @@ def laplacian_eigensystem(g: Graph) -> EigenSystem:
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Probability measure on [-2, 0] with mean -1, plus a quadrature rule.
+    """Probability measure on [-2, 0] with mean -1: its kind and its
+    quadrature rule, with no parameters and no serialized form.
 
     For kind="discrete" the nodes/weights are the atoms themselves and
     integration is exact.  For analytic limit kinds the rule integrates
@@ -248,7 +250,6 @@ class SpectralMeasure:
     kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    params: dict = field(default_factory=dict)
 
     def integrate(self, h) -> float:
         values = np.asarray(h(self.nodes), dtype=float)
@@ -261,15 +262,6 @@ class SpectralMeasure:
 
     def variance(self) -> float:
         return self.integrate(lambda lam: (lam + 1.0) ** 2)
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "params": dict(self.params)}
-        if self.kind == "discrete":
-            out["atoms"] = [
-                {"value": float(v), "weight": float(w)}
-                for v, w in zip(self.nodes, self.weights)
-            ]
-        return out
 
 
 def integrate(mu: SpectralMeasure, h) -> float:
@@ -294,21 +286,9 @@ def _validate_measure(mu: SpectralMeasure) -> SpectralMeasure:
     return mu
 
 
-def discrete_measure(eigenvalues: np.ndarray, params: dict | None = None) -> SpectralMeasure:
-    """Uniform measure over a given Laplacian spectrum."""
-    vals = np.sort(np.asarray(eigenvalues, dtype=float))
-    n = vals.size
-    mu = SpectralMeasure(
-        kind="discrete",
-        nodes=vals,
-        weights=np.full(n, 1.0 / n),
-        params=params or {"n": int(n)},
-    )
-    return _validate_measure(mu)
-
-
 def empirical_measure(g: Graph, es: EigenSystem | None = None) -> SpectralMeasure:
-    """Empirical eigenvalue distribution of the graph Laplacian.
+    """Empirical eigenvalue distribution of the graph Laplacian: weight 1/n
+    on each eigenvalue, in ascending order.
 
     Restricted to regular graphs without isolated vertices so that the
     Laplacian is symmetric.  Post-checks: mean is -1 and the variance
@@ -319,8 +299,9 @@ def empirical_measure(g: Graph, es: EigenSystem | None = None) -> SpectralMeasur
         raise DomainError("empirical_measure needs a regular graph (symmetric Laplacian)")
     if es is None:
         es = laplacian_eigensystem(g)
+    vals = np.sort(es.eigenvalues)
+    mu = _validate_measure(SpectralMeasure("discrete", vals, np.full(vals.size, 1.0 / vals.size)))
     degree = int(g.degrees[0])
-    mu = discrete_measure(es.eigenvalues, params={"n": g.n, "degree": degree})
     var = mu.variance()
     if abs(var - 1.0 / degree) > 1e-10:
         raise NumericError(
@@ -463,26 +444,14 @@ def measure_spec(text: str) -> tuple[str, int | None]:
 def limit_measure(kind: str, d: int | None = None) -> SpectralMeasure:
     """Analytic limit measures: 'dirac_minus_one', 'cycle_limit',
     'torus_limit' (d >= 1), 'kesten_mckay' (d >= 3; d = 2 is the cycle
-    limit)."""
+    limit).  d goes straight to the kind's rule, as an int (None for a
+    kind without d)."""
     if not isinstance(kind, str) or kind not in _LIMITS:
         raise ParameterError(f"unknown limit measure kind {kind!r}")
     _, least, rule = _LIMITS[kind]
     if least is not None and (d is None or d < least):
         raise ParameterError(f"{kind} needs d >= {least}, got {d}")
-    params = {} if least is None else {"d": int(d)}
-    return _validate_measure(SpectralMeasure(kind, *rule(params.get("d")), params=params))
-
-
-def measure_from_dict(data: dict) -> SpectralMeasure:
-    """Inverse of SpectralMeasure.to_dict."""
-    kind = data.get("kind")
-    if kind == "discrete":
-        atoms = data.get("atoms", [])
-        vals = np.array([a["value"] for a in atoms])
-        weights = np.array([a["weight"] for a in atoms])
-        mu = SpectralMeasure("discrete", vals, weights, params=dict(data.get("params", {})))
-        return _validate_measure(mu)
-    return limit_measure(kind, d=data.get("params", {}).get("d"))
+    return _validate_measure(SpectralMeasure(kind, *rule(None if least is None else int(d))))
 
 
 def kesten_mckay_cdf(d: int, points: np.ndarray) -> np.ndarray:

@@ -85,7 +85,7 @@ class LinearProfile:
 def mf_profile(g: Graph, c: float, T: float, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
     """Decentralized mean-field profile: every player applies
     -c x_i / (1 + c(T - t)), independent of the graph."""
-    _check_model(c=c)
+    _check_model(c=c, T=T)
     return LinearProfile(g.n, float(T), steps, "mean_field", lambda t: c / (1.0 + c * (T - t)))
 
 
@@ -131,10 +131,10 @@ def _inverse_degrees(degrees: np.ndarray) -> np.ndarray:
 
 def _checked(g: Graph, prof: LinearProfile, x0: np.ndarray | None, i: int | None = None, **params) -> np.ndarray | None:
     """The entry points' argument check: the model parameters passed by
-    name (flow._check_model), the profile's size against the graph's, player
-    i's index where there is one, and x0's shape.  Returns x0 as floats
-    (None stays None)."""
-    _check_model(**params)
+    name with the profile's T (flow._check_model), the profile's size
+    against the graph's, player i's index where there is one, and x0's
+    shape.  Returns x0 as floats (None stays None)."""
+    _check_model(T=prof.T, **params)
     if prof.n != g.n:
         raise ParameterError(f"profile is for {prof.n} players, graph has {g.n}")
     if i is not None:

@@ -411,6 +411,9 @@ class TestConfigAndErrors:
             "value --graph cycle:6 --c 1e200",
             "value --measure torus:2 --c 1e300",
             "coop --graph cycle:6 --c 1e300 --t 0.5",
+            "coop --graph cycle:5 --c 1e308 --t 0.5",
+            "coop --graph cycle:6 --c 1e200 --T 1e200 --t 0.5",
+            "nash-audit --graph cycle:6 --profile mean_field --c 1e200 --T 1e200 --steps 100",
             "variance-curve --measure cycle --c 1e300 --t 0.5",
             "variance-curve --graph cycle:6 --c 1e200 --t-grid 0:1:3",
             "solve-f --measure cycle --c 1e300",

@@ -94,6 +94,19 @@ class TestFeedbackMatrix:
             n_zero_l = int(np.sum(np.abs(k.eigen.eigenvalues) < 1e-12))
             assert n_zero_p == n_zero_l == 1
 
+    def test_a_table_of_times_peaks_at_two_tables(self):
+        # One 201 x 20000 table of rates takes 30.7 MiB.  rhs's own tables of
+        # that size must be freed before the quotient's table is made.
+        k = kernel(cycle(20000), steps=100)
+        ts = np.linspace(0.0, 1.0, 201)
+        tracemalloc.start()
+        try:
+            p_eigenvalues(k, ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * ts.size * k.n * 8
+
     def test_rho_matches_schedule_formula(self):
         k = kernel(complete(5), steps=2000)
         f1 = k.schedule.value(1.0)

@@ -352,8 +352,13 @@ class TestCycleClosedForm:
             target = np.log(2.0) + 0.5 * (c * t - 1.0)
             assert abs(_phi(x) - target) <= 4 * np.spacing(max(1.0, target))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             cycle_closed_form(-1.0, 0.5)
-        with pytest.raises(ParameterError):
-            cycle_closed_form(1.0, -0.5)
+        for bad in (-0.5, np.nan, -np.inf, np.inf):
+            with pytest.raises(ParameterError, match="finite t >= 0"):
+                cycle_closed_form(1.0, bad)
+        for c, t in ((1e300, 1e300), (1e308, 10.0)):
+            with pytest.raises(NumericError, match=r"c\*T overflows"):
+                cycle_closed_form(c, t)

@@ -1,7 +1,9 @@
 """The model-parameter rule: c and T positive and finite, sigma nonnegative
 and finite, checked the same way at every library entry point that takes
-them, with a message naming the parameter that breaks it."""
+them, with a message naming the parameter that breaks it; and c*T, where
+an entry point holds both, must not overflow."""
 
+import functools
 import inspect
 import math
 
@@ -10,7 +12,7 @@ import pytest
 
 from graphflock.cooperative import coop_kernel, coop_value, coop_value_measure, coop_variance, coop_variance_measure
 from graphflock.equilibrium import build_kernel, game_value, limit_value, limit_variance, player_variance
-from graphflock.errors import ParameterError
+from graphflock.errors import NumericError, ParameterError
 from graphflock.flow import cycle_closed_form, solve_f
 from graphflock.graphs import cycle
 from graphflock.montecarlo import SimConfig, simulate
@@ -65,6 +67,31 @@ def test_every_entry_point_refuses_a_bad_parameter_by_name(name):
         for bad in BAD[param]:
             with pytest.raises(ParameterError, match=f"^{param} must be (positive|nonnegative) and finite, got {bad}$"):
                 call(**{param: bad})
+
+
+#: c = T = 1e200 are each finite, but c*T overflows.  The profile entry
+#: points take T from the profile.
+HUGE = 1e200
+HUGE_PROFILE = zero_profile(G, HUGE, 100)
+OVERFLOWING = {
+    **{
+        name: functools.partial(ENTRY_POINTS[name], c=HUGE, T=HUGE)
+        for name in ENTRY_POINTS
+        if {"c", "T"} <= set(inspect.signature(ENTRY_POINTS[name]).parameters)
+    },
+    "profile_costs": lambda: profile_costs(G, HUGE_PROFILE, 1.0, HUGE),
+    "cost_under_profile": lambda: cost_under_profile(G, HUGE_PROFILE, 0, 1.0, HUGE),
+    "best_response": lambda: best_response(G, HUGE_PROFILE, 0, HUGE, 1.0),
+    "deviation_gap": lambda: deviation_gap(G, HUGE_PROFILE, 0, HUGE, 1.0),
+    "nash_audit": lambda: nash_audit(G, HUGE_PROFILE, HUGE, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_entry_point_refuses_a_c_times_T_that_overflows(name):
+    with pytest.raises(NumericError, match=r"^c\*T overflows at c=1e\+200, T=1e\+200$"):
+        OVERFLOWING[name]()
 
 
 def test_sigma_zero_is_the_deterministic_game():

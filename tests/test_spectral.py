@@ -19,7 +19,6 @@ from graphflock.spectral import (
     laplacian,
     laplacian_eigensystem,
     limit_measure,
-    measure_from_dict,
     measure_moments,
     measure_spec,
 )
@@ -357,14 +356,6 @@ class TestLimitMeasures:
         mu = limit_measure("cycle_limit")
         with pytest.raises(NumericError):
             integrate(mu, lambda lam: np.full_like(lam, np.inf))
-
-    def test_serialization_roundtrip(self):
-        for mu in (empirical_measure(cycle(6)), limit_measure("torus_limit", d=2)):
-            clone = measure_from_dict(mu.to_dict())
-            for x in (0.2, 1.7):
-                a = integrate(mu, lambda lam: -lam / (1 - x * lam))
-                b = integrate(clone, lambda lam: -lam / (1 - x * lam))
-                assert abs(a - b) < 1e-12
 
 
 class TestKestenMcKayLaw:
