@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from .errors import DomainError, GenerationError, NumericError, ParameterError
 
@@ -74,6 +75,7 @@ def _measure(text: str) -> str:
 
 _positive_float = _checked(float, "a positive finite number", lambda x: 0.0 < x < math.inf)
 _t_grid = _checked(_grid, "START:STOP:COUNT with COUNT >= 1", lambda grid: grid[2] >= 1)
+_steps = _checked(int, "an integer >= 100", lambda k: k >= 100)
 _record_times = _checked(lambda text: tuple(map(float, text.split(","))), "comma-separated times")
 
 #: Every option and its argparse keywords.  Each type is the option's one
@@ -85,7 +87,7 @@ _OPTIONS = {
     "--c": dict(type=_positive_float, default=1.0),
     "--T": dict(type=_positive_float, default=1.0),
     "--sigma": dict(type=_positive_float, default=1.0),
-    "--steps": dict(type=_checked(int, "an integer >= 100", lambda k: k >= 100), default=2000),
+    "--steps": dict(type=_steps, default=2000, help="grid intervals: solve-f's output rows, nash-audit's RK4 steps"),
     "--paths": dict(type=_checked(int, "an integer >= 3", lambda k: k >= 3), default=10000),
     "--dt": dict(type=_checked(float, "a number"), default=None),
     "--seed": dict(type=_checked(int, "an integer"), default=0),
@@ -260,7 +262,7 @@ def _schedule_for(args):
         mu = spectral.limit_measure(*spectral.measure_spec(args.measure))
     else:
         raise ParameterError("this command needs --measure (or --graph)")
-    return flow.solve_f(mu, args.c, args.T, args.steps)
+    return flow.solve_f(mu, args.c, args.T, getattr(args, "steps", flow.DEFAULT_ODE_STEPS))
 
 
 def _game_schedule(args):
@@ -271,7 +273,7 @@ def _game_schedule(args):
     if args.graph is None:
         return _schedule_for(args)
     g = graphs.build_graph(_graph_spec(args))
-    return equilibrium.build_kernel(g, args.c, args.T, args.sigma, args.steps).schedule
+    return equilibrium.build_kernel(g, args.c, args.T, args.sigma).schedule
 
 
 def _cmd_solve_f(args) -> None:
@@ -296,15 +298,7 @@ def _cmd_value(args) -> None:
     _emit_json(args, {"config": config, "value": value})
 
 
-def _limit_curves(pairs, steps: int, ts) -> list:
-    """Variance curve at times ts for each (measure, c) pair, T = sigma = 1:
-    one solve per schedule, then one composite Gauss rule per curve."""
-    from . import equilibrium, flow
-
-    return [equilibrium.limit_variance(flow.solve_f(mu, c, 1.0, steps), 1.0, ts) for mu, c in pairs]
-
-
-#: Figure -> (its config beyond command, T = sigma = 1 and steps; its curves,
+#: Figure -> (its config beyond command and T = sigma = 1; its curves,
 #: each a column header, a KIND[:D] measure spec, c, and True on the planner's).
 _FIGURES = {
     "fig1": ({"c_values": [0.5, 1.0, 2.0, 5.0]},
@@ -317,28 +311,34 @@ _FIGURES = {
 
 
 def _cmd_figure(args) -> None:
-    """fig1-fig3: _FIGURES' curves at 101 times in [0, 1], each distinct measure built once."""
+    """fig1-fig3: _FIGURES' curves at 101 times in [0, 1], each distinct
+    measure built once; a game's curve is one solve_f, then its variance."""
     import numpy as np
 
-    from . import cooperative, spectral
+    from . import cooperative, equilibrium, flow, spectral
 
     extra, curves = _FIGURES[args.command]
     ts = np.linspace(0.0, 1.0, _FIG_GRID_POINTS)
     mu = {spec: spectral.limit_measure(*spectral.measure_spec(spec)) for _, spec, _, _ in curves}
-    games = iter(_limit_curves([(mu[spec], c) for _, spec, c, planner in curves if not planner], args.steps, ts))
-    columns = [cooperative.coop_variance_measure(mu[s], c, 1.0, 1.0, ts) if p else next(games) for _, s, c, p in curves]
-    config = {"command": args.command, "T": 1.0, "sigma": 1.0, **extra, "steps": args.steps}
+    columns = [
+        cooperative.coop_variance_measure(mu[s], c, 1.0, 1.0, ts) if planner
+        else equilibrium.limit_variance(flow.solve_f(mu[s], c, 1.0), 1.0, ts)
+        for _, s, c, planner in curves
+    ]
+    config = {"command": args.command, "T": 1.0, "sigma": 1.0, **extra}
     _emit_csv(args, ["t"] + [header for header, *_ in curves], [ts] + columns, config)
 
 
 def _profile_for(args, g):
-    from . import equilibrium, strategies
+    """--profile on g, on nash-audit's --steps grid, else on the library's default one."""
+    from . import equilibrium, flow, strategies
 
+    steps = getattr(args, "steps", flow.DEFAULT_ODE_STEPS)
     if args.profile == "mean_field":
-        return strategies.mf_profile(g, args.c, args.T, args.steps)
+        return strategies.mf_profile(g, args.c, args.T, steps)
     if args.profile == "zero":
-        return strategies.zero_profile(g, args.T, args.steps)
-    kernel = equilibrium.build_kernel(g, args.c, args.T, args.sigma, args.steps)
+        return strategies.zero_profile(g, args.T, steps)
+    kernel = equilibrium.build_kernel(g, args.c, args.T, args.sigma, steps)
     return strategies.equilibrium_profile(kernel)
 
 
@@ -399,7 +399,6 @@ def _cmd_coop(args) -> None:
 _GRAPH = ("--graph", "--seed")
 _SOURCE = ("--graph", "--measure", "--seed")
 _MODEL = ("--c", "--T", "--sigma")
-_GAME = _MODEL + ("--steps",)
 _TIMES = ("--t", "--t-grid")
 
 #: Subcommand -> (its function, help, the options it reads besides --out and --config).
@@ -409,44 +408,46 @@ _COMMANDS = {
     "variance-curve": (
         _cmd_variance_curve,
         "player variance over time (finite graph or limit measure)",
-        _SOURCE + _GAME + _TIMES,
+        _SOURCE + _MODEL + _TIMES,
     ),
-    "value": (_cmd_value, "average equilibrium value as JSON", _SOURCE + _GAME),
-    "fig1": (_cmd_figure, "dense vs cycle variance families for c in {0.5, 1, 2, 5}", ("--steps",)),
-    "fig2": (_cmd_figure, "torus variance for d in {1, 2, 4} plus the dense limit", ("--steps",)),
-    "fig3": (_cmd_figure, "competitive vs cooperative variance on the cycle limit", ("--steps",)),
-    "nash-audit": (_cmd_nash_audit, "per-player deviation audit as JSON", _GRAPH + _GAME + ("--profile",)),
+    "value": (_cmd_value, "average equilibrium value as JSON", _SOURCE + _MODEL),
+    "fig1": (_cmd_figure, "dense vs cycle variance families for c in {0.5, 1, 2, 5}", ()),
+    "fig2": (_cmd_figure, "torus variance for d in {1, 2, 4} plus the dense limit", ()),
+    "fig3": (_cmd_figure, "competitive vs cooperative variance on the cycle limit", ()),
+    "nash-audit": (_cmd_nash_audit, "per-player deviation audit as JSON", _GRAPH + _MODEL + ("--steps", "--profile")),
     "simulate": (
         _cmd_simulate,
         "Monte Carlo ensemble summary as JSON",
-        _GRAPH + _GAME + ("--profile", "--paths", "--dt", "--record-times", "--dump-samples"),
+        _GRAPH + _MODEL + ("--profile", "--paths", "--dt", "--record-times", "--dump-samples"),
     ),
     "coop": (_cmd_coop, "cooperative variance curve as CSV", _GRAPH + _MODEL + _TIMES),
 }
 
 
 def main(argv=None) -> int:
-    try:
-        _apply_thread_cap()
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        _apply_config_file(parser, args)
-        _COMMANDS[args.command][0](args)
-    except ParameterError as exc:
-        print(f"error[config]: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print(f"error[domain]: {exc}", file=sys.stderr)
-        return 2
-    except (NumericError, GenerationError) as exc:
-        print(f"error[numeric]: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:  # numpy's array allocations name their size; its linalg solvers say nothing
-        print(f"error[numeric]: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
-        return 3
-    except OverflowError as exc:  # Python float arithmetic past 1.8e308, as sigma**2 at a huge --sigma
-        print(f"error[numeric]: float overflow: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():  # restores showwarning for an in-process caller
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)  # no source line
+        try:
+            _apply_thread_cap()
+            parser = _build_parser()
+            args = parser.parse_args(argv)
+            _apply_config_file(parser, args)
+            _COMMANDS[args.command][0](args)
+        except ParameterError as exc:
+            print(f"error[config]: {exc}", file=sys.stderr)
+            return 1
+        except DomainError as exc:
+            print(f"error[domain]: {exc}", file=sys.stderr)
+            return 2
+        except (NumericError, GenerationError) as exc:
+            print(f"error[numeric]: {exc}", file=sys.stderr)
+            return 3
+        except MemoryError as exc:  # numpy's array allocations name their size; its linalg solvers say nothing
+            print(f"error[numeric]: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+            return 3
+        except OverflowError as exc:  # Python float arithmetic past 1.8e308, as sigma**2 at a huge --sigma
+            print(f"error[numeric]: float overflow: {exc}", file=sys.stderr)
+            return 3
     return 0
 
 

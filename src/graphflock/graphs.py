@@ -12,7 +12,6 @@ edge lists inside JSON graph specs are 1-based and converted on ingest.
 from __future__ import annotations
 
 import enum
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -26,11 +25,8 @@ PAIRING_RETRY_CAP = 1000
 #: Number of rejected double-edge switches before that repair gives up.
 SWITCH_RETRY_CAP = 100_000
 
-#: Default size limit for the brute-force automorphism search.
+#: Most vertices the brute-force automorphism search takes on.
 DEFAULT_TRANSITIVITY_MAX_N = 12
-
-#: Distance reported for unreachable vertex pairs.
-INFINITE_DISTANCE = math.inf
 
 #: Most vertices a graph may have: a vertex fits in int32, so the neighbor
 #: lists take 4 bytes an entry, and an edge key u * n + v in int64.
@@ -468,7 +464,7 @@ def graph_distances(g: Graph, source: int) -> np.ndarray:
     """Breadth-first-search distances from `source` to every vertex, by
     scipy's compiled BFS over the neighbor lists: O(n + E) time and memory.
 
-    Unreachable vertices get INFINITE_DISTANCE (float inf).
+    Unreachable vertices get float inf, as scipy reports them.
     """
     from scipy.sparse import csr_array  # here, not at import: graph commands would pay for it
     from scipy.sparse.csgraph import shortest_path
@@ -543,20 +539,18 @@ def _automorphism_mapping_exists(adj: np.ndarray, target: int) -> bool:
     return extend(1)
 
 
-def verify_transitive(g: Graph, max_n: int = DEFAULT_TRANSITIVITY_MAX_N) -> Transitivity:
+def verify_transitive(g: Graph) -> Transitivity:
     """Decide vertex-transitivity where feasible and update g.transitivity.
 
-    Non-regular graphs are immediately NOT_TRANSITIVE.  Graphs with
-    n <= max_n get a brute-force automorphism search; larger graphs stay
-    at their constructor guarantee (KNOWN) or UNKNOWN.
+    Non-regular graphs are immediately NOT_TRANSITIVE.  Regular graphs with
+    n <= DEFAULT_TRANSITIVITY_MAX_N get a brute-force automorphism search;
+    larger ones stay at their constructor guarantee (KNOWN) or UNKNOWN.
     """
     if not g.is_regular:
         g.transitivity = Transitivity.NOT_TRANSITIVE
-        return g.transitivity
-    if g.n <= max_n:
+    elif g.n <= DEFAULT_TRANSITIVITY_MAX_N:
         transitive = all(
             _automorphism_mapping_exists(np.asarray(g.adjacency), v) for v in range(1, g.n)
         )
         g.transitivity = Transitivity.VERIFIED if transitive else Transitivity.NOT_TRANSITIVE
-        return g.transitivity
     return g.transitivity

@@ -320,13 +320,14 @@ def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _cosine_rule(m: int = COS_RULE_NODES) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature for the law of cos(2*pi*U), U uniform on [0, 1].
+def _cosine_rule() -> tuple[np.ndarray, np.ndarray]:
+    """COS_RULE_NODES-point quadrature for the law of cos(2*pi*U), U uniform
+    on [0, 1].
 
     Integrating in u instead of in the value avoids the inverse-square-root
     endpoint singularities of the arcsine density.
     """
-    x, w = _leggauss(m)
+    x, w = _leggauss(COS_RULE_NODES)
     return np.cos(2.0 * np.pi * (0.5 * (x + 1.0))), 0.5 * w
 
 
@@ -445,12 +446,13 @@ def limit_measure(kind: str, d: int | None = None) -> SpectralMeasure:
     """Analytic limit measures: 'dirac_minus_one', 'cycle_limit',
     'torus_limit' (d >= 1), 'kesten_mckay' (d >= 3; d = 2 is the cycle
     limit).  d goes straight to the kind's rule, as an int (None for a
-    kind without d)."""
+    kind without d); a d that is not an integer, or is a bool, raises
+    ParameterError."""
     if not isinstance(kind, str) or kind not in _LIMITS:
         raise ParameterError(f"unknown limit measure kind {kind!r}")
     _, least, rule = _LIMITS[kind]
-    if least is not None and (d is None or d < least):
-        raise ParameterError(f"{kind} needs d >= {least}, got {d}")
+    if least is not None and (isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < least):
+        raise ParameterError(f"{kind} needs an integer d >= {least}, got {d!r}")
     return _validate_measure(SpectralMeasure(kind, *rule(None if least is None else int(d))))
 
 

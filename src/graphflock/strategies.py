@@ -593,34 +593,31 @@ def epsilon_bounds(g: Graph, c: float, T: float, sigma: float) -> EpsilonBounds:
     return EpsilonBounds(per_vertex=per_vertex, aggregate=aggregate, avg_degree_diagnostic=diagnostic)
 
 
-def nash_audit(
-    g: Graph,
-    prof: LinearProfile,
-    c: float,
-    sigma: float,
-    x0: np.ndarray | None = None,
-    gap_tolerance: float = 1e-5,
-) -> dict:
+#: Slack of nash_audit's gap comparisons, as its report records it.
+GAP_TOLERANCE = 1e-5
+
+
+def nash_audit(g: Graph, prof: LinearProfile, c: float, sigma: float, x0: np.ndarray | None = None) -> dict:
     """Audit every player's incentive to deviate from the profile.
 
     For mean-field profiles each gap is compared against its epsilon_v
-    certificate; for other profiles against the numerical tolerance alone
-    (an exact equilibrium should show pure discretization error).  A cost
-    under the profile that is below -gap_tolerance or not finite, or a gap
-    below -gap_tolerance or NaN (a best response worse than the profile or
-    not finite), means the grid does not resolve the problem: NumericError.
+    certificate plus GAP_TOLERANCE; for other profiles against GAP_TOLERANCE
+    alone (an exact equilibrium should show pure discretization error).  A
+    cost under the profile that is below -GAP_TOLERANCE or not finite, or a
+    gap below -GAP_TOLERANCE or NaN (a best response worse than the profile
+    or not finite), means the grid does not resolve the problem: NumericError.
     """
     players = _players(g, prof, _checked(g, prof, x0, c=c, sigma=sigma))
     costs = _costs(prof, players, sigma, c)
     unresolved = f"{prof.steps} steps do not resolve the profile"
-    bad = np.flatnonzero(~((costs >= -gap_tolerance) & (costs < np.inf)))  # a NaN cost too
+    bad = np.flatnonzero(~((costs >= -GAP_TOLERANCE) & (costs < np.inf)))  # a NaN cost too
     if bad.size:
         i = int(bad[0])
         raise NumericError(f"player {i}'s cost under the profile is {costs[i]:.6g}: {unresolved}")
     bounds = epsilon_bounds(g, c, prof.T, sigma).per_vertex if prof.tag == "mean_field" else np.zeros(g.n)
     values, _ = _rank_one(prof, players, c, sigma, np.arange(g.n))
     gaps = costs - values
-    worse = np.flatnonzero(~(gaps >= -gap_tolerance))  # a NaN gap too
+    worse = np.flatnonzero(~(gaps >= -GAP_TOLERANCE))  # a NaN gap too
     if worse.size:
         i = int(worse[0])
         how = "more than" if np.isfinite(values[i]) else "which is not finite, against"
@@ -635,7 +632,7 @@ def nash_audit(
             "best_response_value": float(values[i]),
             "gap": float(gaps[i]),
             "epsilon_bound": float(bounds[i]),
-            "satisfied": bool(gaps[i] <= bounds[i] + gap_tolerance),
+            "satisfied": bool(gaps[i] <= bounds[i] + GAP_TOLERANCE),
         }
         for i in range(g.n)
     ]
@@ -644,7 +641,7 @@ def nash_audit(
         "profile": prof.tag,
         "c": c,
         "sigma": sigma,
-        "gap_tolerance": gap_tolerance,
+        "gap_tolerance": GAP_TOLERANCE,
         "players": players,
         "max_gap": float(gaps.max()),
         "all_satisfied": all(p["satisfied"] for p in players),

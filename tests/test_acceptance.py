@@ -312,7 +312,7 @@ def test_criterion_11_cooperative_consistency():
 def test_criterion_12_figure_reproduction(tmp_path, capsys):
     def rows_of(command):
         out = tmp_path / f"{command}.csv"
-        assert cli_main([command, "--steps", "1000", "--out", str(out)]) == 0
+        assert cli_main([command, "--out", str(out)]) == 0
         lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         header = lines[0].split(",")
         data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,12 @@ _NAMED_IN_MESSAGE = {
     "fig1 --c 2": "--c",
     "variance-curve --measure dirac --st 100": "--st",
     "coop --graph cycle:10 --steps 100": "--steps",
+    "value --measure dirac --steps 100": "--steps",
+    "variance-curve --measure cycle --steps 100": "--steps",
+    "fig1 --steps 400": "--steps",
+    "fig2 --steps 400": "--steps",
+    "fig3 --steps 400": "--steps",
+    "simulate --graph cycle:6 --paths 10 --steps 100": "--steps",
 }
 
 
@@ -98,13 +105,12 @@ class TestBasicCommands:
         assert payload["config"]["graph"] == {"kind": "complete", "n": 300}
 
     def test_value_for_measure(self, capsys):
-        code, out, _ = run(capsys, "value", "--measure", "cycle", "--steps", "500")
+        code, out, _ = run(capsys, "value", "--measure", "cycle")
         assert code == 0
         assert json.loads(out)["value"] > 0.5 * math.log(2.0)
 
     def test_variance_curve_torus_measure(self, capsys):
-        code, out, _ = run(capsys, "variance-curve", "--measure", "torus:2",
-                           "--steps", "500", "--t", "0.5")
+        code, out, _ = run(capsys, "variance-curve", "--measure", "torus:2", "--t", "0.5")
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0, 1] >= 0.375  # never below the dense-limit variance
@@ -128,33 +134,16 @@ class TestBasicCommands:
 
 class TestFigures:
     def test_fig1_shape_and_determinism(self, capsys):
-        code, out1, _ = run(capsys, "fig1", "--steps", "400")
+        code, out1, _ = run(capsys, "fig1")
         assert code == 0
-        code, out2, _ = run(capsys, "fig1", "--steps", "400")
+        code, out2, _ = run(capsys, "fig1")
         assert out1 == out2  # byte-stable
         header, rows = parse_csv(out1)
         assert header[0] == "t" and len(header) == 9
         assert rows.shape == (101, 9)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            "variance-curve --graph cycle:200",
-            "variance-curve --measure cycle",
-            "fig3",
-            "variance-curve --measure kesten_mckay:3 --c 7 --t-grid 0:1:37",  # times off the --steps 400 grid
-        ],
-    )
-    def test_data_rows_do_not_depend_on_steps(self, capsys, argv):
-        outputs = []
-        for steps in ("400", "2000"):
-            code, out, _ = run(capsys, *argv.split(), "--steps", steps)
-            assert code == 0
-            outputs.append(out.split("\n", 1)[1])  # all but the config line
-        assert outputs[0] == outputs[1]
-
     def test_fig2_monotone_in_dimension(self, capsys):
-        code, out, _ = run(capsys, "fig2", "--steps", "400")
+        code, out, _ = run(capsys, "fig2")
         assert code == 0
         header, rows = parse_csv(out)
         assert header == ["t", "torus_d1", "torus_d2", "torus_d4", "dense"]
@@ -162,7 +151,7 @@ class TestFigures:
         assert mid[1] > mid[2] > mid[3] > mid[4]
 
     def test_fig3_ordering(self, capsys):
-        code, out, _ = run(capsys, "fig3", "--steps", "400")
+        code, out, _ = run(capsys, "fig3")
         assert code == 0
         header, rows = parse_csv(out)
         assert header == ["t", "competitive", "cooperative"]
@@ -332,7 +321,7 @@ class TestConfigAndErrors:
     def test_config_value_of_wrong_type_exits_1(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"steps": 150.5}))
-        code, _, err = run(capsys, "value", "--measure", "dirac", "--config", str(cfg))
+        code, _, err = run(capsys, "solve-f", "--measure", "dirac", "--config", str(cfg))
         assert code == 1
         assert err.startswith("error[config]:")
         assert "\n" not in err.strip()
@@ -395,6 +384,12 @@ class TestConfigAndErrors:
             "fig1 --c 2",
             "variance-curve --measure dirac --st 100",
             "coop --graph cycle:10 --steps 100",
+            "value --measure dirac --steps 100",
+            "variance-curve --measure cycle --steps 100",
+            "fig1 --steps 400",
+            "fig2 --steps 400",
+            "fig3 --steps 400",
+            "simulate --graph cycle:6 --paths 10 --steps 100",
         ],
     )
     def test_bad_input_exits_1_with_one_line(self, capsys, tmp_path, argv):
@@ -545,9 +540,9 @@ class TestConfigAndErrors:
     def test_graph_object_records_like_its_text(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"graph": {"kind": "random_regular", "n": "20", "d": 3}, "seed": 4}))
-        code, out, err = run(capsys, "value", "--steps", "200", "--config", str(cfg))
+        code, out, err = run(capsys, "value", "--config", str(cfg))
         assert code == 0, err
-        _, text_out, _ = run(capsys, "value", "--steps", "200", "--graph", "rr:20,3", "--seed", "4")
+        _, text_out, _ = run(capsys, "value", "--graph", "rr:20,3", "--seed", "4")
         assert json.loads(out) == json.loads(text_out)
         assert json.loads(out)["config"]["graph"] == {"kind": "random_regular", "n": 20, "d": 3, "seed": 4}
 
@@ -586,13 +581,13 @@ class TestEigenvalueOnlyCommands:
             (command, "--graph", graph, *extra)
             for graph in ("cycle:12", "torus:4,2", "complete:9")
             for command, extra in (
-                ("value", ("--steps", "200")),
-                ("variance-curve", ("--steps", "200", "--t-grid", "0:1:3")),
+                ("value", ()),
+                ("variance-curve", ("--t-grid", "0:1:3")),
                 ("solve-f", ("--steps", "200")),
                 ("spectrum", ()),
             )
         ]
-        + [("value", "--graph", "random_regular:20,3", "--steps", "200")],
+        + [("value", "--graph", "random_regular:20,3")],
         ids=lambda argv: " ".join(argv[:3]),
     )
     @pytest.mark.filterwarnings("ignore:graph transitivity:RuntimeWarning")
@@ -622,7 +617,7 @@ class TestCsvWriter:
 
         monkeypatch.setattr(equilibrium, "limit_variance", lambda s, sigma, ts: np.array(_CELLS))
         grid = f"0:1:{len(_CELLS)}"
-        code, out, err = run(capsys, "variance-curve", "--measure", "dirac", "--steps", "100", "--t-grid", grid)
+        code, out, err = run(capsys, "variance-curve", "--measure", "dirac", "--t-grid", grid)
         assert code == 0 and err == ""
         ts = np.linspace(0.0, 1.0, len(_CELLS)).tolist()
         assert out.splitlines()[2:] == [f"{format(t, '.15g')},{format(x, '.15g')}" for t, x in zip(ts, _CELLS)]
@@ -650,7 +645,7 @@ class TestCsvWriter:
 
         monkeypatch.setattr(equilibrium, "limit_variance", lambda s, sigma, ts: np.where(ts > 0.5, bad, ts))
         path = tmp_path / "curve.csv"
-        argv = ("variance-curve", "--measure", "dirac", "--steps", "100", "--t-grid", "0:1:5", "--out", str(path))
+        argv = ("variance-curve", "--measure", "dirac", "--t-grid", "0:1:5", "--out", str(path))
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and not path.exists()
         assert err.startswith("error[numeric]:") and len(err.splitlines()) == 1
@@ -696,8 +691,8 @@ class TestSubcommandOptions:
         [
             "spectrum --graph cycle:4",
             "solve-f --measure dirac --steps 100",
-            "variance-curve --measure dirac --steps 100 --t 1",
-            "value --measure dirac --steps 100",
+            "variance-curve --measure dirac --t 1",
+            "value --measure dirac",
             "nash-audit --graph cycle:4 --profile zero --steps 100",
             "simulate --graph cycle:3 --profile zero --paths 3 --dt 0.5",
             "coop --graph cycle:4 --t 1",
@@ -724,6 +719,23 @@ class TestSubcommandOptions:
             for op in workloads.ops(workload, 1):
                 parser.parse_args([*op.argv, "--out", "artifact"])
 
+    def test_readme_examples_parse(self):
+        block = (ROOT / "README.md").read_text().split("Examples:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+        assert len(lines) == 6 and all(argv[0] == "graphflock" for argv in lines)
+        for argv in lines:
+            _build_parser().parse_args(argv[1:])
+
+    # --steps is taken only where it moves the data.
+    def test_steps_sets_the_solve_f_grid(self, capsys):
+        rows = [parse_csv(run(capsys, "solve-f", "--measure", "dirac", "--steps", k)[1])[1] for k in ("100", "200")]
+        assert [len(r) for r in rows] == [101, 201]
+
+    def test_steps_moves_the_audit_gaps(self, capsys):
+        argv = ("nash-audit", "--graph", "cycle:6", "--profile", "mean_field", "--steps")
+        gaps = [[p["gap"] for p in json.loads(run(capsys, *argv, k)[1])["players"]] for k in ("100", "200")]
+        assert gaps[0] != gaps[1]
+
 
 def _python(code: str, **env) -> str:
     environ = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
@@ -732,6 +744,28 @@ def _python(code: str, **env) -> str:
     proc = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "value --graph random_regular:50,3 --seed 1",
+        "nash-audit --graph random_regular:50,3 --seed 1 --profile equilibrium --steps 100",
+        "simulate --graph random_regular:50,3 --seed 1 --profile equilibrium --paths 10",
+    ],
+)
+def test_warning_is_one_line(argv):
+    # A fresh interpreter, so Python's default warning filters and display apply, not pytest's capture.
+    code = (
+        "import contextlib, io, os\n"
+        "from graphflock.cli import main\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    assert main({argv.split()!r} + ['--out', os.devnull]) == 0\n"
+        "print(err.getvalue(), end='')\n"
+    )
+    (line,) = _python(code).splitlines()
+    assert line.startswith("warning: graph transitivity is not established")
 
 
 class TestThreadCap:

@@ -357,11 +357,11 @@ class TestTransitivity:
     def test_random_regular_resolved_at_10(self):
         g = random_regular(10, 3, seed=1)
         assert g.transitivity is Transitivity.UNKNOWN
-        result = verify_transitive(g, max_n=12)
+        result = verify_transitive(g)
         assert result in (Transitivity.VERIFIED, Transitivity.NOT_TRANSITIVE)
 
     def test_large_graph_keeps_constructor_guarantee(self):
-        g = torus(4, 2)  # 16 vertices > default max_n
+        g = torus(4, 2)  # 16 vertices > DEFAULT_TRANSITIVITY_MAX_N
         assert verify_transitive(g) is Transitivity.KNOWN
 
     def test_large_unknown_stays_unknown(self):

@@ -328,11 +328,25 @@ class TestLimitMeasures:
         assert abs(var - 1.0 / 3.0) < 1e-10
 
     @pytest.mark.parametrize(
-        "kind,d", [("torus_limit", 0), ("kesten_mckay", 2), ("nonsense", None)]
+        "kind,d",
+        [
+            ("torus_limit", 0),
+            ("kesten_mckay", 2),
+            ("nonsense", None),
+            # Not an integer: each was once truncated to a rule, or raised TypeError.
+            ("torus_limit", 2.5),
+            ("torus_limit", True),
+            ("kesten_mckay", 3.9),
+            ("torus_limit", "2"),
+        ],
     )
     def test_parameter_errors(self, kind, d):
         with pytest.raises(ParameterError):
             limit_measure(kind, d=d)
+
+    def test_numpy_integer_d_is_taken(self):
+        mu, expected = limit_measure("torus_limit", d=np.int64(2)), limit_measure("torus_limit", d=2)
+        assert np.array_equal(mu.nodes, expected.nodes) and np.array_equal(mu.weights, expected.weights)
 
     @pytest.mark.parametrize(
         "text,spec",
