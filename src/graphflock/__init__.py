@@ -28,7 +28,6 @@ _EXPORTS = {
         "build_graph",
         "complete",
         "cycle",
-        "degree_stats",
         "edge_list_graph",
         "erdos_renyi",
         "graph_distances",
@@ -42,11 +41,9 @@ _EXPORTS = {
         "SpectralMeasure",
         "eigendecompose",
         "empirical_measure",
-        "integrate",
         "laplacian",
         "laplacian_eigensystem",
         "limit_measure",
-        "measure_moments",
     ),
     "flow": ("FlockingSchedule", "cycle_closed_form", "q_eval", "solve_f"),
     "equilibrium": (

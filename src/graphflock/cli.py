@@ -353,6 +353,8 @@ def _cmd_nash_audit(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    import dataclasses
+
     from . import graphs, montecarlo
 
     g = graphs.build_graph(_graph_spec(args))
@@ -366,7 +368,7 @@ def _cmd_simulate(args) -> None:
         stats = montecarlo.ensemble_stats(ensemble, t)
         fields = ("mean", "mean_se", "variance", "variance_se")
         summary[_fmt(t)] = {k: [float(v) for v in getattr(stats, k)] for k in fields}
-    config = _resolved_config(args, "simulate", profile=args.profile, sim=cfg.to_dict())
+    config = _resolved_config(args, "simulate", profile=args.profile, sim=dataclasses.asdict(cfg))
     if args.dump_samples:
         import numpy as np
 

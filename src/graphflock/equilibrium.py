@@ -47,16 +47,6 @@ class GaussianLaw:
     mean: np.ndarray
     covariance: np.ndarray
 
-    def cov_eigenvalues(self) -> np.ndarray:
-        vals = np.linalg.eigvalsh(self.covariance)
-        return np.clip(vals, 0.0, None)
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": [float(v) for v in self.mean],
-            "cov_eigenvalues": [float(v) for v in np.sort(self.cov_eigenvalues())[::-1]],
-        }
-
 
 @dataclass
 class EquilibriumKernel:
@@ -186,9 +176,10 @@ def equilibrium_control(k: EquilibriumKernel, i: int, t: float, x: np.ndarray) -
 def state_law(k: EquilibriumKernel, t: float, x0: np.ndarray | None = None) -> GaussianLaw:
     """Gaussian law of the equilibrium state at time t from initial state x0.
 
-    Mean: (I - f(T-t)L)(I - f(T)L)^{-1} x0.  The population average of the
-    mean equals the population average of x0 (the all-ones direction has
-    eigenvalue 0).  The covariance's eigenvalues are _variance_integral's.
+    Mean: (I - f(T-t)L)(I - f(T)L)^{-1} x0, f(T) the solve's f_values[-1].
+    The population average of the mean equals that of x0 (the all-ones
+    direction has eigenvalue 0).  The covariance's eigenvalues are
+    _variance_integral's.
     """
     t = _clamp_time(t, k.T)
     v = k.eigen.eigenvectors
@@ -197,7 +188,7 @@ def state_law(k: EquilibriumKernel, t: float, x0: np.ndarray | None = None) -> G
     else:
         x0 = _vector(k.graph, x0)
         lam = k.eigen.eigenvalues
-        coef = (1.0 - k.schedule.value(k.T - t) * lam) / (1.0 - k.schedule.value(k.T) * lam)
+        coef = (1.0 - k.schedule.value(k.T - t) * lam) / (1.0 - k.schedule.f_values[-1] * lam)
         mean = (v * coef) @ (v.T @ x0)
     cov = k.eigen.reconstruct(_variance_integral(k.eigen.eigenvalues, k.schedule, k.sigma, t))
     return GaussianLaw(mean=mean, covariance=0.5 * (cov + cov.T))
@@ -216,7 +207,7 @@ def player_variance(k: EquilibriumKernel, t):
 def game_value(k: EquilibriumKernel, x0: np.ndarray | None = None) -> float:
     """Average equilibrium cost over players: limit_value on the kernel's
     schedule, whose measure is the graph's spectrum, plus the cost of the
-    initial state,
+    initial state (which alone evaluates f, once, for P(0)),
 
         |P(0) x0|^2 / (2 Tr P(0))  -  (sigma^2/2) log( integral of (-lam)/(1 - lam f(T)) dmu(lam) ).
     """
@@ -246,14 +237,20 @@ def limit_variance(schedule: FlockingSchedule, sigma: float, t):
 
 def limit_value(schedule: FlockingSchedule, sigma: float) -> float:
     """Large-population limit of the average equilibrium value on the
-    schedule's measure mu:
+    schedule's measure mu, f(T) the solve's f_values[-1]:
 
         -(sigma^2/2) log( integral of (-lam)/(1 - lam f(T)) dmu(lam) ).
+
+    mu has mean -1, so the integral is 1 - y, y = f(T) * integral of
+    lam^2/(1 - lam f(T)) dmu: log1p(-y) keeps small c*T accurate, and
+    where y > 1/2 the integral as it stands keeps large c*T accurate.
     """
     _check_model(sigma=sigma)
-    f_T = schedule.value(schedule.T)
-    integral = schedule.measure.integrate(lambda lam: -lam / (1.0 - lam * f_T))
-    return -0.5 * sigma**2 * math.log(integral)
+    mu, f_T = schedule.measure, schedule.f_values[-1]
+    y = f_T * mu.integrate(lambda lam: lam * lam / (1.0 - lam * f_T))
+    if y <= 0.5:
+        return -0.5 * sigma**2 * math.log1p(-y)
+    return -0.5 * sigma**2 * math.log(mu.integrate(lambda lam: -lam / (1.0 - lam * f_T)))
 
 
 def _f_matrix(k: EquilibriumKernel, i: int, rho: np.ndarray) -> np.ndarray:

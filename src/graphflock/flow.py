@@ -17,7 +17,8 @@ and Approximation Practice, 2013; Aurentz & Trefethen, "Chopping a
 Chebyshev series", 2017), so f is exact to rounding at any t.  The same
 series gives dt = T G(u) du, so an integral of h(f(t)) dt is a smooth
 integral in u: FlockingSchedule.curve_rule is its composite Gauss-Legendre
-rule, for such integrals to one time or to many.
+rule, for such integrals to one time or to many.  One Newton, _newton,
+inverts both Psi and cycle_closed_form's Phi.  f(T) is f_values[-1].
 The series' coefficients come from a DCT-I done as numpy's real FFT, so
 this module needs numpy alone.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.chebyshev import chebint
 
-from .errors import DomainError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .spectral import SpectralMeasure, _leggauss
 
 #: Default step count of solve_f's output grid.
@@ -42,8 +43,7 @@ MIN_ODE_STEPS = 100
 #: Absolute slack allowed when checking analytic bounds on Q and f.
 BOUND_TOL = 1e-8
 
-#: Convergence target for the cycle closed form's scalar root-find, which
-#: also stops once its bracket holds two adjacent floats.
+#: Convergence target of the cycle closed form's Newton inversion.
 PHI_INVERSE_TOL = 1e-12
 
 #: G's Chebyshev coefficients below CHOP_TOL times the largest are chopped.
@@ -51,8 +51,8 @@ PHI_INVERSE_TOL = 1e-12
 CHOP_TOL, MIN_DEGREE, MAX_DEGREE = 1e-14, 16, 4096
 
 #: Newton stops at |Psi(u) - t/T| <= NEWTON_TOL * sum |Psi's coefficients|,
-#: a bound on Clenshaw's rounding, or once its bracket holds two adjacent
-#: floats, or fails after NEWTON_MAX_ITER steps.
+#: a bound on Clenshaw's rounding; every Newton stops once its bracket holds
+#: two adjacent floats, or fails after NEWTON_MAX_ITER steps.
 NEWTON_TOL, NEWTON_MAX_ITER = 8 * np.finfo(float).eps, 100
 
 
@@ -122,26 +122,38 @@ def _chebyshev_series(mu: SpectralMeasure, scale: float):
     raise NumericError(f"the schedule's Chebyshev series needs a degree above {MAX_DEGREE} at c*T = {scale:.6g}")
 
 
+def _newton(fun, slope, target, u, lo, hi, tol):
+    """(u, residuals) with fun(u) = target over arrays, fun increasing: Newton
+    from u, or bisection where a step leaves the bracket [lo, hi] that each
+    step narrows.  An entry stops at |residual| <= tol or once its bracket
+    holds two adjacent floats; NumericError after NEWTON_MAX_ITER steps."""
+    for _ in range(NEWTON_MAX_ITER):
+        residual = fun(u) - target
+        lo, hi = np.where(residual < 0.0, u, lo), np.where(residual > 0.0, u, hi)
+        active = (np.abs(residual) > tol) & (np.nextafter(lo, hi) < hi)
+        if not active.any():
+            return u, residual
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope at a converged u: step unused
+            step = u - residual / slope(u)
+        u = np.where(active, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)), u)
+    raise NumericError(f"a Newton inversion did not converge in {NEWTON_MAX_ITER} steps")
+
+
 def _invert(series, tau, table_tau, table_u):
-    """(u, residuals) with Psi(u) = tau over an array tau, by Newton from the
-    ascending table table_tau = Psi(table_u), interpolated linearly in u^2
-    (exact where Psi is a multiple of u^2), with a bisection fallback inside
-    the bracketing table entries."""
+    """(u, residuals) with Psi(u) = tau over an array tau, by _newton from
+    the ascending table table_tau = Psi(table_u), interpolated linearly in
+    u^2 (exact where Psi is a multiple of u^2), inside the bracketing table
+    entries."""
     slope, integral, tol = series
     j = np.clip(np.searchsorted(table_tau, tau), 1, table_tau.size - 1)
     lo, hi = table_u[j - 1], table_u[j]
     w = np.clip((tau - table_tau[j - 1]) / (table_tau[j] - table_tau[j - 1]), 0.0, 1.0)
     u = np.sqrt(lo * lo + w * (hi * hi - lo * lo))
-    for _ in range(NEWTON_MAX_ITER):
-        residual = _clenshaw(integral, 2.0 * u - 1.0) - tau
-        lo, hi = np.where(residual < 0.0, u, lo), np.where(residual > 0.0, u, hi)
-        active = (np.abs(residual) > tol) & (np.nextafter(lo, hi) < hi)  # adjacent floats bracket no closer u
-        if not active.any():
-            return u, residual
-        with np.errstate(divide="ignore", invalid="ignore"):  # G(0) = 0 at a converged u = 0: step unused
-            step = u - residual / _clenshaw(slope, 2.0 * u - 1.0)
-        u = np.where(active, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)), u)
-    raise NumericError(f"the schedule's Newton inversion did not converge in {NEWTON_MAX_ITER} steps")
+
+    def series_at(coef):
+        return lambda u: _clenshaw(coef, 2.0 * u - 1.0)
+
+    return _newton(series_at(integral), series_at(slope), tau, u, lo, hi, tol)
 
 
 def _clamp_time(t, T):
@@ -293,25 +305,25 @@ def _check_schedule(s: FlockingSchedule) -> None:
         raise NumericError("schedule undercuts its Taylor lower bound")
 
 
-def _phi(x: float) -> float:
+def _phi(x):
     s = np.sqrt(1.0 + 2.0 * x)
-    return float(np.log1p(s) - s + x + 0.5)
+    return np.log1p(s) - s + x + 0.5
 
 
-def _phi_prime(x: float) -> float:
+def _phi_prime(x):
     s = np.sqrt(1.0 + 2.0 * x)
-    return float(s / (1.0 + s))
+    return s / (1.0 + s)
 
 
 def cycle_closed_form(c: float, t: float) -> float:
     """Closed-form flocking schedule for the cycle limit measure.
 
     Returns the inverse of Phi(x) = log(1 + sqrt(1+2x)) - sqrt(1+2x) + x + 1/2
-    at log(2) + (c*t - 1)/2, computed by safeguarded Newton iteration with a
-    bisection fallback; Phi is strictly increasing so the root is unique.
-    Newton stops at |Phi(x) - target| <= PHI_INVERSE_TOL, or where Phi's
-    float spacing exceeds that (x near 1.6e4 at c = 1e5) once its bracket
-    holds two adjacent floats.  A t that is not finite and >= 0 raises
+    at log(2) + (c*t - 1)/2, by _newton in a bracket [0, hi] doubled until it
+    holds the root (Phi is strictly increasing).  Newton stops at
+    |Phi(x) - target| <= PHI_INVERSE_TOL, or where Phi's float spacing
+    exceeds that (x near 1.6e4 at c = 1e5) once its bracket holds two
+    adjacent floats.  A t that is not finite and >= 0 raises
     ParameterError, and c*t keeps _check_model's c*T rule.
     """
     if not 0.0 <= t < math.inf:  # false for NaN too
@@ -319,27 +331,10 @@ def cycle_closed_form(c: float, t: float) -> float:
     _check_model(c=c, T=t or 1.0)  # t = 0 has no c*t to overflow
     target = float(np.log(2.0) + 0.5 * (c * t - 1.0))
     floor = _phi(0.0)
-    if target < floor - PHI_INVERSE_TOL:
-        raise DomainError(f"target {target} lies below Phi(0) = {floor}")
     if target <= floor:
         return 0.0
-    lo, hi = 0.0, max(1.0, target - floor)
+    hi = max(1.0, target - floor)
     while _phi(hi) < target:
         hi *= 2.0
     x = min(max(target - np.log(2.0) + 0.5, 0.0), hi)
-    for _ in range(200):
-        err = _phi(x) - target
-        if abs(err) <= PHI_INVERSE_TOL:
-            return float(x)
-        if err > 0:
-            hi = x
-        else:
-            lo = x
-        if np.nextafter(lo, hi) >= hi:  # no float lies between: Phi's rounding is above the tolerance
-            return float(x)
-        step = err / _phi_prime(x)
-        x_new = x - step
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-    raise NumericError("Phi inverse did not converge to tolerance")
+    return float(_newton(_phi, _phi_prime, target, x, 0.0, hi, PHI_INVERSE_TOL)[0])

@@ -491,21 +491,6 @@ def _vector(g: Graph, x) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    min_degree: int
-    max_degree: int
-    is_regular: bool
-    common_degree: int | None
-
-
-def degree_stats(g: Graph) -> DegreeStats:
-    """Exact degree statistics; common_degree is None unless regular."""
-    lo, hi = int(g.degrees.min()), int(g.degrees.max())
-    regular = lo == hi
-    return DegreeStats(lo, hi, regular, lo if regular else None)
-
-
 def _automorphism_mapping_exists(adj: np.ndarray, target: int) -> bool:
     """Backtracking search for an automorphism sending vertex 0 to `target`."""
     n = adj.shape[0]

@@ -70,14 +70,6 @@ class SimConfig:
             raise ParameterError(f"dt = {self.dt} does not divide the horizon T = {T}")
         return steps
 
-    def to_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "dt": self.dt,
-            "seed": self.seed,
-            "record_times": list(self.record_times),
-        }
-
 
 @dataclass
 class PathEnsemble:

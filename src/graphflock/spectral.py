@@ -264,16 +264,6 @@ class SpectralMeasure:
         return self.integrate(lambda lam: (lam + 1.0) ** 2)
 
 
-def integrate(mu: SpectralMeasure, h) -> float:
-    """Integral of h against the measure (exact sum for discrete measures)."""
-    return mu.integrate(h)
-
-
-def measure_moments(mu: SpectralMeasure) -> tuple[float, float]:
-    """(mean, variance) of the measure, both via its quadrature rule."""
-    return mu.mean(), mu.variance()
-
-
 def _validate_measure(mu: SpectralMeasure) -> SpectralMeasure:
     mass = float(mu.weights.sum())
     if abs(mass - 1.0) > MASS_TOL:
@@ -446,11 +436,13 @@ def limit_measure(kind: str, d: int | None = None) -> SpectralMeasure:
     """Analytic limit measures: 'dirac_minus_one', 'cycle_limit',
     'torus_limit' (d >= 1), 'kesten_mckay' (d >= 3; d = 2 is the cycle
     limit).  d goes straight to the kind's rule, as an int (None for a
-    kind without d); a d that is not an integer, or is a bool, raises
-    ParameterError."""
+    kind without d); a d that is not an integer, or is a bool, or any d
+    given to a kind without one, raises ParameterError."""
     if not isinstance(kind, str) or kind not in _LIMITS:
         raise ParameterError(f"unknown limit measure kind {kind!r}")
     _, least, rule = _LIMITS[kind]
+    if least is None and d is not None:
+        raise ParameterError(f"{kind} takes no d, got {d!r}")
     if least is not None and (isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < least):
         raise ParameterError(f"{kind} needs an integer d >= {least}, got {d!r}")
     return _validate_measure(SpectralMeasure(kind, *rule(None if least is None else int(d))))

@@ -171,6 +171,7 @@ class TestStateLaw:
     def test_zero_mode_variance_is_sigma2_t(self):
         k = kernel(cycle(5), sigma=1.7, steps=400)
         law = state_law(k, 0.8)
+        assert np.array_equal(law.mean, np.zeros(5))  # no x0: one zero mean per player
         ones = np.ones(5) / np.sqrt(5)
         assert ones @ law.covariance @ ones == pytest.approx(1.7**2 * 0.8, abs=1e-10)
 
@@ -192,12 +193,6 @@ class TestStateLaw:
         k = kernel(torus(3, 2), steps=400)
         law = state_law(k, 0.7)
         assert np.linalg.eigvalsh(law.covariance).min() >= -1e-9
-
-    def test_law_serialization(self):
-        k = kernel(complete(3), steps=200)
-        payload = state_law(k, 0.5).to_dict()
-        assert set(payload) == {"mean", "cov_eigenvalues"}
-        assert len(payload["mean"]) == 3
 
 
 class TestPlayerVariance:
@@ -401,7 +396,9 @@ class TestGameValue:
         p_eigenvalues(k, 0.3)
         assert len(calls) == 1
         calls.clear()
-        game_value(k)
+        game_value(k)  # f(T) is the solve's last grid value
+        assert len(calls) == 0
+        game_value(k, np.arange(8.0))  # f(T - 0), for P(0)
         assert len(calls) == 1
         calls.clear()
         riccati_residual(k, 0, 0.5)
@@ -480,6 +477,25 @@ class TestLimits:
         mu = limit_measure("dirac_minus_one")
         s = solve_f(mu, 1.0, 1.0, 500)
         assert limit_value(s, 1.0) == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0])
+    def test_cycle_limit_value_holds_at_small_ct(self, c):
+        # Cycle limit: int (-lam)/(1 - lam x) dmu = 1 - x(1 + 2/s)/(1 + x + s),
+        # s = sqrt(1 + 2x), so the value is a log1p at x = f(T).  A log of
+        # the integral, which is 1 - O(x), loses its digits as x goes to 0
+        # (1e-5 relative at c = 1e-10).
+        s = solve_f(limit_measure("cycle_limit"), c, 1.0, 100)
+        x = s.f_values[-1]
+        root = math.sqrt(1.0 + 2.0 * x)
+        exact = -0.5 * math.log1p(-x * (1.0 + 2.0 / root) / (1.0 + x + root))
+        assert limit_value(s, 1.0) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 5.0, 1e3, 1e6, 1e9, 1e12])
+    def test_dirac_value_holds_at_any_ct(self, c):
+        # Dirac at -1: the value is log1p(f(T))/2.  At large c*T the integral
+        # 1/(1 + f) is small, and 1 - f/(1 + f) would lose its digits.
+        s = solve_f(limit_measure("dirac_minus_one"), c, 1.0, 100)
+        assert limit_value(s, 1.0) == pytest.approx(0.5 * math.log1p(s.f_values[-1]), rel=1e-15, abs=0.0)
 
     def test_limit_value_vanishing_horizon(self):
         mu = limit_measure("cycle_limit")

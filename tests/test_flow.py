@@ -331,6 +331,12 @@ class TestCycleClosedForm:
             target = np.log(2.0) + 0.5 * (c * t - 1.0)
             assert abs(_phi(x) - target) <= 4 * np.spacing(max(1.0, target))
 
+    def test_newton_failure_raises(self, monkeypatch):
+        # The schedule's Newton serves the closed form too, with its step cap.
+        monkeypatch.setattr(flow, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(NumericError, match="did not converge in 1 steps"):
+            cycle_closed_form(1.0, 0.5)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):

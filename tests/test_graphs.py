@@ -14,7 +14,6 @@ from graphflock.graphs import (
     build_graph,
     complete,
     cycle,
-    degree_stats,
     edge_list_graph,
     erdos_renyi,
     graph_distances,
@@ -330,18 +329,16 @@ class TestDistances:
 
 class TestDegreeStats:
     def test_torus(self):
-        stats = degree_stats(torus(3, 2))
-        assert (stats.min_degree, stats.max_degree, stats.is_regular, stats.common_degree) == (4, 4, True, 4)
+        g = torus(3, 2)
+        assert (g.min_degree, int(g.degrees.max()), g.is_regular, int(g.degrees[0])) == (4, 4, True, 4)
 
     def test_path(self):
-        stats = degree_stats(path_graph(3))
-        assert (stats.min_degree, stats.max_degree, stats.is_regular) == (1, 2, False)
-        assert stats.common_degree is None
+        g = path_graph(3)
+        assert (g.min_degree, int(g.degrees.max()), g.is_regular) == (1, 2, False)
 
     def test_complete(self):
-        stats = degree_stats(complete(7))
-        assert stats == degree_stats(complete(7))
-        assert stats.common_degree == 6
+        g = complete(7)
+        assert (g.min_degree, int(g.degrees.max()), g.is_regular) == (6, 6, True)
 
 
 class TestTransitivity:

@@ -13,13 +13,11 @@ from graphflock.spectral import (
     EigenSystem,
     empirical_measure,
     eigendecompose,
-    integrate,
     kesten_mckay_cdf,
     ks_distance,
     laplacian,
     laplacian_eigensystem,
     limit_measure,
-    measure_moments,
     measure_spec,
 )
 
@@ -251,18 +249,18 @@ class TestLimitMeasures:
     @pytest.mark.parametrize("kind,d", ANALYTIC_KINDS)
     def test_mass_mean_support(self, kind, d):
         mu = limit_measure(kind, d=d)
-        assert abs(integrate(mu, lambda lam: np.ones_like(lam)) - 1.0) < 1e-10
-        assert abs(integrate(mu, lambda lam: lam) + 1.0) < 1e-8
+        assert abs(mu.integrate(lambda lam: np.ones_like(lam)) - 1.0) < 1e-10
+        assert abs(mu.integrate(lambda lam: lam) + 1.0) < 1e-8
         assert mu.nodes.min() >= -2.0 - 1e-9 and mu.nodes.max() <= 1e-9
 
     def test_dirac(self):
         mu = limit_measure("dirac_minus_one")
         assert mu.nodes.tolist() == [-1.0] and mu.weights.tolist() == [1.0]
-        assert measure_moments(mu) == (-1.0, 0.0)
+        assert (mu.mean(), mu.variance()) == (-1.0, 0.0)
 
     def test_cycle_limit_moments(self):
         mu = limit_measure("cycle_limit")
-        mean, var = measure_moments(mu)
+        mean, var = mu.mean(), mu.variance()
         assert abs(mean + 1.0) < 1e-12
         assert abs(var - 0.5) < 1e-12  # E[cos^2] = 1/2
 
@@ -275,8 +273,8 @@ class TestLimitMeasures:
         t1 = limit_measure("torus_limit", d=1)
         c = limit_measure("cycle_limit")
         for x in (0.3, 2.0):
-            a = integrate(t1, lambda lam: np.log1p(-x * lam))
-            b = integrate(c, lambda lam: np.log1p(-x * lam))
+            a = t1.integrate(lambda lam: np.log1p(-x * lam))
+            b = c.integrate(lambda lam: np.log1p(-x * lam))
             assert abs(a - b) < 1e-12
 
     def test_torus_2_convolution_matches_direct_tensor(self):
@@ -291,7 +289,7 @@ class TestLimitMeasures:
         mu = limit_measure("torus_limit", d=2)
         for x in (0.5, 1.0, 5.0):
             direct = wt @ np.log1p(-x * lam)
-            compressed = integrate(mu, lambda v: np.log1p(-x * v))
+            compressed = mu.integrate(lambda v: np.log1p(-x * v))
             assert abs(direct - compressed) < 1e-12
 
     def test_compressed_rule_keeps_the_atoms_moments(self):
@@ -323,7 +321,8 @@ class TestLimitMeasures:
         assert abs(np.abs(1 + mu.nodes).max() - radius) < 0.05  # nodes reach the edge
 
     def test_kesten_mckay_moments(self):
-        mean, var = measure_moments(limit_measure("kesten_mckay", d=3))
+        mu = limit_measure("kesten_mckay", d=3)
+        mean, var = mu.mean(), mu.variance()
         assert abs(mean + 1.0) < 1e-10
         assert abs(var - 1.0 / 3.0) < 1e-10
 
@@ -338,6 +337,9 @@ class TestLimitMeasures:
             ("torus_limit", True),
             ("kesten_mckay", 3.9),
             ("torus_limit", "2"),
+            # A d for a kind that takes none: each was once ignored.
+            ("cycle_limit", 5),
+            ("dirac_minus_one", "junk"),
         ],
     )
     def test_parameter_errors(self, kind, d):
@@ -369,7 +371,7 @@ class TestLimitMeasures:
     def test_integrate_rejects_nonfinite(self):
         mu = limit_measure("cycle_limit")
         with pytest.raises(NumericError):
-            integrate(mu, lambda lam: np.full_like(lam, np.inf))
+            mu.integrate(lambda lam: np.full_like(lam, np.inf))
 
 
 class TestKestenMcKayLaw:
