@@ -75,7 +75,7 @@ def _measure(text: str) -> str:
 
 _positive_float = _checked(float, "a positive finite number", lambda x: 0.0 < x < math.inf)
 _t_grid = _checked(_grid, "START:STOP:COUNT with COUNT >= 1", lambda grid: grid[2] >= 1)
-_steps = _checked(int, "an integer >= 100", lambda k: k >= 100)
+_steps = _checked(int, "an integer >= 1", lambda k: k >= 1)
 _record_times = _checked(lambda text: tuple(map(float, text.split(","))), "comma-separated times")
 
 #: Every option and its argparse keywords.  Each type is the option's one
@@ -174,14 +174,8 @@ def _times(args) -> "np.ndarray":
 _CSV_BLOCK_ROWS = 1024
 
 
-def _fmt(x) -> str:
-    if not math.isfinite(x := float(x)):
-        raise NumericError("output holds a non-finite number")
-    return format(x, ".15g")
-
-
 def _csv_rows(table):
-    """The rows of a 2-D table as CSV text, every cell as _fmt writes it,
+    """The rows of a 2-D table as CSV text, every cell as %.15g writes it,
     one string per block of _CSV_BLOCK_ROWS rows; a non-finite cell raises
     NumericError before any text is made."""
     import numpy as np
@@ -367,7 +361,7 @@ def _cmd_simulate(args) -> None:
     for t in ensemble.times:
         stats = montecarlo.ensemble_stats(ensemble, t)
         fields = ("mean", "mean_se", "variance", "variance_se")
-        summary[_fmt(t)] = {k: [float(v) for v in getattr(stats, k)] for k in fields}
+        summary["%.15g" % t] = {k: [float(v) for v in getattr(stats, k)] for k in fields}
     config = _resolved_config(args, "simulate", profile=args.profile, sim=dataclasses.asdict(cfg))
     if args.dump_samples:
         import numpy as np

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ParameterError
 from .flow import DEFAULT_ODE_STEPS, FlockingSchedule, _check_model, _clamp_time, solve_f
 from .graphs import Graph, Transitivity, _vector, _vertex, graph_distances
 from .spectral import EigenSystem, empirical_measure, laplacian_eigensystem
@@ -148,9 +148,9 @@ def _variance_integral(lam, schedule, sigma, t, weights=None):
 
 def p_eigenvalues(k: EquilibriumKernel, t) -> np.ndarray:
     """Eigenvalues of P(t) paired with k.eigen's columns, from one evaluation
-    of f(T - t); a row per time of an array t.  rhs's (times x n)
-    temporaries are freed before the quotient's table is made, in place,
-    so a table of many times peaks at two (times x n) arrays."""
+    of f(T - t); a row per time of an array t.  rhs takes its table in
+    blocks and the quotient is made in place, so a table of many times
+    peaks at two (times x n) arrays."""
     lam = k.eigen.eigenvalues
     f = k.schedule.value(k.T - _clamp_time(t, k.T))
     slope = -k.schedule.rhs(f)
@@ -269,16 +269,18 @@ def riccati_residual(k: EquilibriumKernel, i: int, t: float) -> float:
                 + F^i e_i e_i^T F^i = 0.
 
     dF^i/dt is taken by a five-point central difference on the schedule
-    grid (t snaps to the nearest interior node), so the residual of an
-    exact solution is differencing noise.
+    grid (t snaps to the nearest node two or more steps from either end),
+    so the residual of an exact solution is differencing noise; a grid of
+    fewer than 4 steps raises ParameterError.
     """
     if k.graph.transitivity is Transitivity.NOT_TRANSITIVE:
         raise DomainError("Riccati residual is defined via the transitive construction")
     i = _vertex(k.n, i)
     t = _clamp_time(t, k.T)
+    if k.schedule.steps < 4:
+        raise ParameterError(f"the five-point stencil needs a grid of >= 4 steps, got {k.schedule.steps}")
     h = k.T / k.schedule.steps
-    j = int(round(t / h))
-    j = min(max(j, 2), k.schedule.steps - 2)
+    j = min(max(round(t / h), 2), k.schedule.steps - 2)
 
     rhos = p_eigenvalues(k, k.schedule.grid[j - 2 : j + 3])  # one schedule evaluation for the stencil
     stencil = [_f_matrix(k, i, rho) for rho in rhos]

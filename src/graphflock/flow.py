@@ -37,9 +37,6 @@ from .spectral import SpectralMeasure, _leggauss
 #: Default step count of solve_f's output grid.
 DEFAULT_ODE_STEPS = 2000
 
-#: Minimum step count accepted by solve_f.
-MIN_ODE_STEPS = 100
-
 #: Absolute slack allowed when checking analytic bounds on Q and f.
 BOUND_TOL = 1e-8
 
@@ -57,28 +54,38 @@ NEWTON_TOL, NEWTON_MAX_ITER = 8 * np.finfo(float).eps, 100
 
 
 def q_eval(mu: SpectralMeasure, x: float) -> tuple[float, float]:
-    """Evaluate (Q(x), Q'(x)) for x >= 0.
+    """Evaluate (Q(x), Q'(x)) for a finite x >= 0.
 
-    Checks the analytic envelopes 1 <= Q <= 1 + x and 0 < Q' <= 1; a
-    violation beyond tolerance means the measure's quadrature is broken.
+    Checks the analytic envelopes 1 <= Q <= 1 + x and 0 < Q' <= 1 (as
+    _q_pair does); a violation means the measure's quadrature is broken.
     """
-    if x < 0:
-        raise ParameterError(f"q_eval needs x >= 0, got {x}")
-    q, qp = map(float, _q_pair(mu.nodes, mu.weights, float(x)))
+    if not 0.0 <= x < math.inf:  # false for NaN too
+        raise ParameterError(f"q_eval needs a finite x >= 0, got {x}")
+    q, qp = (float(v[0]) for v in _q_pair(mu.nodes, mu.weights, x))
     if not (1.0 - BOUND_TOL <= q <= 1.0 + x + BOUND_TOL):
         raise NumericError(f"Q({x}) = {q} escapes its envelope [1, 1 + x]")
-    if not (0.0 < qp <= 1.0 + BOUND_TOL):
-        raise NumericError(f"Q'({x}) = {qp} escapes its envelope (0, 1]")
     return q, qp
 
 
 def _q_pair(nodes, weights, x):
-    """(Q(x), Q'(x)) for the rule (nodes, weights): a scalar x, or a column
-    of x values.  Every reduction is a row-wise dot, so an x gets the same
-    bits alone as in a column (rhs takes one slope or many)."""
-    resolvent = 1.0 - x * nodes
-    q = np.exp(np.vecdot(np.log(resolvent), weights))
-    return q, -q * np.vecdot(nodes / resolvent, weights)
+    """(Q(x), Q'(x)) for the rule (nodes, weights) at each entry of x, as
+    flat arrays, from the (x, node) table in blocks of rows that keep each
+    temporary to 2 MiB (or one row).  Every reduction is a row-wise dot, so
+    an x gets the same bits alone as in any column or block.  A Q' outside
+    0 < Q' <= 1, as an overflow at a huge x gives, raises NumericError."""
+    x = np.reshape(x, (-1, 1))
+    q, qp = np.empty(x.size), np.empty(x.size)
+    rows = max(1, 2**18 // nodes.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the envelope below
+        for lo in range(0, x.size, rows):
+            block = slice(lo, lo + rows)
+            resolvent = 1.0 - x[block] * nodes
+            q[block] = np.exp(np.vecdot(np.log(resolvent), weights))
+            qp[block] = -q[block] * np.vecdot(nodes / resolvent, weights)
+    bad = np.flatnonzero(~((0.0 < qp) & (qp <= 1.0 + BOUND_TOL)))
+    if bad.size:
+        raise NumericError(f"Q'({x[bad[0], 0]:.6g}) = {qp[bad[0]]:.6g} escapes its envelope (0, 1]")
+    return q, qp
 
 
 def _clenshaw(coef, s):
@@ -107,10 +114,7 @@ def _chebyshev_series(mu: SpectralMeasure, scale: float):
     n = MIN_DEGREE
     while n <= MAX_DEGREE:
         u = np.append(0.5 + 0.5 * np.cos(np.pi * np.arange(n + 1) / n), probe)  # descending; u[n] = 0
-        qp = _q_pair(mu.nodes, mu.weights, (scale * u * u)[:, None])[1]
-        if not np.all((0.0 < qp) & (qp <= 1.0 + BOUND_TOL)):  # q_eval's envelope
-            raise NumericError(f"Q' escapes its envelope (0, 1] on [0, {scale:.6g}]")
-        g = 2.0 * u / qp
+        g = 2.0 * u / _q_pair(mu.nodes, mu.weights, scale * u * u)[1]
         coef = _dct1(g[:-1]) / n
         coef[[0, n]] *= 0.5
         size = np.abs(coef)
@@ -252,7 +256,7 @@ class FlockingSchedule:
     def rhs(self, f):
         """The ODE's right-hand side c * Q'(f) at schedule values f: the
         slope where the schedule takes the value f, with no evaluation of f."""
-        out = self.c * _q_pair(self.measure.nodes, self.measure.weights, np.atleast_1d(f)[:, None])[1]
+        out = self.c * _q_pair(self.measure.nodes, self.measure.weights, f)[1]
         return float(out[0]) if np.ndim(f) == 0 else out
 
 
@@ -271,8 +275,8 @@ def solve_f(
     """
     _check_model(c=c, T=T)
     c, T = float(c), float(T)
-    if steps < MIN_ODE_STEPS:
-        raise ParameterError(f"solve_f needs steps >= {MIN_ODE_STEPS}, got {steps}")
+    if steps < 1:  # f_values[-1] is f(T) only on a grid that reaches T
+        raise ParameterError(f"solve_f needs steps >= 1, got {steps}")
     slope, chop_tail, nodes = _chebyshev_series(mu, c * T)
     integral = chebint(slope, lbnd=-1.0, scl=0.5)
     series = (slope.tolist(), integral.tolist(), NEWTON_TOL * float(np.abs(integral).sum()))

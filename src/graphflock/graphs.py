@@ -183,8 +183,7 @@ def cycle(n: int) -> Graph:
     """Cycle graph on n >= 3 vertices."""
     if n < 3:
         raise ParameterError(f"cycle graph needs n >= 3, got {n}")
-    idx = np.arange(n)
-    return _make(n, idx, (idx + 1) % n, "cycle", {"n": n}, Transitivity.KNOWN)
+    return _make(n, np.arange(n), _torus_successors(n, 1)[0], "cycle", {"n": n}, Transitivity.KNOWN)
 
 
 def torus(side: int, d: int) -> Graph:
@@ -199,24 +198,28 @@ def torus(side: int, d: int) -> Graph:
     if d < 1:
         raise ParameterError(f"torus needs d >= 1, got {d}")
     n = side**d
-    idx = np.arange(n)
-    successors = []
-    for axis in range(d):
-        stride = side**axis
-        coord = (idx // stride) % side
-        successors.append(idx + stride * ((coord + 1) % side - coord))
-    return _make(n, np.tile(idx, d), np.concatenate(successors), "torus", {"side": side, "d": d}, Transitivity.KNOWN)
+    successors = _torus_successors(side, d).ravel()
+    return _make(n, np.tile(np.arange(n), d), successors, "torus", {"side": side, "d": d}, Transitivity.KNOWN)
 
 
-def philox_key(seed) -> int:
-    """The seed as a Philox key; ParameterError unless it is given and lies
-    in [0, 2**128)."""
+def _torus_successors(side: int, d: int) -> np.ndarray:
+    """Row a: every vertex's successor along axis a of the lattice
+    {0,..,side-1}^d, vertex sum_i coord_i side^i."""
+    idx, stride = np.arange(side**d), side ** np.arange(d)[:, None]
+    coord = (idx // stride) % side
+    return idx + stride * ((coord + 1) % side - coord)
+
+
+def philox(seed, block: int = 0) -> np.random.Generator:
+    """The generator of seed's Philox stream from counter block << 128, so
+    that blocks are disjoint 2**128-wide runs of it; ParameterError unless
+    seed is given and lies in [0, 2**128)."""
     if seed is None:
         raise ParameterError("a seed is required")
     key = int(seed)
     if not 0 <= key < 2**128:
         raise ParameterError(f"seed must be in [0, 2**128), got {key}")
-    return key
+    return np.random.Generator(np.random.Philox(key=key, counter=block << 128))
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -230,7 +233,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise ParameterError(f"erdos_renyi needs n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"edge probability must be in [0, 1], got {p}")
-    gen = np.random.Generator(np.random.Philox(key=philox_key(seed)))
+    gen = philox(seed)
     rows, cols = np.triu_indices(n, k=1)
     mask = gen.random(rows.size) < p
     return _make(n, rows[mask], cols[mask], "erdos_renyi", {"n": n, "p": p, "seed": int(seed)})
@@ -254,7 +257,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise ParameterError(f"degree must be nonnegative, got {d}")
     if (n * d) % 2 != 0:
         raise ParameterError(f"n*d must be even, got n={n}, d={d}")
-    gen = np.random.Generator(np.random.Philox(key=philox_key(seed)))
+    gen = philox(seed)
     stubs = np.repeat(np.arange(n), d)
     params = {"n": n, "d": d, "seed": int(seed)}
     u = v = None

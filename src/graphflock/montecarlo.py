@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .graphs import Graph, _vertex, philox_key
+from .graphs import Graph, _vertex, philox
 from .strategies import LinearProfile, _checked
 from .threads import thread_count
 
@@ -65,10 +65,17 @@ class SimConfig:
     record_times: tuple[float, ...] = ()
 
     def steps_for(self, T: float) -> int:
-        steps = round(T / self.dt)
-        if steps < 1 or abs(steps * self.dt - T) > _TIME_MATCH_TOL * max(1.0, T):
+        steps = _whole_steps(T, self.dt, T)
+        if steps is None or steps < 1:
             raise ParameterError(f"dt = {self.dt} does not divide the horizon T = {T}")
         return steps
+
+
+def _whole_steps(t: float, dt: float, T: float) -> int | None:
+    """The grid rule of a horizon T: the number of dt steps to t, if t is a
+    whole number of them to within _TIME_MATCH_TOL * max(1, T); else None."""
+    steps = round(t / dt) if math.isfinite(t / dt) else 0  # NaN or overflow: only a t near 0 can match
+    return steps if abs(steps * dt - t) <= _TIME_MATCH_TOL * max(1.0, T) else None
 
 
 @dataclass
@@ -83,11 +90,6 @@ class PathEnsemble:
             if abs(rec - t) <= _TIME_MATCH_TOL:
                 return self.states[rec]
         raise ParameterError(f"time {t} was not recorded (recorded: {self.times})")
-
-
-def _step_generator(seed: int, step: int) -> np.random.Generator:
-    # Disjoint 2^128-wide counter blocks per step: streams never overlap.
-    return np.random.Generator(np.random.Philox(key=int(seed), counter=step << 128))
 
 
 def draw_threads(block_bytes: int) -> int:
@@ -109,13 +111,13 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
         raise ParameterError(f"n_paths must be >= 1, got {cfg.n_paths}")
     if not 0.0 < cfg.dt < np.inf:
         raise ParameterError(f"dt must be positive and finite, got {cfg.dt}")
-    philox_key(cfg.seed)
+    philox(cfg.seed)  # checks the seed before anything is allocated
     steps = cfg.steps_for(prof.T)
     record_times = cfg.record_times or (prof.T,)
     record_index: dict[int, float] = {}
     for t in record_times:
-        j = round(t / cfg.dt) if np.isfinite(t) else -1  # -1: off the grid
-        if not 0 <= j <= steps or abs(j * cfg.dt - t) > _TIME_MATCH_TOL * max(1.0, prof.T):
+        j = _whole_steps(t, cfg.dt, prof.T)
+        if j is None or not 0 <= j <= steps:
             raise ParameterError(f"record time {t} is not on the simulation grid")
         record_index[j] = float(t)
 
@@ -140,7 +142,7 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
         # Runs on the pool.  Step j's draws depend on (seed, j) alone, so any
         # thread may fill them.
         block = ring[j % len(ring)]
-        _step_generator(cfg.seed, j).standard_normal(out=block)
+        philox(cfg.seed, j).standard_normal(out=block)
         block *= noise_scale
 
     record(0)

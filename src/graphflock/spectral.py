@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, NumericError, ParameterError
-from .graphs import Graph
+from .graphs import Graph, _torus_successors
 
 #: Eigenvalues may stick out of [-2, 0] by at most this much before clamping.
 EIGENVALUE_CLAMP_TOL = 1e-9
@@ -171,13 +171,7 @@ def _is_torus(g: Graph, side: int, d: int) -> bool:
     each axis (side >= 3 makes those 2d neighbours distinct)."""
     if not (g.degrees == 2 * d).all():
         return False
-    idx = np.arange(g.n)
-    for axis in range(d):
-        stride = side**axis
-        coord = (idx // stride) % side
-        if not g.has_edges(idx, idx + stride * ((coord + 1) % side - coord)).all():
-            return False
-    return True
+    return all(g.has_edges(np.arange(g.n), successors).all() for successors in _torus_successors(side, d))
 
 
 def _closed_form_spectrum(g: Graph) -> np.ndarray | None:

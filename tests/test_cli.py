@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -141,6 +142,20 @@ class TestFigures:
         header, rows = parse_csv(out1)
         assert header[0] == "t" and len(header) == 9
         assert rows.shape == (101, 9)
+
+    @pytest.mark.parametrize(
+        "fig, digest",
+        [
+            ("fig1", "7b6d77821cb3b15d6a70df166733b917e6f5fa782b8a773b83afdb11ca7b5f5c"),
+            ("fig2", "46a349970f628d126343e29aa891633db71d17f5448d57ff4079dafcac4020ca"),
+            ("fig3", "275bbd3b4f6c96aa1485ed6b2c08f381f8132a72c3eacabdd2bf90364fc94d15"),
+        ],
+    )
+    def test_figure_bytes_are_pinned(self, capsys, fig, digest):
+        # The figures are byte-stable: a change that moves any digit of them shows here.
+        code, out, _ = run(capsys, fig)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_fig2_monotone_in_dimension(self, capsys):
         code, out, _ = run(capsys, "fig2")
@@ -363,6 +378,7 @@ class TestConfigAndErrors:
             "value --graph cycle:10 --sigma 1e400",
             "nash-audit --graph cycle:6 --steps 100 --c inf",
             "simulate --graph cycle:3 --paths 10 --dt nan",
+            "simulate --graph cycle:3 --paths 10 --dt 5e-324",
             "simulate --graph cycle:3 --paths 10 --record-times 0.5,nan",
             "value --graph edge_list:{tmp}/missing.txt",
             "value --graph edge_list:{tmp}",
@@ -728,8 +744,8 @@ class TestSubcommandOptions:
 
     # --steps is taken only where it moves the data.
     def test_steps_sets_the_solve_f_grid(self, capsys):
-        rows = [parse_csv(run(capsys, "solve-f", "--measure", "dirac", "--steps", k)[1])[1] for k in ("100", "200")]
-        assert [len(r) for r in rows] == [101, 201]
+        rows = [parse_csv(run(capsys, "solve-f", "--measure", "dirac", "--steps", k)[1])[1] for k in ("1", "100", "200")]
+        assert [len(r) for r in rows] == [2, 101, 201]
 
     def test_steps_moves_the_audit_gaps(self, capsys):
         argv = ("nash-audit", "--graph", "cycle:6", "--profile", "mean_field", "--steps")
@@ -755,17 +771,37 @@ def _python(code: str, **env) -> str:
     ],
 )
 def test_warning_is_one_line(argv):
-    # A fresh interpreter, so Python's default warning filters and display apply, not pytest's capture.
-    code = (
+    (line,) = _fresh_stderr(argv, 0).splitlines()
+    assert line.startswith("warning: graph transitivity is not established")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "solve-f --measure torus:2 --c 1e308",
+        "variance-curve --measure torus:2 --c 1e308 --t 1",
+        "value --graph cycle:5 --c 1e308",
+        "nash-audit --graph cycle:6 --c 1e308 --profile equilibrium",
+        "simulate --graph cycle:6 --profile equilibrium --c 1e308 --paths 5",
+    ],
+)
+def test_overflow_is_one_line(argv):
+    # x * lam overflows inside Q' at c*T = 1e308: no numpy warning may precede the error.
+    (line,) = _fresh_stderr(argv, 3).splitlines()
+    assert line.startswith("error[numeric]: Q'(1e+308)")
+
+
+def _fresh_stderr(argv: str, code: int) -> str:
+    """main's stderr for argv, run in a fresh interpreter so that Python's
+    default warning filters and display apply, not pytest's capture."""
+    return _python(
         "import contextlib, io, os\n"
         "from graphflock.cli import main\n"
         "err = io.StringIO()\n"
         "with contextlib.redirect_stderr(err):\n"
-        f"    assert main({argv.split()!r} + ['--out', os.devnull]) == 0\n"
+        f"    assert main({argv.split()!r} + ['--out', os.devnull]) == {code}\n"
         "print(err.getvalue(), end='')\n"
     )
-    (line,) = _python(code).splitlines()
-    assert line.startswith("warning: graph transitivity is not established")
 
 
 class TestThreadCap:

@@ -534,6 +534,12 @@ class TestRiccatiResidual:
         for t in (0.25, 0.5, 0.75):
             assert riccati_residual(k, 0, t) <= 1e-6
 
+    def test_stencil_needs_four_steps(self):
+        for steps in (1, 3):
+            with pytest.raises(ParameterError, match="needs a grid of >= 4 steps, got"):
+                riccati_residual(kernel(cycle(6), steps=steps), 0, 0.5)
+        assert math.isfinite(riccati_residual(kernel(cycle(6), steps=4), 0, 0.5))
+
     def test_terminal_boundary(self):
         for g in (complete(5), torus(3, 2)):
             k = kernel(g, steps=2000)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,11 @@ class TestQEval:
         with pytest.raises(ParameterError):
             q_eval(FAMILY["dirac"], -0.1)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_nonfinite_x_rejected(self, x):
+        with pytest.raises(ParameterError, match="finite x >= 0"):
+            q_eval(FAMILY["dirac"], x)
+
     @pytest.mark.parametrize("name", sorted(FAMILY))
     def test_envelopes_and_lipschitz(self, name):
         mu = FAMILY[name]
@@ -121,7 +127,37 @@ class TestSolveF:
             with pytest.raises(ParameterError):
                 solve_f(FAMILY["dirac"], c=bad, T=1.0)
         with pytest.raises(ParameterError):
-            solve_f(FAMILY["dirac"], c=1.0, T=1.0, steps=50)
+            solve_f(FAMILY["dirac"], c=1.0, T=1.0, steps=0)
+
+    def test_one_step_grid(self):
+        s = solve_f(FAMILY["cycle_limit"], c=2.0, T=1.5, steps=1)
+        assert s.grid.tolist() == [0.0, 1.5]
+        assert s.f_values[0] == 0.0 and s.f_values[-1] == s.value(1.5)
+
+    def test_overflow_ends_in_the_envelope_check(self):
+        # c*T = 1e308 overflows x * lam inside Q'; the envelope check, not a RuntimeWarning, reports it.
+        with pytest.raises(NumericError, match=r"Q'\(1e\+308\) = .* escapes its envelope"):
+            solve_f(FAMILY["torus_2"], 1e308, 1.0)
+
+    def test_series_table_is_taken_in_blocks(self):
+        # At 1e5 nodes the degree-32 pass's whole (34 x nodes) table takes 26 MiB, and two of
+        # them made a 52 MiB peak; row blocks hold each temporary to 2 MiB.
+        mu = empirical_measure(cycle(10**5))
+        tracemalloc.start()
+        try:
+            solve_f(mu, 1.0, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_blocks_keep_every_row_bit_for_bit(self):
+        mu = empirical_measure(cycle(2**17 + 3))  # 131075 nodes: blocks of two rows
+        x = np.linspace(0.0, 40.0, 7)
+        column = flow._q_pair(mu.nodes, mu.weights, x)
+        for i, xi in enumerate(x):
+            alone = flow._q_pair(mu.nodes, mu.weights, xi)
+            assert alone[0][0] == column[0][i] and alone[1][0] == column[1][i]
 
     @pytest.mark.parametrize("name", sorted(FAMILY))
     def test_refinement_convergence(self, name):
