@@ -256,7 +256,7 @@ def _schedule_for(args):
         mu = spectral.limit_measure(*spectral.measure_spec(args.measure))
     else:
         raise ParameterError("this command needs --measure (or --graph)")
-    return flow.solve_f(mu, args.c, args.T, getattr(args, "steps", flow.DEFAULT_ODE_STEPS))
+    return flow.solve_f(mu, args.c, args.T)
 
 
 def _game_schedule(args):
@@ -271,8 +271,11 @@ def _game_schedule(args):
 
 
 def _cmd_solve_f(args) -> None:
+    import numpy as np
+
     schedule = _schedule_for(args)
-    _emit_csv(args, ["t", "f"], [schedule.grid, schedule.f_values], _resolved_config(args, "solve-f"))
+    ts = np.linspace(0.0, schedule.T, args.steps + 1)
+    _emit_csv(args, ["t", "f"], [ts, schedule.value(ts)], _resolved_config(args, "solve-f"))
 
 
 def _cmd_variance_curve(args) -> None:
@@ -325,15 +328,15 @@ def _cmd_figure(args) -> None:
 
 def _profile_for(args, g):
     """--profile on g, on nash-audit's --steps grid, else on the library's default one."""
-    from . import equilibrium, flow, strategies
+    from . import equilibrium, strategies
 
-    steps = getattr(args, "steps", flow.DEFAULT_ODE_STEPS)
+    steps = getattr(args, "steps", strategies.DEFAULT_ODE_STEPS)
     if args.profile == "mean_field":
         return strategies.mf_profile(g, args.c, args.T, steps)
     if args.profile == "zero":
         return strategies.zero_profile(g, args.T, steps)
-    kernel = equilibrium.build_kernel(g, args.c, args.T, args.sigma, steps)
-    return strategies.equilibrium_profile(kernel)
+    kernel = equilibrium.build_kernel(g, args.c, args.T, args.sigma)
+    return strategies.equilibrium_profile(kernel, steps)
 
 
 def _cmd_nash_audit(args) -> None:

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .flow import DEFAULT_ODE_STEPS, _check_model, _clamp_time
+from .flow import _check_model, _clamp_time
 from .graphs import Graph, _vector
 from .spectral import EigenSystem, SpectralMeasure, eigendecompose, laplacian_eigensystem
-from .strategies import LinearProfile, alignment_functionals
+from .strategies import DEFAULT_ODE_STEPS, LinearProfile, alignment_functionals
 
 
 @dataclass

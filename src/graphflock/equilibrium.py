@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
-from .flow import DEFAULT_ODE_STEPS, FlockingSchedule, _check_model, _clamp_time, solve_f
+from .errors import DomainError
+from .flow import FlockingSchedule, _check_model, _clamp_time, q_eval, solve_f
 from .graphs import Graph, Transitivity, _vector, _vertex, graph_distances
 from .spectral import EigenSystem, empirical_measure, laplacian_eigensystem
 
@@ -68,11 +68,9 @@ class EquilibriumKernel:
         return int(self.graph.degrees[0])
 
 
-def build_kernel(
-    g: Graph, c: float, T: float, sigma: float, steps: int = DEFAULT_ODE_STEPS
-) -> EquilibriumKernel:
+def build_kernel(g: Graph, c: float, T: float, sigma: float) -> EquilibriumKernel:
     """Assemble the equilibrium kernel for a regular graph without isolated
-    vertices.
+    vertices.  Its schedule is exact at any time, so it takes no step count.
 
     The closed-form equilibrium is only guaranteed on transitive graphs; a
     regular graph of unknown transitivity proceeds with a warning, and the
@@ -95,7 +93,7 @@ def build_kernel(
     return EquilibriumKernel(
         graph=g,
         eigen=es,
-        schedule=solve_f(empirical_measure(g, es=es), c, T, steps),
+        schedule=solve_f(empirical_measure(g, es=es), c, T),
         c=float(c),
         T=float(T),
         sigma=float(sigma),
@@ -147,12 +145,15 @@ def _variance_integral(lam, schedule, sigma, t, weights=None):
 
 
 def p_eigenvalues(k: EquilibriumKernel, t) -> np.ndarray:
-    """Eigenvalues of P(t) paired with k.eigen's columns, from one evaluation
-    of f(T - t); a row per time of an array t.  rhs takes its table in
-    blocks and the quotient is made in place, so a table of many times
-    peaks at two (times x n) arrays."""
+    """P(t)'s eigenvalues, from one evaluation of f(T - t); a row per time of an array t."""
+    return _rates(k, k.schedule.value(k.T - _clamp_time(t, k.T)))
+
+
+def _rates(k: EquilibriumKernel, f) -> np.ndarray:
+    """P's eigenvalues -f' lam / (1 - f lam) paired with k.eigen's columns,
+    at schedule values f.  rhs takes its table in blocks and the quotient is
+    made in place, so many times peak at two (times x n) arrays."""
     lam = k.eigen.eigenvalues
-    f = k.schedule.value(k.T - _clamp_time(t, k.T))
     slope = -k.schedule.rhs(f)
     out = np.multiply.outer(f, lam)
     np.subtract(1.0, out, out=out)
@@ -176,7 +177,7 @@ def equilibrium_control(k: EquilibriumKernel, i: int, t: float, x: np.ndarray) -
 def state_law(k: EquilibriumKernel, t: float, x0: np.ndarray | None = None) -> GaussianLaw:
     """Gaussian law of the equilibrium state at time t from initial state x0.
 
-    Mean: (I - f(T-t)L)(I - f(T)L)^{-1} x0, f(T) the solve's f_values[-1].
+    Mean: (I - f(T-t)L)(I - f(T)L)^{-1} x0, f(T) the schedule's f_T.
     The population average of the mean equals that of x0 (the all-ones
     direction has eigenvalue 0).  The covariance's eigenvalues are
     _variance_integral's.
@@ -188,7 +189,7 @@ def state_law(k: EquilibriumKernel, t: float, x0: np.ndarray | None = None) -> G
     else:
         x0 = _vector(k.graph, x0)
         lam = k.eigen.eigenvalues
-        coef = (1.0 - k.schedule.value(k.T - t) * lam) / (1.0 - k.schedule.f_values[-1] * lam)
+        coef = (1.0 - k.schedule.value(k.T - t) * lam) / (1.0 - k.schedule.f_T * lam)
         mean = (v * coef) @ (v.T @ x0)
     cov = k.eigen.reconstruct(_variance_integral(k.eigen.eigenvalues, k.schedule, k.sigma, t))
     return GaussianLaw(mean=mean, covariance=0.5 * (cov + cov.T))
@@ -237,7 +238,7 @@ def limit_variance(schedule: FlockingSchedule, sigma: float, t):
 
 def limit_value(schedule: FlockingSchedule, sigma: float) -> float:
     """Large-population limit of the average equilibrium value on the
-    schedule's measure mu, f(T) the solve's f_values[-1]:
+    schedule's measure mu, f(T) the schedule's f_T:
 
         -(sigma^2/2) log( integral of (-lam)/(1 - lam f(T)) dmu(lam) ).
 
@@ -246,48 +247,45 @@ def limit_value(schedule: FlockingSchedule, sigma: float) -> float:
     where y > 1/2 the integral as it stands keeps large c*T accurate.
     """
     _check_model(sigma=sigma)
-    mu, f_T = schedule.measure, schedule.f_values[-1]
+    mu, f_T = schedule.measure, schedule.f_T
     y = f_T * mu.integrate(lambda lam: lam * lam / (1.0 - lam * f_T))
     if y <= 0.5:
         return -0.5 * sigma**2 * math.log1p(-y)
     return -0.5 * sigma**2 * math.log(mu.integrate(lambda lam: -lam / (1.0 - lam * f_T)))
 
 
-def _f_matrix(k: EquilibriumKernel, i: int, rho: np.ndarray) -> np.ndarray:
-    """Player i's quadratic-value matrix P e_i e_i^T P / (Tr(P)/n), for P's eigenvalues rho."""
-    p = k.eigen.reconstruct(rho)
-    tau = rho.sum() / k.n
+def _f_matrix(p: np.ndarray, tau: float, i: int) -> np.ndarray:
+    """Player i's quadratic-value matrix P e_i e_i^T P / tau, tau = Tr(P)/n."""
     return np.outer(p[:, i], p[i, :]) / tau
 
 
 def riccati_residual(k: EquilibriumKernel, i: int, t: float) -> float:
-    """Max-norm residual of the coupled Riccati system at an interior time.
+    """Max-norm residual of the coupled Riccati system at a time t in [0, T].
 
     The per-player matrices F^j = P e_j e_j^T P / (Tr(P)/n) must satisfy
 
         dF^i/dt - (sum_j F^j e_j e_j^T) F^i - F^i (sum_j e_j e_j^T F^j)
                 + F^i e_i e_i^T F^i = 0.
 
-    dF^i/dt is taken by a five-point central difference on the schedule
-    grid (t snaps to the nearest node two or more steps from either end),
-    so the residual of an exact solution is differencing noise; a grid of
-    fewer than 4 steps raises ParameterError.
+    dF^i/dt is exact, from one evaluation of f = f(T - t): P's eigenvalues
+    rho = -f' lam / (1 - f lam) have rho' = rho (rho - c Q''(f)), as
+    f'' = c Q''(f) f', with Q'' = Q (I1^2 + I1'), I1 = Q'/Q and
+    I1' = -int lam^2/(1 - f lam)^2 dmu.  An exact solution leaves rounding.
     """
     if k.graph.transitivity is Transitivity.NOT_TRANSITIVE:
         raise DomainError("Riccati residual is defined via the transitive construction")
     i = _vertex(k.n, i)
-    t = _clamp_time(t, k.T)
-    if k.schedule.steps < 4:
-        raise ParameterError(f"the five-point stencil needs a grid of >= 4 steps, got {k.schedule.steps}")
-    h = k.T / k.schedule.steps
-    j = min(max(round(t / h), 2), k.schedule.steps - 2)
+    mu, f = k.schedule.measure, k.schedule.value(k.T - _clamp_time(t, k.T))
+    q, qp = q_eval(mu, f)
+    r = mu.nodes / (1.0 - f * mu.nodes)
+    q2 = qp * qp / q - q * float((r * r) @ mu.weights)
+    rho = _rates(k, f)
+    rho_dot = rho * (rho - k.c * q2)
 
-    rhos = p_eigenvalues(k, k.schedule.grid[j - 2 : j + 3])  # one schedule evaluation for the stencil
-    stencil = [_f_matrix(k, i, rho) for rho in rhos]
-    f_dot = (stencil[0] - 8.0 * stencil[1] + 8.0 * stencil[3] - stencil[4]) / (12.0 * h)
-
-    p, f_i = k.eigen.reconstruct(rhos[2]), stencil[2]
-    tau = rhos[2].sum() / k.n
+    p, p_dot = k.eigen.reconstruct(rho), k.eigen.reconstruct(rho_dot)
+    tau, tau_dot = rho.sum() / k.n, rho_dot.sum() / k.n
+    f_i = _f_matrix(p, tau, i)
+    f_dot = (np.outer(p_dot[:, i], p[i, :]) + np.outer(p[:, i], p_dot[i, :])) / tau - f_i * (tau_dot / tau)
     p_hat = p * (np.diag(p) / tau)[None, :]  # sum_j F^j e_j e_j^T
     own = np.outer(f_i[:, i], f_i[i, :])
     residual = f_dot - p_hat @ f_i - f_i @ p_hat.T + own
@@ -297,7 +295,8 @@ def riccati_residual(k: EquilibriumKernel, i: int, t: float) -> float:
 def riccati_terminal_residual(k: EquilibriumKernel, i: int) -> float:
     """Max-norm gap between F^i(T) and its boundary value c L e_i e_i^T L."""
     i = _vertex(k.n, i)
-    f_T = _f_matrix(k, i, p_eigenvalues(k, k.T))
+    rho = p_eigenvalues(k, k.T)
+    f_T = _f_matrix(k.eigen.reconstruct(rho), rho.sum() / k.n, i)
     laplacian = k.eigen.reconstruct()
     boundary = k.c * np.outer(laplacian[:, i], laplacian[i, :])
     return float(np.abs(f_T - boundary).max())

@@ -18,9 +18,10 @@ Chebyshev series", 2017), so f is exact to rounding at any t.  The same
 series gives dt = T G(u) du, so an integral of h(f(t)) dt is a smooth
 integral in u: FlockingSchedule.curve_rule is its composite Gauss-Legendre
 rule, for such integrals to one time or to many.  One Newton, _newton,
-inverts both Psi and cycle_closed_form's Phi.  f(T) is f_values[-1].
-The series' coefficients come from a DCT-I done as numpy's real FFT, so
-this module needs numpy alone.
+inverts both Psi and cycle_closed_form's Phi, for f(T) once and then
+only at the times a caller asks for: there is no output grid.  The
+series' coefficients come from a DCT-I done as numpy's real FFT, so this
+module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from numpy.polynomial.chebyshev import chebint
 
 from .errors import NumericError, ParameterError
 from .spectral import SpectralMeasure, _leggauss
-
-#: Default step count of solve_f's output grid.
-DEFAULT_ODE_STEPS = 2000
 
 #: Absolute slack allowed when checking analytic bounds on Q and f.
 BOUND_TOL = 1e-8
@@ -188,16 +186,14 @@ def _check_model(**params) -> None:
 
 @dataclass(frozen=True)
 class FlockingSchedule:
-    """Solution of f' = c*Q'(f) on a uniform grid of [0, T], with the series
-    that gives f exactly between the grid's nodes.  Health of the solve:
-    degree of G's series, chop_tail (its largest chopped coefficient over
-    its largest, <= CHOP_TOL), newton_residual (largest |Psi(u) - t/T| left
-    on the grid)."""
+    """Solution of f' = c*Q'(f) on [0, T]: the series that gives f exactly
+    at any time, and f_T = f(T).  Health of the solve: degree of G's
+    series, chop_tail (its largest chopped coefficient over its largest,
+    <= CHOP_TOL), newton_residual (|Psi(u) - 1| left where f_T was found)."""
 
     c: float
     T: float
-    grid: np.ndarray
-    f_values: np.ndarray
+    f_T: float
     measure: SpectralMeasure
     degree: int
     chop_tail: float
@@ -206,14 +202,18 @@ class FlockingSchedule:
     _table: tuple = field(repr=False)  # Psi at the series' Chebyshev points u, and those u, ascending
 
     @property
-    def steps(self) -> int:
-        return self.grid.size - 1
+    def grid(self) -> np.ndarray:
+        """The times T Psi(u) of the series' table, ascending from 0 to where
+        f = cT, past T.  The package does not read it: perfbench/spans.py
+        counts len(grid) - 1 as a solve's work, so it stays until that
+        counter is replaced."""
+        return self.T * self._table[0]
 
     def value(self, t):
         """f(t) for t in [0, T], a float or an array like t, by Newton from
-        the table solve_f inverted its grid from, so f(t) does not depend on
-        the grid.  A NaN time, or one more than 1e-12 outside [0, T], raises
-        ParameterError.  Callers pass every time they need in one array."""
+        the series' table.  A NaN time, or one more than 1e-12 outside
+        [0, T], raises ParameterError.  Callers pass every time they need
+        in one array."""
         T = self.T
         u = _invert(self._series, _clamp_time(t, T) / T, *self._table)[0]
         out = self.c * T * (u * u)
@@ -238,7 +238,7 @@ class FlockingSchedule:
             raise ParameterError(f"a Gauss rule needs at least 1 node, got {nodes}")
         scale = self.c * self.T
         u = np.sqrt(np.asarray(f, dtype=float).ravel() / scale)
-        top = math.sqrt(self.f_values[-1] / scale)  # u at T: f_values[-1] is value(T) bit for bit
+        top = math.sqrt(self.f_T / scale)  # u at T: f_T is value(T) bit for bit
         grades = 2.0 ** np.arange(max(0, math.ceil(math.log(scale, 4)))) / math.sqrt(scale)
         grades = grades[(grades > u.min(initial=top)) & (grades < top)]
         ends, index = np.unique(np.concatenate((u, grades, [top])), return_inverse=True)
@@ -249,10 +249,6 @@ class FlockingSchedule:
         dt = 0.5 * self.T * (hi - lo) * w * _clenshaw(self._series[0], 2.0 * at - 1.0)
         return scale * (at * at), dt, ends.size - 1 - index[: u.size]
 
-    def slope(self, t):
-        """f'(t) recovered exactly from the ODE as c * Q'(f(t))."""
-        return self.rhs(self.value(t))
-
     def rhs(self, f):
         """The ODE's right-hand side c * Q'(f) at schedule values f: the
         slope where the schedule takes the value f, with no evaluation of f."""
@@ -260,53 +256,49 @@ class FlockingSchedule:
         return float(out[0]) if np.ndim(f) == 0 else out
 
 
-def solve_f(
-    mu: SpectralMeasure, c: float, T: float, steps: int = DEFAULT_ODE_STEPS
-) -> FlockingSchedule:
-    """Solve f' = c*Q'(f), f(0) = 0, on the uniform grid of [0, T] with
-    steps intervals, by inverting Phi (module docstring); steps sets only
-    the output grid, not the cost of the solve.
+def solve_f(mu: SpectralMeasure, c: float, T: float) -> FlockingSchedule:
+    """Solve f' = c*Q'(f), f(0) = 0, on [0, T] by the series of Psi, the
+    inverse of f (module docstring), and invert it at t = T for f_T.
 
-    The returned schedule is checked against the analytic envelope
-    0 <= f(t) <= c*t, the slope monotonicity implied by concavity, and the
-    Taylor lower bound c*t - (c^2 t^2/2 + c^3 t^3/6) * Var(mu); violations
-    raise NumericError since they indicate quadrature or series failure, as
-    do a degree above MAX_DEGREE and a Newton failure.
+    The series' own table is checked against the analytic envelope
+    0 <= f(t) <= c*t, monotonicity, concavity and the Taylor lower bound
+    c*t - (c^2 t^2/2 + c^3 t^3/6) * Var(mu); violations raise NumericError
+    since they indicate quadrature or series failure, as do a degree above
+    MAX_DEGREE and a Newton failure.
     """
     _check_model(c=c, T=T)
     c, T = float(c), float(T)
-    if steps < 1:  # f_values[-1] is f(T) only on a grid that reaches T
-        raise ParameterError(f"solve_f needs steps >= 1, got {steps}")
     slope, chop_tail, nodes = _chebyshev_series(mu, c * T)
     integral = chebint(slope, lbnd=-1.0, scl=0.5)
     series = (slope.tolist(), integral.tolist(), NEWTON_TOL * float(np.abs(integral).sum()))
     table = _clenshaw(series[1], 2.0 * nodes - 1.0)
     table[0] = 0.0  # Psi(0) = 0 exactly, so t = 0 starts, and stays, at u = 0
-    grid = np.linspace(0.0, T, steps + 1)
-    u, residual = _invert(series, grid / T, table, nodes)
-    health = (slope.size - 1, chop_tail, float(np.abs(residual).max()))
-    schedule = FlockingSchedule(c, T, grid, c * T * (u * u), mu, *health, series, (table, nodes))
+    u, residual = _invert(series, 1.0, table, nodes)
+    health = (slope.size - 1, chop_tail, float(abs(residual)))
+    schedule = FlockingSchedule(c, T, float(c * T * (u * u)), mu, *health, series, (table, nodes))
     _check_schedule(schedule)
     return schedule
 
 
 def _check_schedule(s: FlockingSchedule) -> None:
-    c, t, f = s.c, s.grid, s.f_values
+    """solve_f's checks on the series' table (t, f) = (T Psi(u), cT u^2), u
+    ascending over [0, 1], each to tol = BOUND_TOL * max(1, c*T) in f: t may
+    go back by tol/c, and a point may lie tol below its neighbours' chord,
+    so a chord slope may exceed the one before by tol (1/dt_k + 1/dt_k+1)."""
+    c, t = s.c, s.T * s._table[0]
+    f = c * s.T * s._table[1] ** 2
     tol = BOUND_TOL * max(1.0, c * s.T)
-    if f[0] != 0.0:
-        raise NumericError("schedule must start at f(0) = 0")
-    if np.any(f < -tol) or np.any(f > c * t + tol):
-        raise NumericError("schedule escapes the envelope 0 <= f(t) <= c*t")
-    diffs = np.diff(f)
-    if np.any(diffs < -tol):
-        raise NumericError("schedule is not nondecreasing")
-    if np.any(np.diff(diffs) > tol):
-        raise NumericError("schedule slopes are not nonincreasing (concavity lost)")
+    dt, df = np.diff(t), np.diff(f)
     var = s.measure.variance()
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge c*t makes the bound -inf or NaN: vacuous
-        lower = c * t - (0.5 * (c * t) ** 2 + (c * t) ** 3 / 6.0) * var
-    if np.any(f < lower - tol):
-        raise NumericError("schedule undercuts its Taylor lower bound")
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge c*T makes a bound inf or NaN: vacuous
+        if np.any(f > c * t + tol):
+            raise NumericError("schedule escapes the envelope 0 <= f(t) <= c*t")
+        if np.any(dt < -tol / c):
+            raise NumericError("schedule is not nondecreasing")
+        if np.any(dt[:-1] * df[1:] - dt[1:] * df[:-1] > tol * (dt[:-1] + dt[1:])):
+            raise NumericError("schedule slopes are not nonincreasing (concavity lost)")
+        if np.any(f < c * t - (0.5 * (c * t) ** 2 + (c * t) ** 3 / 6.0) * var - tol):
+            raise NumericError("schedule undercuts its Taylor lower bound")
 
 
 def _phi(x):

@@ -22,7 +22,9 @@ outweighs the second array up to n of about 1500 in peak resident memory.
 
 So this module runs on numpy alone.  Limit measures' Gauss-Legendre rules
 come from numpy's leggauss, and compressed rules from the eigensystem of a
-small dense Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969).
+small dense Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969).  The
+Gauss-Legendre rules and the torus stages are built once per process and
+shared read-only, so torus:4 reuses torus:2's stage.
 """
 
 from __future__ import annotations
@@ -304,17 +306,6 @@ def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _cosine_rule() -> tuple[np.ndarray, np.ndarray]:
-    """COS_RULE_NODES-point quadrature for the law of cos(2*pi*U), U uniform
-    on [0, 1].
-
-    Integrating in u instead of in the value avoids the inverse-square-root
-    endpoint singularities of the arcsine density.
-    """
-    x, w = _leggauss(COS_RULE_NODES)
-    return np.cos(2.0 * np.pi * (0.5 * (x + 1.0))), 0.5 * w
-
-
 def _gauss_rule_from_atoms(values: np.ndarray, weights: np.ndarray, n_nodes: int):
     """Gauss quadrature rule of a discrete measure via the Stieltjes procedure.
 
@@ -356,25 +347,35 @@ def _check_compression(nodes, weights, raw_nodes, raw_weights, label: str) -> No
             raise NumericError(f"compressed {label} rule mismatches its tensor rule by {abs(raw - comp):.2e}")
 
 
-def _torus_rule(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rule for the law of (1/d) * sum_i cos(2*pi*U_i) - 1.
-
-    The d-fold sum is built by iterated convolution: tensor the running
-    rule with one more cosine axis, then compress back to a fixed node
-    count with a Gauss rule of the tensored atoms.  Each stage is verified
-    against its own tensor rule, keeping any d cheap and ~1e-12 accurate.
-    """
-    c_nodes, c_weights = _cosine_rule()
-    nodes, weights = c_nodes, c_weights
-    for axes in range(2, d + 1):
-        raw_nodes = (nodes[:, None] + c_nodes[None, :]).ravel()
-        raw_weights = (weights[:, None] * c_weights[None, :]).ravel()
+@functools.cache
+def _torus_stage(axes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rule for the law of sum_i cos(2*pi*U_i), U_i uniform on [0, 1], over
+    `axes` axes: Gauss-Legendre in U for one (no arcsine endpoint
+    singularities), else the previous stage tensored with one axis and
+    compressed back by a Gauss rule of the tensored atoms, verified
+    against that tensor rule.  Built once per process and shared, so its
+    arrays are read-only."""
+    if axes == 1:
+        x, w = _leggauss(COS_RULE_NODES)
+        nodes, weights = np.cos(2.0 * np.pi * (0.5 * (x + 1.0))), 0.5 * w
+    else:
+        (prev, prev_w), (c_nodes, c_weights) = _torus_stage(axes - 1), _torus_stage(1)
+        raw_nodes = (prev[:, None] + c_nodes[None, :]).ravel()
+        raw_weights = (prev_w[:, None] * c_weights[None, :]).ravel()
         nodes, weights = _gauss_rule_from_atoms(raw_nodes, raw_weights, COMPRESSED_RULE_NODES)
         # Compare on lam = sum/axes - 1 in [-2, 0]: the raw cosine sums reach
         # +axes, where log1p(-x * node) is undefined.
         _check_compression(nodes / axes - 1.0, weights, raw_nodes / axes - 1.0, raw_weights, f"torus stage {axes}")
-    lam = nodes / d - 1.0
-    return np.clip(lam, -2.0, 0.0), weights
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _torus_rule(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rule for the law of (1/d) * sum_i cos(2*pi*U_i) - 1: one _torus_stage
+    per axis, each built once (torus:4 reuses torus:2's), ~1e-12 accurate."""
+    for axes in range(1, d + 1):  # ascending, so each stage finds the one before it built
+        nodes, weights = _torus_stage(axes)
+    return np.clip(nodes / d - 1.0, -2.0, 0.0), weights.copy()  # a measure owns its arrays
 
 
 def _kesten_mckay_rule(d: int) -> tuple[np.ndarray, np.ndarray]:

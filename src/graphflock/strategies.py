@@ -37,10 +37,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .flow import DEFAULT_ODE_STEPS, _check_model
+from .flow import _check_model
 from .graphs import Graph, _vector, _vertex
 from .equilibrium import EquilibriumKernel, p_eigenvalues
 from .spectral import EigenSystem
+
+#: Default step count of a profile's grid.
+DEFAULT_ODE_STEPS = 2000
 
 
 @dataclass
@@ -89,10 +92,10 @@ def mf_profile(g: Graph, c: float, T: float, steps: int = DEFAULT_ODE_STEPS) -> 
     return LinearProfile(g.n, float(T), steps, "mean_field", lambda t: c / (1.0 + c * (T - t)))
 
 
-def equilibrium_profile(k: EquilibriumKernel) -> LinearProfile:
+def equilibrium_profile(k: EquilibriumKernel, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
     """Profile whose rows are the equilibrium feedback P(t), in spectral
     form: the kernel's eigensystem and P(t)'s eigenvalues p_eigenvalues(k, t)."""
-    return LinearProfile(k.n, k.T, k.schedule.steps, "equilibrium", lambda t: p_eigenvalues(k, t), k.eigen)
+    return LinearProfile(k.n, k.T, steps, "equilibrium", lambda t: p_eigenvalues(k, t), k.eigen)
 
 
 def zero_profile(g: Graph, T: float, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:

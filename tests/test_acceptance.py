@@ -57,7 +57,7 @@ def test_criterion_01_dense_value_convergence():
     worst = {}
     for n in (50, 100, 300):
         start = time.monotonic()
-        k = build_kernel(complete(n), 1.0, 1.0, 1.0, steps=2000)
+        k = build_kernel(complete(n), 1.0, 1.0, 1.0)
         err = abs(game_value(k) - HALF_LOG2)
         elapsed = time.monotonic() - start
         assert err <= 5.0 / n, f"complete({n}): |Val - log(2)/2| = {err} > {5.0 / n}"
@@ -68,7 +68,7 @@ def test_criterion_01_dense_value_convergence():
 
 def test_criterion_02_dense_variance_curve():
     mu = limit_measure("dirac_minus_one")
-    schedule = solve_f(mu, 1.0, 1.0, 2000)
+    schedule = solve_f(mu, 1.0, 1.0)
     ts = np.linspace(0.0, 1.0, 101)
     closed = ts * (1.0 + (1.0 - ts)) / 2.0
     worst_limit = max(
@@ -76,7 +76,7 @@ def test_criterion_02_dense_variance_curve():
     )
     assert worst_limit <= 1e-10
 
-    k = build_kernel(complete(500), 1.0, 1.0, 1.0, steps=2000)
+    k = build_kernel(complete(500), 1.0, 1.0, 1.0)
     worst_finite = max(
         abs(player_variance(k, float(t)) - c) for t, c in zip(ts, closed)
     )
@@ -90,7 +90,7 @@ def test_criterion_02_dense_variance_curve():
 
 def test_criterion_03_cycle_closed_form():
     mu = limit_measure("cycle_limit")
-    schedule = solve_f(mu, 1.0, 1.0, 4000)
+    schedule = solve_f(mu, 1.0, 1.0)
     worst_f = max(
         abs(schedule.value(t) - cycle_closed_form(1.0, float(t)))
         for t in np.linspace(0.0, 1.0, 101)
@@ -110,7 +110,7 @@ NASH_GRAPHS = [complete(5), cycle(6), torus(3, 2), complete(2)]
 def test_criterion_04_riccati_and_nash_verification():
     worst_interior = worst_boundary = worst_gap = 0.0
     for g in NASH_GRAPHS:
-        k = build_kernel(g, 1.0, 1.0, 1.0, steps=2000)
+        k = build_kernel(g, 1.0, 1.0, 1.0)
         for t in np.linspace(0.08, 0.92, 10):
             worst_interior = max(worst_interior, riccati_residual(k, 0, float(t)))
         for i in range(g.n):
@@ -157,7 +157,7 @@ def test_criterion_05_epsilon_nash_certificates():
 def test_criterion_06_correlation_decay():
     checked = 0
     for g in (cycle(50), torus(10, 2)):
-        k = build_kernel(g, 1.0, 1.0, 1.0, steps=2000)
+        k = build_kernel(g, 1.0, 1.0, 1.0)
         gamma = k.c * k.T / (1 + k.c * k.T)
         assert gamma == 0.5
         law = state_law(k, 1.0)
@@ -176,7 +176,7 @@ def test_criterion_07_monte_carlo_agreement():
     start = time.monotonic()
     rng = np.random.default_rng(101)
     for g in (complete(10), cycle(20)):
-        k = build_kernel(g, 1.0, 1.0, 1.0, steps=2000)
+        k = build_kernel(g, 1.0, 1.0, 1.0)
         prof = equilibrium_profile(k)
         cfg = SimConfig(n_paths=10_000, dt=1.0 / 500, seed=101, record_times=(1.0,))
         ens = simulate(g, prof, 1.0, cfg)
@@ -200,8 +200,8 @@ def test_criterion_07_monte_carlo_agreement():
 def test_criterion_08_concentration():
     bounds = {}
     for g in (complete(100), cycle(200)):
-        k = build_kernel(g, 1.0, 1.0, 1.0, steps=1000)
-        prof = equilibrium_profile(k)
+        k = build_kernel(g, 1.0, 1.0, 1.0)
+        prof = equilibrium_profile(k, 1000)
         cfg = SimConfig(n_paths=10_000, dt=1.0 / 500, seed=202, record_times=(1.0,))
         ens = simulate(g, prof, 1.0, cfg)
         law = state_law(k, 1.0)
@@ -212,7 +212,7 @@ def test_criterion_08_concentration():
         )
         bounds[(g.construction, g.n)] = outcome.bound
     for n in (50, 200):
-        k = build_kernel(cycle(n), 1.0, 1.0, 1.0, steps=1000)
+        k = build_kernel(cycle(n), 1.0, 1.0, 1.0)
         law = state_law(k, 1.0)
         bounds[("cycle_analytic", n)] = float(np.abs(law.covariance).sum()) / n**2
     assert bounds[("cycle_analytic", 200)] < bounds[("cycle_analytic", 50)]
@@ -249,7 +249,7 @@ def _property_suite_measures():
 def test_criterion_10_ode_property_suite():
     sigma = c = T = 1.0
     dirac = limit_measure("dirac_minus_one")
-    dirac_schedule = solve_f(dirac, c, T, 2000)
+    dirac_schedule = solve_f(dirac, c, T)
     for name, mu in _property_suite_measures():
         var = mu.variance()
         xs = np.linspace(0.0, c * T, 41)
@@ -263,8 +263,9 @@ def test_criterion_10_ode_property_suite():
                 slope = (qp - q_prev) / (xs[1] - xs[0])
                 assert -4.0 - 1e-6 <= slope <= 1e-8
             q_prev = qp
-        schedule = solve_f(mu, c, T, 2000)
-        t, f = schedule.grid, schedule.f_values
+        schedule = solve_f(mu, c, T)
+        t = np.linspace(0.0, T, 2001)
+        f = schedule.value(t)
         assert np.all(f >= -1e-12) and np.all(f <= c * t + 1e-9)
         assert np.all(f >= c * t - (0.5 * c**2 * t**2 + c**3 * t**3 / 6) * var - 1e-9)
 
@@ -275,7 +276,7 @@ def test_criterion_10_ode_property_suite():
 
         f_T = schedule.value(T)
         q_T = float(np.exp(mu.weights @ np.log1p(-f_T * mu.nodes)))
-        second_exact = -2.0 * sigma**2 * schedule.slope(T) ** 2 / (c * q_T)
+        second_exact = -2.0 * sigma**2 * schedule.rhs(f_T) ** 2 / (c * q_T)
 
         def g_fn(hh):
             return (limit_variance(schedule, sigma, hh) - sigma**2 * hh) / hh**2

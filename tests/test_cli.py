@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from graphflock import flow
 from graphflock.cli import _build_parser, main
 from graphflock.graphs import erdos_renyi
 from graphflock.spectral import laplacian
@@ -156,6 +157,49 @@ class TestFigures:
         code, out, _ = run(capsys, fig)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("solve-f --measure cycle --steps 4000", "cba891e758cac9735a4dcb1ad1623869035a9e891d9359c311fddc18107c12c0"),
+            ("solve-f --graph complete:600", "d28fa9bf5cfcf56680451e470ce584b99dc8c5307fcbc7523272c8a6b809fa84"),
+            ("value --measure kesten_mckay:3", "0dc88ac36a30a28acabeaa372ed386f34e724d9ad070dfae0c4f07a513563a3a"),
+            ("value --graph cycle:1000", "03448bce9a2aaebc077756fe27813af5adb305f01e3385be08f8c11e9b91d3da"),
+            ("variance-curve --measure torus:2", "4aadb1f24a54e04c2f071dad4e0afd0ea72e660d355862e17f6ff80023e5ae23"),
+            (
+                "nash-audit --graph cycle:20 --profile equilibrium --steps 100",
+                "3a601509367e81a1e8f7fce9d7b690826a08dd4a931ec96ee624b32ac7a5751f",
+            ),
+        ],
+    )
+    def test_command_bytes_are_pinned(self, capsys, argv, digest):
+        # Pinned before the schedule lost its output grid: solve-f prints value on its --steps grid.
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, most",
+        [("value --measure cycle", 1), ("variance-curve --measure dirac --t-grid 0:1:26", 27)],
+    )
+    def test_schedule_inverts_only_the_times_read(self, capsys, monkeypatch, argv, most):
+        # f(T) once, then one Newton entry per time a command reads: no output grid.
+        entries, invert = [], flow._invert
+        monkeypatch.setattr(flow, "_invert", lambda series, tau, *table: entries.append(np.size(tau)) or invert(series, tau, *table))
+        assert run(capsys, *argv.split())[0] == 0
+        assert 0 < sum(entries) <= most
+
+    def test_fig2_builds_each_torus_stage_once(self):
+        # torus:1, :2 and :4 need stages 2, 3 and 4; torus:4 reuses torus:2's.
+        code = (
+            "import os\n"
+            "from graphflock import cli, spectral\n"
+            "calls, rule = [], spectral._gauss_rule_from_atoms\n"
+            "spectral._gauss_rule_from_atoms = lambda *a: calls.append(1) or rule(*a)\n"
+            "assert cli.main(['fig2', '--out', os.devnull]) == 0\n"
+            "print(len(calls))\n"
+        )
+        assert _python(code) == "3"
 
     def test_fig2_monotone_in_dimension(self, capsys):
         code, out, _ = run(capsys, "fig2")
@@ -734,6 +778,21 @@ class TestSubcommandOptions:
         for workload in workloads.WORKLOADS:
             for op in workloads.ops(workload, 1):
                 parser.parse_args([*op.argv, "--out", "artifact"])
+
+    @pytest.mark.parametrize("workload", ["limit-figures", "nash-audit"])
+    def test_benchmark_artifacts_pass_its_checks(self, monkeypatch, tmp_path, workload):
+        # Each op's artifact, written through main, passes the benchmark's own check of it.
+        harness = {}
+        for name in ("workloads", "checks"):
+            spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+            harness[name] = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, name, harness[name])  # a dataclass looks itself up there
+            spec.loader.exec_module(harness[name])
+        checks = harness["checks"].CHECKS[workload](1)
+        for op in harness["workloads"].ops(workload, 1):
+            out = tmp_path / f"{op.label}.{op.suffix}"
+            assert main([*op.argv, "--out", str(out)]) == 0, op.label
+            checks[op.label](out)
 
     def test_readme_examples_parse(self):
         block = (ROOT / "README.md").read_text().split("Examples:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

@@ -147,7 +147,7 @@ class TestVariance:
     def test_cooperative_below_competitive_cycle100(self):
         g = cycle(100)
         ck = coop_kernel(g, 1.0, 1.0, 1.0)
-        ek = build_kernel(g, 1.0, 1.0, 1.0, steps=1000)
+        ek = build_kernel(g, 1.0, 1.0, 1.0)
         t = 0.5
         coop = coop_variance(ck, t)
         comp = player_variance(ek, t)
@@ -171,7 +171,7 @@ class TestAgainstStrategyEvaluation:
     )
     def test_planner_beats_equilibrium_on_average(self, g):
         ck = coop_kernel(g, 1.0, 1.0, 1.0)
-        ek = build_kernel(g, 1.0, 1.0, 1.0, steps=1000)
+        ek = build_kernel(g, 1.0, 1.0, 1.0)
         assert coop_value(ck) <= game_value(ek) + 1e-12
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -25,6 +26,12 @@ def measure_family():
 
 
 FAMILY = measure_family()
+
+
+def on_grid(s, steps):
+    """The uniform grid of steps intervals of [0, T] and f on it."""
+    t = np.linspace(0.0, s.T, steps + 1)
+    return t, s.value(t)
 
 
 def cycle_q_closed(x):
@@ -100,20 +107,21 @@ class TestQEval:
 
 class TestSolveF:
     def test_dirac_linear(self):
-        s = solve_f(FAMILY["dirac"], c=1.3, T=2.0, steps=400)
-        assert np.allclose(s.f_values, 1.3 * s.grid, atol=1e-12)
+        s = solve_f(FAMILY["dirac"], c=1.3, T=2.0)
+        t, f = on_grid(s, 400)
+        assert np.allclose(f, 1.3 * t, atol=1e-12)
         assert s.value(0.77) == pytest.approx(1.3 * 0.77, abs=1e-12)
 
     @pytest.mark.parametrize("name", sorted(FAMILY))
     def test_starts_at_zero(self, name):
-        s = solve_f(FAMILY[name], c=1.0, T=1.0, steps=200)
-        assert s.f_values[0] == 0.0
+        s = solve_f(FAMILY[name], c=1.0, T=1.0)
+        assert s.value(0.0) == 0.0
 
     @pytest.mark.parametrize("name", sorted(FAMILY))
     def test_envelope_and_concavity(self, name):
         mu = FAMILY[name]
-        s = solve_f(mu, c=2.0, T=1.5, steps=300)
-        t, f = s.grid, s.f_values
+        s = solve_f(mu, c=2.0, T=1.5)
+        t, f = on_grid(s, 300)
         assert np.all(f >= -1e-12) and np.all(f <= 2.0 * t + 1e-9)
         diffs = np.diff(f)
         assert np.all(diffs > 0)
@@ -126,13 +134,25 @@ class TestSolveF:
         for bad in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ParameterError):
                 solve_f(FAMILY["dirac"], c=bad, T=1.0)
-        with pytest.raises(ParameterError):
-            solve_f(FAMILY["dirac"], c=1.0, T=1.0, steps=0)
 
-    def test_one_step_grid(self):
-        s = solve_f(FAMILY["cycle_limit"], c=2.0, T=1.5, steps=1)
-        assert s.grid.tolist() == [0.0, 1.5]
-        assert s.f_values[0] == 0.0 and s.f_values[-1] == s.value(1.5)
+    def test_each_check_refuses_a_broken_table(self):
+        # The checks read the series' table (T Psi(u), cT u^2): break it one way at a time.
+        s = solve_f(FAMILY["cycle_limit"], c=2.0, T=1.5)
+        tau, u = s._table
+        k = tau.size // 2
+        back, late = tau.copy(), tau.copy()
+        back[[k, k + 1]] = tau[[k + 1, k]]  # time goes back while f rises
+        late[k] = tau[k + 1] - 1e-6 * (tau[k + 1] - tau[k])  # f jumps up late: below its neighbours' chord
+        broken = {
+            "escapes the envelope": dataclasses.replace(s, _table=(0.5 * tau, u)),
+            "not nondecreasing": dataclasses.replace(s, _table=(back, u)),
+            "concavity lost": dataclasses.replace(s, _table=(late, u)),
+            "Taylor lower bound": dataclasses.replace(s, measure=FAMILY["dirac"]),  # Var 0: the bound is c t
+        }
+        flow._check_schedule(s)
+        for message, schedule in broken.items():
+            with pytest.raises(NumericError, match=message):
+                flow._check_schedule(schedule)
 
     def test_overflow_ends_in_the_envelope_check(self):
         # c*T = 1e308 overflows x * lam inside Q'; the envelope check, not a RuntimeWarning, reports it.
@@ -160,22 +180,21 @@ class TestSolveF:
             assert alone[0][0] == column[0][i] and alone[1][0] == column[1][i]
 
     @pytest.mark.parametrize("name", sorted(FAMILY))
-    def test_refinement_convergence(self, name):
-        mu = FAMILY[name]
-        coarse = solve_f(mu, c=1.0, T=1.0, steps=4000).f_values[-1]
-        fine = solve_f(mu, c=1.0, T=1.0, steps=8000).f_values[-1]
-        assert abs(coarse - fine) <= 1e-10
+    def test_end_value_is_the_value_at_T(self, name):
+        # f_T, from the solve's one Newton at t = T, is value(T) bit for bit.
+        s = solve_f(FAMILY[name], c=2.0, T=1.5)
+        assert s.f_T == s.value(1.5) == s.value(np.array([0.0, 1.5]))[1]
 
     def test_stability_cycle_sequence(self):
         # empirical cycle measures converge to the cycle limit; the solved
         # schedules must converge uniformly along the sequence.  For n >= 50
         # the equispaced cosine spectrum is already converged to machine
         # precision, so strict decrease is only visible at small n.
-        limit = solve_f(FAMILY["cycle_limit"], c=1.0, T=1.0, steps=500)
+        limit = on_grid(solve_f(FAMILY["cycle_limit"], c=1.0, T=1.0), 500)[1]
 
         def gap(n):
-            s = solve_f(empirical_measure(cycle(n)), c=1.0, T=1.0, steps=500)
-            return np.abs(s.f_values - limit.f_values).max()
+            s = solve_f(empirical_measure(cycle(n)), c=1.0, T=1.0)
+            return np.abs(on_grid(s, 500)[1] - limit).max()
 
         small = [gap(n) for n in (3, 5, 9)]
         assert small[0] > small[1] > small[2]
@@ -187,27 +206,25 @@ class TestSolveF:
 
     def test_slope_matches_ode(self):
         mu = FAMILY["torus_2"]
-        s = solve_f(mu, c=1.0, T=1.0, steps=200)
+        s = solve_f(mu, c=1.0, T=1.0)
         ts = np.array([0.0, 0.4, 1.0])
         for t in ts:
-            assert s.slope(t) == pytest.approx(1.0 * q_eval(mu, s.value(t))[1], abs=1e-12)
+            assert s.rhs(s.value(t)) == pytest.approx(1.0 * q_eval(mu, s.value(t))[1], abs=1e-12)
         expected = [1.0 * q_eval(mu, f)[1] for f in s.value(ts)]
-        assert np.allclose(s.slope(ts), expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(s.rhs(s.value(ts)), expected, rtol=0.0, atol=1e-12)
 
     def test_out_of_range_evaluation(self):
-        s = solve_f(FAMILY["dirac"], c=1.0, T=1.0, steps=200)
+        s = solve_f(FAMILY["dirac"], c=1.0, T=1.0)
         for bad in (1.5, 1.0 + 1e-10, -1e-10, np.nan, np.array([0.5, np.nan])):
-            for evaluate in (s.value, s.slope):
-                with pytest.raises(ParameterError):
-                    evaluate(bad)
+            with pytest.raises(ParameterError):
+                s.value(bad)
         assert s.value(1.0 + 1e-13) == s.value(1.0) and s.value(-1e-13) == 0.0
 
-    def test_rhs_is_slope_at_the_schedule_value(self):
-        s = solve_f(FAMILY["torus_2"], c=1.5, T=1.0, steps=200)
+    def test_float_and_array_rhs_agree(self):
+        s = solve_f(FAMILY["torus_2"], c=1.5, T=1.0)
         ts = np.array([0.0, 0.4, 1.0])
-        assert s.rhs(s.value(0.4)) == s.slope(0.4)
         assert isinstance(s.rhs(s.value(0.4)), float)
-        assert np.array_equal(s.rhs(s.value(ts)), s.slope(ts))
+        assert np.array_equal(s.rhs(s.value(ts)), [s.rhs(s.value(t)) for t in ts])
 
 
 def dop853_schedule(mu, c, ts):
@@ -221,12 +238,13 @@ def dop853_schedule(mu, c, ts):
 class TestInverseSchedule:
     def test_exact_on_and_off_the_grid(self):
         mu = FAMILY["cycle_limit"]
-        s = solve_f(mu, 100.0, 1.0, 2000)
-        mid = s.grid[:-1] + 0.5 * (s.grid[1] - s.grid[0])
-        for ts, f in ((s.grid, s.f_values), (mid, s.value(mid))):
+        s = solve_f(mu, 100.0, 1.0)
+        grid = on_grid(s, 2000)
+        mid = grid[0][:-1] + 0.5 * (grid[0][1] - grid[0][0])
+        for ts, f in (grid, (mid, s.value(mid))):
             closed = np.array([cycle_closed_form(100.0, t) for t in ts])
             assert np.all(np.abs(f - closed) <= 1e-10 * np.maximum(1.0, closed))
-        s = solve_f(mu, 5.0, 1.0, 2000)
+        s = solve_f(mu, 5.0, 1.0)
         assert np.abs(s.value(mid) - dop853_schedule(mu, 5.0, mid)).max() <= 1e-12
 
     @pytest.mark.parametrize("c", [1e3, 1e4])
@@ -236,28 +254,18 @@ class TestInverseSchedule:
         reference = -0.5 * math.log(mu.integrate(lambda lam: -lam / (1.0 - lam * f_T)))
         assert abs(limit_value(solve_f(mu, c, 1.0), 1.0) - reference) <= 1e-10
 
-    def test_solve_cost_does_not_depend_on_steps(self, monkeypatch):
-        points, q_pair = [], flow._q_pair
-        monkeypatch.setattr(flow, "_q_pair", lambda nodes, weights, x: points.append(np.size(x)) or q_pair(nodes, weights, x))
-        counts = []
-        for steps in (100, 20000):
-            points.clear()
-            solve_f(FAMILY["torus_2"], 5.0, 1.0, steps)
-            counts.append(sum(points))
-        assert counts[0] == counts[1] > 0
-
     def test_refuses_a_series_that_misses_the_bend(self):
         # At c*T = 1e10 G bends near u = 1e-5, short of every point of degree 16, where G looks
         # linear: a chop on those points alone keeps degree 1, 8.5e-8 off DOP853 at t = 0.001.
         mu, ts = FAMILY["kesten_mckay_3"], np.array([1e-3, 0.5, 1.0])
-        s = solve_f(mu, 1e9, 1.0, 200)
+        s = solve_f(mu, 1e9, 1.0)
         assert np.abs(s.value(ts) / dop853_schedule(mu, 1e9, ts) - 1.0).max() <= 1e-12
         with pytest.raises(NumericError):
-            solve_f(mu, 1e10, 1.0, 200)
+            solve_f(mu, 1e10, 1.0)
 
     @pytest.mark.parametrize("name", sorted(FAMILY))
     def test_health_numbers(self, name):
-        s = solve_f(FAMILY[name], 5.0, 1.0, 200)
+        s = solve_f(FAMILY[name], 5.0, 1.0)
         assert 1 <= s.degree <= flow.MAX_DEGREE
         assert 0.0 <= s.chop_tail <= CHOP_TOL
         assert 0.0 <= s.newton_residual <= 1e-14
@@ -267,16 +275,16 @@ class TestInverseSchedule:
             assert s.degree == 1  # G(u) = 2u
 
     def test_float_and_array_values_agree(self):
-        s = solve_f(FAMILY["kesten_mckay_3"], 2.0, 1.0, 200)
+        s = solve_f(FAMILY["kesten_mckay_3"], 2.0, 1.0)
+        grid = on_grid(s, 200)[0]
         ts = np.array([0.0, 1e-4, 0.3, 0.0051, 0.5, 1.0 - 1e-12, 1.0])
-        ts = np.concatenate([ts, np.nextafter(s.grid[1:-1], 0.0), np.nextafter(s.grid[1:-1], 1.0)])
-        assert np.array_equal(s.value(s.grid), s.f_values)
+        ts = np.concatenate([ts, grid, np.nextafter(grid[1:-1], 0.0), np.nextafter(grid[1:-1], 1.0)])
         assert np.array_equal([s.value(float(t)) for t in ts], s.value(ts))
 
     def test_newton_stops_at_adjacent_floats(self):
         # At this time no float u has |Psi(u) - t| within Newton's tolerance:
         # the two floats around the root leave 2.33e-15 against 2.30e-15.
-        s = solve_f(FAMILY["kesten_mckay_3"], 100.0, 1.0, 2000)
+        s = solve_f(FAMILY["kesten_mckay_3"], 100.0, 1.0)
         t = 0.4025000000000001
         f = s.value(t)
         assert s.value(np.array([t]))[0] == f
@@ -299,7 +307,7 @@ class TestGaussRule:
     @pytest.mark.parametrize("c", [1.0, 100.0, 1e4])
     def test_integrates_the_slope_to_the_end_value(self, c):
         # int_a^T f'(t) dt = f(T) - f(a), with f' = c Q'(f) bending near t = 0 at a large c.
-        s = solve_f(FAMILY["cycle_limit"], c, 1.0, 400)
+        s = solve_f(FAMILY["cycle_limit"], c, 1.0)
         start = np.array([0.0, 0.5, 0.999])
         f, w, pieces = s.curve_rule(s.value(start), 64)
         f_T = s.value(1.0)
@@ -309,7 +317,7 @@ class TestGaussRule:
 
     def test_curve_rule_sums_to_every_time(self):
         # Dirac at -1, c T = 14: int_tau^T f dt = 3.5 (T^2 - tau^2), cut at u = 14^-1/2 2^j.
-        s = solve_f(FAMILY["dirac"], 7.0, 2.0, 200)
+        s = solve_f(FAMILY["dirac"], 7.0, 2.0)
         tau = np.array([2.0, 1.25, 0.3, 0.0])
         f, w, pieces = s.curve_rule(s.value(tau), 16)
         assert f.shape == w.shape == (5, 16) and pieces.tolist() == [0, 1, 3, 5]
@@ -318,14 +326,14 @@ class TestGaussRule:
         assert np.allclose(area, 3.5 * (4.0 - tau**2), rtol=1e-13, atol=0.0)
 
     def test_curve_rule_has_no_piece_when_every_tau_is_t(self):
-        s = solve_f(FAMILY["cycle_limit"], 1e4, 1.0, 200)
+        s = solve_f(FAMILY["cycle_limit"], 1e4, 1.0)
         f, w, pieces = s.curve_rule(s.value(np.array([1.0, 1.0])), 16)
         assert f.shape == w.shape == (0, 16) and pieces.tolist() == [0, 0]
         f, w, pieces = s.curve_rule(np.array([]), 16)  # no times at all
         assert f.shape == w.shape == (0, 16) and pieces.size == 0
 
     def test_curve_rule_needs_a_node(self):
-        s = solve_f(FAMILY["dirac"], 1.0, 1.0, 200)
+        s = solve_f(FAMILY["dirac"], 1.0, 1.0)
         for nodes in (0, -1):
             with pytest.raises(ParameterError):
                 s.curve_rule(s.value(np.array([0.0])), nodes)
@@ -340,7 +348,7 @@ class TestCycleClosedForm:
         assert _phi(4.0) == pytest.approx(np.log(4.0) + 1.5, abs=1e-14)
 
     def test_matches_rk4(self):
-        s = solve_f(FAMILY["cycle_limit"], c=1.0, T=1.0, steps=4000)
+        s = solve_f(FAMILY["cycle_limit"], c=1.0, T=1.0)
         for t in (0.25, 0.5, 1.0):
             assert abs(cycle_closed_form(1.0, t) - s.value(t)) < 1e-8
 

@@ -188,9 +188,9 @@ class TestNeighborLists:
         irregular = erdos_renyi(30, 0.2, seed=2)
         monkeypatch.setattr(Graph, "adjacency", property(refuse))
         for g in (cycle(12), torus(4, 2)):
-            k = build_kernel(g, 1.0, 1.0, 1.0, steps=200)
+            k = build_kernel(g, 1.0, 1.0, 1.0)
             x0 = np.linspace(-1.0, 1.0, g.n)
-            assert nash_audit(g, equilibrium_profile(k), 1.0, 1.0, x0=x0)["all_satisfied"]
+            assert nash_audit(g, equilibrium_profile(k, 200), 1.0, 1.0, x0=x0)["all_satisfied"]
             assert nash_audit(g, mf_profile(g, 1.0, 1.0, 200), 1.0, 1.0, x0=x0)["all_satisfied"]
             assert laplacian_eigensystem(g).eigenvectors.shape == (g.n, g.n)
             assert graph_distances(g, 0).max() == {12: 6, 16: 4}[g.n]

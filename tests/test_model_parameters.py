@@ -31,13 +31,13 @@ from graphflock.strategies import (
 
 G = cycle(6)
 MU = limit_measure("cycle_limit")
-SCHEDULE = solve_f(MU, 1.0, 1.0, 100)
+SCHEDULE = solve_f(MU, 1.0, 1.0)
 PROFILE = mf_profile(G, 1.0, 1.0, 100)
 
 #: Each entry point as a function of the model parameters it takes, by name.
 ENTRY_POINTS = {
-    "solve_f": lambda c=1.0, T=1.0: solve_f(MU, c, T, 100),
-    "build_kernel": lambda c=1.0, T=1.0, sigma=1.0: build_kernel(G, c, T, sigma, 100),
+    "solve_f": lambda c=1.0, T=1.0: solve_f(MU, c, T),
+    "build_kernel": lambda c=1.0, T=1.0, sigma=1.0: build_kernel(G, c, T, sigma),
     "coop_kernel": lambda c=1.0, T=1.0, sigma=1.0: coop_kernel(G, c, T, sigma),
     "cycle_closed_form": lambda c=1.0: cycle_closed_form(c, 0.5),
     "LinearProfile": lambda T=1.0: LinearProfile(G.n, T, 100, "custom", matrix_fn=lambda t: np.eye(G.n)),
@@ -95,7 +95,7 @@ def test_every_entry_point_refuses_a_c_times_T_that_overflows(name):
 
 
 def test_sigma_zero_is_the_deterministic_game():
-    k = build_kernel(G, 1.0, 1.0, 0.0, 100)
+    k = build_kernel(G, 1.0, 1.0, 0.0)
     assert game_value(k) == 0.0 and np.all(player_variance(k, np.linspace(0.0, 1.0, 5)) == 0.0)
     assert game_value(k, np.arange(6.0)) > 0.0
     coop = coop_kernel(G, 1.0, 1.0, 0.0)

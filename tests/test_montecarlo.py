@@ -92,8 +92,8 @@ class TestDrawPool:
     @pytest.mark.parametrize("kind", ["equilibrium", "mean_field"])
     def test_bit_identical_for_any_pool_size(self, monkeypatch, kind):
         g = cycle(12)
-        k = build_kernel(g, 1.0, 1.0, 1.0, steps=100)
-        prof = equilibrium_profile(k) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0, 100)
+        k = build_kernel(g, 1.0, 1.0, 1.0)
+        prof = equilibrium_profile(k, 100) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0, 100)
         cfg = SimConfig(n_paths=40, dt=0.01, seed=3, record_times=(0.0, 0.37, 1.0))
         ensembles = []
         for workers in ("1", "2"):
@@ -107,8 +107,8 @@ class TestDrawPool:
         # More draw threads than cores, switching every microsecond: a block
         # overwritten before it is consumed would change the ensemble.
         g = cycle(10)
-        k = build_kernel(g, 1.0, 1.0, 1.0, steps=100)
-        prof = equilibrium_profile(k) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0, 100)
+        k = build_kernel(g, 1.0, 1.0, 1.0)
+        prof = equilibrium_profile(k, 100) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0, 100)
         cfg = SimConfig(n_paths=30, dt=0.005, seed=8, record_times=(0.5, 1.0))
         monkeypatch.setattr(montecarlo, "draw_threads", lambda block_bytes: 1)
         reference = simulate(g, prof, 1.0, cfg)
@@ -136,7 +136,7 @@ class TestDrawPool:
         # rates one step at a time: the tabulated rates must not change them.
         cfg = SimConfig(n_paths=48, dt=0.01, seed=9, record_times=(0.0, 0.5, 1.0))
         g, h = cycle(12), torus(3, 2)
-        equilibrium = simulate(g, equilibrium_profile(build_kernel(g, 2.0, 1.0, 0.7, steps=100)), 0.7, cfg)
+        equilibrium = simulate(g, equilibrium_profile(build_kernel(g, 2.0, 1.0, 0.7), 100), 0.7, cfg)
         coop = simulate(h, coop_profile(coop_kernel(h, 1.5, 1.0, 1.3), 100), 1.3, cfg)
         assert _digest(equilibrium) == "388f925716368c64c4acd68d2c264c30440066ae50c802c795562670306b6eed"
         assert _digest(coop) == "91cf04490d4726fb68cd1cbb3f95ce572dce18ada030d31a13a42b85cc184b78"
@@ -144,8 +144,8 @@ class TestDrawPool:
     @pytest.mark.parametrize("kind", ["equilibrium", "mean_field"])
     def test_rates_are_tabulated_once(self, kind):
         g = cycle(6)
-        k = build_kernel(g, 1.0, 1.0, 1.0, steps=100)
-        prof = equilibrium_profile(k) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0, 100)
+        k = build_kernel(g, 1.0, 1.0, 1.0)
+        prof = equilibrium_profile(k, 100) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0, 100)
         calls = []
 
         def rates(t):
@@ -179,15 +179,15 @@ class TestDrawPool:
 class TestEigenFrame:
     @pytest.mark.parametrize("g", [cycle(20), torus(3, 2), complete(10)], ids=["cycle20", "torus3_2", "complete10"])
     def test_spectral_form_matches_dense_profile(self, g):
-        k = build_kernel(g, 1.0, 1.0, 1.0, steps=200)
-        prof = equilibrium_profile(k)
+        k = build_kernel(g, 1.0, 1.0, 1.0)
+        prof = equilibrium_profile(k, 200)
         for t in (0.0, 0.3, 0.71, 1.0):
             dense = prof.eigen.reconstruct(prof.rates(t))
             assert np.abs(dense - p_matrix(k, t)).max() <= 1e-12
 
     def test_never_builds_the_feedback_matrix(self, monkeypatch):
         g = cycle(8)
-        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=100))
+        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 100)
         monkeypatch.setattr(LinearProfile, "at", lambda self, t: _refuse(t))
         ens = simulate(g, prof, 1.0, SimConfig(16, 0.01, 4, (0.5, 1.0)))
         assert np.isfinite(ens.at(1.0)).all()
@@ -195,7 +195,7 @@ class TestEigenFrame:
     def test_explosion_names_step_and_path(self):
         g = complete(2)
         prof = dataclasses.replace(
-            equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=100)),
+            equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 100),
             rates=lambda t: np.full(np.shape(t) + (2,), -1e6),
         )
         with pytest.raises(NumericError, match=r"step \d+, path \d+"):
@@ -227,8 +227,8 @@ class TestAgainstAnalyticLaws:
 
     def test_equilibrium_moments_complete10(self):
         g = complete(10)
-        k = build_kernel(g, 1.0, 1.0, 1.0, steps=500)
-        prof = equilibrium_profile(k)
+        k = build_kernel(g, 1.0, 1.0, 1.0)
+        prof = equilibrium_profile(k, 500)
         ens = simulate(g, prof, 1.0, SimConfig(4000, 1.0 / 500, 11, (1.0,)))
         pairs = [(0, 1), (2, 7)]
         stats = ensemble_stats(ens, 1.0, pairs=pairs)
@@ -254,8 +254,8 @@ class TestAgainstAnalyticLaws:
         from graphflock.equilibrium import covariance_bound
 
         g = cycle(20)
-        k = build_kernel(g, 1.0, 1.0, 1.0, steps=500)
-        prof = equilibrium_profile(k)
+        k = build_kernel(g, 1.0, 1.0, 1.0)
+        prof = equilibrium_profile(k, 500)
         ens = simulate(g, prof, 1.0, SimConfig(4000, 1.0 / 500, 37, (1.0,)))
         stats = ensemble_stats(ens, 1.0, pairs=[(0, 5)])  # distance 5
         cov, se = stats.covariances[(0, 5)]
@@ -266,8 +266,8 @@ class TestAgainstAnalyticLaws:
         # V_{j+1} = A_j V A_j^T + sigma^2 dt I; its gap to the continuous-time
         # law must scale like dt.
         g = complete(2)
-        k = build_kernel(g, 1.0, 1.0, 1.0, steps=1000)
-        prof = equilibrium_profile(k)
+        k = build_kernel(g, 1.0, 1.0, 1.0)
+        prof = equilibrium_profile(k, 1000)
         law = state_law(k, 1.0)
 
         def chain_cov(steps):
@@ -297,8 +297,8 @@ class TestAgainstAnalyticLaws:
         analytic = {}
         for n in (50, 200):
             g = cycle(n)
-            k = build_kernel(g, 1.0, 1.0, 1.0, steps=500)
-            prof = equilibrium_profile(k)
+            k = build_kernel(g, 1.0, 1.0, 1.0)
+            prof = equilibrium_profile(k, 500)
             ens = simulate(g, prof, 1.0, SimConfig(4000, 1.0 / 500, 19, (1.0,)))
             u = int(rng.integers(n))
             v = int((u + rng.integers(1, n)) % n)
@@ -381,8 +381,8 @@ class TestConcentration:
     @pytest.mark.parametrize("h", ["tanh", "clipped_identity", "cosine"])
     def test_complete30_concentrates(self, h):
         g = complete(30)
-        k = build_kernel(g, 1.0, 1.0, 1.0, steps=500)
-        prof = equilibrium_profile(k)
+        k = build_kernel(g, 1.0, 1.0, 1.0)
+        prof = equilibrium_profile(k, 500)
         ens = simulate(g, prof, 1.0, SimConfig(4000, 1.0 / 500, 31, (1.0,)))
         law = state_law(k, 1.0)
         report = empirical_measure_test(ens, 1.0, h, law.covariance)

@@ -295,7 +295,7 @@ class TestLimitMeasures:
     def test_compressed_rule_keeps_the_atoms_moments(self):
         # Stage 2 of the torus rule: 64 nodes must match the 64 x 64 tensored
         # cosine atoms, here in lam + 1 = (cos + cos) / 2, below degree 128.
-        c, cw = spectral._cosine_rule()
+        c, cw = spectral._torus_stage(1)
         atoms, atom_weights = ((c[:, None] + c[None, :]) / 2).ravel(), (cw[:, None] * cw[None, :]).ravel()
         nodes, weights = spectral._gauss_rule_from_atoms(atoms, atom_weights, 64)
         k = np.arange(128)[:, None]
@@ -311,8 +311,22 @@ class TestLimitMeasures:
             return nodes, rule_weights
 
         monkeypatch.setattr(spectral, "_gauss_rule_from_atoms", shifted)
+        spectral._torus_stage.cache_clear()  # a stage is built once per process: drop those built before the patch
         with pytest.raises(NumericError, match="compressed"):
             limit_measure("torus_limit", d=3)
+
+    @pytest.mark.parametrize("axes", [1, 2, 4])
+    def test_torus_stages_are_shared_and_refuse_writes(self, axes):
+        # Every caller shares a stage built once, so a write to it would reach them all.
+        nodes, weights = spectral._torus_stage(axes)
+        for a in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert spectral._torus_stage(axes)[0] is nodes
+        # A limit measure owns fresh arrays, so writing to it leaves the stage as it was.
+        mu = limit_measure("torus_limit", d=axes)
+        mu.weights[0] = 0.0
+        assert weights[0] != 0.0 and limit_measure("torus_limit", d=axes).weights[0] == weights[0]
 
     def test_kesten_mckay_support(self):
         mu = limit_measure("kesten_mckay", d=3)

@@ -43,8 +43,8 @@ class TestProfiles:
         assert np.all(off == 0.0)
 
     def test_equilibrium_profile_rows(self):
-        k = build_kernel(cycle(4), 1.0, 1.0, 1.0, steps=200)
-        prof = equilibrium_profile(k)
+        k = build_kernel(cycle(4), 1.0, 1.0, 1.0)
+        prof = equilibrium_profile(k, 200)
         assert np.allclose(prof.at(0.7), p_matrix(k, 0.7))
 
     def test_profile_graph_mismatch(self):
@@ -104,7 +104,7 @@ class TestScalarReduction:
         if kind == "mean_field":
             prof = mf_profile(g, 1.0, 1.0, steps=100)
         else:
-            prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=100))
+            prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 100)
         report = nash_audit(g, prof, c=1.0, sigma=1.0)
         assert report["all_satisfied"]
 
@@ -141,7 +141,7 @@ class TestSpectralReduction:
         g = SPECTRAL_GRAPHS[graph]()
         c, T, sigma, steps = 1.3, 1.0, 0.8, 200
         if kind == "equilibrium":
-            prof = equilibrium_profile(build_kernel(g, c, T, sigma, steps=steps))
+            prof = equilibrium_profile(build_kernel(g, c, T, sigma), steps)
         else:
             prof = coop_profile(coop_kernel(g, c, T, sigma), steps)
         assert prof.eigen is not None and prof.tag == kind
@@ -158,7 +158,7 @@ class TestSpectralReduction:
     @pytest.mark.parametrize("graph", ["cycle20", "torus3x2"])
     def test_transitive_audit_reads_no_eigenvectors(self, monkeypatch, graph):
         g = SPECTRAL_GRAPHS[graph]()
-        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=100))
+        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 100)
 
         def refuse(self):
             raise AssertionError("eigenvectors read by an audit on a transitive graph")
@@ -171,9 +171,9 @@ class TestSpectralReduction:
 MODAL_AUDITS = {
     "er50-mean_field": lambda: (erdos_renyi(50, 0.3, seed=7), lambda g: mf_profile(g, 1.3, 1.0, 100)),
     "er50-zero": lambda: (erdos_renyi(50, 0.3, seed=7), lambda g: zero_profile(g, 1.0, 100)),
-    "cycle20-equilibrium": lambda: (cycle(20), lambda g: equilibrium_profile(build_kernel(g, 1.3, 1.0, 0.8, 100))),
+    "cycle20-equilibrium": lambda: (cycle(20), lambda g: equilibrium_profile(build_kernel(g, 1.3, 1.0, 0.8), 100)),
     "k4_k33-equilibrium": lambda: (
-        regular_not_transitive(), lambda g: equilibrium_profile(build_kernel(g, 1.3, 1.0, 0.8, 100))
+        regular_not_transitive(), lambda g: equilibrium_profile(build_kernel(g, 1.3, 1.0, 0.8), 100)
     ),
     "torus3x2-coop": lambda: (torus(3, 2), lambda g: coop_profile(coop_kernel(g, 1.3, 1.0, 0.8), 100)),
 }
@@ -204,11 +204,11 @@ class TestModalMaps:
     def test_spectral_step_that_does_not_resolve_is_refused(self):
         g = cycle(20)
         # c dt = 1: the best response costs more than the profile.
-        prof = equilibrium_profile(build_kernel(g, 100.0, 1.0, 1.0, steps=100))
+        prof = equilibrium_profile(build_kernel(g, 100.0, 1.0, 1.0), 100)
         with pytest.raises(NumericError, match="player 0's best response costs .* more than its cost"):
             nash_audit(g, prof, c=100.0, sigma=1.0)
         # c dt = 3: z more than doubles within one step.
-        prof = equilibrium_profile(build_kernel(g, 300.0, 1.0, 1.0, steps=100))
+        prof = equilibrium_profile(build_kernel(g, 300.0, 1.0, 1.0), 100)
         with pytest.raises(NumericError, match="100 steps do not resolve the profile"):
             best_response(g, prof, 0, c=300.0, sigma=1.0)
         with pytest.raises(NumericError, match="which is not finite"):
@@ -217,7 +217,7 @@ class TestModalMaps:
     @pytest.mark.filterwarnings("ignore:graph transitivity:RuntimeWarning")
     def test_non_transitive_spectral_audit_refused(self):
         g = regular_not_transitive()
-        prof = equilibrium_profile(build_kernel(g, 300.0, 1.0, 1.0, steps=100))
+        prof = equilibrium_profile(build_kernel(g, 300.0, 1.0, 1.0), 100)
         with pytest.raises(NumericError, match="100 steps do not resolve the profile"):
             best_response(g, prof, 7, c=300.0, sigma=1.0)
         with pytest.raises(NumericError, match="player 0's best response costs nan, which is not finite"):
@@ -281,7 +281,7 @@ class TestTransitiveMemory:
     def test_audit_holds_no_player_by_mode_table(self):
         # One (players x eigenspaces) table on cycle(4000) would take 4000 * 2001 * 8 B = 61 MiB.
         g = cycle(4000)
-        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=100))
+        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 100)
         tracemalloc.start()
         try:
             report = nash_audit(g, prof, c=1.0, sigma=1.0)
@@ -342,8 +342,8 @@ class TestCostUnderProfile:
             assert cost == pytest.approx(0.5 * c * sigma**2 * 1.0, abs=1e-10)
 
     def test_equilibrium_profile_average_equals_game_value(self):
-        k = build_kernel(complete(50), 1.0, 1.0, 1.0, steps=2000)
-        prof = equilibrium_profile(k)
+        k = build_kernel(complete(50), 1.0, 1.0, 1.0)
+        prof = equilibrium_profile(k, 2000)
         costs = profile_costs(complete(50), prof, sigma=1.0, c=1.0)
         assert costs.mean() == pytest.approx(game_value(k), abs=1e-6)
 
@@ -389,8 +389,8 @@ class TestBestResponse:
 
     def test_fixed_point_of_equilibrium(self):
         g = cycle(6)
-        k = build_kernel(g, 1.0, 1.0, 1.0, steps=2000)
-        prof = equilibrium_profile(k)
+        k = build_kernel(g, 1.0, 1.0, 1.0)
+        prof = equilibrium_profile(k, 2000)
         for i in (0, 2):
             br = best_response(g, prof, i, c=1.0, sigma=1.0)
             worst = 0.0
@@ -414,7 +414,7 @@ class TestBestResponse:
 
     def test_blowup_capped_spectral(self):
         g = complete(2)
-        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0, steps=200))
+        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 200)
         destabilizing = dataclasses.replace(prof, rates=lambda t: np.full(np.shape(t) + (g.n,), -1e4))
         with pytest.raises(NumericError):
             best_response(g, destabilizing, 0, c=1.0, sigma=1.0)
@@ -457,8 +457,8 @@ class TestDeviationGap:
 
     def test_equilibrium_profile_no_gain(self):
         g = complete(10)
-        k = build_kernel(g, 1.0, 1.0, 1.0, steps=2000)
-        prof = equilibrium_profile(k)
+        k = build_kernel(g, 1.0, 1.0, 1.0)
+        prof = equilibrium_profile(k, 2000)
         for i in (0, 7):
             assert abs(deviation_gap(g, prof, i, c=1.0, sigma=1.0)) <= 1e-6
 
@@ -514,8 +514,8 @@ class TestNashAudit:
 
     def test_equilibrium_audit_zero_bound(self):
         g = torus(3, 2)
-        k = build_kernel(g, 1.0, 1.0, 1.0, steps=1000)
-        report = nash_audit(g, equilibrium_profile(k), c=1.0, sigma=1.0)
+        k = build_kernel(g, 1.0, 1.0, 1.0)
+        report = nash_audit(g, equilibrium_profile(k, 1000), c=1.0, sigma=1.0)
         assert report["all_satisfied"]
         assert report["max_gap"] <= 1e-5
 
