@@ -66,8 +66,6 @@ _EXPORTS = {
         "EpsilonBounds",
         "LinearProfile",
         "best_response",
-        "cost_under_profile",
-        "deviation_gap",
         "epsilon_bounds",
         "equilibrium_profile",
         "mf_profile",

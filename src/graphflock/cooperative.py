@@ -81,8 +81,13 @@ def _gram(g: Graph) -> np.ndarray:
 
 
 def coop_feedback_eigenvalues(k: CoopKernel, t) -> np.ndarray:
-    """c nu / (1 + c(T-t) nu) per eigenvalue nu of M; a row per time of an array t."""
-    nu = k.eigen.eigenvalues
+    """F(t)'s eigenvalues, paired with k.eigen's columns: _feedback at M's spectrum."""
+    return _feedback(k, t, k.eigen.eigenvalues)
+
+
+def _feedback(k: CoopKernel, t, nu) -> np.ndarray:
+    """c nu / (1 + c(T-t) nu), F(t)'s rate on M's eigenspace of each
+    eigenvalue nu; a row per time of an array t."""
     return k.c * nu / (1.0 + np.multiply.outer(k.c * (k.T - _clamp_time(t, k.T)), nu))
 
 
@@ -151,11 +156,11 @@ def coop_profile(k: CoopKernel, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile
     """The planner's control as a LinearProfile (K(t) = F(t)), usable with
     the strategy-evaluation moment ODEs for cross-checking.  Where
     coop_kernel has M = L^2, it is spectral in the eigensystem of L that
-    coop_kernel took (k.eigen holds lam^2 for L's ascending lam <= 0 in
-    reverse); elsewhere dense."""
+    coop_kernel took, with rate c lam^2 / (1 + c(T-t) lam^2) on L's
+    eigenspace of lam; elsewhere dense."""
     if k.laplacian is None:
         return LinearProfile(k.n, k.T, steps, "coop", matrix_fn=lambda t: coop_feedback_matrix(k, t))
-    return LinearProfile(k.n, k.T, steps, "coop", lambda t: coop_feedback_eigenvalues(k, t)[..., ::-1], k.laplacian)
+    return LinearProfile(k.n, k.T, steps, "coop", lambda t, lam: _feedback(k, t, lam**2), k.laplacian)
 
 
 def coop_value_measure(mu: SpectralMeasure, c: float, T: float, sigma: float) -> float:

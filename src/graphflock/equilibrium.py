@@ -145,15 +145,21 @@ def _variance_integral(lam, schedule, sigma, t, weights=None):
 
 
 def p_eigenvalues(k: EquilibriumKernel, t) -> np.ndarray:
-    """P(t)'s eigenvalues, from one evaluation of f(T - t); a row per time of an array t."""
-    return _rates(k, k.schedule.value(k.T - _clamp_time(t, k.T)))
+    """P(t)'s eigenvalues, paired with k.eigen's columns: _p_rates at the
+    kernel's spectrum; a row per time of an array t."""
+    return _p_rates(k, t, k.eigen.eigenvalues)
 
 
-def _rates(k: EquilibriumKernel, f) -> np.ndarray:
-    """P's eigenvalues -f' lam / (1 - f lam) paired with k.eigen's columns,
-    at schedule values f.  rhs takes its table in blocks and the quotient is
-    made in place, so many times peak at two (times x n) arrays."""
-    lam = k.eigen.eigenvalues
+def _p_rates(k: EquilibriumKernel, t, lam) -> np.ndarray:
+    """P(t)'s rate on the eigenspace of each eigenvalue lam, from one
+    evaluation of f(T - t); a row per time of an array t."""
+    return _rates(k, k.schedule.value(k.T - _clamp_time(t, k.T)), lam)
+
+
+def _rates(k: EquilibriumKernel, f, lam) -> np.ndarray:
+    """-f' lam / (1 - f lam) at schedule values f, for each eigenvalue lam.
+    rhs takes its table in blocks and the quotient is made in place, so
+    many times peak at two (times x lam) arrays."""
     slope = -k.schedule.rhs(f)
     out = np.multiply.outer(f, lam)
     np.subtract(1.0, out, out=out)
@@ -279,7 +285,7 @@ def riccati_residual(k: EquilibriumKernel, i: int, t: float) -> float:
     q, qp = q_eval(mu, f)
     r = mu.nodes / (1.0 - f * mu.nodes)
     q2 = qp * qp / q - q * float((r * r) @ mu.weights)
-    rho = _rates(k, f)
+    rho = _rates(k, f, k.eigen.eigenvalues)
     rho_dot = rho * (rho - k.c * q2)
 
     p, p_dot = k.eigen.reconstruct(rho), k.eigen.reconstruct(rho_dot)

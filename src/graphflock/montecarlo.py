@@ -103,9 +103,11 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
     """Euler-Maruyama ensemble of the controlled system under the profile.
 
     A scalar or spectral profile's rates come from one prof.rates call on
-    the step times, a row per step.  That table holds steps x n floats for
-    a spectral profile (0.8 MB at n = 200 and 500 steps), less than the
-    ring of drawn-ahead blocks whenever steps <= (draw threads + 1) x n_paths."""
+    the step times, a row per step; a spectral one's at eigen.eigenvalues,
+    a column per eigenvector of the frame.  That table holds steps x n
+    floats for a spectral profile (0.8 MB at n = 200 and 500 steps), less
+    than the ring of drawn-ahead blocks whenever
+    steps <= (draw threads + 1) x n_paths."""
     _checked(g, prof, None, sigma=sigma)
     if cfg.n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {cfg.n_paths}")
@@ -126,10 +128,13 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
     shape = (cfg.n_paths, g.n)
     x = np.zeros(shape)  # y in the eigen-frame
     drift = np.empty(shape) if basis is None else None
-    rates = None if prof.rates is None else prof.rates(np.arange(steps) * cfg.dt)
+    times, rates = np.arange(steps) * cfg.dt, None
     if basis is not None:
+        rates = prof.rates(times, prof.eigen.eigenvalues)
         rates *= -cfg.dt  # the decay factors 1 - dt * rho(t), a row per step
         rates += 1.0
+    elif prof.rates is not None:
+        rates = prof.rates(times)
     ring = [np.empty(shape) for _ in range(draw_threads(x.nbytes) + 1)]
     noise_scale = sigma * np.sqrt(cfg.dt)
     states: dict[float, np.ndarray] = {}

@@ -435,16 +435,24 @@ def limit_measure(kind: str, d: int | None = None) -> SpectralMeasure:
     given to a kind without one, raises ParameterError."""
     if not isinstance(kind, str) or kind not in _LIMITS:
         raise ParameterError(f"unknown limit measure kind {kind!r}")
-    _, least, rule = _LIMITS[kind]
+    return _validate_measure(SpectralMeasure(kind, *_LIMITS[kind][2](_limit_d(kind, d))))
+
+
+def _limit_d(kind: str, d) -> int | None:
+    """d as the kind's rule takes it: an int at least the kind's least d,
+    or None for a kind without d; anything else raises ParameterError."""
+    least = _LIMITS[kind][1]
     if least is None and d is not None:
         raise ParameterError(f"{kind} takes no d, got {d!r}")
     if least is not None and (isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < least):
         raise ParameterError(f"{kind} needs an integer d >= {least}, got {d!r}")
-    return _validate_measure(SpectralMeasure(kind, *rule(None if least is None else int(d))))
+    return None if least is None else int(d)
 
 
 def kesten_mckay_cdf(d: int, points: np.ndarray) -> np.ndarray:
-    """CDF of the Kesten-McKay Laplacian law evaluated at the given points."""
+    """CDF of the Kesten-McKay Laplacian law evaluated at the given points;
+    d is checked as limit_measure("kesten_mckay", d) checks it."""
+    d = _limit_d("kesten_mckay", d)
     r = 2.0 * np.sqrt(d - 1.0) / d
     x, w = _leggauss(KESTEN_MCKAY_NODES)
 

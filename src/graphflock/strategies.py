@@ -39,7 +39,7 @@ import numpy as np
 from .errors import NumericError, ParameterError
 from .flow import _check_model
 from .graphs import Graph, _vector, _vertex
-from .equilibrium import EquilibriumKernel, p_eigenvalues
+from .equilibrium import EquilibriumKernel, _p_rates
 from .spectral import EigenSystem
 
 #: Default step count of a profile's grid.
@@ -50,12 +50,15 @@ DEFAULT_ODE_STEPS = 2000
 class LinearProfile:
     """Time-dependent linear feedback profile on a uniform grid of [0, T].
 
-    Exactly one of rates and matrix_fn is set.  rates(t) is k for a scalar
-    profile, K(t) = k I, or with eigen (L's eigensystem) one rate per
-    eigenvalue, K(t) = V diag(rates(t)) V^T; an array of times gets a
-    row per time.  matrix_fn(t) is a dense K(t).  Any t in [0, T] works;
-    the grid of steps + 1 equal times fixes the discretization of the cost
-    and Riccati solvers.
+    Exactly one of rates and matrix_fn is set.  Without eigen, rates(t) is
+    k for a scalar profile, K(t) = k I.  With eigen (L's eigensystem, of
+    n eigenvalues) a spectral profile's rate is a function on the
+    spectrum: rates(t, lam) is the rate on the eigenspace of each
+    eigenvalue in lam, so K(t) = V diag(rates(t, eigen.eigenvalues)) V^T,
+    and a caller that reads one eigenspace evaluates it at one eigenvalue.
+    An array of times gets a row per time.  matrix_fn(t) is a dense K(t),
+    with no eigen.  Any t in [0, T] works; the grid of steps + 1 equal
+    times fixes the discretization of the cost and Riccati solvers.
     """
 
     n: int
@@ -72,6 +75,10 @@ class LinearProfile:
             raise ParameterError(f"profile needs at least one step, got {self.steps}")
         if (self.rates is None) == (self.matrix_fn is None):
             raise ParameterError("a profile sets exactly one of rates and matrix_fn")
+        if self.eigen is not None and self.matrix_fn is not None:
+            raise ParameterError("a dense profile takes no eigensystem")
+        if self.eigen is not None and self.eigen.n != self.n:
+            raise ParameterError(f"profile is for {self.n} players, its eigensystem has {self.eigen.n}")
 
     @property
     def grid(self) -> np.ndarray:
@@ -81,8 +88,9 @@ class LinearProfile:
         """The dense n x n feedback matrix K(t), whatever the form."""
         if self.matrix_fn is not None:
             return self.matrix_fn(float(t))
-        rates = self.rates(float(t))
-        return rates * np.eye(self.n) if self.eigen is None else self.eigen.reconstruct(rates)
+        if self.eigen is None:
+            return self.rates(float(t)) * np.eye(self.n)
+        return self.eigen.reconstruct(self.rates(float(t), self.eigen.eigenvalues))
 
 
 def mf_profile(g: Graph, c: float, T: float, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
@@ -94,8 +102,10 @@ def mf_profile(g: Graph, c: float, T: float, steps: int = DEFAULT_ODE_STEPS) -> 
 
 def equilibrium_profile(k: EquilibriumKernel, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
     """Profile whose rows are the equilibrium feedback P(t), in spectral
-    form: the kernel's eigensystem and P(t)'s eigenvalues p_eigenvalues(k, t)."""
-    return LinearProfile(k.n, k.T, steps, "equilibrium", lambda t: p_eigenvalues(k, t), k.eigen)
+    form: the kernel's eigensystem, and P(t)'s rate on the eigenspace of
+    lam, -f' lam / (1 - f lam) at f = f(T - t), whose columns at the
+    kernel's spectrum are p_eigenvalues(k, t)."""
+    return LinearProfile(k.n, k.T, steps, "equilibrium", lambda t, lam: _p_rates(k, t, lam), k.eigen)
 
 
 def zero_profile(g: Graph, T: float, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
@@ -305,18 +315,6 @@ def _modal_costs(prof: LinearProfile, players: tuple, sigma: float, c: float) ->
     return costs
 
 
-def cost_under_profile(
-    g: Graph,
-    prof: LinearProfile,
-    i: int,
-    sigma: float,
-    c: float,
-    x0: np.ndarray | None = None,
-) -> float:
-    """Player i's expected cost under the profile."""
-    return float(_costs(prof, _players(g, prof, _checked(g, prof, x0, i, c=c, sigma=sigma)), sigma, c)[i])
-
-
 @dataclass
 class BestResponse:
     """Optimal value and feedback of one player against a frozen profile."""
@@ -357,18 +355,11 @@ def best_response(
     _rank_one solves in _basis; an unresolved step raises NumericError.
     """
     players = _players(g, prof, _checked(g, prof, x0, i, c=c, sigma=sigma))
-    value, path = _best_value(prof, players, i, c, sigma, trace=True)
-    basis, gamma = _basis(g, prof, i), path[:, :, 0]
-    return BestResponse(value, prof.grid, (gamma @ basis[i])[:, None] * (gamma @ basis.T))
-
-
-def _best_value(prof, players, i, c, sigma, trace=False) -> tuple[float, np.ndarray | None]:
-    """Player i's best-response value from _players' table (and, with
-    trace, _rank_one's path); a value that is not finite raises NumericError."""
-    (value,), path = _rank_one(prof, players, c, sigma, [i], trace=trace)
+    (value,), path = _rank_one(prof, players, c, sigma, [i], trace=True)
     if not math.isfinite(value):
         raise NumericError(f"player {i}'s best response is not finite: {prof.steps} steps do not resolve the profile")
-    return float(value), path
+    basis, gamma = _basis(g, prof, i), path[:, :, 0]
+    return BestResponse(float(value), prof.grid, (gamma @ basis[i])[:, None] * (gamma @ basis.T))
 
 
 def _basis(g: Graph, prof: LinearProfile, i: int) -> np.ndarray:
@@ -395,8 +386,9 @@ def _players(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
     x0 = None).  The stages are the coefficient at the j-th half-step time,
     j = 0 .. 2 steps: for a modal profile a table from one rates call, row j
     holding the rates, one per basis vector of B (k twice for a scalar
-    profile, an eigenspace's at its first eigenvalue); for a dense one a
-    function j -> K, evaluated on demand and kept until the next.
+    profile; for a spectral one, each eigenspace's rate at its first
+    eigenvalue, from rates(times, eigenvalues[eigenspaces()])); for a
+    dense one a function j -> K, evaluated on demand and kept until the next.
 
     Dense: a class per player, w = u = e_i, a = l_i, B^T B = I.  Scalar: a
     class per degree, one column w = u = (1, 0), a = (1, 1),
@@ -418,8 +410,8 @@ def _players(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
         columns = np.array([[1.0], [0.0], [1.0], [0.0], [1.0], [1.0]])
         return np.column_stack((rates, rates)), grams, which, columns, coords
     starts = prof.eigen.eigenspaces()
-    table = prof.rates(times)[:, starts]
     lam = prof.eigen.eigenvalues[starts]
+    table = prof.rates(times, lam)
     if g.transitivity.is_transitive():
         grams, which = (np.diff(starts, append=n) / n)[:, None], np.zeros(n, int)
     else:
@@ -550,23 +542,6 @@ def _modal_solve(table, w, u, gamma, dt, steps, trace):
             path[first[col] + 1 :, col] = np.nan
         path = path[::-1].transpose(0, 2, 1)
     return gamma.T, q.T, z, path
-
-
-def deviation_gap(
-    g: Graph,
-    prof: LinearProfile,
-    i: int,
-    c: float,
-    sigma: float,
-    x0: np.ndarray | None = None,
-) -> float:
-    """How much player i saves by deviating optimally from the profile.
-
-    Nonnegative up to discretization noise; zero exactly at a Nash
-    equilibrium.  Solves only the value, not best_response's feedback path.
-    """
-    players = _players(g, prof, _checked(g, prof, x0, i, c=c, sigma=sigma))
-    return float(_costs(prof, players, sigma, c)[i]) - _best_value(prof, players, i, c, sigma)[0]
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from graphflock.spectral import (
 )
 from graphflock.strategies import (
     nash_audit,
-    deviation_gap,
     epsilon_bounds,
     equilibrium_profile,
     mf_profile,
@@ -115,9 +114,8 @@ def test_criterion_04_riccati_and_nash_verification():
             worst_interior = max(worst_interior, riccati_residual(k, 0, float(t)))
         for i in range(g.n):
             worst_boundary = max(worst_boundary, riccati_terminal_residual(k, i))
-        prof = equilibrium_profile(k)
-        for i in range(g.n):
-            worst_gap = max(worst_gap, abs(deviation_gap(g, prof, i, c=1.0, sigma=1.0)))
+        audit = nash_audit(g, equilibrium_profile(k), c=1.0, sigma=1.0)
+        worst_gap = max(worst_gap, max(abs(p["gap"]) for p in audit["players"]))
     assert worst_interior <= 1e-6
     assert worst_boundary <= 1e-9
     assert worst_gap <= 1e-5

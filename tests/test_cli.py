@@ -170,10 +170,21 @@ class TestFigures:
                 "nash-audit --graph cycle:20 --profile equilibrium --steps 100",
                 "3a601509367e81a1e8f7fce9d7b690826a08dd4a931ec96ee624b32ac7a5751f",
             ),
+            pytest.param(
+                "nash-audit --graph random_regular:60,3 --seed 1 --profile equilibrium --steps 100",
+                "471b1c337652fac9e3a5750de21aeb242fc8af9396cb8174d68b11e0109fde1f",
+                marks=pytest.mark.filterwarnings("ignore:graph transitivity:RuntimeWarning"),
+            ),
+            (
+                "simulate --profile equilibrium --graph cycle:200 --record-times 0.5,1 --paths 400 --seed 1",
+                "b34a96f28d1aabee856c586a6b62cb5161eebb204e3ec82bf961f05d81eedadb",
+            ),
         ],
     )
     def test_command_bytes_are_pinned(self, capsys, argv, digest):
-        # Pinned before the schedule lost its output grid: solve-f prints value on its --steps grid.
+        # Each digest was taken before a change meant to leave these bytes alone: the schedule losing
+        # its output grid (solve-f prints value on its --steps grid), and a spectral rate read only at
+        # the eigenvalues a caller needs (the audits and the simulation).
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -779,7 +790,7 @@ class TestSubcommandOptions:
             for op in workloads.ops(workload, 1):
                 parser.parse_args([*op.argv, "--out", "artifact"])
 
-    @pytest.mark.parametrize("workload", ["limit-figures", "nash-audit"])
+    @pytest.mark.parametrize("workload", ["limit-figures", "nash-audit", "monte-carlo"])
     def test_benchmark_artifacts_pass_its_checks(self, monkeypatch, tmp_path, workload):
         # Each op's artifact, written through main, passes the benchmark's own check of it.
         harness = {}

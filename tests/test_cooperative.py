@@ -91,7 +91,8 @@ class TestSquaredLaplacianSpectrum:
         g = random_regular(100, 3, seed=1)
         prof = coop_profile(coop_kernel(g, 1.0, 1.0, 1.0))
         assert calls == [(100, 100)]
-        assert prof.eigen is not None and np.array_equal(prof.rates(0.5), prof.rates(np.array([0.5]))[0])
+        lam = prof.eigen.eigenvalues
+        assert np.array_equal(prof.rates(0.5, lam), prof.rates(np.array([0.5]), lam)[0])
 
 
 class TestValue:

@@ -20,8 +20,6 @@ from graphflock.spectral import limit_measure
 from graphflock.strategies import (
     LinearProfile,
     best_response,
-    cost_under_profile,
-    deviation_gap,
     epsilon_bounds,
     mf_profile,
     nash_audit,
@@ -44,9 +42,7 @@ ENTRY_POINTS = {
     "zero_profile": lambda T=1.0: zero_profile(G, T, 100),
     "mf_profile": lambda c=1.0, T=1.0: mf_profile(G, c, T, 100),
     "profile_costs": lambda c=1.0, sigma=1.0: profile_costs(G, PROFILE, sigma, c),
-    "cost_under_profile": lambda c=1.0, sigma=1.0: cost_under_profile(G, PROFILE, 0, sigma, c),
     "best_response": lambda c=1.0, sigma=1.0: best_response(G, PROFILE, 0, c, sigma),
-    "deviation_gap": lambda c=1.0, sigma=1.0: deviation_gap(G, PROFILE, 0, c, sigma),
     "nash_audit": lambda c=1.0, sigma=1.0: nash_audit(G, PROFILE, c, sigma),
     "epsilon_bounds": lambda c=1.0, T=1.0, sigma=1.0: epsilon_bounds(G, c, T, sigma),
     "limit_variance": lambda sigma=1.0: limit_variance(SCHEDULE, sigma, 0.5),
@@ -80,9 +76,7 @@ OVERFLOWING = {
         if {"c", "T"} <= set(inspect.signature(ENTRY_POINTS[name]).parameters)
     },
     "profile_costs": lambda: profile_costs(G, HUGE_PROFILE, 1.0, HUGE),
-    "cost_under_profile": lambda: cost_under_profile(G, HUGE_PROFILE, 0, 1.0, HUGE),
     "best_response": lambda: best_response(G, HUGE_PROFILE, 0, HUGE, 1.0),
-    "deviation_gap": lambda: deviation_gap(G, HUGE_PROFILE, 0, HUGE, 1.0),
     "nash_audit": lambda: nash_audit(G, HUGE_PROFILE, HUGE, 1.0),
 }
 

@@ -148,12 +148,17 @@ class TestDrawPool:
         prof = equilibrium_profile(k, 100) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0, 100)
         calls = []
 
-        def rates(t):
-            calls.append(np.copy(t))
-            return prof.rates(t)
+        def rates(t, *lam):
+            calls.append((np.copy(t), *lam))
+            return prof.rates(t, *lam)
 
         simulate(g, dataclasses.replace(prof, rates=rates), 1.0, SimConfig(8, 0.01, 2, (0.5, 1.0)))
-        assert len(calls) == 1 and np.array_equal(calls[0], np.arange(100) * 0.01)
+        ((times, *lam),) = calls
+        assert np.array_equal(times, np.arange(100) * 0.01)
+        if kind == "equilibrium":  # a spectral rate is read at every eigenvalue, in the eigenvectors' order
+            assert len(lam) == 1 and np.array_equal(lam[0], k.eigen.eigenvalues)
+        else:
+            assert lam == []
 
     def test_lg_threads_sizes_the_pool(self, monkeypatch):
         monkeypatch.delenv("LG_THREADS", raising=False)
@@ -182,7 +187,7 @@ class TestEigenFrame:
         k = build_kernel(g, 1.0, 1.0, 1.0)
         prof = equilibrium_profile(k, 200)
         for t in (0.0, 0.3, 0.71, 1.0):
-            dense = prof.eigen.reconstruct(prof.rates(t))
+            dense = prof.eigen.reconstruct(prof.rates(t, prof.eigen.eigenvalues))
             assert np.abs(dense - p_matrix(k, t)).max() <= 1e-12
 
     def test_never_builds_the_feedback_matrix(self, monkeypatch):
@@ -196,7 +201,7 @@ class TestEigenFrame:
         g = complete(2)
         prof = dataclasses.replace(
             equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 100),
-            rates=lambda t: np.full(np.shape(t) + (2,), -1e6),
+            rates=lambda t, lam: np.full(np.shape(t) + lam.shape, -1e6),
         )
         with pytest.raises(NumericError, match=r"step \d+, path \d+"):
             simulate(g, prof, 1.0, SimConfig(8, 0.01, 0, (1.0,)))

@@ -403,3 +403,12 @@ class TestKestenMcKayLaw:
     def test_ks_needs_discrete(self):
         with pytest.raises(ParameterError):
             ks_distance(limit_measure("cycle_limit"), lambda pts: kesten_mckay_cdf(3, pts))
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 2.5, True, None, "3"])
+    def test_cdf_takes_d_as_the_limit_measure_does(self, d):
+        # Every d that limit_measure refuses for kesten_mckay, the CDF refuses with the same message.
+        with pytest.raises(ParameterError) as expected:
+            limit_measure("kesten_mckay", d)
+        with pytest.raises(ParameterError) as refused:
+            kesten_mckay_cdf(d, np.linspace(-2.0, 0.0, 5))
+        assert str(refused.value) == str(expected.value)

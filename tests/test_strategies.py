@@ -16,9 +16,7 @@ from graphflock.strategies import (
     LinearProfile,
     alignment_functionals,
     best_response,
-    cost_under_profile,
     custom_profile,
-    deviation_gap,
     epsilon_bounds,
     equilibrium_profile,
     mf_profile,
@@ -50,7 +48,15 @@ class TestProfiles:
     def test_profile_graph_mismatch(self):
         prof = mf_profile(cycle(4), 1.0, 1.0, steps=100)
         with pytest.raises(ParameterError):
-            cost_under_profile(cycle(5), prof, 0, sigma=1.0, c=1.0)
+            profile_costs(cycle(5), prof, sigma=1.0, c=1.0)
+
+    def test_spectral_profile_checks_its_own_form(self):
+        # An eigensystem beside a dense K, or of another size, is refused when the profile is made.
+        eigen = build_kernel(cycle(5), 1.0, 1.0, 1.0).eigen
+        with pytest.raises(ParameterError, match="a dense profile takes no eigensystem"):
+            LinearProfile(5, 1.0, 100, "custom", eigen=eigen, matrix_fn=lambda t: np.eye(5))
+        with pytest.raises(ParameterError, match="profile is for 6 players, its eigensystem has 5"):
+            LinearProfile(6, 1.0, 100, "custom", lambda t, lam: 0.0 * lam, eigen)
 
 
 class TestAlignmentFunctionals:
@@ -228,23 +234,28 @@ class TestOneTable:
     """Every entry point evaluates the profile's rates once per call, and
     its costs and best responses read that one table."""
 
+    @pytest.mark.filterwarnings("ignore:graph transitivity:RuntimeWarning")
     @pytest.mark.parametrize("with_x0", [False, True], ids=["x0=0", "x0"])
-    @pytest.mark.parametrize("audit", ["er50-mean_field", "cycle20-equilibrium"])
+    @pytest.mark.parametrize("audit", ["er50-mean_field", "cycle20-equilibrium", "k4_k33-equilibrium", "torus3x2-coop"])
     def test_one_rate_evaluation_per_call(self, audit, with_x0):
+        # One call on the half-step grid; a spectral rate is read at the first eigenvalue of each
+        # eigenspace and nowhere else.
         g, make = MODAL_AUDITS[audit]()
         prof = make(g)
         calls = []
-        counted = dataclasses.replace(prof, rates=lambda t: calls.append(t) or prof.rates(t))
+        counted = dataclasses.replace(prof, rates=lambda *args: calls.append(args) or prof.rates(*args))
+        spectrum = [] if prof.eigen is None else [prof.eigen.eigenvalues[prof.eigen.eigenspaces()]]
         x0 = np.random.default_rng(5).normal(size=g.n) if with_x0 else None
         for call in (
             lambda: nash_audit(g, counted, 1.3, 0.8, x0),
-            lambda: deviation_gap(g, counted, 3, 1.3, 0.8, x0),
             lambda: best_response(g, counted, 3, 1.3, 0.8, x0),
             lambda: profile_costs(g, counted, 0.8, 1.3, x0),
         ):
             calls.clear()
             call()
-            assert len(calls) == 1
+            ((times, *lam),) = calls
+            assert np.array_equal(times, np.linspace(0.0, prof.T, 2 * prof.steps + 1))
+            assert len(lam) == len(spectrum) and all(map(np.array_equal, lam, spectrum))
 
 
 class TestDenseMemory:
@@ -290,6 +301,20 @@ class TestTransitiveMemory:
             tracemalloc.stop()
         assert report["all_satisfied"] and len(report["players"]) == g.n
         assert peak < 32 * 2**20
+
+    def test_audit_reads_rates_at_distinct_eigenvalues(self):
+        # A 201 x 20000 table of rates at every eigenvalue would take 30.7 MiB; the audit
+        # reads them at cycle(20000)'s 10001 distinct eigenvalues.
+        g = cycle(20000)
+        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 100)
+        tracemalloc.start()
+        try:
+            report = nash_audit(g, prof, c=1.0, sigma=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report["all_satisfied"] and len(report["players"]) == g.n
+        assert peak < 40 * 2**20
 
 
 class TestRiccatiReference:
@@ -338,7 +363,7 @@ class TestCostUnderProfile:
         g = single_vertex()
         prof = zero_profile(g, T=1.0, steps=200)
         for c, sigma in ((1.0, 1.0), (2.0, 0.5)):
-            cost = cost_under_profile(g, prof, 0, sigma=sigma, c=c)
+            cost = profile_costs(g, prof, sigma=sigma, c=c)[0]
             assert cost == pytest.approx(0.5 * c * sigma**2 * 1.0, abs=1e-10)
 
     def test_equilibrium_profile_average_equals_game_value(self):
@@ -353,7 +378,7 @@ class TestCostUnderProfile:
         n, c, T, sigma = 10, 1.0, 1.0, 1.0
         g = complete(n)
         prof = mf_profile(g, c, T, steps=2000)
-        cost = cost_under_profile(g, prof, 0, sigma=sigma, c=c)
+        cost = profile_costs(g, prof, sigma=sigma, c=c)[0]
 
         def v(t):
             return sigma**2 * t * (1 + c * (T - t)) / (1 + c * T)
@@ -366,8 +391,8 @@ class TestCostUnderProfile:
         g = cycle(4)
         prof = mf_profile(g, 1.0, 1.0, steps=400)
         x0 = np.array([2.0, 0.0, 0.0, -2.0])
-        cost0 = cost_under_profile(g, prof, 0, sigma=1.0, c=1.0)
-        cost_x0 = cost_under_profile(g, prof, 0, sigma=1.0, c=1.0, x0=x0)
+        cost0 = profile_costs(g, prof, sigma=1.0, c=1.0)[0]
+        cost_x0 = profile_costs(g, prof, sigma=1.0, c=1.0, x0=x0)[0]
         assert cost_x0 > cost0
 
     def test_grid_refinement(self):
@@ -415,7 +440,7 @@ class TestBestResponse:
     def test_blowup_capped_spectral(self):
         g = complete(2)
         prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 200)
-        destabilizing = dataclasses.replace(prof, rates=lambda t: np.full(np.shape(t) + (g.n,), -1e4))
+        destabilizing = dataclasses.replace(prof, rates=lambda t, lam: np.full(np.shape(t) + lam.shape, -1e4))
         with pytest.raises(NumericError):
             best_response(g, destabilizing, 0, c=1.0, sigma=1.0)
 
@@ -438,9 +463,8 @@ class TestBestResponse:
         with pytest.raises(ParameterError):
             best_response(g, prof, 4, c=1.0, sigma=1.0)
         for i in (1.5, True, np.float64(1.0)):  # not an integer index
-            for entry in (best_response, deviation_gap, cost_under_profile):
-                with pytest.raises(ParameterError):
-                    entry(g, prof, i, 1.0, 1.0)
+            with pytest.raises(ParameterError):
+                best_response(g, prof, i, 1.0, 1.0)
 
 
 class TestDeviationGap:
@@ -451,29 +475,32 @@ class TestDeviationGap:
         if form == "dense":
             prof = custom_profile(g, 1.0, prof.at, 200)
         x0 = np.random.default_rng(5).normal(size=g.n)
+        costs = profile_costs(g, prof, 0.8, 1.3, x0)
+        players = nash_audit(g, prof, 1.3, 0.8, x0)["players"]
         for i in (0, 4):
-            cost = cost_under_profile(g, prof, i, 0.8, 1.3, x0)
-            assert deviation_gap(g, prof, i, 1.3, 0.8, x0) == cost - best_response(g, prof, i, 1.3, 0.8, x0).value
+            assert players[i]["cost"] == costs[i]
+            gap = costs[i] - best_response(g, prof, i, 1.3, 0.8, x0).value
+            assert players[i]["gap"] == pytest.approx(gap, rel=1e-13, abs=1e-15)
 
     def test_equilibrium_profile_no_gain(self):
         g = complete(10)
         k = build_kernel(g, 1.0, 1.0, 1.0)
         prof = equilibrium_profile(k, 2000)
-        for i in (0, 7):
-            assert abs(deviation_gap(g, prof, i, c=1.0, sigma=1.0)) <= 1e-6
+        for player in nash_audit(g, prof, c=1.0, sigma=1.0)["players"]:
+            assert abs(player["gap"]) <= 1e-6
 
     def test_mean_field_gap_within_certificate(self):
         g = cycle(20)
         prof = mf_profile(g, 1.0, 1.0, steps=2000)
         eps = epsilon_bounds(g, 1.0, 1.0, 1.0).per_vertex[0]
-        gap = deviation_gap(g, prof, 0, c=1.0, sigma=1.0)
+        gap = nash_audit(g, prof, c=1.0, sigma=1.0)["players"][0]["gap"]
         assert 0.0 < gap <= eps
         assert eps == pytest.approx(0.5 * math.sqrt(1.5), abs=1e-12)
 
     def test_mean_field_isolated_exact(self):
         g = single_vertex()
         prof = mf_profile(g, 1.0, 1.0, steps=2000)
-        assert abs(deviation_gap(g, prof, 0, c=1.0, sigma=1.0)) <= 1e-8
+        assert abs(nash_audit(g, prof, c=1.0, sigma=1.0)["players"][0]["gap"]) <= 1e-8
 
 
 class TestEpsilonBounds:
