@@ -1,10 +1,10 @@
 """Linear-quadratic flocking games on graphs.
 
-Semi-explicit Nash equilibria on transitive graphs via the Laplacian
-spectrum, their large-population limits, mean-field epsilon-Nash
-certificates on general graphs, the cooperative benchmark, and the
-numerical verification machinery (Riccati residuals, best-response
-audits, Monte Carlo simulation) that backs them.
+Semi-explicit Nash equilibria on walk-regular graphs (vertex-transitive
+ones among them) via the Laplacian spectrum, their large-population
+limits, mean-field epsilon-Nash certificates on general graphs, the
+cooperative benchmark, and the numerical verification machinery (Riccati
+residuals, best-response audits, Monte Carlo simulation) that backs them.
 
 The public names below are imported from their modules on first access
 (PEP 562), so importing the package, or graphflock.cli, loads neither
@@ -24,7 +24,6 @@ from .errors import (
 _EXPORTS = {
     "graphs": (
         "Graph",
-        "Transitivity",
         "build_graph",
         "complete",
         "cycle",
@@ -34,7 +33,6 @@ _EXPORTS = {
         "random_regular",
         "read_edge_list",
         "torus",
-        "verify_transitive",
     ),
     "spectral": (
         "EigenSystem",

@@ -261,7 +261,7 @@ def _schedule_for(args):
 
 def _game_schedule(args):
     """The schedule of value and variance-curve: build_kernel's for --graph,
-    with its checks and its transitivity warning, else _schedule_for's."""
+    with its checks and its warning, else _schedule_for's."""
     from . import equilibrium, graphs
 
     if args.graph is None:

@@ -1,8 +1,8 @@
 """Social-planner benchmark: minimize the sum of all players' costs.
 
-The planner's problem is solved in closed form on any graph (transitivity
-not needed).  With M the Gram matrix of the terminal alignment functionals
-(M = L^T L when no vertex is isolated), the value matrix is
+The planner's problem is solved in closed form on any graph (no symmetry
+of the graph needed).  With M the Gram matrix of the terminal alignment
+functionals (M = L^T L when no vertex is isolated), the value matrix is
 
     F(t) = c M (I + c(T-t) M)^{-1},
 
@@ -130,7 +130,7 @@ def coop_variance(k: CoopKernel, t):
         sigma^2 * (1/n) sum_k int_0^t ((1 + c(T-t) nu_k)/(1 + c(T-s) nu_k))^2 ds
       = sigma^2 t * (1/n) sum_k (1 + c(T-t) nu_k) / (1 + cT nu_k),
 
-    a float for one t, an array for an array of times.  On a transitive
+    a float for one t, an array for an array of times.  On a walk-regular
     graph this is also every single player's variance.
     """
     return _planner_variance(k.eigen.eigenvalues, np.full(k.n, 1.0 / k.n), k.c, k.T, k.sigma, t)

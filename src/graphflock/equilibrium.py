@@ -1,4 +1,15 @@
-"""Semi-explicit Nash equilibrium objects on transitive graphs.
+"""Semi-explicit Nash equilibrium objects on walk-regular graphs.
+
+The formula below reads the graph only through diagonals of functions of
+L: the players' coupling sum_j F^j e_j e_j^T is P itself when P's
+diagonal is constant, and the schedule's Q reads only the diagonal of
+(I - fL)^{-1}.  So it holds wherever every e_i^T Pi_lam e_i is the same
+for all players, Pi_lam the projector on L's eigenspace of lam: on the
+walk-regular graphs (Godsil & McKay, Linear Algebra Appl. 30, 1980), which
+take in the vertex-transitive ones and the strongly regular ones.
+build_kernel warns unless the spectrum came in closed form (complete,
+cycle, torus), and riccati_residual decides the rest: it reads rounding
+where the formula solves the Nash system and far more where it does not.
 
 Everything is evaluated in the eigenbasis of the Laplacian L.  With
 f = f(T - t) and f' = c*Q'(f), the equilibrium feedback matrix is
@@ -36,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError
 from .flow import FlockingSchedule, _check_model, _clamp_time, q_eval, solve_f
-from .graphs import Graph, Transitivity, _vector, _vertex, graph_distances
+from .graphs import Graph, _vector, _vertex, graph_distances
 from .spectral import EigenSystem, empirical_measure, laplacian_eigensystem
 
 
@@ -72,32 +83,27 @@ def build_kernel(g: Graph, c: float, T: float, sigma: float) -> EquilibriumKerne
     """Assemble the equilibrium kernel for a regular graph without isolated
     vertices.  Its schedule is exact at any time, so it takes no step count.
 
-    The closed-form equilibrium is only guaranteed on transitive graphs; a
-    regular graph of unknown transitivity proceeds with a warning, and the
-    Riccati residual operation is the arbiter of whether the formula
-    actually solves the Nash system there.
+    The equilibrium formula holds on walk-regular graphs.  Unless the
+    spectrum came in closed form (complete, cycle, torus), the kernel is
+    built with a warning, once its schedule is solved, and
+    riccati_residual decides whether the formula solves the Nash system
+    on this graph.
     """
     _check_model(c=c, T=T, sigma=sigma)
     if not g.is_regular:
         raise DomainError("equilibrium kernel needs a regular graph")
     if g.min_degree < 1:
         raise DomainError("equilibrium kernel needs a graph without isolated vertices")
-    if not g.transitivity.is_transitive():
+    es = laplacian_eigensystem(g)
+    schedule = solve_f(empirical_measure(g, es=es), c, T)
+    if not es.closed_form:
         warnings.warn(
-            "graph transitivity is not established; equilibrium formulas are "
-            "only guaranteed for transitive graphs",
+            "graph transitivity is not established; the equilibrium formulas hold "
+            "on walk-regular graphs, and riccati_residual tests them on this one",
             RuntimeWarning,
             stacklevel=2,
         )
-    es = laplacian_eigensystem(g)
-    return EquilibriumKernel(
-        graph=g,
-        eigen=es,
-        schedule=solve_f(empirical_measure(g, es=es), c, T),
-        c=float(c),
-        T=float(T),
-        sigma=float(sigma),
-    )
+    return EquilibriumKernel(graph=g, eigen=es, schedule=schedule, c=float(c), T=float(T), sigma=float(sigma))
 
 
 #: Gauss-Legendre nodes of each piece of a game variance's composite rule.
@@ -205,8 +211,8 @@ def player_variance(k: EquilibriumKernel, t):
     """Variance of one player's state at time t (zero initial states): a
     float for one t, an array for an array of times.
 
-    On a transitive graph all players share this value; it is the average
-    of the covariance eigenvalues, limit_variance on the kernel's schedule.
+    It is the average of the covariance eigenvalues, limit_variance on
+    the kernel's schedule; on a walk-regular graph every player has it.
     """
     return limit_variance(k.schedule, k.sigma, t)
 
@@ -276,10 +282,10 @@ def riccati_residual(k: EquilibriumKernel, i: int, t: float) -> float:
     dF^i/dt is exact, from one evaluation of f = f(T - t): P's eigenvalues
     rho = -f' lam / (1 - f lam) have rho' = rho (rho - c Q''(f)), as
     f'' = c Q''(f) f', with Q'' = Q (I1^2 + I1'), I1 = Q'/Q and
-    I1' = -int lam^2/(1 - f lam)^2 dmu.  An exact solution leaves rounding.
+    I1' = -int lam^2/(1 - f lam)^2 dmu.  An exact solution leaves rounding,
+    as on any walk-regular graph; on another regular graph the coupling is
+    not P and the residual is far above it.
     """
-    if k.graph.transitivity is Transitivity.NOT_TRANSITIVE:
-        raise DomainError("Riccati residual is defined via the transitive construction")
     i = _vertex(k.n, i)
     mu, f = k.schedule.measure, k.schedule.value(k.T - _clamp_time(t, k.T))
     q, qp = q_eval(mu, f)

@@ -2,16 +2,16 @@
 
 A graph is stored as sorted neighbor lists (CSR), so building, checking
 and searching it takes O(n + E) memory and O(E log E) time for E edge
-entries.  The dense adjacency matrix is built only where it is read, by
-the brute-force automorphism search on small graphs.  Every constructor
-goes through _make, from a list of edges.
+entries; no dense adjacency matrix is built unless Graph.adjacency is
+read.  Every constructor goes through _make, from a list of edges.  A
+graph carries no verdict on its symmetry: where the equilibrium formula
+holds is read from the Laplacian spectrum (spectral, strategies).
 Vertices are 0-based contiguous integers internally.  Edge-list files and
 edge lists inside JSON graph specs are 1-based and converted on ingest.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -25,35 +25,13 @@ PAIRING_RETRY_CAP = 1000
 #: Number of rejected double-edge switches before that repair gives up.
 SWITCH_RETRY_CAP = 100_000
 
-#: Most vertices the brute-force automorphism search takes on.
-DEFAULT_TRANSITIVITY_MAX_N = 12
-
 #: Most vertices a graph may have: a vertex fits in int32, so the neighbor
 #: lists take 4 bytes an entry, and an edge key u * n + v in int64.
 MAX_VERTICES = 2**31 - 1
 
 
-class Transitivity(str, enum.Enum):
-    """Vertex-transitivity status attached to a graph.
-
-    KNOWN comes from a constructor that guarantees transitivity
-    (complete, cycle, torus).  VERIFIED/NOT_TRANSITIVE come from the
-    brute-force check; UNKNOWN means nobody has decided yet.
-    """
-
-    KNOWN = "known_transitive"
-    VERIFIED = "verified_transitive"
-    NOT_TRANSITIVE = "not_transitive"
-    UNKNOWN = "unknown"
-
-    def is_transitive(self) -> bool:
-        return self in (Transitivity.KNOWN, Transitivity.VERIFIED)
-
-
 def _check_order(n: int) -> int:
-    if not 0 <= n <= MAX_VERTICES:
-        raise ParameterError(f"a graph needs 0 to {MAX_VERTICES} vertices, got {n}")
-    return n
+    return _integer(n, f"a graph needs 0 to {MAX_VERTICES} vertices, got {n!r}", 0, MAX_VERTICES + 1)
 
 
 def _key_type(n: int) -> type:
@@ -80,7 +58,6 @@ class Graph:
     indices: np.ndarray
     construction: str
     params: dict = field(default_factory=dict)
-    transitivity: Transitivity = Transitivity.UNKNOWN
     degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -157,7 +134,7 @@ class Graph:
         return {"kind": self.construction, **self.params}
 
 
-def _make(n: int, u, v, construction, params, transitivity=Transitivity.UNKNOWN) -> Graph:
+def _make(n: int, u, v, construction, params) -> Graph:
     """The graph on n vertices whose edges are the pairs (u[k], v[k]), each
     given once in either order; Graph checks the rest."""
     kind = _key_type(_check_order(n))
@@ -169,21 +146,19 @@ def _make(n: int, u, v, construction, params, transitivity=Transitivity.UNKNOWN)
     keys.sort()
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=kind) * n)
     keys -= np.repeat(np.arange(n, dtype=kind) * n, np.diff(indptr))  # now the neighbors
-    return Graph(n, indptr, keys.astype(np.int32, copy=False), construction, params, transitivity)
+    return Graph(n, indptr, keys.astype(np.int32, copy=False), construction, params)
 
 
 def complete(n: int) -> Graph:
     """Complete graph on n >= 2 vertices."""
-    if n < 2:
-        raise ParameterError(f"complete graph needs n >= 2, got {n}")
-    return _make(n, *np.triu_indices(n, k=1), "complete", {"n": n}, Transitivity.KNOWN)
+    n = _integer(n, f"complete graph needs an integer n >= 2, got {n!r}", 2)
+    return _make(n, *np.triu_indices(n, k=1), "complete", {"n": n})
 
 
 def cycle(n: int) -> Graph:
     """Cycle graph on n >= 3 vertices."""
-    if n < 3:
-        raise ParameterError(f"cycle graph needs n >= 3, got {n}")
-    return _make(n, np.arange(n), _torus_successors(n, 1)[0], "cycle", {"n": n}, Transitivity.KNOWN)
+    n = _integer(n, f"cycle graph needs an integer n >= 3, got {n!r}", 3)
+    return _make(n, np.arange(n), _torus_successors(n, 1)[0], "cycle", {"n": n})
 
 
 def torus(side: int, d: int) -> Graph:
@@ -193,13 +168,11 @@ def torus(side: int, d: int) -> Graph:
     side^i, with wrap-around adjacency along each axis; every vertex has
     degree 2d.
     """
-    if side < 3:
-        raise ParameterError(f"torus needs side >= 3, got {side}")
-    if d < 1:
-        raise ParameterError(f"torus needs d >= 1, got {d}")
+    side = _integer(side, f"torus needs an integer side >= 3, got {side!r}", 3)
+    d = _integer(d, f"torus needs an integer d >= 1, got {d!r}", 1)
     n = side**d
     successors = _torus_successors(side, d).ravel()
-    return _make(n, np.tile(np.arange(n), d), successors, "torus", {"side": side, "d": d}, Transitivity.KNOWN)
+    return _make(n, np.tile(np.arange(n), d), successors, "torus", {"side": side, "d": d})
 
 
 def _torus_successors(side: int, d: int) -> np.ndarray:
@@ -213,12 +186,10 @@ def _torus_successors(side: int, d: int) -> np.ndarray:
 def philox(seed, block: int = 0) -> np.random.Generator:
     """The generator of seed's Philox stream from counter block << 128, so
     that blocks are disjoint 2**128-wide runs of it; ParameterError unless
-    seed is given and lies in [0, 2**128)."""
+    seed is given and is an integer in [0, 2**128)."""
     if seed is None:
         raise ParameterError("a seed is required")
-    key = int(seed)
-    if not 0 <= key < 2**128:
-        raise ParameterError(f"seed must be in [0, 2**128), got {key}")
+    key = _integer(seed, f"seed must be an integer in [0, 2**128), got {seed!r}", 0, 2**128)
     return np.random.Generator(np.random.Philox(key=key, counter=block << 128))
 
 
@@ -229,8 +200,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     Pairs are assigned uniforms in lexicographic order from a counter-based
     (Philox) stream, so the same seed reproduces the same graph everywhere.
     """
-    if n < 1:
-        raise ParameterError(f"erdos_renyi needs n >= 1, got {n}")
+    n = _integer(n, f"erdos_renyi needs an integer n >= 1, got {n!r}", 1)
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"edge probability must be in [0, 1], got {p}")
     gen = philox(seed)
@@ -249,12 +219,10 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     generator (_switch_to_simple).  Raises GenerationError if there is no
     pairing to repair or the repair gets stuck.
     """
-    if n < 1:
-        raise ParameterError(f"random_regular needs n >= 1, got {n}")
+    n = _integer(n, f"random_regular needs an integer n >= 1, got {n!r}", 1)
+    d = _integer(d, f"random_regular needs an integer degree d >= 0, got {d!r}", 0)
     if d >= n:
         raise ParameterError(f"random_regular needs d < n, got d={d}, n={n}")
-    if d < 0:
-        raise ParameterError(f"degree must be nonnegative, got {d}")
     if (n * d) % 2 != 0:
         raise ParameterError(f"n*d must be even, got n={n}, d={d}")
     gen = philox(seed)
@@ -346,12 +314,9 @@ def edge_list_graph(edges, n: int | None = None, one_based: bool = True) -> Grap
     edges = [(int(u), int(v)) for u, v in edges]
     if one_based:
         edges = [(u - 1, v - 1) for u, v in edges]
-    max_seen = max((max(u, v) for u, v in edges), default=-1)
     if n is None:
-        n = max_seen + 1
-    if n < 1:
-        raise ParameterError("edge_list graph needs at least one vertex")
-    _check_order(n)
+        n = max((max(u, v) for u, v in edges), default=-1) + 1
+    n = _integer(n, f"edge_list graph needs an integer n from 1 to {MAX_VERTICES}, got {n!r}", 1, MAX_VERTICES + 1)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ParameterError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
@@ -477,12 +442,21 @@ def graph_distances(g: Graph, source: int) -> np.ndarray:
     return shortest_path(adjacency, unweighted=True, directed=False, indices=source)
 
 
-def _vertex(n: int, v) -> int:
-    """v as a vertex (or player) index of a graph on n vertices: an integer,
-    not a bool, in [0, n); anything else raises ParameterError."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < n:
-        raise ParameterError(f"vertex {v!r} is not a valid index for a graph on {n} vertices")
+def _integer(v, message: str, least: int = 0, below: int | None = None) -> int:
+    """v as an int in [least, below): the one rule for counts, seeds and
+    indices.  v must be an integer, not a bool (nor a float, however
+    whole); anything else raises ParameterError(message), which names the
+    parameter."""
+    whole = isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    if not (whole and least <= v and (below is None or v < below)):
+        raise ParameterError(message)
     return int(v)
+
+
+def _vertex(n: int, v) -> int:
+    """v as a vertex (or player) index of a graph on n vertices: an integer
+    in [0, n), by _integer's rule."""
+    return _integer(v, f"vertex {v!r} is not a valid index for a graph on {n} vertices", 0, n)
 
 
 def _vector(g: Graph, x) -> np.ndarray:
@@ -492,53 +466,3 @@ def _vector(g: Graph, x) -> np.ndarray:
     if x.shape != (g.n,):
         raise ParameterError(f"a state vector must have length {g.n}, got shape {x.shape}")
     return x
-
-
-def _automorphism_mapping_exists(adj: np.ndarray, target: int) -> bool:
-    """Backtracking search for an automorphism sending vertex 0 to `target`."""
-    n = adj.shape[0]
-    deg = adj.sum(axis=1)
-    image = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
-    image[0] = target
-    used[target] = True
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used[w] or deg[w] != deg[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if adj[v, u] != adj[w, image[u]]:
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                if extend(v + 1):
-                    return True
-                used[w] = False
-        return False
-
-    if deg[target] != deg[0]:
-        return False
-    return extend(1)
-
-
-def verify_transitive(g: Graph) -> Transitivity:
-    """Decide vertex-transitivity where feasible and update g.transitivity.
-
-    Non-regular graphs are immediately NOT_TRANSITIVE.  Regular graphs with
-    n <= DEFAULT_TRANSITIVITY_MAX_N get a brute-force automorphism search;
-    larger ones stay at their constructor guarantee (KNOWN) or UNKNOWN.
-    """
-    if not g.is_regular:
-        g.transitivity = Transitivity.NOT_TRANSITIVE
-    elif g.n <= DEFAULT_TRANSITIVITY_MAX_N:
-        transitive = all(
-            _automorphism_mapping_exists(np.asarray(g.adjacency), v) for v in range(1, g.n)
-        )
-        g.transitivity = Transitivity.VERIFIED if transitive else Transitivity.NOT_TRANSITIVE
-    return g.transitivity

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .graphs import Graph, _vertex, philox
+from .graphs import Graph, _integer, _vertex, philox
 from .strategies import LinearProfile, _checked
 from .threads import thread_count
 
@@ -109,8 +109,7 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
     than the ring of drawn-ahead blocks whenever
     steps <= (draw threads + 1) x n_paths."""
     _checked(g, prof, None, sigma=sigma)
-    if cfg.n_paths < 1:
-        raise ParameterError(f"n_paths must be >= 1, got {cfg.n_paths}")
+    _integer(cfg.n_paths, f"n_paths must be an integer >= 1, got {cfg.n_paths!r}", 1)
     if not 0.0 < cfg.dt < np.inf:
         raise ParameterError(f"dt must be positive and finite, got {cfg.dt}")
     philox(cfg.seed)  # checks the seed before anything is allocated

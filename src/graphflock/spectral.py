@@ -13,12 +13,15 @@ EigenSystem holds its eigenvalues from the start and computes the
 eigenvectors (a full eigh) only when a caller first reads them.  Graphs
 built by graphs.cycle, graphs.torus and graphs.complete get their
 Laplacian spectrum in closed form, without any eigensolver and without
-any n x n matrix.  Every other graph's symmetric Laplacian is filled
-densely from its neighbor lists and handed to np.linalg.eigvalsh, LAPACK's
-syevd on a working copy: a spectrum peaks at two n^2 arrays, the Laplacian
-and that copy.  scipy's syevd could overwrite the Laplacian instead, but
-importing scipy.linalg costs a process about 29 MB and 0.27 s, which
-outweighs the second array up to n of about 1500 in peak resident memory.
+any n x n matrix, and the eigensystem records it (closed_form): those
+graphs are vertex-transitive, so every diagonal of a function of L is
+constant, which is all the equilibrium formula needs of a graph.  Every
+other graph's symmetric Laplacian is filled densely from its neighbor
+lists and handed to np.linalg.eigvalsh, LAPACK's syevd on a working copy:
+a spectrum peaks at two n^2 arrays, the Laplacian and that copy.
+scipy's syevd could overwrite the Laplacian instead, but importing
+scipy.linalg costs a process about 29 MB and 0.27 s, which outweighs the
+second array up to n of about 1500 in peak resident memory.
 
 So this module runs on numpy alone.  Limit measures' Gauss-Legendre rules
 come from numpy's leggauss, and compressed rules from the eigensystem of a
@@ -36,7 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, NumericError, ParameterError
-from .graphs import Graph, _torus_successors
+from .graphs import Graph, _integer, _torus_successors
 
 #: Eigenvalues may stick out of [-2, 0] by at most this much before clamping.
 EIGENVALUE_CLAMP_TOL = 1e-9
@@ -100,12 +103,15 @@ class EigenSystem:
     source matrix (or on what the source function returns), checks that its
     eigenvalues agree with the stored ones to EIGENVALUE_CLAMP_TOL times
     max(1, spectral radius), caches the vectors and drops the source.
+    closed_form records that the eigenvalues came from laplacian_eigensystem's
+    closed form, for a graph whose lattice it checked.
     """
 
-    def __init__(self, eigenvalues: np.ndarray, source):
+    def __init__(self, eigenvalues: np.ndarray, source, closed_form: bool = False):
         self.eigenvalues = eigenvalues
         self._source = source  # the matrix, or a function building it
         self._vectors = None
+        self.closed_form = closed_form
 
     @property
     def n(self) -> int:
@@ -123,12 +129,17 @@ class EigenSystem:
             self._vectors, self._source = vecs, None
         return self._vectors
 
+    @property
+    def _tolerance(self) -> float:
+        """EIGENSPACE_TOL * max(1, spectral radius): the gap below which
+        values read from this system count as equal."""
+        return EIGENSPACE_TOL * max(1.0, float(np.abs(self.eigenvalues).max(initial=0.0)))
+
     def eigenspaces(self) -> np.ndarray:
         """starts: eigenspace k holds columns starts[k]:starts[k + 1] of
-        eigenvectors.  An eigenvalue within EIGENSPACE_TOL * max(1, spectral
-        radius) of its predecessor joins the predecessor's eigenspace."""
-        scale = max(1.0, float(np.abs(self.eigenvalues).max(initial=0.0)))
-        return np.flatnonzero(np.diff(self.eigenvalues, prepend=-np.inf) > EIGENSPACE_TOL * scale)
+        eigenvectors.  An eigenvalue within _tolerance of its predecessor
+        joins the predecessor's eigenspace."""
+        return np.flatnonzero(np.diff(self.eigenvalues, prepend=-np.inf) > self._tolerance)
 
     def reconstruct(self, values: np.ndarray | None = None) -> np.ndarray:
         """V diag(values) V^T; the system's own eigenvalues by default."""
@@ -209,19 +220,20 @@ def laplacian_eigensystem(g: Graph) -> EigenSystem:
     """Eigensystem of the graph Laplacian, clamped to [-2, 0].
 
     Graphs built by cycle, torus and complete get their spectrum in closed
-    form, other graphs from np.linalg.eigvalsh of D^{-1/2} A D^{-1/2} - I,
-    which is the Laplacian itself on a regular graph and similar to it
-    otherwise (its eigenvectors are the ones they get).  eigvalsh solves on
-    its own copy, so the solve holds two n^2 arrays at its peak.  The matrix
-    is symmetric because the graph's lists are, so it skips
-    eigendecompose's symmetry gate, and it is rebuilt when the eigenvectors
-    are first read.
+    form, and an eigensystem with closed_form set; other graphs from
+    np.linalg.eigvalsh of D^{-1/2} A D^{-1/2} - I, which is the Laplacian
+    itself on a regular graph and similar to it otherwise (its eigenvectors
+    are the ones they get).  eigvalsh solves on its own copy, so the solve
+    holds two n^2 arrays at its peak.  The matrix is symmetric because the
+    graph's lists are, so it skips eigendecompose's symmetry gate, and it
+    is rebuilt when the eigenvectors are first read.
     Eigenvalues outside [-2 - tol, 0 + tol] indicate a broken input and
     raise instead of being clamped.
     """
     source = functools.partial(_dense_laplacian, g, symmetric=True)
     vals = _closed_form_spectrum(g)
-    vals = _solve(np.linalg.eigvalsh, source()) if vals is None else np.sort(vals)
+    closed_form = vals is not None
+    vals = np.sort(vals) if closed_form else _solve(np.linalg.eigvalsh, source())
     if vals.min() < -2.0 - EIGENVALUE_CLAMP_TOL or vals.max() > EIGENVALUE_CLAMP_TOL:
         raise NumericError(
             f"Laplacian spectrum escapes [-2, 0] beyond tolerance: "
@@ -230,7 +242,7 @@ def laplacian_eigensystem(g: Graph) -> EigenSystem:
     if vals.max() < -EIGENVALUE_CLAMP_TOL:
         # the all-ones direction is always a zero eigenvector of D^{-1}A - I
         raise NumericError("Laplacian spectrum is missing its zero eigenvalue")
-    return EigenSystem(np.clip(vals, -2.0, 0.0), source)
+    return EigenSystem(np.clip(vals, -2.0, 0.0), source, closed_form)
 
 
 @dataclass(frozen=True)
@@ -444,9 +456,7 @@ def _limit_d(kind: str, d) -> int | None:
     least = _LIMITS[kind][1]
     if least is None and d is not None:
         raise ParameterError(f"{kind} takes no d, got {d!r}")
-    if least is not None and (isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < least):
-        raise ParameterError(f"{kind} needs an integer d >= {least}, got {d!r}")
-    return None if least is None else int(d)
+    return None if least is None else _integer(d, f"{kind} needs an integer d >= {least}, got {d!r}", least)
 
 
 def kesten_mckay_cdf(d: int, points: np.ndarray) -> np.ndarray:

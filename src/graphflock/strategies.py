@@ -19,7 +19,7 @@ B (_basis) picked from the form, where its ODE and costs see a player
 only through weights shared by a class.  One table per call (_players),
 of those weights and the rates, feeds both the costs and the best
 responses, and _rank_one solves an audit at once: one column for a
-scalar profile, or a spectral one on a transitive graph, else one per
+scalar profile, or a spectral one on a walk-regular graph, else one per
 player.  Every solver is classical RK4 on the profile grid.  On a modal
 profile each stage is linear in the state, with coefficients from the
 rate table alone, so RK4's maps for a block of steps are built in a few
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .flow import _check_model
-from .graphs import Graph, _vector, _vertex
+from .graphs import Graph, _integer, _vector, _vertex
 from .equilibrium import EquilibriumKernel, _p_rates
 from .spectral import EigenSystem
 
@@ -71,8 +71,7 @@ class LinearProfile:
 
     def __post_init__(self):
         _check_model(T=self.T)
-        if self.steps < 1:
-            raise ParameterError(f"profile needs at least one step, got {self.steps}")
+        self.steps = _integer(self.steps, f"profile needs an integer number of steps >= 1, got {self.steps!r}", 1)
         if (self.rates is None) == (self.matrix_fn is None):
             raise ParameterError("a profile sets exactly one of rates and matrix_fn")
         if self.eigen is not None and self.matrix_fn is not None:
@@ -393,9 +392,12 @@ def _players(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
     Dense: a class per player, w = u = e_i, a = l_i, B^T B = I.  Scalar: a
     class per degree, one column w = u = (1, 0), a = (1, 1),
     B^T B = diag(1, 1/deg i).  Spectral: w = diag(B^T B) = (e_i^T Pi_lam e_i),
-    u = 1, a = -lam; a class per player, or one on a transitive graph, where
-    the graph's automorphisms commute with Pi_lam, so
-    e_i^T Pi_lam e_i = multiplicity / n and eigenvectors are read only for x0."""
+    u = 1, a = -lam; one class where these weights are the same for every
+    player, each then multiplicity / n (the graph is walk-regular), else a
+    class per player.  A closed-form spectrum (complete, cycle, torus: the
+    graph is transitive) gets one class with no eigenvector read, except
+    for x0; another gets it when each eigenspace's weights spread across
+    players by at most the eigensystem's _tolerance, eigenspaces()' rule."""
     n, times = g.n, np.linspace(0.0, prof.T, 2 * prof.steps + 1)
     if prof.matrix_fn is not None:
         stage = functools.lru_cache(maxsize=1)(lambda j: prof.matrix_fn(float(times[j])))
@@ -412,10 +414,11 @@ def _players(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
     starts = prof.eigen.eigenspaces()
     lam = prof.eigen.eigenvalues[starts]
     table = prof.rates(times, lam)
-    if g.transitivity.is_transitive():
-        grams, which = (np.diff(starts, append=n) / n)[:, None], np.zeros(n, int)
-    else:
-        grams, which = np.add.reduceat(prof.eigen.eigenvectors**2, starts, axis=1).T, np.arange(n)
+    grams, which = (np.diff(starts, append=n) / n)[:, None], np.zeros(n, int)
+    if not prof.eigen.closed_form:
+        local = np.add.reduceat(prof.eigen.eigenvectors**2, starts, axis=1).T
+        if np.ptp(local, axis=1).max() > prof.eigen._tolerance:
+            grams, which = local, np.arange(n)
     coords = None
     if x0 is not None:
         v = prof.eigen.eigenvectors

@@ -10,7 +10,6 @@ from graphflock.equilibrium import build_kernel
 from graphflock.errors import GenerationError, ParameterError
 from graphflock.graphs import (
     Graph,
-    Transitivity,
     build_graph,
     complete,
     cycle,
@@ -21,7 +20,6 @@ from graphflock.graphs import (
     random_regular,
     read_edge_list,
     torus,
-    verify_transitive,
 )
 from graphflock.spectral import laplacian_eigensystem
 from graphflock.strategies import equilibrium_profile, mf_profile, nash_audit
@@ -36,7 +34,7 @@ class TestConstructors:
         g = complete(5)
         assert g.n == 5
         assert (g.degrees == 4).all()
-        assert g.transitivity is Transitivity.KNOWN
+        assert laplacian_eigensystem(g).closed_form
 
     def test_cycle_edges(self):
         g = cycle(4)
@@ -181,7 +179,7 @@ class TestNeighborLists:
         assert peak < 128 * 10**6  # 128 bytes per vertex; about 90 are used
 
     @pytest.mark.filterwarnings("ignore:graph transitivity:RuntimeWarning")
-    def test_no_dense_adjacency_outside_the_automorphism_search(self, monkeypatch):
+    def test_no_dense_adjacency_is_built(self, monkeypatch):
         def refuse(self):
             raise AssertionError("the dense adjacency was built")
 
@@ -339,45 +337,6 @@ class TestDegreeStats:
     def test_complete(self):
         g = complete(7)
         assert (g.min_degree, int(g.degrees.max()), g.is_regular) == (6, 6, True)
-
-
-class TestTransitivity:
-    def test_cycle_verified(self):
-        g = cycle(8)
-        assert verify_transitive(g) is Transitivity.VERIFIED
-        assert g.transitivity is Transitivity.VERIFIED
-
-    def test_path_not_transitive(self):
-        g = path_graph(3)
-        assert verify_transitive(g) is Transitivity.NOT_TRANSITIVE
-
-    def test_random_regular_resolved_at_10(self):
-        g = random_regular(10, 3, seed=1)
-        assert g.transitivity is Transitivity.UNKNOWN
-        result = verify_transitive(g)
-        assert result in (Transitivity.VERIFIED, Transitivity.NOT_TRANSITIVE)
-
-    def test_large_graph_keeps_constructor_guarantee(self):
-        g = torus(4, 2)  # 16 vertices > DEFAULT_TRANSITIVITY_MAX_N
-        assert verify_transitive(g) is Transitivity.KNOWN
-
-    def test_large_unknown_stays_unknown(self):
-        g = random_regular(30, 3, seed=4)
-        assert verify_transitive(g) is Transitivity.UNKNOWN
-
-    def test_regular_but_not_transitive(self):
-        # K_4 disjoint from K_{3,3}: 3-regular, components of unequal size.
-        edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-        edges += [(4 + a, 7 + b) for a in range(3) for b in range(3)]
-        g = edge_list_graph(edges, n=10, one_based=False)
-        assert g.is_regular
-        assert verify_transitive(g) is Transitivity.NOT_TRANSITIVE
-
-    def test_petersen_like_prism_transitive(self):
-        # Triangular prism: two triangles joined by a matching.
-        edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
-        g = edge_list_graph(edges, n=6, one_based=False)
-        assert verify_transitive(g) is Transitivity.VERIFIED
 
 
 def test_determinism_across_builds():

@@ -1,7 +1,8 @@
 """The model-parameter rule: c and T positive and finite, sigma nonnegative
 and finite, checked the same way at every library entry point that takes
 them, with a message naming the parameter that breaks it; and c*T, where
-an entry point holds both, must not overflow."""
+an entry point holds both, must not overflow.  Counts and seeds follow one
+integer rule: an integer, not a bool nor a whole float."""
 
 import functools
 import inspect
@@ -14,7 +15,7 @@ from graphflock.cooperative import coop_kernel, coop_value, coop_value_measure, 
 from graphflock.equilibrium import build_kernel, game_value, limit_value, limit_variance, player_variance
 from graphflock.errors import NumericError, ParameterError
 from graphflock.flow import cycle_closed_form, solve_f
-from graphflock.graphs import cycle
+from graphflock.graphs import complete, cycle, edge_list_graph, erdos_renyi, random_regular, torus
 from graphflock.montecarlo import SimConfig, simulate
 from graphflock.spectral import limit_measure
 from graphflock.strategies import (
@@ -95,3 +96,27 @@ def test_sigma_zero_is_the_deterministic_game():
     coop = coop_kernel(G, 1.0, 1.0, 0.0)
     assert coop_value(coop) == 0.0 and coop_variance(coop, 0.5) == 0.0
     assert profile_costs(G, PROFILE, 0.0, 1.0).max() == 0.0
+
+
+#: A count or seed that is not an integer -> the call, and the parameter its message names.
+NOT_INTEGERS = {
+    "cycle-n": (lambda: cycle(5.5), "cycle graph needs an integer n"),
+    "complete-n": (lambda: complete(2.5), "complete graph needs an integer n"),
+    "torus-d": (lambda: torus(3, True), "torus needs an integer d"),
+    "torus-side": (lambda: torus(3.0, 2), "torus needs an integer side"),
+    "erdos_renyi-n": (lambda: erdos_renyi(5.5, 0.5, 1), "erdos_renyi needs an integer n"),
+    "erdos_renyi-seed": (lambda: erdos_renyi(5, 0.5, seed=1.7), "seed must be an integer"),
+    "random_regular-d": (lambda: random_regular(6, 2.0, 1), "random_regular needs an integer degree d"),
+    "edge_list-n": (lambda: edge_list_graph([(1, 2)], n=2.5), "edge_list graph needs an integer n"),
+    "profile-steps": (lambda: mf_profile(G, 1.0, 1.0, 2.5), "profile needs an integer number of steps"),
+    "profile-steps-bool": (lambda: mf_profile(G, 1.0, 1.0, True), "profile needs an integer number of steps"),
+    "simulate-seed": (lambda: simulate(G, PROFILE, 1.0, SimConfig(3, 0.01, 1.5)), "seed must be an integer"),
+    "simulate-paths": (lambda: simulate(G, PROFILE, 1.0, SimConfig(3.5, 0.01, 0)), "n_paths must be an integer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_INTEGERS))
+def test_counts_and_seeds_are_integers(name):
+    call, message = NOT_INTEGERS[name]
+    with pytest.raises(ParameterError, match=f"^{message}"):
+        call()

@@ -7,9 +7,9 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from graphflock.cooperative import coop_kernel, coop_profile
-from graphflock.equilibrium import build_kernel, game_value, p_matrix
+from graphflock.equilibrium import build_kernel, game_value, p_matrix, riccati_residual
 from graphflock.errors import NumericError, ParameterError
-from graphflock.graphs import complete, cycle, edge_list_graph, erdos_renyi, torus, verify_transitive
+from graphflock.graphs import complete, cycle, edge_list_graph, erdos_renyi, random_regular, torus
 from graphflock import strategies
 from graphflock.spectral import EigenSystem
 from graphflock.strategies import (
@@ -119,9 +119,7 @@ def regular_not_transitive():
     # K_4 disjoint from K_{3,3}: 3-regular, but no automorphism maps one to the other.
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     edges += [(4 + a, 7 + b) for a in range(3) for b in range(3)]
-    g = edge_list_graph(edges, n=10, one_based=False)
-    verify_transitive(g)
-    return g
+    return edge_list_graph(edges, n=10, one_based=False)
 
 
 SPECTRAL_GRAPHS = {
@@ -172,6 +170,91 @@ class TestSpectralReduction:
         monkeypatch.setattr(EigenSystem, "eigenvectors", property(refuse))
         report = nash_audit(g, prof, c=1.0, sigma=1.0)
         assert report["all_satisfied"] and len(report["players"]) == g.n
+
+
+def switched_triangular(switch=()):
+    """T(8) = L(K8), whose vertices are the 28 edges of K8, Seidel-switched
+    with respect to a set of K8 edges: a T(8) vertex in the set and one
+    outside it are joined exactly when they were not.  The empty set gives
+    T(8) itself."""
+    pairs, switch = [(a, b) for a in range(8) for b in range(a + 1, 8)], {tuple(sorted(e)) for e in switch}
+    inside = [e in switch for e in pairs]
+    edges = [
+        (u, v)
+        for u in range(28)
+        for v in range(u + 1, 28)
+        if bool(set(pairs[u]) & set(pairs[v])) != (inside[u] != inside[v])
+    ]
+    return edge_list_graph(edges, n=28, one_based=False)
+
+
+#: The three Chang graphs switch T(8) with respect to a perfect matching, an 8-cycle, or a 3-cycle
+#: and a 5-cycle of K8.  Like T(8) they are strongly regular (28, 12, 6, 4), hence walk-regular;
+#: T(8) is vertex-transitive and they are not.
+CHANG_SWITCHES = {
+    "matching": {(0, 1), (2, 3), (4, 5), (6, 7)},
+    "8-cycle": {(i, (i + 1) % 8) for i in range(8)},
+    "3-cycle+5-cycle": {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)},
+}
+
+
+def audit_classes(g, prof):
+    """The number of classes of alike players an audit of prof solves for."""
+    return np.unique(strategies._players(g, prof, None)[2]).size
+
+
+def equilibrium_audit(g, steps):
+    prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), steps)
+    return prof, nash_audit(g, prof, c=1.0, sigma=1.0)
+
+
+@pytest.mark.filterwarnings("ignore:graph transitivity:RuntimeWarning")
+class TestWalkRegular:
+    """The formula's domain is read from the spectrum: one audit class where every player has the
+    same local weights e_i^T Pi_lam e_i, whether or not the graph is vertex-transitive."""
+
+    @pytest.mark.parametrize("switch", sorted(CHANG_SWITCHES))
+    def test_chang_graphs_are_strongly_regular(self, switch):
+        g = switched_triangular(CHANG_SWITCHES[switch])
+        adj = g.adjacency.astype(int)
+        common = adj @ adj
+        assert (g.degrees == 12).all()
+        assert set(common[adj == 1]) == {6} and set(common[(adj == 0) & ~np.eye(28, dtype=bool)]) == {4}
+        # An automorphism keeps the number of K4s through a vertex; here it takes two values.
+        k4s = {int(np.trace(np.linalg.matrix_power(adj[row == 1][:, row == 1], 3))) // 6 for row in adj}
+        assert len(k4s) == 2
+
+    @pytest.mark.parametrize("steps", [100, 400])
+    def test_chang_audits_are_one_class_with_the_gaps_of_t8(self, steps):
+        t8, t8_report = equilibrium_audit(switched_triangular(), steps)
+        t8_gaps = np.array([p["gap"] for p in t8_report["players"]])
+        assert audit_classes(switched_triangular(), t8) == 1
+        for switch in CHANG_SWITCHES.values():
+            g = switched_triangular(switch)
+            prof, report = equilibrium_audit(g, steps)
+            assert audit_classes(g, prof) == 1
+            assert np.abs(np.array([p["gap"] for p in report["players"]]) - t8_gaps).max() <= 1e-15
+
+    def test_triangular_prism_audit_is_one_class(self):
+        edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+        g = edge_list_graph(edges, n=6, one_based=False)
+        prof, report = equilibrium_audit(g, 100)
+        assert audit_classes(g, prof) == 1 and report["all_satisfied"]
+
+    @pytest.mark.parametrize("switch", ["T8", *sorted(CHANG_SWITCHES)])
+    def test_riccati_residual_reads_rounding(self, switch):
+        k = build_kernel(switched_triangular(CHANG_SWITCHES.get(switch, ())), 1.0, 1.0, 1.0)
+        assert max(riccati_residual(k, i, t) for i in (0, 13, 27) for t in (0.0, 0.5, 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "graph",
+        [lambda: random_regular(28, 3, seed=1), lambda: random_regular(28, 12, seed=1), regular_not_transitive],
+        ids=["rr28_3", "rr28_12", "k4_k33"],
+    )
+    def test_other_regular_graphs_keep_a_class_per_player(self, graph):
+        g = graph()
+        prof, _ = equilibrium_audit(g, 100)
+        assert audit_classes(g, prof) == g.n
 
 
 MODAL_AUDITS = {
