@@ -24,7 +24,11 @@ _FIG_GRID_POINTS = 101
 
 def _apply_thread_cap() -> None:
     # LG_THREADS caps BLAS parallelism (and the Monte Carlo draw pool);
-    # the BLAS variables must be set before numpy loads.
+    # the BLAS variables must be set before numpy loads.  An idle OpenBLAS
+    # worker spins for 2^28 cycles (about 0.1 s) after each threaded call,
+    # on the cores the Monte Carlo draw pool runs on; 2^20 cycles (about
+    # 0.3 ms) still spans the gaps between the calls inside one LAPACK routine.
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
     if os.environ.get("LG_THREADS"):
         from .threads import thread_count
 

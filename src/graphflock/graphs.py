@@ -307,18 +307,22 @@ def edge_list_graph(edges, n: int | None = None, one_based: bool = True) -> Grap
     """Graph from an explicit edge list.
 
     Edges are 1-based by default (matching the file format); pass
-    one_based=False for 0-based input.  n defaults to the largest vertex
-    index seen, but may be given explicitly to allow trailing isolated
-    vertices.
+    one_based=False for 0-based input.  A label is an integer by
+    _integer's rule: a bool or a float raises ParameterError naming it.  n
+    defaults to the largest vertex index seen, but may be given explicitly
+    to allow trailing isolated vertices.
     """
-    edges = [(int(u), int(v)) for u, v in edges]
-    if one_based:
-        edges = [(u - 1, v - 1) for u, v in edges]
+    first = int(one_based)
+
+    def label(v) -> int:
+        return _integer(v, f"edge_list vertex label {v!r} is not an integer >= {first}", first) - first
+
+    edges = [(label(u), label(v)) for u, v in edges]
     if n is None:
         n = max((max(u, v) for u, v in edges), default=-1) + 1
     n = _integer(n, f"edge_list graph needs an integer n from 1 to {MAX_VERTICES}, got {n!r}", 1, MAX_VERTICES + 1)
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
+        if max(u, v) >= n:
             raise ParameterError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
         if u == v:
             raise ParameterError(f"self-loop at vertex {u} is not allowed")
@@ -347,8 +351,6 @@ def read_edge_list(path) -> Graph:
             raise ParameterError(f"{path}:{lineno}: non-integer vertex label") from exc
     if not edges:
         raise ParameterError(f"{path}: no edges found")
-    if min(min(e) for e in edges) < 1:
-        raise ParameterError(f"{path}: edge-list files are 1-based")
     return edge_list_graph(edges, one_based=True)
 
 

@@ -18,7 +18,10 @@ LG_THREADS threads (by default, as many as the process has cores; fewer
 where the ring would exceed DRAW_RING_BUDGET) into a ring of preallocated
 buffers, one per thread plus one, while the calling thread propagates.
 Each block depends on (seed, step) alone, so the same config reproduces
-bit-identical ensembles for any pool size.
+bit-identical ensembles for any pool size.  The pool assumes that no idle
+BLAS worker spins on the same cores: the command-line front end sets
+OPENBLAS_THREAD_TIMEOUT before numpy loads, and a library caller who
+loads numpy itself can set it too.
 """
 
 from __future__ import annotations
@@ -68,6 +71,8 @@ class SimConfig:
         steps = _whole_steps(T, self.dt, T)
         if steps is None or steps < 1:
             raise ParameterError(f"dt = {self.dt} does not divide the horizon T = {T}")
+        if steps > np.iinfo(np.intp).max:  # checked before the step grid is allocated
+            raise ParameterError(f"dt = {self.dt} gives {steps} steps over T = {T}, more than an array can index")
         return steps
 
 
@@ -214,21 +219,24 @@ class EnsembleStats:
 
 def ensemble_stats(e: PathEnsemble, t: float, pairs: list[tuple[int, int]] | None = None) -> EnsembleStats:
     """Unbiased sample moments at a recorded time, with jackknife standard
-    errors; covariances are computed for the requested vertex pairs."""
+    errors; covariances are computed for the requested vertex pairs.  A
+    moment that overflows is inf or NaN, without a warning: the caller
+    decides whether a non-finite statistic is an error."""
     samples = e.at(t)
     p, n = samples.shape
-    variance, variance_se = _variance_and_se(samples)  # first: it needs p >= 3
-    mean = samples.mean(axis=0)
-    mean_se = samples.std(axis=0, ddof=1) / np.sqrt(p)
-    covariances = {}
-    if pairs:
-        centered = samples - mean
-        for u, v in pairs:
-            u, v = _vertex(n, u), _vertex(n, v)
-            sxy = float(centered[:, u] @ centered[:, v])
-            cov = sxy / (p - 1)
-            sxy_del = sxy - centered[:, u] * centered[:, v] * (p / (p - 1))
-            covariances[(u, v)] = (cov, float(_jackknife_se(sxy_del / (p - 2))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance, variance_se = _variance_and_se(samples)  # first: it needs p >= 3
+        mean = samples.mean(axis=0)
+        mean_se = samples.std(axis=0, ddof=1) / np.sqrt(p)
+        covariances = {}
+        if pairs:
+            centered = samples - mean
+            for u, v in pairs:
+                u, v = _vertex(n, u), _vertex(n, v)
+                sxy = float(centered[:, u] @ centered[:, v])
+                cov = sxy / (p - 1)
+                sxy_del = sxy - centered[:, u] * centered[:, v] * (p / (p - 1))
+                covariances[(u, v)] = (cov, float(_jackknife_se(sxy_del / (p - 2))))
     return EnsembleStats(
         t=float(t), mean=mean, mean_se=mean_se, variance=variance,
         variance_se=variance_se, covariances=covariances,

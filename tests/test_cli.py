@@ -51,6 +51,7 @@ _NAMED_IN_MESSAGE = {
     "fig2 --steps 400": "--steps",
     "fig3 --steps 400": "--steps",
     "simulate --graph cycle:6 --paths 10 --steps 100": "--steps",
+    "simulate --graph cycle:3 --paths 10 --dt 1e-20": "dt = 1e-20 gives 100000000000000000000 steps",
 }
 
 
@@ -434,6 +435,7 @@ class TestConfigAndErrors:
             "nash-audit --graph cycle:6 --steps 100 --c inf",
             "simulate --graph cycle:3 --paths 10 --dt nan",
             "simulate --graph cycle:3 --paths 10 --dt 5e-324",
+            "simulate --graph cycle:3 --paths 10 --dt 1e-20",
             "simulate --graph cycle:3 --paths 10 --record-times 0.5,nan",
             "value --graph edge_list:{tmp}/missing.txt",
             "value --graph edge_list:{tmp}",
@@ -511,6 +513,14 @@ class TestConfigAndErrors:
             json.loads(out.splitlines()[0][len("# config: "):], parse_constant=_refuse_constant)
             _, rows = parse_csv(out)
             assert np.isfinite(rows).all()
+
+    def test_overflowing_ensemble_is_one_line(self, capsys):
+        # The moments of paths near 1e150 overflow; the output check, not a
+        # numpy warning, reports it.
+        code, out, err = run(capsys, *"simulate --graph cycle:10 --profile equilibrium --paths 3 --sigma 1e150".split())
+        assert code == 3 and out == ""
+        (line,) = err.splitlines()
+        assert line == "error[numeric]: output holds a non-finite number"
 
     @pytest.mark.parametrize("cap", [("MAX_DEGREE", 32), ("NEWTON_MAX_ITER", 1)], ids=["degree", "newton"])
     def test_schedule_solve_failure_exits_3(self, capsys, monkeypatch, cap):
@@ -832,7 +842,7 @@ class TestSubcommandOptions:
 
 
 def _python(code: str, **env) -> str:
-    environ = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    environ = {k: v for k, v in os.environ.items() if not k.endswith(("_NUM_THREADS", "_THREAD_TIMEOUT"))}
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), environ.get("PYTHONPATH")]))
     environ.update(env)
     proc = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True, timeout=120)
@@ -890,20 +900,51 @@ class TestThreadCap:
         out = _python("import sys, graphflock.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
         assert out == "[]"
 
-    def test_lg_threads_set_before_numpy_loads(self):
+    @staticmethod
+    def blas_env_at_numpy_load(**env) -> str:
+        """OPENBLAS_NUM_THREADS and OPENBLAS_THREAD_TIMEOUT as numpy loads
+        under a main call, in a fresh interpreter with env."""
         code = (
             "import os, sys\n"
             "seen = []\n"
             "class Spy:\n"
             "    def find_spec(self, name, path=None, target=None):\n"
             "        if name == 'numpy' and not seen:\n"
-            "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "            seen.extend(os.environ.get(f'OPENBLAS_{v}') for v in ('NUM_THREADS', 'THREAD_TIMEOUT'))\n"
             "sys.meta_path.insert(0, Spy())\n"
             "from graphflock.cli import main\n"
             "assert main(['spectrum', '--graph', 'cycle:4', '--out', os.devnull]) == 0\n"
             "print(seen)\n"
         )
-        assert _python(code, LG_THREADS="1") == "['1']"
+        return _python(code, **env)
+
+    def test_lg_threads_set_before_numpy_loads(self):
+        assert self.blas_env_at_numpy_load(LG_THREADS="1") == "['1', '20']"
+
+    def test_thread_timeout_set_before_numpy_loads(self):
+        assert self.blas_env_at_numpy_load() == "[None, '20']"
+        assert self.blas_env_at_numpy_load(OPENBLAS_THREAD_TIMEOUT="28") == "[None, '28']"
+
+    @pytest.mark.skipif(
+        "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
+        or len(os.sched_getaffinity(0)) < 2,
+        reason="needs numpy on OpenBLAS and two cores",
+    )
+    def test_idle_blas_workers_sleep(self):
+        # By default an idle OpenBLAS worker spins for 2^28 cycles (about
+        # 0.1 s of CPU) after a threaded call, on the cores the Monte Carlo
+        # draw pool would use; the CLI shortens that to 2^20 cycles.
+        code = (
+            "import contextlib, io, os, time\n"
+            "from graphflock.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['simulate', '--profile', 'equilibrium', '--graph', 'cycle:200',\n"
+            "                 '--record-times', '0.5,1', '--paths', '400', '--seed', '1']) == 0\n"
+            "start = time.process_time()\n"
+            "time.sleep(0.3)\n"
+            "print(time.process_time() - start)\n"
+        )
+        assert float(_python(code, OPENBLAS_NUM_THREADS="2")) < 0.03
 
 
 class TestImportFootprint:

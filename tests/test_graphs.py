@@ -209,6 +209,16 @@ class TestEdgeLists:
         with pytest.raises(ParameterError):
             edge_list_graph([(1, 5)], n=3)
 
+    def test_label_below_the_first_vertex(self):
+        with pytest.raises(ParameterError, match="^edge_list vertex label 0 is not an integer >= 1"):
+            edge_list_graph([(0, 2)], n=3)
+        with pytest.raises(ParameterError, match="^edge_list vertex label -1 is not an integer >= 0"):
+            edge_list_graph([(-1, 2)], n=3, one_based=False)
+
+    def test_numpy_integer_labels(self):
+        g = edge_list_graph([(np.int64(1), np.int32(2)), (np.uint8(2), 3)])
+        assert np.array_equal(g.adjacency, edge_list_graph([(1, 2), (2, 3)]).adjacency)
+
     def test_self_loop_rejected(self):
         with pytest.raises(ParameterError):
             edge_list_graph([(2, 2)])

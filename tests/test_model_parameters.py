@@ -108,6 +108,10 @@ NOT_INTEGERS = {
     "erdos_renyi-seed": (lambda: erdos_renyi(5, 0.5, seed=1.7), "seed must be an integer"),
     "random_regular-d": (lambda: random_regular(6, 2.0, 1), "random_regular needs an integer degree d"),
     "edge_list-n": (lambda: edge_list_graph([(1, 2)], n=2.5), "edge_list graph needs an integer n"),
+    "edge_list-label": (lambda: edge_list_graph([(1.5, 2.9)], n=3), "edge_list vertex label 1.5 is not an integer"),
+    "edge_list-label-whole": (lambda: edge_list_graph([(1, 2.0)], n=3), "edge_list vertex label 2.0 is not an integer"),
+    "edge_list-label-bool": (lambda: edge_list_graph([(True, 2)], n=3), "edge_list vertex label True is not an integer"),
+    "edge_list-label-text": (lambda: edge_list_graph([("1", 2)], n=3), "edge_list vertex label '1' is not an integer"),
     "profile-steps": (lambda: mf_profile(G, 1.0, 1.0, 2.5), "profile needs an integer number of steps"),
     "profile-steps-bool": (lambda: mf_profile(G, 1.0, 1.0, True), "profile needs an integer number of steps"),
     "simulate-seed": (lambda: simulate(G, PROFILE, 1.0, SimConfig(3, 0.01, 1.5)), "seed must be an integer"),

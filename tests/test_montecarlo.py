@@ -324,6 +324,11 @@ class TestValidation:
         with pytest.raises(ParameterError):
             simulate(g, prof, 1.0, SimConfig(10, 0.3, 0, (1.0,)))
 
+    def test_step_count_must_fit_an_array(self):
+        # 1e20 steps: refused before the step grid is allocated.
+        with pytest.raises(ParameterError, match="more than an array can index"):
+            SimConfig(dt=1e-20).steps_for(1.0)
+
     def test_record_time_must_hit_grid(self):
         g = cycle(3)
         prof = zero_profile(g, T=1.0, steps=100)
