@@ -277,6 +277,9 @@ def _game_schedule(args):
 def _cmd_solve_f(args) -> None:
     import numpy as np
 
+    from .graphs import _fits
+
+    _fits(args.steps + 1, f"--steps {args.steps} gives {args.steps + 1} rows")
     schedule = _schedule_for(args)
     ts = np.linspace(0.0, schedule.T, args.steps + 1)
     _emit_csv(args, ["t", "f"], [ts, schedule.value(ts)], _resolved_config(args, "solve-f"))
@@ -331,16 +334,14 @@ def _cmd_figure(args) -> None:
 
 
 def _profile_for(args, g):
-    """--profile on g, on nash-audit's --steps grid, else on the library's default one."""
+    """--profile on g."""
     from . import equilibrium, strategies
 
-    steps = getattr(args, "steps", strategies.DEFAULT_ODE_STEPS)
     if args.profile == "mean_field":
-        return strategies.mf_profile(g, args.c, args.T, steps)
+        return strategies.mf_profile(g, args.c, args.T)
     if args.profile == "zero":
-        return strategies.zero_profile(g, args.T, steps)
-    kernel = equilibrium.build_kernel(g, args.c, args.T, args.sigma)
-    return strategies.equilibrium_profile(kernel, steps)
+        return strategies.zero_profile(g, args.T)
+    return strategies.equilibrium_profile(equilibrium.build_kernel(g, args.c, args.T, args.sigma))
 
 
 def _cmd_nash_audit(args) -> None:
@@ -348,7 +349,7 @@ def _cmd_nash_audit(args) -> None:
 
     g = graphs.build_graph(_graph_spec(args))
     prof = _profile_for(args, g)
-    report = strategies.nash_audit(g, prof, args.c, args.sigma)
+    report = strategies.nash_audit(g, prof, args.c, args.sigma, steps=args.steps)
     report["config"] = _resolved_config(args, "nash-audit", profile=args.profile)
     _emit_json(args, report)
 

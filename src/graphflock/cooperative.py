@@ -33,7 +33,7 @@ from .errors import ParameterError
 from .flow import _check_model, _clamp_time
 from .graphs import Graph, _vector
 from .spectral import EigenSystem, SpectralMeasure, eigendecompose, laplacian_eigensystem
-from .strategies import DEFAULT_ODE_STEPS, LinearProfile, alignment_functionals
+from .strategies import LinearProfile, alignment_functionals
 
 
 @dataclass
@@ -152,15 +152,15 @@ def coop_h_logdet(k: CoopKernel, t: float) -> float:
     return 0.5 * k.sigma**2 * float(logdet)
 
 
-def coop_profile(k: CoopKernel, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
+def coop_profile(k: CoopKernel) -> LinearProfile:
     """The planner's control as a LinearProfile (K(t) = F(t)), usable with
     the strategy-evaluation moment ODEs for cross-checking.  Where
     coop_kernel has M = L^2, it is spectral in the eigensystem of L that
     coop_kernel took, with rate c lam^2 / (1 + c(T-t) lam^2) on L's
     eigenspace of lam; elsewhere dense."""
     if k.laplacian is None:
-        return LinearProfile(k.n, k.T, steps, "coop", matrix_fn=lambda t: coop_feedback_matrix(k, t))
-    return LinearProfile(k.n, k.T, steps, "coop", lambda t, lam: _feedback(k, t, lam**2), k.laplacian)
+        return LinearProfile(k.n, k.T, "coop", matrix_fn=lambda t: coop_feedback_matrix(k, t))
+    return LinearProfile(k.n, k.T, "coop", lambda t, lam: _feedback(k, t, lam**2), k.laplacian)
 
 
 def coop_value_measure(mu: SpectralMeasure, c: float, T: float, sigma: float) -> float:

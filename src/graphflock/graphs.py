@@ -455,6 +455,12 @@ def _integer(v, message: str, least: int = 0, below: int | None = None) -> int:
     return int(v)
 
 
+def _fits(count: int, what: str) -> None:
+    """ParameterError(what) for count floats, more than numpy's array size limit, before any is allocated."""
+    if count > np.iinfo(np.intp).max // 8:
+        raise ParameterError(f"{what}, more than an array can index")
+
+
 def _vertex(n: int, v) -> int:
     """v as a vertex (or player) index of a graph on n vertices: an integer
     in [0, n), by _integer's rule."""
@@ -462,9 +468,12 @@ def _vertex(n: int, v) -> int:
 
 
 def _vector(g: Graph, x) -> np.ndarray:
-    """x as a float state vector, one entry per vertex of g; another shape
-    raises ParameterError."""
+    """x as a finite float state vector, one entry per vertex of g; another
+    shape, or a NaN or infinite entry, raises ParameterError."""
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise ParameterError(f"a state vector must have length {g.n}, got shape {x.shape}")
+    if not (finite := np.isfinite(x)).all():
+        i = finite.argmin()  # the first entry that is not finite
+        raise ParameterError(f"a state vector must be finite, got entry {i} = {x[i]}")
     return x

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .graphs import Graph, _integer, _vertex, philox
+from .graphs import Graph, _fits, _integer, _vertex, philox
 from .strategies import LinearProfile, _checked
 from .threads import thread_count
 
@@ -71,8 +71,7 @@ class SimConfig:
         steps = _whole_steps(T, self.dt, T)
         if steps is None or steps < 1:
             raise ParameterError(f"dt = {self.dt} does not divide the horizon T = {T}")
-        if steps > np.iinfo(np.intp).max:  # checked before the step grid is allocated
-            raise ParameterError(f"dt = {self.dt} gives {steps} steps over T = {T}, more than an array can index")
+        _fits(steps, f"dt = {self.dt} gives {steps} steps over T = {T}")
         return steps
 
 
@@ -91,10 +90,10 @@ class PathEnsemble:
     states: dict[float, np.ndarray]
 
     def at(self, t: float) -> np.ndarray:
-        for rec in self.times:
-            if abs(rec - t) <= _TIME_MATCH_TOL:
-                return self.states[rec]
-        raise ParameterError(f"time {t} was not recorded (recorded: {self.times})")
+        rec = min(self.times, key=lambda r: abs(r - t), default=math.inf)  # the nearest recorded time
+        if not abs(rec - t) <= _TIME_MATCH_TOL:
+            raise ParameterError(f"time {t} was not recorded (recorded: {self.times})")
+        return self.states[rec]
 
 
 def draw_threads(block_bytes: int) -> int:
@@ -115,6 +114,7 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
     steps <= (draw threads + 1) x n_paths."""
     _checked(g, prof, None, sigma=sigma)
     _integer(cfg.n_paths, f"n_paths must be an integer >= 1, got {cfg.n_paths!r}", 1)
+    _fits(cfg.n_paths * g.n, f"{cfg.n_paths} paths of {g.n} players hold {cfg.n_paths * g.n} states")
     if not 0.0 < cfg.dt < np.inf:
         raise ParameterError(f"dt must be positive and finite, got {cfg.dt}")
     philox(cfg.seed)  # checks the seed before anything is allocated

@@ -20,7 +20,7 @@ only through weights shared by a class.  One table per call (_players),
 of those weights and the rates, feeds both the costs and the best
 responses, and _rank_one solves an audit at once: one column for a
 scalar profile, or a spectral one on a walk-regular graph, else one per
-player.  Every solver is classical RK4 on the profile grid.  On a modal
+player.  Every solver is classical RK4 on the audit's step grid.  On a modal
 profile each stage is linear in the state, with coefficients from the
 rate table alone, so RK4's maps for a block of steps are built in a few
 array operations (_rk4_maps) and the quadratures become sums over the
@@ -38,17 +38,17 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .flow import _check_model
-from .graphs import Graph, _integer, _vector, _vertex
+from .graphs import Graph, _fits, _integer, _vector, _vertex
 from .equilibrium import EquilibriumKernel, _p_rates
 from .spectral import EigenSystem
 
-#: Default step count of a profile's grid.
+#: Default step count of an audit's RK4 grid (profile_costs, best_response, nash_audit).
 DEFAULT_ODE_STEPS = 2000
 
 
 @dataclass
 class LinearProfile:
-    """Time-dependent linear feedback profile on a uniform grid of [0, T].
+    """Time-dependent linear feedback profile K(t) on [0, T].
 
     Exactly one of rates and matrix_fn is set.  Without eigen, rates(t) is
     k for a scalar profile, K(t) = k I.  With eigen (L's eigensystem, of
@@ -57,13 +57,12 @@ class LinearProfile:
     eigenvalue in lam, so K(t) = V diag(rates(t, eigen.eigenvalues)) V^T,
     and a caller that reads one eigenspace evaluates it at one eigenvalue.
     An array of times gets a row per time.  matrix_fn(t) is a dense K(t),
-    with no eigen.  Any t in [0, T] works; the grid of steps + 1 equal
-    times fixes the discretization of the cost and Riccati solvers.
+    with no eigen.  Any t in [0, T] works: the cost and Riccati solvers
+    take their own step count, and the simulation its own dt.
     """
 
     n: int
     T: float
-    steps: int
     tag: str
     rates: Callable | None = None
     eigen: EigenSystem | None = None
@@ -71,17 +70,12 @@ class LinearProfile:
 
     def __post_init__(self):
         _check_model(T=self.T)
-        self.steps = _integer(self.steps, f"profile needs an integer number of steps >= 1, got {self.steps!r}", 1)
         if (self.rates is None) == (self.matrix_fn is None):
             raise ParameterError("a profile sets exactly one of rates and matrix_fn")
         if self.eigen is not None and self.matrix_fn is not None:
             raise ParameterError("a dense profile takes no eigensystem")
         if self.eigen is not None and self.eigen.n != self.n:
             raise ParameterError(f"profile is for {self.n} players, its eigensystem has {self.eigen.n}")
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.steps + 1)
 
     def at(self, t: float) -> np.ndarray:
         """The dense n x n feedback matrix K(t), whatever the form."""
@@ -92,30 +86,28 @@ class LinearProfile:
         return self.eigen.reconstruct(self.rates(float(t), self.eigen.eigenvalues))
 
 
-def mf_profile(g: Graph, c: float, T: float, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
+def mf_profile(g: Graph, c: float, T: float) -> LinearProfile:
     """Decentralized mean-field profile: every player applies
     -c x_i / (1 + c(T - t)), independent of the graph."""
     _check_model(c=c, T=T)
-    return LinearProfile(g.n, float(T), steps, "mean_field", lambda t: c / (1.0 + c * (T - t)))
+    return LinearProfile(g.n, float(T), "mean_field", lambda t: c / (1.0 + c * (T - t)))
 
 
-def equilibrium_profile(k: EquilibriumKernel, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
+def equilibrium_profile(k: EquilibriumKernel) -> LinearProfile:
     """Profile whose rows are the equilibrium feedback P(t), in spectral
     form: the kernel's eigensystem, and P(t)'s rate on the eigenspace of
     lam, -f' lam / (1 - f lam) at f = f(T - t), whose columns at the
     kernel's spectrum are p_eigenvalues(k, t)."""
-    return LinearProfile(k.n, k.T, steps, "equilibrium", lambda t, lam: _p_rates(k, t, lam), k.eigen)
+    return LinearProfile(k.n, k.T, "equilibrium", lambda t, lam: _p_rates(k, t, lam), k.eigen)
 
 
-def zero_profile(g: Graph, T: float, steps: int = DEFAULT_ODE_STEPS) -> LinearProfile:
+def zero_profile(g: Graph, T: float) -> LinearProfile:
     """All players apply the zero control (states are Brownian motions)."""
-    return LinearProfile(g.n, float(T), steps, "zero", lambda t: 0.0 * t)
+    return LinearProfile(g.n, float(T), "zero", lambda t: 0.0 * t)
 
 
-def custom_profile(
-    g: Graph, T: float, matrix_fn: Callable[[float], np.ndarray], steps: int = DEFAULT_ODE_STEPS
-) -> LinearProfile:
-    return LinearProfile(n=g.n, T=float(T), steps=steps, tag="custom", matrix_fn=matrix_fn)
+def custom_profile(g: Graph, T: float, matrix_fn: Callable[[float], np.ndarray]) -> LinearProfile:
+    return LinearProfile(n=g.n, T=float(T), tag="custom", matrix_fn=matrix_fn)
 
 
 def alignment_functionals(g: Graph) -> np.ndarray:
@@ -160,6 +152,7 @@ def profile_costs(
     sigma: float,
     c: float,
     x0: np.ndarray | None = None,
+    steps: int = DEFAULT_ODE_STEPS,
 ) -> np.ndarray:
     """Expected cost of every player under the profile, in one propagation.
 
@@ -167,21 +160,21 @@ def profile_costs(
     m' = -K m and S' = -K S - S K^T + sigma^2 I; player i accumulates
     (1/2) k_i (S + m m^T) k_i^T along the way (k_i = row i of K) plus the
     terminal penalty (c/2) l_i (S(T) + m m^T) l_i^T.  Integration is RK4
-    on the profile grid: rk4_step on these n x n moments for a dense
-    profile, precomputed RK4 maps on its modes for a scalar or spectral
-    one (_modal_costs).
+    in steps equal steps of [0, T]: rk4_step on these n x n moments for a
+    dense profile, precomputed RK4 maps on its modes for a scalar or
+    spectral one (_modal_costs).
     """
-    return _costs(prof, _players(g, prof, _checked(g, prof, x0, c=c, sigma=sigma)), sigma, c)
+    return _costs(prof, _players(g, prof, _checked(g, prof, x0, c=c, sigma=sigma), steps), sigma, c, steps)
 
 
-def _costs(prof: LinearProfile, players: tuple, sigma: float, c: float) -> np.ndarray:
+def _costs(prof: LinearProfile, players: tuple, sigma: float, c: float, steps: int) -> np.ndarray:
     """profile_costs from _players' table: _modal_costs for a modal profile,
     else rk4_step on the n x n moments, with l_i the a block's column i and
     m(0) = x0 any row of the coordinates."""
     if prof.matrix_fn is None:
-        return _modal_costs(prof, players, sigma, c)
+        return _modal_costs(prof, players, sigma, c, steps)
     stage, _, _, columns, coords = players
-    n, h = prof.n, prof.T / prof.steps
+    n, h = prof.n, prof.T / steps
     eye = np.eye(n)
     sig2 = sigma**2
     # One array holds the state: S in rows 0..n-1, m in row n, costs in row n + 1.
@@ -198,7 +191,7 @@ def _costs(prof: LinearProfile, players: tuple, sigma: float, c: float) -> np.nd
         out[n + 1] = 0.5 * np.vecdot(kmat @ second, kmat)
         return out
 
-    for j in range(prof.steps):
+    for j in range(steps):
         y = rk4_step(derivs, y, h, (stage(2 * j), stage(2 * j + 1), stage(2 * j + 2)))
         y[:n] = 0.5 * (y[:n] + y[:n].T)
 
@@ -266,7 +259,7 @@ def _rk4_maps(r: list, f: list, h: float) -> tuple[list, list]:
     return d, e
 
 
-def _modal_costs(prof: LinearProfile, players: tuple, sigma: float, c: float) -> np.ndarray:
+def _modal_costs(prof: LinearProfile, players: tuple, sigma: float, c: float, steps: int) -> np.ndarray:
     """profile_costs for a modal K(t) from _players' table: on the orthogonal
     columns of B = _basis(g, prof, i), S B = B diag(s) and B^T m = diag(phi) B^T x0, with
     s_k' = -2 p_k s_k + sigma^2, s_k(0) = 0, phi_k' = -p_k phi_k, phi_k(0) = 1.
@@ -282,14 +275,14 @@ def _modal_costs(prof: LinearProfile, players: tuple, sigma: float, c: float) ->
     alpha_j s_j + beta_j over the grid and R one matrix product of the
     stages' p phi.  A block of steps at a time (_blocks) builds the maps,
     runs the recurrence for s and sums the riders."""
-    h, sig2 = prof.T / prof.steps, sigma**2
+    h, sig2 = prof.T / steps, sigma**2
     table, grams, which, columns, coords = players
     _, u, a = np.split(columns[:, :1], 3)  # the same for every player of a modal profile
     m = len(grams)
     s, phi, run = np.zeros(m), np.ones(m), np.zeros(m)
     outer = np.zeros((m, m)) if coords is not None else None  # R
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends as a refused inf or NaN
-        for lo, hi in _blocks(prof.steps, 48 * m):
+        for lo, hi in _blocks(steps, 48 * m):
             p = _stage_rows(table, lo, hi)
             d, e = _rk4_maps([-2.0 * x for x in p], [sig2] * 4, h)
             shift = [sum(row) for row in e]  # s's stages and step, forced by sigma^2 at every stage
@@ -330,6 +323,7 @@ def best_response(
     c: float,
     sigma: float,
     x0: np.ndarray | None = None,
+    steps: int = DEFAULT_ODE_STEPS,
 ) -> BestResponse:
     """Exact best response of player i with all other rows of the profile
     frozen.
@@ -351,14 +345,14 @@ def best_response(
     so F stays rank one and, as z >= 1, cannot blow up unless psi does.
     The value x0^T F(0) x0 / 2 + h(0) is (x0 . psi(0))^2 / (2 z(0)) +
     (sigma^2/2) int |psi|^2 / z, the feedback row (e_i^T phi) phi^T.
-    _rank_one solves in _basis; an unresolved step raises NumericError.
+    _rank_one solves in _basis, in steps RK4 steps; an unresolved one raises NumericError.
     """
-    players = _players(g, prof, _checked(g, prof, x0, i, c=c, sigma=sigma))
-    (value,), path = _rank_one(prof, players, c, sigma, [i], trace=True)
+    players = _players(g, prof, _checked(g, prof, x0, i, c=c, sigma=sigma), steps)
+    (value,), path = _rank_one(prof, players, c, sigma, [i], steps, trace=True)
     if not math.isfinite(value):
-        raise NumericError(f"player {i}'s best response is not finite: {prof.steps} steps do not resolve the profile")
-    basis, gamma = _basis(g, prof, i), path[:, :, 0]
-    return BestResponse(float(value), prof.grid, (gamma @ basis[i])[:, None] * (gamma @ basis.T))
+        raise NumericError(f"player {i}'s best response is not finite: {steps} steps do not resolve the profile")
+    basis, gamma, grid = _basis(g, prof, i), path[:, :, 0], np.linspace(0.0, prof.T, steps + 1)
+    return BestResponse(float(value), grid, (gamma @ basis[i])[:, None] * (gamma @ basis.T))
 
 
 def _basis(g: Graph, prof: LinearProfile, i: int) -> np.ndarray:
@@ -376,7 +370,7 @@ def _basis(g: Graph, prof: LinearProfile, i: int) -> np.ndarray:
     return np.add.reduceat(v * v[i], prof.eigen.eigenspaces(), axis=1)
 
 
-def _players(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
+def _players(g: Graph, prof: LinearProfile, x0: np.ndarray | None, steps: int) -> tuple:
     """The table every solver reads, built once per call: the stages, and
     for B = _basis(g, prof, i) the weights of each class of alike players:
     diag(B^T B) as a column per class (grams); each player's class (which);
@@ -398,7 +392,9 @@ def _players(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
     graph is transitive) gets one class with no eigenvector read, except
     for x0; another gets it when each eigenspace's weights spread across
     players by at most the eigensystem's _tolerance, eigenspaces()' rule."""
-    n, times = g.n, np.linspace(0.0, prof.T, 2 * prof.steps + 1)
+    steps = _integer(steps, f"an audit needs an integer number of steps >= 1, got {steps!r}", 1)
+    _fits(2 * steps + 1, f"{steps} steps take {2 * steps + 1} half-step times")
+    n, times = g.n, np.linspace(0.0, prof.T, 2 * steps + 1)
     if prof.matrix_fn is not None:
         stage = functools.lru_cache(maxsize=1)(lambda j: prof.matrix_fn(float(times[j])))
         eye = np.eye(n)
@@ -427,7 +423,7 @@ def _players(g: Graph, prof: LinearProfile, x0: np.ndarray | None) -> tuple:
     return table, grams, which, columns, coords
 
 
-def _rank_one(prof: LinearProfile, players: tuple, c: float, sigma: float, indices, trace: bool = False) -> tuple:
+def _rank_one(prof: LinearProfile, players: tuple, c: float, sigma: float, indices, steps: int, trace=False) -> tuple:
     """Best-response values of the players at indices from one linear solve
     for every psi = B gamma, in which players of one class share one; players
     is _players' table.
@@ -438,7 +434,7 @@ def _rank_one(prof: LinearProfile, players: tuple, c: float, sigma: float, indic
 
         Gamma' = Kt^T (Gamma - U diag s),   Gamma(T) = sqrt(c) A,   z' = -s^2,   z(T) = 1
 
-    by backward RK4 on the profile grid: precomputed maps for a modal
+    by backward RK4 in steps equal steps: precomputed maps for a modal
     profile (_modal_solve), rk4_step with one evaluation of Kt per stage
     for all columns for a dense one (_dense_solve).  Q' = -Gamma * Gamma / z,
     Q(T) = 0, alongside gives Q(0) = int_0^T gamma^2 / z entrywise, and
@@ -457,7 +453,7 @@ def _rank_one(prof: LinearProfile, players: tuple, c: float, sigma: float, indic
     solve = _modal_solve if prof.matrix_fn is None else _dense_solve
     # Columns are independent: a NaN set in one (an unresolved step), or an overflow, stays there.
     with np.errstate(over="ignore", invalid="ignore"):
-        gamma, q, z, path = solve(stage, w, u, math.sqrt(c) * a, prof.T / prof.steps, prof.steps, trace)
+        gamma, q, z, path = solve(stage, w, u, math.sqrt(c) * a, prof.T / steps, steps, trace)
         values = (0.5 * sigma**2 * np.vecdot(grams, q, axis=0))[cls]
         if coords is not None:
             ends = np.broadcast_to(gamma / np.sqrt(z), grams.shape).T[cls]
@@ -578,7 +574,9 @@ def epsilon_bounds(g: Graph, c: float, T: float, sigma: float) -> EpsilonBounds:
 GAP_TOLERANCE = 1e-5
 
 
-def nash_audit(g: Graph, prof: LinearProfile, c: float, sigma: float, x0: np.ndarray | None = None) -> dict:
+def nash_audit(
+    g: Graph, prof: LinearProfile, c: float, sigma: float, x0: np.ndarray | None = None, steps: int = DEFAULT_ODE_STEPS
+) -> dict:
     """Audit every player's incentive to deviate from the profile.
 
     For mean-field profiles each gap is compared against its epsilon_v
@@ -586,17 +584,17 @@ def nash_audit(g: Graph, prof: LinearProfile, c: float, sigma: float, x0: np.nda
     alone (an exact equilibrium should show pure discretization error).  A
     cost under the profile that is below -GAP_TOLERANCE or not finite, or a
     gap below -GAP_TOLERANCE or NaN (a best response worse than the profile
-    or not finite), means the grid does not resolve the problem: NumericError.
+    or not finite), means the steps do not resolve the problem: NumericError.
     """
-    players = _players(g, prof, _checked(g, prof, x0, c=c, sigma=sigma))
-    costs = _costs(prof, players, sigma, c)
-    unresolved = f"{prof.steps} steps do not resolve the profile"
+    players = _players(g, prof, _checked(g, prof, x0, c=c, sigma=sigma), steps)
+    costs = _costs(prof, players, sigma, c, steps)
+    unresolved = f"{steps} steps do not resolve the profile"
     bad = np.flatnonzero(~((costs >= -GAP_TOLERANCE) & (costs < np.inf)))  # a NaN cost too
     if bad.size:
         i = int(bad[0])
         raise NumericError(f"player {i}'s cost under the profile is {costs[i]:.6g}: {unresolved}")
     bounds = epsilon_bounds(g, c, prof.T, sigma).per_vertex if prof.tag == "mean_field" else np.zeros(g.n)
-    values, _ = _rank_one(prof, players, c, sigma, np.arange(g.n))
+    values, _ = _rank_one(prof, players, c, sigma, np.arange(g.n), steps)
     gaps = costs - values
     worse = np.flatnonzero(~(gaps >= -GAP_TOLERANCE))  # a NaN gap too
     if worse.size:

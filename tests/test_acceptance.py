@@ -131,9 +131,9 @@ def test_criterion_05_epsilon_nash_certificates():
     graphs = [complete(10), cycle(20), torus(4, 2), erdos_renyi(50, 0.3, seed=7)]
     worst_ratio = 0.0
     for g in graphs:
-        prof = mf_profile(g, 1.0, 1.0, steps=2000)
+        prof = mf_profile(g, 1.0, 1.0)
         eps = epsilon_bounds(g, 1.0, 1.0, 1.0).per_vertex
-        audit = nash_audit(g, prof, c=1.0, sigma=1.0)
+        audit = nash_audit(g, prof, c=1.0, sigma=1.0, steps=2000)
         for entry in audit["players"]:
             v, gap = entry["vertex"], entry["gap"]
             assert entry["epsilon_bound"] == pytest.approx(eps[v], abs=0)
@@ -199,7 +199,7 @@ def test_criterion_08_concentration():
     bounds = {}
     for g in (complete(100), cycle(200)):
         k = build_kernel(g, 1.0, 1.0, 1.0)
-        prof = equilibrium_profile(k, 1000)
+        prof = equilibrium_profile(k)
         cfg = SimConfig(n_paths=10_000, dt=1.0 / 500, seed=202, record_times=(1.0,))
         ens = simulate(g, prof, 1.0, cfg)
         law = state_law(k, 1.0)
@@ -298,7 +298,7 @@ def test_criterion_11_cooperative_consistency():
     worst_policy = 0.0
     for g in (complete(2), cycle(6)):
         k = coop_kernel(g, 1.0, 1.0, 1.0)
-        costs = profile_costs(g, coop_profile(k, steps=2000), sigma=1.0, c=1.0)
+        costs = profile_costs(g, coop_profile(k), sigma=1.0, c=1.0, steps=2000)
         worst_policy = max(worst_policy, abs(costs.mean() - coop_value(k)))
     assert worst_policy <= 1e-9
     report(

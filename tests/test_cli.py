@@ -52,6 +52,9 @@ _NAMED_IN_MESSAGE = {
     "fig3 --steps 400": "--steps",
     "simulate --graph cycle:6 --paths 10 --steps 100": "--steps",
     "simulate --graph cycle:3 --paths 10 --dt 1e-20": "dt = 1e-20 gives 100000000000000000000 steps",
+    "solve-f --measure cycle --steps 100000000000000000000": "more than an array can index",
+    "nash-audit --graph cycle:5 --steps 100000000000000000000": "more than an array can index",
+    "simulate --graph cycle:5 --paths 100000000000000000000": "more than an array can index",
 }
 
 
@@ -180,12 +183,21 @@ class TestFigures:
                 "simulate --profile equilibrium --graph cycle:200 --record-times 0.5,1 --paths 400 --seed 1",
                 "b34a96f28d1aabee856c586a6b62cb5161eebb204e3ec82bf961f05d81eedadb",
             ),
+            (
+                "nash-audit --graph erdos_renyi:50,0.3 --seed 1 --profile mean_field --steps 100",
+                "bb0b1fa73a210bd5c925ead6f0b7879a6e0c1858b981e837d05461e013f3310d",
+            ),
+            (
+                "simulate --profile mean_field --graph erdos_renyi:100,0.1 --paths 400 --seed 1",
+                "663605c91637187d035ce393953e12d6e394dd06d0f59652a854686fd00f4119",
+            ),
         ],
     )
     def test_command_bytes_are_pinned(self, capsys, argv, digest):
         # Each digest was taken before a change meant to leave these bytes alone: the schedule losing
-        # its output grid (solve-f prints value on its --steps grid), and a spectral rate read only at
-        # the eigenvalues a caller needs (the audits and the simulation).
+        # its output grid (solve-f prints value on its --steps grid), a spectral rate read only at
+        # the eigenvalues a caller needs (the audits and the simulation), and the step count moving
+        # from the profile to the audits (the scalar audit and simulation).
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -337,6 +349,14 @@ class TestAuditAndSimulate:
                             "mean_field", "--paths", "100", "--dt", "0.01")
         assert out1 == out2
 
+    def test_simulate_reports_each_record_time_apart(self, capsys):
+        # 5e-13 and 1e-12 are within the time tolerance of each other; each reads its own record.
+        code, out, _ = run(capsys, *"simulate --graph cycle:4 --profile zero --paths 5 --T 1e-12 "
+                           "--record-times 5e-13,1e-12 --seed 1".split())
+        assert code == 0
+        times = json.loads(out)["times"]
+        assert sorted(times) == ["1e-12", "5e-13"] and times["1e-12"] != times["5e-13"]
+
 
 class TestConfigAndErrors:
     def test_config_file_overrides_flags(self, capsys, tmp_path):
@@ -463,6 +483,9 @@ class TestConfigAndErrors:
             "fig2 --steps 400",
             "fig3 --steps 400",
             "simulate --graph cycle:6 --paths 10 --steps 100",
+            "solve-f --measure cycle --steps 100000000000000000000",
+            "nash-audit --graph cycle:5 --steps 100000000000000000000",
+            "simulate --graph cycle:5 --paths 100000000000000000000",
         ],
     )
     def test_bad_input_exits_1_with_one_line(self, capsys, tmp_path, argv):

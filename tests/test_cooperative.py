@@ -163,8 +163,8 @@ class TestAgainstStrategyEvaluation:
     def test_policy_evaluation_matches_closed_form(self, g):
         c, T, sigma = 1.0, 1.0, 1.0
         k = coop_kernel(g, c, T, sigma)
-        prof = coop_profile(k, steps=2000)
-        costs = profile_costs(g, prof, sigma=sigma, c=c)
+        prof = coop_profile(k)
+        costs = profile_costs(g, prof, sigma=sigma, c=c, steps=2000)
         assert costs.mean() == pytest.approx(coop_value(k), abs=1e-9)
 
     @pytest.mark.parametrize(

@@ -188,8 +188,8 @@ class TestNeighborLists:
         for g in (cycle(12), torus(4, 2)):
             k = build_kernel(g, 1.0, 1.0, 1.0)
             x0 = np.linspace(-1.0, 1.0, g.n)
-            assert nash_audit(g, equilibrium_profile(k, 200), 1.0, 1.0, x0=x0)["all_satisfied"]
-            assert nash_audit(g, mf_profile(g, 1.0, 1.0, 200), 1.0, 1.0, x0=x0)["all_satisfied"]
+            assert nash_audit(g, equilibrium_profile(k), 1.0, 1.0, x0=x0, steps=200)["all_satisfied"]
+            assert nash_audit(g, mf_profile(g, 1.0, 1.0), 1.0, 1.0, x0=x0, steps=200)["all_satisfied"]
             assert laplacian_eigensystem(g).eigenvectors.shape == (g.n, g.n)
             assert graph_distances(g, 0).max() == {12: 6, 16: 4}[g.n]
         assert laplacian_eigensystem(irregular).eigenvectors.shape == (30, 30)

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 from graphflock.cooperative import coop_kernel, coop_value, coop_value_measure, coop_variance, coop_variance_measure
-from graphflock.equilibrium import build_kernel, game_value, limit_value, limit_variance, player_variance
+from graphflock.equilibrium import (
+    build_kernel,
+    equilibrium_control,
+    game_value,
+    limit_value,
+    limit_variance,
+    player_variance,
+    state_law,
+)
 from graphflock.errors import NumericError, ParameterError
 from graphflock.flow import cycle_closed_form, solve_f
 from graphflock.graphs import complete, cycle, edge_list_graph, erdos_renyi, random_regular, torus
@@ -31,7 +39,7 @@ from graphflock.strategies import (
 G = cycle(6)
 MU = limit_measure("cycle_limit")
 SCHEDULE = solve_f(MU, 1.0, 1.0)
-PROFILE = mf_profile(G, 1.0, 1.0, 100)
+PROFILE = mf_profile(G, 1.0, 1.0)
 
 #: Each entry point as a function of the model parameters it takes, by name.
 ENTRY_POINTS = {
@@ -39,9 +47,9 @@ ENTRY_POINTS = {
     "build_kernel": lambda c=1.0, T=1.0, sigma=1.0: build_kernel(G, c, T, sigma),
     "coop_kernel": lambda c=1.0, T=1.0, sigma=1.0: coop_kernel(G, c, T, sigma),
     "cycle_closed_form": lambda c=1.0: cycle_closed_form(c, 0.5),
-    "LinearProfile": lambda T=1.0: LinearProfile(G.n, T, 100, "custom", matrix_fn=lambda t: np.eye(G.n)),
-    "zero_profile": lambda T=1.0: zero_profile(G, T, 100),
-    "mf_profile": lambda c=1.0, T=1.0: mf_profile(G, c, T, 100),
+    "LinearProfile": lambda T=1.0: LinearProfile(G.n, T, "custom", matrix_fn=lambda t: np.eye(G.n)),
+    "zero_profile": lambda T=1.0: zero_profile(G, T),
+    "mf_profile": lambda c=1.0, T=1.0: mf_profile(G, c, T),
     "profile_costs": lambda c=1.0, sigma=1.0: profile_costs(G, PROFILE, sigma, c),
     "best_response": lambda c=1.0, sigma=1.0: best_response(G, PROFILE, 0, c, sigma),
     "nash_audit": lambda c=1.0, sigma=1.0: nash_audit(G, PROFILE, c, sigma),
@@ -69,7 +77,7 @@ def test_every_entry_point_refuses_a_bad_parameter_by_name(name):
 #: c = T = 1e200 are each finite, but c*T overflows.  The profile entry
 #: points take T from the profile.
 HUGE = 1e200
-HUGE_PROFILE = zero_profile(G, HUGE, 100)
+HUGE_PROFILE = zero_profile(G, HUGE)
 OVERFLOWING = {
     **{
         name: functools.partial(ENTRY_POINTS[name], c=HUGE, T=HUGE)
@@ -98,6 +106,8 @@ def test_sigma_zero_is_the_deterministic_game():
     assert profile_costs(G, PROFILE, 0.0, 1.0).max() == 0.0
 
 
+AUDIT_STEPS = "an audit needs an integer number of steps"
+
 #: A count or seed that is not an integer -> the call, and the parameter its message names.
 NOT_INTEGERS = {
     "cycle-n": (lambda: cycle(5.5), "cycle graph needs an integer n"),
@@ -112,8 +122,9 @@ NOT_INTEGERS = {
     "edge_list-label-whole": (lambda: edge_list_graph([(1, 2.0)], n=3), "edge_list vertex label 2.0 is not an integer"),
     "edge_list-label-bool": (lambda: edge_list_graph([(True, 2)], n=3), "edge_list vertex label True is not an integer"),
     "edge_list-label-text": (lambda: edge_list_graph([("1", 2)], n=3), "edge_list vertex label '1' is not an integer"),
-    "profile-steps": (lambda: mf_profile(G, 1.0, 1.0, 2.5), "profile needs an integer number of steps"),
-    "profile-steps-bool": (lambda: mf_profile(G, 1.0, 1.0, True), "profile needs an integer number of steps"),
+    "profile_costs-steps": (lambda: profile_costs(G, PROFILE, 1.0, 1.0, steps=2.5), AUDIT_STEPS),
+    "best_response-steps-bool": (lambda: best_response(G, PROFILE, 0, 1.0, 1.0, steps=True), AUDIT_STEPS),
+    "nash_audit-steps-zero": (lambda: nash_audit(G, PROFILE, 1.0, 1.0, steps=0), AUDIT_STEPS),
     "simulate-seed": (lambda: simulate(G, PROFILE, 1.0, SimConfig(3, 0.01, 1.5)), "seed must be an integer"),
     "simulate-paths": (lambda: simulate(G, PROFILE, 1.0, SimConfig(3.5, 0.01, 0)), "n_paths must be an integer"),
 }
@@ -124,3 +135,28 @@ def test_counts_and_seeds_are_integers(name):
     call, message = NOT_INTEGERS[name]
     with pytest.raises(ParameterError, match=f"^{message}"):
         call()
+
+
+#: Each entry point that takes a state vector, as a function of it.
+KERNEL = build_kernel(G, 1.0, 1.0, 1.0)
+STATE_VECTORS = {
+    "profile_costs": lambda x: profile_costs(G, PROFILE, 1.0, 1.0, x),
+    "best_response": lambda x: best_response(G, PROFILE, 0, 1.0, 1.0, x),
+    "nash_audit": lambda x: nash_audit(G, PROFILE, 1.0, 1.0, x),
+    "game_value": lambda x: game_value(KERNEL, x),
+    "state_law": lambda x: state_law(KERNEL, 0.5, x),
+    "equilibrium_control": lambda x: equilibrium_control(KERNEL, 0, 0.5, x),
+    "coop_value": lambda x: coop_value(coop_kernel(G, 1.0, 1.0, 1.0), x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_VECTORS))
+@pytest.mark.parametrize(
+    "x, message",
+    [([math.nan, 0, 0, 0, 0, 0], "entry 0 = nan"), ([0, 1, 2, -math.inf, math.nan, 5], "entry 3 = -inf")],
+    ids=["nan", "inf"],
+)
+def test_a_state_vector_must_be_finite(name, x, message):
+    # Refused by name, not blamed on the step count or returned as NaN.
+    with pytest.raises(ParameterError, match=f"^a state vector must be finite, got {message}$"):
+        STATE_VECTORS[name](x)

@@ -32,7 +32,7 @@ def single_vertex():
 class TestDeterminism:
     def test_bit_identical_replay(self):
         g = cycle(5)
-        prof = mf_profile(g, 1.0, 1.0, steps=100)
+        prof = mf_profile(g, 1.0, 1.0)
         cfg = SimConfig(n_paths=64, dt=0.01, seed=7, record_times=(0.5, 1.0))
         a = simulate(g, prof, 1.0, cfg)
         b = simulate(g, prof, 1.0, cfg)
@@ -41,7 +41,7 @@ class TestDeterminism:
 
     def test_recording_does_not_change_draws(self):
         g = cycle(5)
-        prof = mf_profile(g, 1.0, 1.0, steps=100)
+        prof = mf_profile(g, 1.0, 1.0)
         full = simulate(g, prof, 1.0, SimConfig(64, 0.01, 7, (0.25, 1.0)))
         only_end = simulate(g, prof, 1.0, SimConfig(64, 0.01, 7, (1.0,)))
         assert np.array_equal(full.states[1.0], only_end.states[1.0])
@@ -58,20 +58,20 @@ class TestDeterminism:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
-    @pytest.mark.parametrize("make", [lambda g: mf_profile(g, 1.0, 1.0, 100), lambda g: zero_profile(g, 1.0, 100)])
+    @pytest.mark.parametrize("make", [lambda g: mf_profile(g, 1.0, 1.0), lambda g: zero_profile(g, 1.0)])
     def test_scalar_profile_matches_dense_step(self, make):
         # k * x must reproduce x @ (k I)^T bit for bit.
         g = cycle(5)
         prof = make(g)
         cfg = SimConfig(n_paths=64, dt=0.01, seed=7, record_times=(0.5, 1.0))
         scalar = simulate(g, prof, 1.0, cfg)
-        dense = simulate(g, custom_profile(g, 1.0, prof.at, 100), 1.0, cfg)
+        dense = simulate(g, custom_profile(g, 1.0, prof.at), 1.0, cfg)
         for t in scalar.times:
             assert np.array_equal(scalar.states[t], dense.states[t])
 
     def test_seed_changes_draws(self):
         g = cycle(5)
-        prof = mf_profile(g, 1.0, 1.0, steps=100)
+        prof = mf_profile(g, 1.0, 1.0)
         a = simulate(g, prof, 1.0, SimConfig(16, 0.01, 1, (1.0,)))
         b = simulate(g, prof, 1.0, SimConfig(16, 0.01, 2, (1.0,)))
         assert not np.array_equal(a.states[1.0], b.states[1.0])
@@ -93,7 +93,7 @@ class TestDrawPool:
     def test_bit_identical_for_any_pool_size(self, monkeypatch, kind):
         g = cycle(12)
         k = build_kernel(g, 1.0, 1.0, 1.0)
-        prof = equilibrium_profile(k, 100) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0, 100)
+        prof = equilibrium_profile(k) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0)
         cfg = SimConfig(n_paths=40, dt=0.01, seed=3, record_times=(0.0, 0.37, 1.0))
         ensembles = []
         for workers in ("1", "2"):
@@ -108,7 +108,7 @@ class TestDrawPool:
         # overwritten before it is consumed would change the ensemble.
         g = cycle(10)
         k = build_kernel(g, 1.0, 1.0, 1.0)
-        prof = equilibrium_profile(k, 100) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0, 100)
+        prof = equilibrium_profile(k) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0)
         cfg = SimConfig(n_paths=30, dt=0.005, seed=8, record_times=(0.5, 1.0))
         monkeypatch.setattr(montecarlo, "draw_threads", lambda block_bytes: 1)
         reference = simulate(g, prof, 1.0, cfg)
@@ -126,8 +126,8 @@ class TestDrawPool:
         # the scalar path's values must not change.
         g = erdos_renyi(12, 0.4, seed=5)
         cfg = SimConfig(n_paths=48, dt=0.01, seed=9, record_times=(0.0, 0.5, 1.0))
-        mean_field = simulate(g, mf_profile(g, 2.0, 1.0, 100), 0.7, cfg)
-        zero = simulate(g, zero_profile(g, 1.0, 100), 1.3, cfg)
+        mean_field = simulate(g, mf_profile(g, 2.0, 1.0), 0.7, cfg)
+        zero = simulate(g, zero_profile(g, 1.0), 1.3, cfg)
         assert _digest(mean_field) == "794202845e7e7e9e8e3a3b8b733fe56b5b2b17c76d6cb2b02024e888660fdb90"
         assert _digest(zero) == "e51ae3adea1cd2dc1a947a24d529991fe23108feb4c9e851102fe1696a0694a7"
 
@@ -136,8 +136,8 @@ class TestDrawPool:
         # rates one step at a time: the tabulated rates must not change them.
         cfg = SimConfig(n_paths=48, dt=0.01, seed=9, record_times=(0.0, 0.5, 1.0))
         g, h = cycle(12), torus(3, 2)
-        equilibrium = simulate(g, equilibrium_profile(build_kernel(g, 2.0, 1.0, 0.7), 100), 0.7, cfg)
-        coop = simulate(h, coop_profile(coop_kernel(h, 1.5, 1.0, 1.3), 100), 1.3, cfg)
+        equilibrium = simulate(g, equilibrium_profile(build_kernel(g, 2.0, 1.0, 0.7)), 0.7, cfg)
+        coop = simulate(h, coop_profile(coop_kernel(h, 1.5, 1.0, 1.3)), 1.3, cfg)
         assert _digest(equilibrium) == "388f925716368c64c4acd68d2c264c30440066ae50c802c795562670306b6eed"
         assert _digest(coop) == "91cf04490d4726fb68cd1cbb3f95ce572dce18ada030d31a13a42b85cc184b78"
 
@@ -145,7 +145,7 @@ class TestDrawPool:
     def test_rates_are_tabulated_once(self, kind):
         g = cycle(6)
         k = build_kernel(g, 1.0, 1.0, 1.0)
-        prof = equilibrium_profile(k, 100) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0, 100)
+        prof = equilibrium_profile(k) if kind == "equilibrium" else mf_profile(g, 1.0, 1.0)
         calls = []
 
         def rates(t, *lam):
@@ -185,14 +185,14 @@ class TestEigenFrame:
     @pytest.mark.parametrize("g", [cycle(20), torus(3, 2), complete(10)], ids=["cycle20", "torus3_2", "complete10"])
     def test_spectral_form_matches_dense_profile(self, g):
         k = build_kernel(g, 1.0, 1.0, 1.0)
-        prof = equilibrium_profile(k, 200)
+        prof = equilibrium_profile(k)
         for t in (0.0, 0.3, 0.71, 1.0):
             dense = prof.eigen.reconstruct(prof.rates(t, prof.eigen.eigenvalues))
             assert np.abs(dense - p_matrix(k, t)).max() <= 1e-12
 
     def test_never_builds_the_feedback_matrix(self, monkeypatch):
         g = cycle(8)
-        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 100)
+        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0))
         monkeypatch.setattr(LinearProfile, "at", lambda self, t: _refuse(t))
         ens = simulate(g, prof, 1.0, SimConfig(16, 0.01, 4, (0.5, 1.0)))
         assert np.isfinite(ens.at(1.0)).all()
@@ -200,7 +200,7 @@ class TestEigenFrame:
     def test_explosion_names_step_and_path(self):
         g = complete(2)
         prof = dataclasses.replace(
-            equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 100),
+            equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0)),
             rates=lambda t, lam: np.full(np.shape(t) + lam.shape, -1e6),
         )
         with pytest.raises(NumericError, match=r"step \d+, path \d+"):
@@ -208,7 +208,7 @@ class TestEigenFrame:
 
     def test_seed_outside_philox_keys(self):
         g = cycle(3)
-        prof = zero_profile(g, T=1.0, steps=100)
+        prof = zero_profile(g, T=1.0)
         for seed in (-1, 2**128):
             with pytest.raises(ParameterError, match="seed"):
                 simulate(g, prof, 1.0, SimConfig(10, 0.01, seed, (1.0,)))
@@ -217,7 +217,7 @@ class TestEigenFrame:
 class TestAgainstAnalyticLaws:
     def test_zero_profile_brownian(self):
         g = cycle(3)
-        prof = zero_profile(g, T=1.0, steps=500)
+        prof = zero_profile(g, T=1.0)
         ens = simulate(g, prof, 1.3, SimConfig(10_000, 1.0 / 500, 3, (1.0,)))
         stats = ensemble_stats(ens, 1.0)
         target = 1.3**2
@@ -226,14 +226,14 @@ class TestAgainstAnalyticLaws:
 
     def test_sigma_zero_is_deterministic(self):
         g = cycle(3)
-        prof = zero_profile(g, T=1.0, steps=100)
+        prof = zero_profile(g, T=1.0)
         ens = simulate(g, prof, 0.0, SimConfig(50, 0.01, 5, (1.0,)))
         assert np.abs(ens.states[1.0]).max() == 0.0
 
     def test_equilibrium_moments_complete10(self):
         g = complete(10)
         k = build_kernel(g, 1.0, 1.0, 1.0)
-        prof = equilibrium_profile(k, 500)
+        prof = equilibrium_profile(k)
         ens = simulate(g, prof, 1.0, SimConfig(4000, 1.0 / 500, 11, (1.0,)))
         pairs = [(0, 1), (2, 7)]
         stats = ensemble_stats(ens, 1.0, pairs=pairs)
@@ -246,7 +246,7 @@ class TestAgainstAnalyticLaws:
 
     def test_mean_field_iid_ou(self):
         g = complete(8)
-        prof = mf_profile(g, 1.0, 1.0, steps=500)
+        prof = mf_profile(g, 1.0, 1.0)
         ens = simulate(g, prof, 1.0, SimConfig(10_000, 1.0 / 500, 13, (1.0,)))
         stats = ensemble_stats(ens, 1.0, pairs=[(0, 5)])
         target = 1.0 / (1.0 + 1.0)  # sigma^2 T / (1 + cT)
@@ -260,7 +260,7 @@ class TestAgainstAnalyticLaws:
 
         g = cycle(20)
         k = build_kernel(g, 1.0, 1.0, 1.0)
-        prof = equilibrium_profile(k, 500)
+        prof = equilibrium_profile(k)
         ens = simulate(g, prof, 1.0, SimConfig(4000, 1.0 / 500, 37, (1.0,)))
         stats = ensemble_stats(ens, 1.0, pairs=[(0, 5)])  # distance 5
         cov, se = stats.covariances[(0, 5)]
@@ -272,7 +272,7 @@ class TestAgainstAnalyticLaws:
         # law must scale like dt.
         g = complete(2)
         k = build_kernel(g, 1.0, 1.0, 1.0)
-        prof = equilibrium_profile(k, 1000)
+        prof = equilibrium_profile(k)
         law = state_law(k, 1.0)
 
         def chain_cov(steps):
@@ -303,7 +303,7 @@ class TestAgainstAnalyticLaws:
         for n in (50, 200):
             g = cycle(n)
             k = build_kernel(g, 1.0, 1.0, 1.0)
-            prof = equilibrium_profile(k, 500)
+            prof = equilibrium_profile(k)
             ens = simulate(g, prof, 1.0, SimConfig(4000, 1.0 / 500, 19, (1.0,)))
             u = int(rng.integers(n))
             v = int((u + rng.integers(1, n)) % n)
@@ -320,7 +320,7 @@ class TestAgainstAnalyticLaws:
 class TestValidation:
     def test_dt_must_divide_horizon(self):
         g = cycle(3)
-        prof = zero_profile(g, T=1.0, steps=100)
+        prof = zero_profile(g, T=1.0)
         with pytest.raises(ParameterError):
             simulate(g, prof, 1.0, SimConfig(10, 0.3, 0, (1.0,)))
 
@@ -329,22 +329,34 @@ class TestValidation:
         with pytest.raises(ParameterError, match="more than an array can index"):
             SimConfig(dt=1e-20).steps_for(1.0)
 
+    def test_step_grid_bytes_must_fit_an_array(self):
+        # 5e18 steps fit an index, but their 8-byte grid does not: numpy raises before allocating.
+        with pytest.raises(ParameterError, match="gives 5000000000000000000 steps over T = 1.0, more than an array"):
+            SimConfig(dt=2e-19).steps_for(1.0)
+
     def test_record_time_must_hit_grid(self):
         g = cycle(3)
-        prof = zero_profile(g, T=1.0, steps=100)
+        prof = zero_profile(g, T=1.0)
         with pytest.raises(ParameterError):
             simulate(g, prof, 1.0, SimConfig(10, 0.01, 0, (0.005,)))
 
     def test_stats_need_recorded_time(self):
         g = cycle(3)
-        prof = zero_profile(g, T=1.0, steps=100)
+        prof = zero_profile(g, T=1.0)
         ens = simulate(g, prof, 1.0, SimConfig(10, 0.01, 0, (1.0,)))
         with pytest.raises(ParameterError):
             ensemble_stats(ens, 0.5)
 
+    def test_stats_read_the_nearest_recorded_time(self):
+        # Both times lie within the time tolerance of each other.
+        g = cycle(4)
+        ens = simulate(g, zero_profile(g, T=1e-12), 1.0, SimConfig(5, 2e-15, 1, (5e-13, 1e-12)))
+        assert ens.at(1e-12) is ens.states[1e-12] and ens.at(5e-13) is ens.states[5e-13]
+        assert ensemble_stats(ens, 1e-12).variance.tolist() != ensemble_stats(ens, 5e-13).variance.tolist()
+
     def test_pairs_must_be_vertex_indices(self):
         g = cycle(3)
-        ens = simulate(g, zero_profile(g, T=1.0, steps=100), 1.0, SimConfig(10, 0.01, 3, (1.0,)))
+        ens = simulate(g, zero_profile(g, T=1.0), 1.0, SimConfig(10, 0.01, 3, (1.0,)))
         for pair in ((0.5, 1), (True, 1), (np.float64(1.0), 2), (0, 3), (-1, 0)):
             with pytest.raises(ParameterError, match="is not a valid index"):
                 ensemble_stats(ens, 1.0, pairs=[pair])
@@ -352,14 +364,14 @@ class TestValidation:
 
     def test_explosion_detected(self):
         g = complete(2)
-        runaway = custom_profile(g, T=1.0, matrix_fn=lambda t: -1e6 * np.eye(2), steps=100)
+        runaway = custom_profile(g, T=1.0, matrix_fn=lambda t: -1e6 * np.eye(2))
         with pytest.raises(NumericError, match="path"):
             simulate(g, runaway, 1.0, SimConfig(8, 0.01, 0, (1.0,)))
 
     @pytest.mark.parametrize("paths", [1, 2])
     def test_stats_need_three_paths(self, paths):
         g = cycle(3)
-        ensemble = simulate(g, zero_profile(g, 1.0, 100), 1.0, SimConfig(n_paths=paths, dt=0.5))
+        ensemble = simulate(g, zero_profile(g, 1.0), 1.0, SimConfig(n_paths=paths, dt=0.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ParameterError, match="3 paths"):
@@ -367,7 +379,7 @@ class TestValidation:
 
     def test_jackknife_sanity(self):
         g = cycle(3)
-        prof = zero_profile(g, T=1.0, steps=200)
+        prof = zero_profile(g, T=1.0)
         ens = simulate(g, prof, 1.0, SimConfig(5000, 1.0 / 200, 23, (1.0,)))
         stats = ensemble_stats(ens, 1.0)
         samples = ens.states[1.0]
@@ -381,7 +393,7 @@ class TestValidation:
 class TestConcentration:
     def test_single_player_bound_is_state_variance(self):
         g = single_vertex()
-        prof = zero_profile(g, T=1.0, steps=200)
+        prof = zero_profile(g, T=1.0)
         sigma = 1.0
         ens = simulate(g, prof, sigma, SimConfig(5000, 1.0 / 200, 29, (1.0,)))
         report = empirical_measure_test(ens, 1.0, "tanh", np.array([[sigma**2 * 1.0]]))
@@ -392,7 +404,7 @@ class TestConcentration:
     def test_complete30_concentrates(self, h):
         g = complete(30)
         k = build_kernel(g, 1.0, 1.0, 1.0)
-        prof = equilibrium_profile(k, 500)
+        prof = equilibrium_profile(k)
         ens = simulate(g, prof, 1.0, SimConfig(4000, 1.0 / 500, 31, (1.0,)))
         law = state_law(k, 1.0)
         report = empirical_measure_test(ens, 1.0, h, law.covariance)
@@ -401,7 +413,7 @@ class TestConcentration:
 
     def test_unknown_test_function(self):
         g = single_vertex()
-        prof = zero_profile(g, T=1.0, steps=100)
+        prof = zero_profile(g, T=1.0)
         ens = simulate(g, prof, 1.0, SimConfig(100, 0.01, 0, (1.0,)))
         with pytest.raises(ParameterError):
             empirical_measure_test(ens, 1.0, "sine", np.array([[1.0]]))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -33,7 +34,7 @@ def single_vertex():
 class TestProfiles:
     def test_mf_entries(self):
         g = cycle(4)
-        prof = mf_profile(g, c=1.0, T=1.0, steps=200)
+        prof = mf_profile(g, c=1.0, T=1.0)
         assert np.allclose(prof.at(1.0), np.eye(4))
         assert np.allclose(prof.at(0.0), 0.5 * np.eye(4))
         assert np.allclose(prof.at(0.5), (2.0 / 3.0) * np.eye(4))
@@ -42,21 +43,21 @@ class TestProfiles:
 
     def test_equilibrium_profile_rows(self):
         k = build_kernel(cycle(4), 1.0, 1.0, 1.0)
-        prof = equilibrium_profile(k, 200)
+        prof = equilibrium_profile(k)
         assert np.allclose(prof.at(0.7), p_matrix(k, 0.7))
 
     def test_profile_graph_mismatch(self):
-        prof = mf_profile(cycle(4), 1.0, 1.0, steps=100)
+        prof = mf_profile(cycle(4), 1.0, 1.0)
         with pytest.raises(ParameterError):
-            profile_costs(cycle(5), prof, sigma=1.0, c=1.0)
+            profile_costs(cycle(5), prof, sigma=1.0, c=1.0, steps=100)
 
     def test_spectral_profile_checks_its_own_form(self):
         # An eigensystem beside a dense K, or of another size, is refused when the profile is made.
         eigen = build_kernel(cycle(5), 1.0, 1.0, 1.0).eigen
         with pytest.raises(ParameterError, match="a dense profile takes no eigensystem"):
-            LinearProfile(5, 1.0, 100, "custom", eigen=eigen, matrix_fn=lambda t: np.eye(5))
+            LinearProfile(5, 1.0, "custom", eigen=eigen, matrix_fn=lambda t: np.eye(5))
         with pytest.raises(ParameterError, match="profile is for 6 players, its eigensystem has 5"):
-            LinearProfile(6, 1.0, 100, "custom", lambda t, lam: 0.0 * lam, eigen)
+            LinearProfile(6, 1.0, "custom", lambda t, lam: 0.0 * lam, eigen)
 
 
 class TestAlignmentFunctionals:
@@ -88,14 +89,15 @@ class TestScalarReduction:
     def test_matches_dense(self, graph, with_x0, kind):
         g = REDUCTION_GRAPHS[graph]()
         c, T, sigma, steps = 1.3, 1.0, 0.8, 200
-        prof = mf_profile(g, c, T, steps) if kind == "mean_field" else zero_profile(g, T, steps)
+        prof = mf_profile(g, c, T) if kind == "mean_field" else zero_profile(g, T)
         assert prof.rates is not None
-        dense = custom_profile(g, T, prof.at, steps)
+        dense = custom_profile(g, T, prof.at)
         x0 = np.random.default_rng(5).normal(size=g.n) if with_x0 else None
-        assert np.abs(profile_costs(g, prof, sigma, c, x0) - profile_costs(g, dense, sigma, c, x0)).max() <= 1e-12
-        values = [p["best_response_value"] for p in nash_audit(g, prof, c, sigma, x0)["players"]]
+        costs, dense_costs = profile_costs(g, prof, sigma, c, x0, steps), profile_costs(g, dense, sigma, c, x0, steps)
+        assert np.abs(costs - dense_costs).max() <= 1e-12
+        values = [p["best_response_value"] for p in nash_audit(g, prof, c, sigma, x0, steps)["players"]]
         for i in range(g.n):
-            fast, ref = best_response(g, prof, i, c, sigma, x0), best_response(g, dense, i, c, sigma, x0)
+            fast, ref = best_response(g, prof, i, c, sigma, x0, steps), best_response(g, dense, i, c, sigma, x0, steps)
             assert abs(fast.value - ref.value) <= 1e-12
             assert abs(values[i] - ref.value) <= 1e-12
             assert np.abs(fast.feedback - ref.feedback).max() <= 1e-12
@@ -108,10 +110,10 @@ class TestScalarReduction:
         monkeypatch.setattr(LinearProfile, "at", refuse)
         g = erdos_renyi(50, 0.3, seed=7) if kind == "mean_field" else torus(4, 2)
         if kind == "mean_field":
-            prof = mf_profile(g, 1.0, 1.0, steps=100)
+            prof = mf_profile(g, 1.0, 1.0)
         else:
-            prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 100)
-        report = nash_audit(g, prof, c=1.0, sigma=1.0)
+            prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0))
+        report = nash_audit(g, prof, c=1.0, sigma=1.0, steps=100)
         assert report["all_satisfied"]
 
 
@@ -145,16 +147,17 @@ class TestSpectralReduction:
         g = SPECTRAL_GRAPHS[graph]()
         c, T, sigma, steps = 1.3, 1.0, 0.8, 200
         if kind == "equilibrium":
-            prof = equilibrium_profile(build_kernel(g, c, T, sigma), steps)
+            prof = equilibrium_profile(build_kernel(g, c, T, sigma))
         else:
-            prof = coop_profile(coop_kernel(g, c, T, sigma), steps)
+            prof = coop_profile(coop_kernel(g, c, T, sigma))
         assert prof.eigen is not None and prof.tag == kind
-        dense = custom_profile(g, T, prof.at, steps)
+        dense = custom_profile(g, T, prof.at)
         x0 = np.random.default_rng(5).normal(size=g.n) if with_x0 else None
-        assert np.abs(profile_costs(g, prof, sigma, c, x0) - profile_costs(g, dense, sigma, c, x0)).max() <= 1e-12
-        values = [p["best_response_value"] for p in nash_audit(g, prof, c, sigma, x0)["players"]]
+        costs, dense_costs = profile_costs(g, prof, sigma, c, x0, steps), profile_costs(g, dense, sigma, c, x0, steps)
+        assert np.abs(costs - dense_costs).max() <= 1e-12
+        values = [p["best_response_value"] for p in nash_audit(g, prof, c, sigma, x0, steps)["players"]]
         for i in range(g.n):
-            fast, ref = best_response(g, prof, i, c, sigma, x0), best_response(g, dense, i, c, sigma, x0)
+            fast, ref = best_response(g, prof, i, c, sigma, x0, steps), best_response(g, dense, i, c, sigma, x0, steps)
             assert abs(fast.value - ref.value) <= 1e-12
             assert abs(values[i] - ref.value) <= 1e-12
             assert np.abs(fast.feedback - ref.feedback).max() <= 1e-12
@@ -162,13 +165,13 @@ class TestSpectralReduction:
     @pytest.mark.parametrize("graph", ["cycle20", "torus3x2"])
     def test_transitive_audit_reads_no_eigenvectors(self, monkeypatch, graph):
         g = SPECTRAL_GRAPHS[graph]()
-        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 100)
+        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0))
 
         def refuse(self):
             raise AssertionError("eigenvectors read by an audit on a transitive graph")
 
         monkeypatch.setattr(EigenSystem, "eigenvectors", property(refuse))
-        report = nash_audit(g, prof, c=1.0, sigma=1.0)
+        report = nash_audit(g, prof, c=1.0, sigma=1.0, steps=100)
         assert report["all_satisfied"] and len(report["players"]) == g.n
 
 
@@ -200,12 +203,12 @@ CHANG_SWITCHES = {
 
 def audit_classes(g, prof):
     """The number of classes of alike players an audit of prof solves for."""
-    return np.unique(strategies._players(g, prof, None)[2]).size
+    return np.unique(strategies._players(g, prof, None, 100)[2]).size
 
 
 def equilibrium_audit(g, steps):
-    prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), steps)
-    return prof, nash_audit(g, prof, c=1.0, sigma=1.0)
+    prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0))
+    return prof, nash_audit(g, prof, c=1.0, sigma=1.0, steps=steps)
 
 
 @pytest.mark.filterwarnings("ignore:graph transitivity:RuntimeWarning")
@@ -258,14 +261,17 @@ class TestWalkRegular:
 
 
 MODAL_AUDITS = {
-    "er50-mean_field": lambda: (erdos_renyi(50, 0.3, seed=7), lambda g: mf_profile(g, 1.3, 1.0, 100)),
-    "er50-zero": lambda: (erdos_renyi(50, 0.3, seed=7), lambda g: zero_profile(g, 1.0, 100)),
-    "cycle20-equilibrium": lambda: (cycle(20), lambda g: equilibrium_profile(build_kernel(g, 1.3, 1.0, 0.8), 100)),
+    "er50-mean_field": lambda: (erdos_renyi(50, 0.3, seed=7), lambda g: mf_profile(g, 1.3, 1.0)),
+    "er50-zero": lambda: (erdos_renyi(50, 0.3, seed=7), lambda g: zero_profile(g, 1.0)),
+    "cycle20-equilibrium": lambda: (cycle(20), lambda g: equilibrium_profile(build_kernel(g, 1.3, 1.0, 0.8))),
     "k4_k33-equilibrium": lambda: (
-        regular_not_transitive(), lambda g: equilibrium_profile(build_kernel(g, 1.3, 1.0, 0.8), 100)
+        regular_not_transitive(), lambda g: equilibrium_profile(build_kernel(g, 1.3, 1.0, 0.8))
     ),
-    "torus3x2-coop": lambda: (torus(3, 2), lambda g: coop_profile(coop_kernel(g, 1.3, 1.0, 0.8), 100)),
+    "torus3x2-coop": lambda: (torus(3, 2), lambda g: coop_profile(coop_kernel(g, 1.3, 1.0, 0.8))),
 }
+
+#: The step count of every MODAL_AUDITS audit.
+MODAL_STEPS = 100
 
 
 class TestModalMaps:
@@ -284,33 +290,33 @@ class TestModalMaps:
 
         monkeypatch.setattr(strategies, "rk4_step", refuse)
         x0 = np.random.default_rng(5).normal(size=g.n) if with_x0 else None
-        costs = profile_costs(g, prof, 0.8, 1.3, x0)
-        br = best_response(g, prof, 3, 1.3, 0.8, x0)
-        report = nash_audit(g, prof, 1.3, 0.8, x0)
+        costs = profile_costs(g, prof, 0.8, 1.3, x0, MODAL_STEPS)
+        br = best_response(g, prof, 3, 1.3, 0.8, x0, MODAL_STEPS)
+        report = nash_audit(g, prof, 1.3, 0.8, x0, MODAL_STEPS)
         assert report["players"][3]["cost"] == costs[3]
         assert report["players"][3]["best_response_value"] == pytest.approx(br.value, rel=1e-13)
 
     def test_spectral_step_that_does_not_resolve_is_refused(self):
         g = cycle(20)
         # c dt = 1: the best response costs more than the profile.
-        prof = equilibrium_profile(build_kernel(g, 100.0, 1.0, 1.0), 100)
+        prof = equilibrium_profile(build_kernel(g, 100.0, 1.0, 1.0))
         with pytest.raises(NumericError, match="player 0's best response costs .* more than its cost"):
-            nash_audit(g, prof, c=100.0, sigma=1.0)
+            nash_audit(g, prof, c=100.0, sigma=1.0, steps=100)
         # c dt = 3: z more than doubles within one step.
-        prof = equilibrium_profile(build_kernel(g, 300.0, 1.0, 1.0), 100)
+        prof = equilibrium_profile(build_kernel(g, 300.0, 1.0, 1.0))
         with pytest.raises(NumericError, match="100 steps do not resolve the profile"):
-            best_response(g, prof, 0, c=300.0, sigma=1.0)
+            best_response(g, prof, 0, c=300.0, sigma=1.0, steps=100)
         with pytest.raises(NumericError, match="which is not finite"):
-            nash_audit(g, prof, c=300.0, sigma=1.0)
+            nash_audit(g, prof, c=300.0, sigma=1.0, steps=100)
 
     @pytest.mark.filterwarnings("ignore:graph transitivity:RuntimeWarning")
     def test_non_transitive_spectral_audit_refused(self):
         g = regular_not_transitive()
-        prof = equilibrium_profile(build_kernel(g, 300.0, 1.0, 1.0), 100)
+        prof = equilibrium_profile(build_kernel(g, 300.0, 1.0, 1.0))
         with pytest.raises(NumericError, match="100 steps do not resolve the profile"):
-            best_response(g, prof, 7, c=300.0, sigma=1.0)
+            best_response(g, prof, 7, c=300.0, sigma=1.0, steps=100)
         with pytest.raises(NumericError, match="player 0's best response costs nan, which is not finite"):
-            nash_audit(g, prof, c=300.0, sigma=1.0)
+            nash_audit(g, prof, c=300.0, sigma=1.0, steps=100)
 
 
 class TestOneTable:
@@ -330,14 +336,14 @@ class TestOneTable:
         spectrum = [] if prof.eigen is None else [prof.eigen.eigenvalues[prof.eigen.eigenspaces()]]
         x0 = np.random.default_rng(5).normal(size=g.n) if with_x0 else None
         for call in (
-            lambda: nash_audit(g, counted, 1.3, 0.8, x0),
-            lambda: best_response(g, counted, 3, 1.3, 0.8, x0),
-            lambda: profile_costs(g, counted, 0.8, 1.3, x0),
+            lambda: nash_audit(g, counted, 1.3, 0.8, x0, MODAL_STEPS),
+            lambda: best_response(g, counted, 3, 1.3, 0.8, x0, MODAL_STEPS),
+            lambda: profile_costs(g, counted, 0.8, 1.3, x0, MODAL_STEPS),
         ):
             calls.clear()
             call()
             ((times, *lam),) = calls
-            assert np.array_equal(times, np.linspace(0.0, prof.T, 2 * prof.steps + 1))
+            assert np.array_equal(times, np.linspace(0.0, prof.T, 2 * MODAL_STEPS + 1))
             assert len(lam) == len(spectrum) and all(map(np.array_equal, lam, spectrum))
 
 
@@ -346,10 +352,10 @@ class TestDenseMemory:
         # A table of K on the 801 half-step times would take 801 * 60^2 * 8 B = 23 MB.
         g = cycle(60)
         eye = np.eye(g.n)
-        prof = custom_profile(g, 1.0, lambda t: (1.0 + t) * eye, steps=400)
+        prof = custom_profile(g, 1.0, lambda t: (1.0 + t) * eye)
         tracemalloc.start()
         try:
-            report = nash_audit(g, prof, c=1.0, sigma=1.0)
+            report = nash_audit(g, prof, c=1.0, sigma=1.0, steps=400)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -358,27 +364,39 @@ class TestDenseMemory:
 
     def test_audit_evaluates_k_once_per_stage(self):
         g, steps = erdos_renyi(40, 0.3, seed=3), 200
-        prof = coop_profile(coop_kernel(g, 1.0, 1.0, 1.0), steps)
+        prof = coop_profile(coop_kernel(g, 1.0, 1.0, 1.0))
         assert prof.matrix_fn is not None
         calls = []
         counted = dataclasses.replace(prof, matrix_fn=lambda t: calls.append(t) or prof.matrix_fn(t))
-        profile_costs(g, counted, sigma=1.0, c=1.0)
+        profile_costs(g, counted, sigma=1.0, c=1.0, steps=steps)
         forward = len(calls)
-        nash_audit(g, counted, c=1.0, sigma=1.0)
+        nash_audit(g, counted, c=1.0, sigma=1.0, steps=steps)
         # The audit's own profile_costs pass, then its best responses: at
         # most one evaluation per half-step time for every player together.
         assert forward == 2 * steps + 1
         assert len(calls) - 2 * forward <= 2 * steps + 1
 
 
+class TestDensePin:
+    def test_dense_audit_bytes_are_pinned(self):
+        # erdos_renyi(12, 0.4, seed=5) is not regular, so the planner's profile is dense; the digest
+        # was taken before the step count moved from the profile to the audits.
+        g = erdos_renyi(12, 0.4, seed=5)
+        prof = coop_profile(coop_kernel(g, 1.0, 1.0, 1.0))
+        assert prof.matrix_fn is not None
+        digest = hashlib.sha256(profile_costs(g, prof, 1.0, 1.0, steps=100).tobytes())
+        digest.update(best_response(g, prof, 3, 1.0, 1.0, steps=100).feedback.tobytes())
+        assert digest.hexdigest() == "f4080e4445eda02908139e0d362f06941329c1ff2d9a992a6e563fe8343e8872"
+
+
 class TestTransitiveMemory:
     def test_audit_holds_no_player_by_mode_table(self):
         # One (players x eigenspaces) table on cycle(4000) would take 4000 * 2001 * 8 B = 61 MiB.
         g = cycle(4000)
-        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 100)
+        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0))
         tracemalloc.start()
         try:
-            report = nash_audit(g, prof, c=1.0, sigma=1.0)
+            report = nash_audit(g, prof, c=1.0, sigma=1.0, steps=100)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -389,10 +407,10 @@ class TestTransitiveMemory:
         # A 201 x 20000 table of rates at every eigenvalue would take 30.7 MiB; the audit
         # reads them at cycle(20000)'s 10001 distinct eigenvalues.
         g = cycle(20000)
-        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 100)
+        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0))
         tracemalloc.start()
         try:
-            report = nash_audit(g, prof, c=1.0, sigma=1.0)
+            report = nash_audit(g, prof, c=1.0, sigma=1.0, steps=100)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -414,7 +432,7 @@ class TestRiccatiReference:
         def matrix_fn(t):
             return k0 + np.sin(3.0 * t) * k1
 
-        prof = custom_profile(g, T, matrix_fn, steps)
+        prof = custom_profile(g, T, matrix_fn)
         x0 = rng.normal(size=n)
         for i in (0, 2, 4):
             own = np.zeros((n, n))
@@ -431,10 +449,10 @@ class TestRiccatiReference:
             checked = np.arange(steps, -1, -steps // 4)
             sol = solve_ivp(
                 rhs, (T, 0.0), np.append(c * np.outer(ell, ell).ravel(), 0.0),
-                method="DOP853", rtol=1e-12, atol=1e-12, t_eval=prof.grid[checked],
+                method="DOP853", rtol=1e-12, atol=1e-12, t_eval=np.linspace(0.0, T, steps + 1)[checked],
             )
             assert sol.success
-            br = best_response(g, prof, i, c, sigma, x0)
+            br = best_response(g, prof, i, c, sigma, x0, steps)
             f0, h0 = sol.y[:-1, -1].reshape(n, n), sol.y[-1, -1]
             assert abs(br.value - (0.5 * x0 @ f0 @ x0 + h0)) <= 1e-9
             for col, j in enumerate(checked):
@@ -444,15 +462,15 @@ class TestRiccatiReference:
 class TestCostUnderProfile:
     def test_zero_profile_isolated_vertex(self):
         g = single_vertex()
-        prof = zero_profile(g, T=1.0, steps=200)
+        prof = zero_profile(g, T=1.0)
         for c, sigma in ((1.0, 1.0), (2.0, 0.5)):
-            cost = profile_costs(g, prof, sigma=sigma, c=c)[0]
+            cost = profile_costs(g, prof, sigma=sigma, c=c, steps=200)[0]
             assert cost == pytest.approx(0.5 * c * sigma**2 * 1.0, abs=1e-10)
 
     def test_equilibrium_profile_average_equals_game_value(self):
         k = build_kernel(complete(50), 1.0, 1.0, 1.0)
-        prof = equilibrium_profile(k, 2000)
-        costs = profile_costs(complete(50), prof, sigma=1.0, c=1.0)
+        prof = equilibrium_profile(k)
+        costs = profile_costs(complete(50), prof, sigma=1.0, c=1.0, steps=2000)
         assert costs.mean() == pytest.approx(game_value(k), abs=1e-6)
 
     def test_mean_field_cost_closed_form_complete(self):
@@ -460,8 +478,8 @@ class TestCostUnderProfile:
         # V(t) = sigma^2 t (1 + c(T-t)) / (1 + cT); assemble the cost directly
         n, c, T, sigma = 10, 1.0, 1.0, 1.0
         g = complete(n)
-        prof = mf_profile(g, c, T, steps=2000)
-        cost = profile_costs(g, prof, sigma=sigma, c=c)[0]
+        prof = mf_profile(g, c, T)
+        cost = profile_costs(g, prof, sigma=sigma, c=c, steps=2000)[0]
 
         def v(t):
             return sigma**2 * t * (1 + c * (T - t)) / (1 + c * T)
@@ -472,16 +490,16 @@ class TestCostUnderProfile:
 
     def test_nonzero_start_drifts_to_rest(self):
         g = cycle(4)
-        prof = mf_profile(g, 1.0, 1.0, steps=400)
+        prof = mf_profile(g, 1.0, 1.0)
         x0 = np.array([2.0, 0.0, 0.0, -2.0])
-        cost0 = profile_costs(g, prof, sigma=1.0, c=1.0)[0]
-        cost_x0 = profile_costs(g, prof, sigma=1.0, c=1.0, x0=x0)[0]
+        cost0 = profile_costs(g, prof, sigma=1.0, c=1.0, steps=400)[0]
+        cost_x0 = profile_costs(g, prof, sigma=1.0, c=1.0, x0=x0, steps=400)[0]
         assert cost_x0 > cost0
 
     def test_grid_refinement(self):
         for g in (complete(2), cycle(6)):
-            coarse = profile_costs(g, mf_profile(g, 1.0, 1.0, steps=1000), sigma=1.0, c=1.0)
-            fine = profile_costs(g, mf_profile(g, 1.0, 1.0, steps=2000), sigma=1.0, c=1.0)
+            coarse = profile_costs(g, mf_profile(g, 1.0, 1.0), sigma=1.0, c=1.0, steps=1000)
+            fine = profile_costs(g, mf_profile(g, 1.0, 1.0), sigma=1.0, c=1.0, steps=2000)
             assert np.abs(coarse - fine).max() <= 1e-8
 
 
@@ -489,8 +507,8 @@ class TestBestResponse:
     def test_isolated_single_player(self):
         g = single_vertex()
         c, T, sigma = 1.0, 1.0, 1.0
-        prof = zero_profile(g, T=T, steps=2000)
-        br = best_response(g, prof, 0, c=c, sigma=sigma)
+        prof = zero_profile(g, T=T)
+        br = best_response(g, prof, 0, c=c, sigma=sigma, steps=2000)
         assert br.value == pytest.approx(0.5 * sigma**2 * math.log(1 + c * T), abs=1e-9)
         expected = c / (1 + c * (T - br.grid))
         assert np.abs(br.feedback[:, 0] - expected).max() <= 1e-9
@@ -498,92 +516,92 @@ class TestBestResponse:
     def test_fixed_point_of_equilibrium(self):
         g = cycle(6)
         k = build_kernel(g, 1.0, 1.0, 1.0)
-        prof = equilibrium_profile(k, 2000)
+        prof = equilibrium_profile(k)
         for i in (0, 2):
-            br = best_response(g, prof, i, c=1.0, sigma=1.0)
+            br = best_response(g, prof, i, c=1.0, sigma=1.0, steps=2000)
             worst = 0.0
             for j in (0, 500, 1000, 1500, 2000):
-                row = p_matrix(k, prof.grid[j])[i]
+                row = p_matrix(k, br.grid[j])[i]
                 worst = max(worst, np.abs(br.feedback[j] - row).max())
             assert worst <= 1e-6
 
     def test_vanishing_horizon_value(self):
         # with T -> 0 there is no time to act or accumulate noise
         g = cycle(4)
-        prof = mf_profile(g, c=1.0, T=1e-3, steps=100)
-        br = best_response(g, prof, 0, c=1.0, sigma=1.0)
+        prof = mf_profile(g, c=1.0, T=1e-3)
+        br = best_response(g, prof, 0, c=1.0, sigma=1.0, steps=100)
         assert abs(br.value) < 5e-3
 
     def test_blowup_capped(self):
         g = complete(2)
-        destabilizing = custom_profile(g, T=1.0, matrix_fn=lambda t: -1e4 * np.eye(2), steps=200)
+        destabilizing = custom_profile(g, T=1.0, matrix_fn=lambda t: -1e4 * np.eye(2))
         with pytest.raises(NumericError):
-            best_response(g, destabilizing, 0, c=1.0, sigma=1.0)
+            best_response(g, destabilizing, 0, c=1.0, sigma=1.0, steps=200)
 
     def test_blowup_capped_spectral(self):
         g = complete(2)
-        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0), 200)
+        prof = equilibrium_profile(build_kernel(g, 1.0, 1.0, 1.0))
         destabilizing = dataclasses.replace(prof, rates=lambda t, lam: np.full(np.shape(t) + lam.shape, -1e4))
         with pytest.raises(NumericError):
-            best_response(g, destabilizing, 0, c=1.0, sigma=1.0)
+            best_response(g, destabilizing, 0, c=1.0, sigma=1.0, steps=200)
 
     def test_zero_profile_at_large_c(self):
         # psi stays sqrt(c) l_i and z = 1 + c (T - t), so the value is
         # (sigma^2 / 2) |l_i|^2 log(1 + cT); here c dt = 0.5.
         g, c, sigma = cycle(20), 1000.0, 1.0
-        br = best_response(g, zero_profile(g, T=1.0, steps=2000), 0, c=c, sigma=sigma)
+        br = best_response(g, zero_profile(g, T=1.0), 0, c=c, sigma=sigma, steps=2000)
         assert br.value == pytest.approx(0.5 * sigma**2 * 1.5 * math.log(1.0 + c), abs=1.5e-4)
 
     def test_unresolved_step_refused(self):
         # c dt = 5: z grows by a factor of 6 over the first step.
         g = cycle(20)
         with pytest.raises(NumericError, match="2000 steps do not resolve the profile"):
-            best_response(g, zero_profile(g, T=1.0, steps=2000), 0, c=1e4, sigma=1.0)
+            best_response(g, zero_profile(g, T=1.0), 0, c=1e4, sigma=1.0, steps=2000)
 
     def test_invalid_player(self):
         g = cycle(4)
-        prof = mf_profile(g, 1.0, 1.0, steps=100)
+        prof = mf_profile(g, 1.0, 1.0)
         with pytest.raises(ParameterError):
-            best_response(g, prof, 4, c=1.0, sigma=1.0)
+            best_response(g, prof, 4, c=1.0, sigma=1.0, steps=100)
         for i in (1.5, True, np.float64(1.0)):  # not an integer index
             with pytest.raises(ParameterError):
-                best_response(g, prof, i, 1.0, 1.0)
+                best_response(g, prof, i, 1.0, 1.0, steps=100)
 
 
 class TestDeviationGap:
     @pytest.mark.parametrize("form", ["modal", "dense"])
     def test_is_cost_less_best_response(self, form):
         g = cycle(6)
-        prof = mf_profile(g, 1.3, 1.0, steps=200)
+        prof = mf_profile(g, 1.3, 1.0)
         if form == "dense":
-            prof = custom_profile(g, 1.0, prof.at, 200)
+            prof = custom_profile(g, 1.0, prof.at)
         x0 = np.random.default_rng(5).normal(size=g.n)
-        costs = profile_costs(g, prof, 0.8, 1.3, x0)
-        players = nash_audit(g, prof, 1.3, 0.8, x0)["players"]
+        costs = profile_costs(g, prof, 0.8, 1.3, x0, steps=200)
+        players = nash_audit(g, prof, 1.3, 0.8, x0, steps=200)["players"]
         for i in (0, 4):
             assert players[i]["cost"] == costs[i]
-            gap = costs[i] - best_response(g, prof, i, 1.3, 0.8, x0).value
+            gap = costs[i] - best_response(g, prof, i, 1.3, 0.8, x0, steps=200).value
             assert players[i]["gap"] == pytest.approx(gap, rel=1e-13, abs=1e-15)
 
     def test_equilibrium_profile_no_gain(self):
         g = complete(10)
         k = build_kernel(g, 1.0, 1.0, 1.0)
-        prof = equilibrium_profile(k, 2000)
-        for player in nash_audit(g, prof, c=1.0, sigma=1.0)["players"]:
+        prof = equilibrium_profile(k)
+        for player in nash_audit(g, prof, c=1.0, sigma=1.0, steps=2000)["players"]:
             assert abs(player["gap"]) <= 1e-6
 
     def test_mean_field_gap_within_certificate(self):
         g = cycle(20)
-        prof = mf_profile(g, 1.0, 1.0, steps=2000)
+        prof = mf_profile(g, 1.0, 1.0)
         eps = epsilon_bounds(g, 1.0, 1.0, 1.0).per_vertex[0]
-        gap = nash_audit(g, prof, c=1.0, sigma=1.0)["players"][0]["gap"]
+        gap = nash_audit(g, prof, c=1.0, sigma=1.0, steps=2000)["players"][0]["gap"]
         assert 0.0 < gap <= eps
         assert eps == pytest.approx(0.5 * math.sqrt(1.5), abs=1e-12)
 
     def test_mean_field_isolated_exact(self):
         g = single_vertex()
-        prof = mf_profile(g, 1.0, 1.0, steps=2000)
-        assert abs(nash_audit(g, prof, c=1.0, sigma=1.0)["players"][0]["gap"]) <= 1e-8
+        prof = mf_profile(g, 1.0, 1.0)
+        assert abs(nash_audit(g, prof, c=1.0, sigma=1.0, steps=2000)["players"][0]["gap"]) <= 1e-8
 
 
 class TestEpsilonBounds:
@@ -614,8 +632,8 @@ class TestEpsilonBounds:
 class TestNashAudit:
     def test_mean_field_complete10(self):
         g = complete(10)
-        prof = mf_profile(g, 1.0, 1.0, steps=1000)
-        report = nash_audit(g, prof, c=1.0, sigma=1.0)
+        prof = mf_profile(g, 1.0, 1.0)
+        report = nash_audit(g, prof, c=1.0, sigma=1.0, steps=1000)
         assert report["all_satisfied"]
         assert len(report["players"]) == 10
         entry = report["players"][0]
@@ -625,7 +643,7 @@ class TestNashAudit:
     def test_equilibrium_audit_zero_bound(self):
         g = torus(3, 2)
         k = build_kernel(g, 1.0, 1.0, 1.0)
-        report = nash_audit(g, equilibrium_profile(k, 1000), c=1.0, sigma=1.0)
+        report = nash_audit(g, equilibrium_profile(k), c=1.0, sigma=1.0, steps=1000)
         assert report["all_satisfied"]
         assert report["max_gap"] <= 1e-5
 
@@ -637,8 +655,8 @@ class TestRiccatiAgainstMonteCarlo:
         g = complete(2)
         c = sigma = T = 1.0
         steps = 1000
-        prof = mf_profile(g, c, T, steps=steps)
-        br = best_response(g, prof, 0, c=c, sigma=sigma)
+        prof = mf_profile(g, c, T)
+        br = best_response(g, prof, 0, c=c, sigma=sigma, steps=steps)
 
         rng = np.random.default_rng(42)
         paths = 20000
