@@ -78,7 +78,10 @@ def _measure(text: str) -> str:
 
 
 _positive_float = _checked(float, "a positive finite number", lambda x: 0.0 < x < math.inf)
-_t_grid = _checked(_grid, "START:STOP:COUNT with COUNT >= 1", lambda grid: grid[2] >= 1)
+_t_grid = _checked(
+    _grid, "START:STOP:COUNT with finite START and STOP and COUNT >= 1",
+    lambda grid: math.isfinite(grid[0]) and math.isfinite(grid[1]) and grid[2] >= 1,
+)
 _steps = _checked(int, "an integer >= 1", lambda k: k >= 1)
 _record_times = _checked(lambda text: tuple(map(float, text.split(","))), "comma-separated times")
 
@@ -140,10 +143,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ParameterError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(overrides, dict):
-        raise ParameterError("config file must contain a JSON object")
+        raise ParameterError(f"config file {args.config} must contain a JSON object")
     (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = subparsers.choices[args.command]._actions
     options = {a.dest: a for a in actions if a.default is not argparse.SUPPRESS}  # all but --help
@@ -166,11 +169,15 @@ def _graph_spec(args) -> dict:
 def _times(args) -> "np.ndarray":
     import numpy as np
 
+    from .graphs import _fits
+
     if args.t is not None and args.t_grid is not None:
         raise ParameterError("--t and --t-grid exclude each other; give one")
     if args.t is not None:
         return np.array([args.t])
-    return np.linspace(*(args.t_grid or (0.0, args.T, _FIG_GRID_POINTS)))
+    start, stop, count = args.t_grid or (0.0, args.T, _FIG_GRID_POINTS)
+    _fits(count, f"--t-grid asks for {count} times")
+    return np.linspace(start, stop, count)
 
 
 #: Rows of a CSV body per format call: the text of a long table is made,

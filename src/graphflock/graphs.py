@@ -3,7 +3,10 @@
 A graph is stored as sorted neighbor lists (CSR), so building, checking
 and searching it takes O(n + E) memory and O(E log E) time for E edge
 entries; no dense adjacency matrix is built unless Graph.adjacency is
-read.  Every constructor goes through _make, from a list of edges.  A
+read.  Every constructor goes through _make, from a list of edges.
+complete, cycle and torus also hand _make their graph's Laplacian
+spectrum in closed form, which spectral.laplacian_eigensystem takes in
+place of an eigensolver; a graph built any other way carries none.  A
 graph carries no verdict on its symmetry: where the equilibrium formula
 holds is read from the Laplacian spectrum (spectral, strategies).
 Vertices are 0-based contiguous integers internally.  Edge-list files and
@@ -14,6 +17,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +56,8 @@ class Graph:
     no vertex lists itself or a neighbor twice, and that the lists are
     symmetric (u lists v exactly when v lists u).  The arrays are frozen.
     adjacency, the dense n x n 0/1 matrix, is built only when read.
+    _spectrum, set by _make and by no argument, returns the unsorted
+    Laplacian spectrum of a graph whose constructor knows it, else is None.
     """
 
     n: int
@@ -59,6 +66,7 @@ class Graph:
     construction: str
     params: dict = field(default_factory=dict)
     degrees: np.ndarray = field(init=False, repr=False)
+    _spectrum: Callable[[], np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = _check_order(self.n)
@@ -108,15 +116,6 @@ class Graph:
         """Vertex v's neighbors, ascending."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def has_edges(self, u, v) -> np.ndarray:
-        """Whether each (u, v) pair is an edge, by binary search of the
-        sorted lists' keys rows * n + indices."""
-        keys = self.rows * self.n + self.indices
-        target = np.asarray(u, dtype=np.int64) * self.n + np.asarray(v, dtype=np.int64)
-        if not keys.size:
-            return np.zeros(target.shape, dtype=bool)
-        return keys[np.minimum(np.searchsorted(keys, target), keys.size - 1)] == target
-
     @property
     def edge_count(self) -> int:
         return self.indices.size // 2
@@ -134,9 +133,10 @@ class Graph:
         return {"kind": self.construction, **self.params}
 
 
-def _make(n: int, u, v, construction, params) -> Graph:
+def _make(n: int, u, v, construction, params, spectrum=None) -> Graph:
     """The graph on n vertices whose edges are the pairs (u[k], v[k]), each
-    given once in either order; Graph checks the rest."""
+    given once in either order; Graph checks the rest.  spectrum, from a
+    constructor that knows it, returns the unsorted Laplacian spectrum."""
     kind = _key_type(_check_order(n))
     u, v = np.asarray(u), np.asarray(v)
     keys = np.empty(2 * u.size, dtype=kind)  # u * n + v orders the pairs (u, v) row by row
@@ -146,19 +146,21 @@ def _make(n: int, u, v, construction, params) -> Graph:
     keys.sort()
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=kind) * n)
     keys -= np.repeat(np.arange(n, dtype=kind) * n, np.diff(indptr))  # now the neighbors
-    return Graph(n, indptr, keys.astype(np.int32, copy=False), construction, params)
+    g = Graph(n, indptr, keys.astype(np.int32, copy=False), construction, params)
+    g._spectrum = spectrum
+    return g
 
 
 def complete(n: int) -> Graph:
     """Complete graph on n >= 2 vertices."""
     n = _integer(n, f"complete graph needs an integer n >= 2, got {n!r}", 2)
-    return _make(n, *np.triu_indices(n, k=1), "complete", {"n": n})
+    return _make(n, *np.triu_indices(n, k=1), "complete", {"n": n}, partial(_complete_spectrum, n))
 
 
 def cycle(n: int) -> Graph:
     """Cycle graph on n >= 3 vertices."""
     n = _integer(n, f"cycle graph needs an integer n >= 3, got {n!r}", 3)
-    return _make(n, np.arange(n), _torus_successors(n, 1)[0], "cycle", {"n": n})
+    return _make(n, np.arange(n), _torus_successors(n, 1)[0], "cycle", {"n": n}, partial(_torus_spectrum, n, 1))
 
 
 def torus(side: int, d: int) -> Graph:
@@ -172,7 +174,8 @@ def torus(side: int, d: int) -> Graph:
     d = _integer(d, f"torus needs an integer d >= 1, got {d!r}", 1)
     n = side**d
     successors = _torus_successors(side, d).ravel()
-    return _make(n, np.tile(np.arange(n), d), successors, "torus", {"side": side, "d": d})
+    params = {"side": side, "d": d}
+    return _make(n, np.tile(np.arange(n), d), successors, "torus", params, partial(_torus_spectrum, side, d))
 
 
 def _torus_successors(side: int, d: int) -> np.ndarray:
@@ -181,6 +184,23 @@ def _torus_successors(side: int, d: int) -> np.ndarray:
     idx, stride = np.arange(side**d), side ** np.arange(d)[:, None]
     coord = (idx // stride) % side
     return idx + stride * ((coord + 1) % side - coord)
+
+
+def _complete_spectrum(n: int) -> np.ndarray:
+    """complete(n)'s Laplacian spectrum: 0 once and -n/(n-1) n-1 times."""
+    vals = np.full(n, -n / (n - 1))
+    vals[0] = 0.0
+    return vals
+
+
+def _torus_spectrum(side: int, d: int) -> np.ndarray:
+    """torus(side, d)'s unsorted Laplacian spectrum: the mean over axes of
+    cos(2 pi k_i/side), minus 1; cycle(n) is torus(n, 1)."""
+    axis = np.cos(2.0 * np.pi * np.arange(side) / side)
+    sums = axis
+    for _ in range(d - 1):
+        sums = (sums[:, None] + axis[None, :]).ravel()
+    return sums / d - 1.0
 
 
 def philox(seed, block: int = 0) -> np.random.Generator:
@@ -199,14 +219,23 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
     Pairs are assigned uniforms in lexicographic order from a counter-based
     (Philox) stream, so the same seed reproduces the same graph everywhere.
+    The stream is drawn in blocks of whole rows, at most 2**20 pairs each,
+    and each block's edges are mapped to (row, column) from the rows' first
+    pairs, so memory is O(n + edges), not O(n^2).
     """
     n = _integer(n, f"erdos_renyi needs an integer n >= 1, got {n!r}", 1)
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"edge probability must be in [0, 1], got {p}")
     gen = philox(seed)
-    rows, cols = np.triu_indices(n, k=1)
-    mask = gen.random(rows.size) < p
-    return _make(n, rows[mask], cols[mask], "erdos_renyi", {"n": n, "p": p, "seed": int(seed)})
+    i = np.arange(n + 1, dtype=np.int64)
+    starts = i * (2 * n - 1 - i) // 2  # row i's first pair in the stream; starts[n] counts them all
+    block, edges = max(1, 2**20 // n), []  # rows per block: a row has at most n - 1 pairs
+    for lo in range(0, n, block):
+        pair = np.flatnonzero(gen.random(starts[min(lo + block, n)] - starts[lo]) < p) + starts[lo]
+        row = np.searchsorted(starts, pair, side="right") - 1
+        edges.append((row, pair - starts[row] + row + 1))
+    u, v = (np.concatenate(ends) for ends in zip(*edges))
+    return _make(n, u, v, "erdos_renyi", {"n": n, "p": p, "seed": int(seed)})
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:

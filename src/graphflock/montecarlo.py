@@ -84,7 +84,8 @@ def _whole_steps(t: float, dt: float, T: float) -> int | None:
 
 @dataclass
 class PathEnsemble:
-    """Recorded states of a simulation: states[t] has shape (n_paths, n)."""
+    """Recorded states of a simulation: states[t] has shape (n_paths, n),
+    for every requested time t; times on one grid step share one array."""
 
     times: tuple[float, ...]
     states: dict[float, np.ndarray]
@@ -120,12 +121,12 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
     philox(cfg.seed)  # checks the seed before anything is allocated
     steps = cfg.steps_for(prof.T)
     record_times = cfg.record_times or (prof.T,)
-    record_index: dict[int, float] = {}
+    record_index: dict[int, list[float]] = {}  # step -> the record times on it
     for t in record_times:
         j = _whole_steps(t, cfg.dt, prof.T)
         if j is None or not 0 <= j <= steps:
             raise ParameterError(f"record time {t} is not on the simulation grid")
-        record_index[j] = float(t)
+        record_index.setdefault(j, []).append(float(t))
 
     # A spectral profile is stepped in the eigen-frame, y = V^T x per path.
     basis = prof.eigen.eigenvectors if prof.eigen is not None else None
@@ -145,7 +146,8 @@ def simulate(g: Graph, prof: LinearProfile, sigma: float, cfg: SimConfig) -> Pat
 
     def record(j: int) -> None:
         if j in record_index:
-            states[record_index[j]] = x.copy() if basis is None else x @ basis.T
+            state = x.copy() if basis is None else x @ basis.T
+            states.update(dict.fromkeys(record_index[j], state))
 
     def prepare(j: int) -> None:
         # Runs on the pool.  Step j's draws depend on (seed, j) alone, so any

@@ -10,10 +10,10 @@ is its kind and its rule; measure_spec's KIND[:D] is its one text grammar.
 
 Every equilibrium quantity is an integral against the spectrum, so an
 EigenSystem holds its eigenvalues from the start and computes the
-eigenvectors (a full eigh) only when a caller first reads them.  Graphs
-built by graphs.cycle, graphs.torus and graphs.complete get their
-Laplacian spectrum in closed form, without any eigensolver and without
-any n x n matrix, and the eigensystem records it (closed_form): those
+eigenvectors (a full eigh) only when a caller first reads them.
+graphs.cycle, graphs.torus and graphs.complete attach their graph's
+Laplacian spectrum in closed form, so it takes no eigensolver and no
+n x n matrix, and the eigensystem records it (closed_form): those
 graphs are vertex-transitive, so every diagonal of a function of L is
 constant, which is all the equilibrium formula needs of a graph.  Every
 other graph's symmetric Laplacian is filled densely from its neighbor
@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, NumericError, ParameterError
-from .graphs import Graph, _integer, _torus_successors
+from .graphs import Graph, _integer
 
 #: Eigenvalues may stick out of [-2, 0] by at most this much before clamping.
 EIGENVALUE_CLAMP_TOL = 1e-9
@@ -103,8 +103,8 @@ class EigenSystem:
     source matrix (or on what the source function returns), checks that its
     eigenvalues agree with the stored ones to EIGENVALUE_CLAMP_TOL times
     max(1, spectral radius), caches the vectors and drops the source.
-    closed_form records that the eigenvalues came from laplacian_eigensystem's
-    closed form, for a graph whose lattice it checked.
+    closed_form records that the eigenvalues are the closed form that the
+    graph's constructor attached (graphs.cycle, torus, complete).
     """
 
     def __init__(self, eigenvalues: np.ndarray, source, closed_form: bool = False):
@@ -173,67 +173,25 @@ def eigendecompose(m: np.ndarray) -> EigenSystem:
     return EigenSystem(_solve(np.linalg.eigvalsh, m), m)
 
 
-def _int_param(g: Graph, key: str) -> int | None:
-    value = g.params.get(key)
-    return value if isinstance(value, (int, np.integer)) else None
-
-
-def _is_torus(g: Graph, side: int, d: int) -> bool:
-    """Whether g is exactly torus(side, d), with vertex sum_i coord_i side^i:
-    every degree is 2d and every vertex is adjacent to its successor along
-    each axis (side >= 3 makes those 2d neighbours distinct)."""
-    if not (g.degrees == 2 * d).all():
-        return False
-    return all(g.has_edges(np.arange(g.n), successors).all() for successors in _torus_successors(side, d))
-
-
-def _closed_form_spectrum(g: Graph) -> np.ndarray | None:
-    """Unsorted Laplacian spectrum of a graph built by cycle, torus or
-    complete; None for any other graph.
-
-    The construction record is trusted only when n, the degrees and the
-    lattice edges confirm it.  complete(n): 0 once and -n/(n-1) n-1 times.
-    torus(side, d): the mean over axes of cos(2 pi k_i/side), minus 1;
-    cycle(n) is torus(n, 1).
-    """
-    n = g.n
-    if g.construction == "complete" and _int_param(g, "n") == n >= 2 and (g.degrees == n - 1).all():
-        vals = np.full(n, -n / (n - 1))
-        vals[0] = 0.0
-        return vals
-    if g.construction == "cycle":
-        side, d = _int_param(g, "n") or 0, 1
-    elif g.construction == "torus":
-        side, d = _int_param(g, "side") or 0, _int_param(g, "d") or 0
-    else:
-        return None
-    if not (side >= 3 and d >= 1 and side**d == n and _is_torus(g, side, d)):
-        return None
-    axis = np.cos(2.0 * np.pi * np.arange(side) / side)
-    sums = axis
-    for _ in range(d - 1):
-        sums = (sums[:, None] + axis[None, :]).ravel()
-    return sums / d - 1.0
-
-
 def laplacian_eigensystem(g: Graph) -> EigenSystem:
     """Eigensystem of the graph Laplacian, clamped to [-2, 0].
 
-    Graphs built by cycle, torus and complete get their spectrum in closed
-    form, and an eigensystem with closed_form set; other graphs from
-    np.linalg.eigvalsh of D^{-1/2} A D^{-1/2} - I, which is the Laplacian
-    itself on a regular graph and similar to it otherwise (its eigenvectors
-    are the ones they get).  eigvalsh solves on its own copy, so the solve
-    holds two n^2 arrays at its peak.  The matrix is symmetric because the
-    graph's lists are, so it skips eigendecompose's symmetry gate, and it
-    is rebuilt when the eigenvectors are first read.
+    A graph built by cycle, torus or complete carries its spectrum in
+    closed form from its constructor, and gets an eigensystem with
+    closed_form set.  Any other graph, one built by hand or by
+    dataclasses.replace included, gets it from np.linalg.eigvalsh of
+    D^{-1/2} A D^{-1/2} - I, which is the Laplacian itself on a regular
+    graph and similar to it otherwise (its eigenvectors are the ones they
+    get).  eigvalsh solves on its own copy, so the solve holds two n^2
+    arrays at its peak.  The matrix is symmetric because the graph's lists
+    are, so it skips eigendecompose's symmetry gate, and it is rebuilt
+    when the eigenvectors are first read.
     Eigenvalues outside [-2 - tol, 0 + tol] indicate a broken input and
     raise instead of being clamped.
     """
     source = functools.partial(_dense_laplacian, g, symmetric=True)
-    vals = _closed_form_spectrum(g)
-    closed_form = vals is not None
-    vals = np.sort(vals) if closed_form else _solve(np.linalg.eigvalsh, source())
+    closed_form = g._spectrum is not None
+    vals = np.sort(g._spectrum()) if closed_form else _solve(np.linalg.eigvalsh, source())
     if vals.min() < -2.0 - EIGENVALUE_CLAMP_TOL or vals.max() > EIGENVALUE_CLAMP_TOL:
         raise NumericError(
             f"Laplacian spectrum escapes [-2, 0] beyond tolerance: "

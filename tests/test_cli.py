@@ -55,6 +55,10 @@ _NAMED_IN_MESSAGE = {
     "solve-f --measure cycle --steps 100000000000000000000": "more than an array can index",
     "nash-audit --graph cycle:5 --steps 100000000000000000000": "more than an array can index",
     "simulate --graph cycle:5 --paths 100000000000000000000": "more than an array can index",
+    "value --measure dirac --config {tmp}/binary.txt": "binary.txt: 'utf-8' codec can't decode",
+    "variance-curve --measure dirac --t-grid 0:1:100000000000000000000": "more than an array can index",
+    "coop --graph cycle:6 --t-grid 0:1:100000000000000000000": "more than an array can index",
+    "variance-curve --measure dirac --t-grid 0:inf:3": "'0:inf:3'",
 }
 
 
@@ -357,6 +361,16 @@ class TestAuditAndSimulate:
         times = json.loads(out)["times"]
         assert sorted(times) == ["1e-12", "5e-13"] and times["1e-12"] != times["5e-13"]
 
+    def test_simulate_reports_every_record_time_on_one_step(self, capsys):
+        # Both times round to step 250 of 500; each is reported, with that step's statistics.
+        code, out, _ = run(capsys, *"simulate --graph cycle:3 --profile zero --paths 5 "
+                           "--record-times 0.5,0.5000000001 --seed 1".split())
+        assert code == 0
+        payload = json.loads(out)
+        times = payload["times"]
+        assert payload["config"]["sim"]["record_times"] == [0.5, 0.5000000001]
+        assert sorted(times) == ["0.5", "0.5000000001"] and times["0.5"] == times["0.5000000001"]
+
 
 class TestConfigAndErrors:
     def test_config_file_overrides_flags(self, capsys, tmp_path):
@@ -416,6 +430,47 @@ class TestConfigAndErrors:
         assert code == 1
         assert err.startswith("error[config]:")
         assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize(
+        "argv,content,named",
+        [
+            ("value --measure dirac", '{"c": true}', "config option 'c' must be a string or a number, got True"),
+            ("value --measure dirac", '{"c": null}', "config option 'c' must be a string or a number, got None"),
+            ("value --measure dirac", '{"c": [1]}', "config option 'c' must be a string or a number, got [1]"),
+            ("nash-audit --graph cycle:5", '{"profile": "nash"}', "config option 'profile': 'nash' is not one of"),
+            ("value --measure dirac", None, "cannot read config file {cfg}: [Errno 2]"),  # no such file
+            ("value --measure dirac", "", "cannot read config file {tmp}: [Errno 21]"),  # a directory
+            ("value --measure dirac", '{"c": 1', "cannot read config file {cfg}: Expecting"),
+            ("value --measure dirac", "[1, 2]", "config file {cfg} must contain a JSON object"),
+        ],
+        ids=["bool", "null", "list", "choice", "missing", "directory", "bad-json", "not-an-object"],
+    )
+    def test_bad_config_file_exits_1_with_one_line(self, capsys, tmp_path, argv, content, named):
+        cfg = tmp_path / "run.json"
+        if content:
+            cfg.write_text(content)
+        given = tmp_path if content == "" else cfg
+        code, out, err = run(capsys, *argv.split(), "--config", str(given))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error[config]: " + named.format(cfg=cfg, tmp=tmp_path))
+
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ("1 2\n2 3 4\n", ":2: expected 'u v', got '2 3 4'"),
+            ("1 2\n2 x\n", ":2: non-integer vertex label"),
+            ("# only a comment\n\n", ": no edges found"),
+        ],
+        ids=["three-fields", "not-an-integer", "no-edges"],
+    )
+    def test_bad_edge_list_file_exits_1_with_one_line(self, capsys, tmp_path, text, named):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "value", "--graph", f"edge_list:{path}")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error[config]: {path}{named}")
 
     def test_malformed_graph_exits_1(self, capsys):
         code, _, err = run(capsys, "spectrum", "--graph", "moebius:4")
@@ -486,6 +541,10 @@ class TestConfigAndErrors:
             "solve-f --measure cycle --steps 100000000000000000000",
             "nash-audit --graph cycle:5 --steps 100000000000000000000",
             "simulate --graph cycle:5 --paths 100000000000000000000",
+            "value --measure dirac --config {tmp}/binary.txt",
+            "variance-curve --measure dirac --t-grid 0:1:100000000000000000000",
+            "coop --graph cycle:6 --t-grid 0:1:100000000000000000000",
+            "variance-curve --measure dirac --t-grid 0:inf:3",
         ],
     )
     def test_bad_input_exits_1_with_one_line(self, capsys, tmp_path, argv):

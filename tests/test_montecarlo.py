@@ -411,6 +411,12 @@ class TestConcentration:
         assert report.passed
         assert report.bound < 0.2
 
+    def test_covariance_of_the_wrong_shape(self):
+        ens = simulate(cycle(3), zero_profile(cycle(3), T=1.0), 1.0, SimConfig(10, 0.1, 0, (1.0,)))
+        with pytest.raises(ParameterError) as info:
+            empirical_measure_test(ens, 1.0, "tanh", np.eye(2))
+        assert str(info.value) == "covariance must be 3x3, got (2, 2)"
+
     def test_unknown_test_function(self):
         g = single_vertex()
         prof = zero_profile(g, T=1.0)

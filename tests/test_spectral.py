@@ -54,6 +54,11 @@ class TestLaplacian:
 
 
 class TestEigendecompose:
+    def test_refuses_a_matrix_that_is_not_square(self):
+        with pytest.raises(ParameterError) as info:
+            eigendecompose(np.ones((2, 3)))
+        assert str(info.value) == "expected a square matrix, got shape (2, 3)"
+
     def test_cycle4_spectrum(self):
         es = laplacian_eigensystem(cycle(4))
         assert np.allclose(es.eigenvalues, [-2.0, -1.0, -1.0, 0.0], atol=1e-12)
@@ -300,6 +305,13 @@ class TestLimitMeasures:
         nodes, weights = spectral._gauss_rule_from_atoms(atoms, atom_weights, 64)
         k = np.arange(128)[:, None]
         assert np.abs((nodes**k) @ weights - (atoms**k) @ atom_weights).max() < 1e-14
+
+    def test_few_atoms_are_their_own_rule(self):
+        # No more atoms than nodes: the atoms are returned as copies, exact.
+        atoms, atom_weights = np.array([-1.5, -0.5]), np.array([0.25, 0.75])
+        nodes, weights = spectral._gauss_rule_from_atoms(atoms, atom_weights, 2)
+        assert np.array_equal(nodes, atoms) and np.array_equal(weights, atom_weights)
+        assert not np.shares_memory(nodes, atoms) and not np.shares_memory(weights, atom_weights)
 
     def test_corrupted_compression_stage_raises(self, monkeypatch):
         gauss_rule = spectral._gauss_rule_from_atoms

@@ -51,6 +51,11 @@ class TestProfiles:
         with pytest.raises(ParameterError):
             profile_costs(cycle(5), prof, sigma=1.0, c=1.0, steps=100)
 
+    def test_profile_needs_one_form(self):
+        with pytest.raises(ParameterError) as info:
+            LinearProfile(5, 1.0, "custom")
+        assert str(info.value) == "a profile sets exactly one of rates and matrix_fn"
+
     def test_spectral_profile_checks_its_own_form(self):
         # An eigensystem beside a dense K, or of another size, is refused when the profile is made.
         eigen = build_kernel(cycle(5), 1.0, 1.0, 1.0).eigen
